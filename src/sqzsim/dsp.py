@@ -6,6 +6,10 @@ reported quantities.  Standard errors follow one convention throughout
 the package: the data are split into 10 equal subsets, the statistic is
 evaluated per subset, and the error is the subset standard deviation
 over sqrt(10).
+
+Temporal-mode quadratures all come from :func:`project`, which
+integrates every frame against any number of modes in one matrix
+product; the one-mode helpers are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +42,8 @@ __all__ = [
     "mode_from_weights",
     "ModeSpectrum",
     "mode_spectrum",
+    "project",
+    "vacuum_quadrature_scales",
     "vacuum_quadrature_scale",
     "extract_quadrature",
     "extract_quadratures",
@@ -45,6 +52,9 @@ __all__ = [
 N_SPLITS = 10
 
 _FFT_CHUNK = 256
+
+# float64 elements per frame chunk in project(), the simulator's chunk size
+_PROJECT_CHUNK = 4_194_304
 
 
 def _split_slices(n: int, n_splits: int = N_SPLITS) -> list[slice]:
@@ -585,30 +595,55 @@ def _mode_indices(fs: FrameSet, mode: TemporalMode) -> slice:
     return slice(idx0, idx0 + mode.n_samples)
 
 
-def _raw_quadratures(fs: FrameSet, mode: TemporalMode) -> np.ndarray:
-    sl = _mode_indices(fs, mode)
-    return np.asarray(fs.frames[:, sl], dtype=float) @ (mode.weights * mode.dt)
+def project(fs: FrameSet, modes: Sequence[TemporalMode]) -> np.ndarray:
+    """Mode integrals sum_t x(t) w(t) dt of every frame, one column per mode.
+
+    This is the one projection path of the package.  The weights of all
+    modes go into one matrix over the union of their supports, and the
+    frames are multiplied by it in row chunks whose float64 copy stays
+    near 4 Mi elements.  Results are in raw record units; divide by a
+    :func:`vacuum_quadrature_scales` entry for shot-noise units.
+    """
+    slices = [_mode_indices(fs, mode) for mode in modes]
+    if not slices:
+        raise ValueError("need at least one mode to project onto")
+    lo = min(sl.start for sl in slices)
+    hi = max(sl.stop for sl in slices)
+    weights = np.zeros((hi - lo, len(slices)))
+    for j, (mode, sl) in enumerate(zip(modes, slices)):
+        weights[sl.start - lo : sl.stop - lo, j] = mode.weights * mode.dt
+    out = np.empty((fs.n_frames, len(slices)))
+    rows = max(1, _PROJECT_CHUNK // (hi - lo))
+    for r in range(0, fs.n_frames, rows):
+        block = np.asarray(fs.frames[r : r + rows, lo:hi], dtype=float)
+        np.matmul(block, weights, out=out[r : r + rows])
+    return out
 
 
-def vacuum_quadrature_scale(ref: FrameSet, mode: TemporalMode) -> float:
-    """RMS mode integral over a vacuum ensemble; the shot-noise unit."""
+def vacuum_quadrature_scales(ref: FrameSet, modes: Sequence[TemporalMode]) -> np.ndarray:
+    """RMS mode integral over a vacuum ensemble per mode; the shot-noise units."""
     if ref.kind != VACUUM_REFERENCE:
         raise ValueError("scale must be taken from a vacuum_reference frame set")
     if ref.n_frames < 2:
         raise ValueError("need >= 2 vacuum frames")
-    q = _raw_quadratures(ref, mode)
-    return float(np.sqrt(np.var(q, ddof=1)))
+    return np.sqrt(np.var(project(ref, modes), axis=0, ddof=1))
+
+
+def vacuum_quadrature_scale(ref: FrameSet, mode: TemporalMode) -> float:
+    """One-mode case of :func:`vacuum_quadrature_scales`."""
+    return float(vacuum_quadrature_scales(ref, [mode])[0])
 
 
 def extract_quadratures(fs: FrameSet, mode: TemporalMode, ref_scale: float) -> np.ndarray:
     """Mode-weighted quadrature per frame, in shot-noise units.
 
-    ``ref_scale`` comes from :func:`vacuum_quadrature_scale` with the
-    same mode, making a vacuum ensemble give unit variance.
+    One-mode case of :func:`project`; ``ref_scale`` comes from
+    :func:`vacuum_quadrature_scale` with the same mode, making a vacuum
+    ensemble give unit variance.
     """
     if ref_scale <= 0.0:
         raise ValueError("ref_scale must be > 0")
-    return _raw_quadratures(fs, mode) / ref_scale
+    return project(fs, [mode])[:, 0] / ref_scale
 
 
 def extract_quadrature(

@@ -272,11 +272,15 @@ def apply_loss(state: GaussianState | TwoModeGaussianState, loss: float):
 
 @dataclass(frozen=True)
 class DuanResult:
-    """Duan inseparability value with its standard error."""
+    """Duan inseparability value with its standard error.
 
-    value: float
-    stderr: float
-    entangled: bool
+    Fields are floats for one pair of modes and arrays, one entry per
+    column, when :func:`duan_value` is given column stacks.
+    """
+
+    value: float | np.ndarray
+    stderr: float | np.ndarray
+    entangled: bool | np.ndarray
 
 
 def duan_value(x1, p1, x2, p2, n_splits: int = 10) -> DuanResult:
@@ -286,22 +290,32 @@ def duan_value(x1, p1, x2, p2, n_splits: int = 10) -> DuanResult:
     4 witnesses entanglement of the two modes.  The standard error
     comes from evaluating the statistic on ``n_splits`` equal sample
     subsets (std of the subset values over sqrt(n_splits)).
+
+    Each input is either a sample vector or an (n_samples, n_pairs)
+    column stack; a stack gives the statistic of every column at once,
+    and a vector is its one-column case.
     """
-    arrs = [np.asarray(a, dtype=float).ravel() for a in (x1, p1, x2, p2)]
-    n = arrs[0].size
-    if any(a.size != n for a in arrs):
+    arrs = [np.asarray(a, dtype=float) for a in (x1, p1, x2, p2)]
+    arrs = [a if a.ndim == 2 else a.ravel() for a in arrs]
+    if any(a.shape != arrs[0].shape for a in arrs):
         raise ValueError("x1, p1, x2, p2 must have equal sample counts")
+    n = arrs[0].shape[0]
     n_min = max(100, 2 * n_splits)
     if n < n_min:
         raise ValueError(f"need at least {n_min} samples, got {n}")
     x1, p1, x2, p2 = arrs
-    value = float(np.var(x1 - x2, ddof=1) + np.var(p1 + p2, ddof=1))
-    subsets = [
-        float(np.var(a, ddof=1) + np.var(b, ddof=1))
-        for a, b in zip(np.array_split(x1 - x2, n_splits), np.array_split(p1 + p2, n_splits))
-    ]
-    stderr = float(np.std(subsets, ddof=1) / math.sqrt(n_splits))
-    return DuanResult(value=value, stderr=stderr, entangled=bool(value < 4.0))
+    diff, total = x1 - x2, p1 + p2
+    value = np.var(diff, axis=0, ddof=1) + np.var(total, axis=0, ddof=1)
+    subsets = np.array(
+        [
+            np.var(a, axis=0, ddof=1) + np.var(b, axis=0, ddof=1)
+            for a, b in zip(np.array_split(diff, n_splits), np.array_split(total, n_splits))
+        ]
+    )
+    stderr = np.std(subsets, axis=0, ddof=1) / math.sqrt(n_splits)
+    if value.ndim == 0:
+        return DuanResult(value=float(value), stderr=float(stderr), entangled=bool(value < 4.0))
+    return DuanResult(value=value, stderr=stderr, entangled=value < 4.0)
 
 
 def duan_from_covariance(cov: np.ndarray) -> float:

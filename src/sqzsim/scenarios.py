@@ -14,10 +14,12 @@ or x / p / vacuum) for the others.  ``calibrate`` uses no frames.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import platform
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -241,12 +243,10 @@ def _write_json(path: Path, payload: dict, meta: dict) -> None:
 
 def _write_pump_csv(path: Path, prog: AwgProgram, ideal: pump.PowerTrace,
                     shaped: pump.PowerTrace, meta: dict) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}={v}\n")
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["time_s", "drive_v", "ideal_power_mw", "power_mw"])
         for t, v, pi, pm in zip(prog.times, prog.samples_v, ideal.power_mw, shaped.power_mw):
             writer.writerow([f"{t:.17g}", f"{v:.17g}", f"{pi:.17g}", f"{pm:.17g}"])
@@ -594,16 +594,14 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
     outputs = {"staircase_pump": "staircase_pump.csv"}
     checks = []
     slot_records = []
+    gamma = float(params["mode_gamma_hz"])
+    modes = [
+        dsp.make_mode("tf_mode", dt, t_c=float(center), gamma=gamma, t_w=slot.mode_width)
+        for center, slot in zip(centers, train.slots)
+    ]
+    quads = dsp.project(fs, modes) / dsp.vacuum_quadrature_scales(ref, modes)
     for k, slot in enumerate(train.slots):
-        mode = dsp.make_mode(
-            "tf_mode",
-            dt,
-            t_c=float(centers[k]),
-            gamma=float(params["mode_gamma_hz"]),
-            t_w=slot.mode_width,
-        )
-        scale = dsp.vacuum_quadrature_scale(ref, mode)
-        data = tomography.TomographyInput.from_frameset(fs, mode, scale)
+        data = tomography.TomographyInput.from_phase_tags(fs.phase_tags, quads[:, k])
         result = tomography.ml_gaussian_tomography(data, project=bool(params["project"]))
         cov = np.asarray(result.state.cov)
         det_cov = float(np.linalg.det(cov))
@@ -693,10 +691,8 @@ def _run_epr(cfg, params, cal, outdir, meta):
     # Gate flips sit between samples, so the mode center lives on the
     # half-sample grid aligned with the drive sign flips.
     t_c = lead + 0.5 * duration - 0.5 * dt
-    import warnings as _warnings
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         g1 = dsp.make_mode(
             "g1",
             dt,
@@ -726,12 +722,7 @@ def _run_epr(cfg, params, cal, outdir, meta):
     # The detector group delay shifts the optimal gate alignment off the
     # nominal center, so the scan minimum must be compared against the
     # minimum of the prediction over the same offsets.
-    predicted_scan = np.array(
-        [
-            tomography.duan_prediction(traj, det, g1.shifted(off), g2.shifted(off))
-            for off in result.scan_offsets
-        ]
-    )
+    predicted_scan = tomography.duan_prediction_scan(traj, det, g1, g2, result.scan_offsets)
     k_best = int(np.argmin(predicted_scan))
     predicted_best = float(predicted_scan[k_best])
     predicted_t_c = float(t_c + result.scan_offsets[k_best])
@@ -778,12 +769,10 @@ def _run_epr(cfg, params, cal, outdir, meta):
     _write_json(outdir / "epr_report.json", report, meta)
     _write_pump_csv(outdir / "epr_pump.csv", prog, ideal, shaped, meta)
 
-    import csv as _csv
-
     with open(outdir / "epr_scan.csv", "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}={v}\n")
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["offset_s", "duan", "duan_predicted"])
         for off, val, pred in zip(result.scan_offsets, result.scan_duan, predicted_scan):
             writer.writerow([f"{off:.17g}", f"{val:.17g}", f"{pred:.17g}"])
@@ -801,8 +790,6 @@ def _run_epr(cfg, params, cal, outdir, meta):
 
 
 def _run_calibrate(cfg, params, cal, outdir, meta):
-    import csv as _csv
-
     powers = np.linspace(float(params["power_min_mw"]), float(params["power_max_mw"]),
                          int(params["n_gain_points"]))
     gains = np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))
@@ -824,14 +811,14 @@ def _run_calibrate(cfg, params, cal, outdir, meta):
     with open(outdir / "gain_points.csv", "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}={v}\n")
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["power_mw", "parametric_gain"])
         for p, g in zip(powers, gains):
             writer.writerow([f"{p:.17g}", f"{g:.17g}"])
     with open(outdir / "quadratic_points.csv", "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}={v}\n")
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["drive_v", "power_mw"])
         for v, p in zip(voltages, bench_power):
             writer.writerow([f"{v:.17g}", f"{p:.17g}"])

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
 from scipy import signal
 
-from sqzsim.dsp import TemporalMode, extract_quadratures, vacuum_quadrature_scale
+from sqzsim.dsp import TemporalMode, project, vacuum_quadrature_scales
 from sqzsim.homodyne import DetectorModel, FrameSet, _settle_samples
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
-    DuanResult,
     GaussianState,
     duan_value,
     effective_squeezing_db,
@@ -41,6 +39,7 @@ __all__ = [
     "EprResult",
     "run_epr_analysis",
     "duan_prediction",
+    "duan_prediction_scan",
 ]
 
 N_SPLITS = 10
@@ -103,14 +102,12 @@ class TomographyInput:
         return cls(groups=tuple(PhaseGroup(float(p), s) for p, s in zip(phases, samples)))
 
     @classmethod
-    def from_frameset(
-        cls, fs: FrameSet, mode: TemporalMode, ref_scale: float
-    ) -> "TomographyInput":
-        """Group a frame set's mode quadratures by its LO phase tags."""
-        q = extract_quadratures(fs, mode, ref_scale)
+    def from_phase_tags(cls, phase_tags: np.ndarray, samples: np.ndarray) -> "TomographyInput":
+        """Group per-frame samples (a column of :func:`~sqzsim.dsp.project`
+        output) by the frames' LO phase tags, in order of first appearance."""
         groups = []
-        for phase in dict.fromkeys(fs.phase_tags.tolist()):
-            groups.append(PhaseGroup(phase=float(phase), samples=q[fs.phase_tags == phase]))
+        for phase in dict.fromkeys(phase_tags.tolist()):
+            groups.append(PhaseGroup(phase=float(phase), samples=samples[phase_tags == phase]))
         return cls(groups=tuple(groups))
 
 
@@ -445,9 +442,6 @@ def run_epr_analysis(
     half_samples = int(math.floor(scan_halfwidth / dt + 1e-9))
     offsets = np.arange(-half_samples, half_samples + 1, step_samples)
 
-    scale1 = vacuum_quadrature_scale(ref, g1)
-    scale2 = vacuum_quadrature_scale(ref, g2)
-
     for mode in (g1, g2):
         for edge in (-half_samples, half_samples):
             shifted = mode.shifted(edge * dt)
@@ -458,34 +452,31 @@ def run_epr_analysis(
                     "shorten the window or lengthen the frames"
                 )
 
-    results: list[DuanResult] = []
-    for k in offsets:
-        m1 = g1.shifted(int(k) * dt)
-        m2 = g2.shifted(int(k) * dt)
-        x1 = extract_quadratures(fs_x, m1, scale1)
-        x2 = extract_quadratures(fs_x, m2, scale2)
-        p1 = extract_quadratures(fs_p, m1, scale1)
-        p2 = extract_quadratures(fs_p, m2, scale2)
-        results.append(duan_value(x1, p1, x2, p2))
+    # columns [0, n) hold g1 and [n, 2n) hold g2, both at every offset
+    n = offsets.size
+    modes = [mode.shifted(int(k) * dt) for mode in (g1, g2) for k in offsets]
+    scales = np.repeat(vacuum_quadrature_scales(ref, [g1, g2]), n)
+    x = project(fs_x, modes) / scales
+    p = project(fs_p, modes) / scales
+    scan = duan_value(x[:, :n], p[:, :n], x[:, n:], p[:, n:])
 
-    scan_duan = np.array([r.value for r in results])
-    best = int(np.argmin(scan_duan))
-    best_result = results[best]
+    best = int(np.argmin(scan.value))
+    duan = float(scan.value[best])
     t_c = float(g1.params.get("t_c", g1.t0) + offsets[best] * dt)
     # Both scales carry chi-squared noise from the finite vacuum set and
     # enter every variance multiplicatively, so their relative errors
     # (1 / sqrt(2 (n_vac - 1)) each, independent for orthogonal modes)
     # add a duan / sqrt(n_vac - 1) term the split scatter cannot see.
     n_vac = ref.n_frames
-    stderr = math.hypot(best_result.stderr, best_result.value / math.sqrt(n_vac - 1))
+    stderr = math.hypot(float(scan.stderr[best]), duan / math.sqrt(n_vac - 1))
     return EprResult(
-        duan=best_result.value,
+        duan=duan,
         duan_stderr=stderr,
-        effective_db=effective_squeezing_db(best_result.value),
+        effective_db=effective_squeezing_db(duan),
         t_c=t_c,
-        entangled=best_result.entangled,
+        entangled=bool(scan.entangled[best]),
         scan_offsets=offsets * dt,
-        scan_duan=scan_duan,
+        scan_duan=scan.value,
     )
 
 
@@ -511,7 +502,23 @@ def duan_prediction(
     the quasi-static record model, detector filtering included, with no
     Monte-Carlo noise.  For an ideal detector this reduces to the
     variance integrals 2 * sum(f1^2 V_x) dt + 2 * sum(f2^2 V_p) dt with
-    V_x, V_p the instantaneous trajectory variances.
+    V_x, V_p the instantaneous trajectory variances.  This is the
+    one-offset case of :func:`duan_prediction_scan`.
+    """
+    return float(duan_prediction_scan(traj, det, g1, g2, [0.0])[0])
+
+
+def duan_prediction_scan(
+    traj: SqueezerTrajectory,
+    det: DetectorModel,
+    g1: TemporalMode,
+    g2: TemporalMode,
+    offsets,
+) -> np.ndarray:
+    """:func:`duan_prediction` with both modes shifted by each offset (s).
+
+    The detector filters are designed once and run backwards over the
+    whole (n_offsets, n) stack of mode weights.
     """
     if abs(traj.dt - det.dt) > 1e-12 * det.dt:
         raise ValueError("trajectory must live on the detector grid")
@@ -524,8 +531,8 @@ def duan_prediction(
     v_x = np.concatenate([np.full(n_lead, v_x[0]), v_x])
     v_p = np.concatenate([np.full(n_lead, v_p[0]), v_p])
 
-    w1 = _mode_on_grid(g1, traj.t0, traj.dt, n, n_lead)
-    w2 = _mode_on_grid(g2, traj.t0, traj.dt, n, n_lead)
+    w1 = np.stack([_mode_on_grid(g1.shifted(off), traj.t0, traj.dt, n, n_lead) for off in offsets])
+    w2 = np.stack([_mode_on_grid(g2.shifted(off), traj.t0, traj.dt, n, n_lead) for off in offsets])
 
     if filters is None:
         def components(w):  # (lp-weighted, hp-weighted)
@@ -536,16 +543,16 @@ def duan_prediction(
         def components(w):
             # W(k) = sum_j w_j h_{j-k}: run the causal filter backwards
             return (
-                signal.lfilter(b_lp, a_lp, w[::-1])[::-1],
-                signal.lfilter(b_hp, a_hp, w[::-1])[::-1],
+                signal.lfilter(b_lp, a_lp, w[:, ::-1], axis=1)[:, ::-1],
+                signal.lfilter(b_hp, a_hp, w[:, ::-1], axis=1)[:, ::-1],
             )
 
-    def weighted_variance(w, v) -> float:
+    def weighted_variance(w, v) -> np.ndarray:
         lp, hp = components(w)
-        return float(np.sum(v * lp * lp) + np.sum(hp * hp))
+        return np.sum(v * lp * lp, axis=1) + np.sum(hp * hp, axis=1)
 
-    scale1 = math.sqrt(weighted_variance(w1, np.ones_like(v_x)))
-    scale2 = math.sqrt(weighted_variance(w2, np.ones_like(v_x)))
+    scale1 = np.sqrt(weighted_variance(w1, np.ones_like(v_x)))[:, None]
+    scale2 = np.sqrt(weighted_variance(w2, np.ones_like(v_x)))[:, None]
     u_minus = w1 / scale1 - w2 / scale2
     u_plus = w1 / scale1 + w2 / scale2
     return weighted_variance(u_minus, v_x) + weighted_variance(u_plus, v_p)

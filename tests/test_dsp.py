@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sqzsim import dsp
 from sqzsim.dsp import (
     SpectrumEstimate,
     TemporalMode,
@@ -20,7 +21,9 @@ from sqzsim.dsp import (
     mode_from_weights,
     mode_spectrum,
     pointwise_variance,
+    project,
     vacuum_quadrature_scale,
+    vacuum_quadrature_scales,
 )
 from sqzsim.homodyne import DetectorModel, FrameSet, simulate_frames, simulate_vacuum_reference
 from sqzsim.opa import constant_trajectory
@@ -336,6 +339,84 @@ def test_extract_quadrature_single():
     q_all = extract_quadratures(fs, mode, 1.0)
     q_one = extract_quadrature(fs.frames[4], mode, 1.0, dt=fs.dt, t0=fs.t0)
     assert q_one == pytest.approx(q_all[4], rel=1e-12)
+
+
+def _projection_pieces(n_frames: int, dtype=np.float32):
+    det = DetectorModel(bandwidth=None)
+    ref = simulate_vacuum_reference(det, 160, n_frames, seed=4, dtype=dtype)
+    fs = FrameSet(ref.dt, ref.frames, ref.phase_tags, "signal", 4)
+    # modes 0-2 overlap each other, mode 3 is disjoint from them
+    modes = [
+        make_mode("tf_mode", 1e-9, t_c=t_c, gamma=2.5e8, t_w=30e-9)
+        for t_c in (40e-9, 50e-9, 52e-9, 130e-9)
+    ]
+    return fs, modes
+
+
+def _direct(fs, mode):
+    start = int(round((mode.t0 - fs.t0) / fs.dt))
+    block = np.asarray(fs.frames[:, start : start + mode.n_samples], dtype=float)
+    return block @ (mode.weights * mode.dt)
+
+
+def test_project_matches_per_mode_extraction():
+    fs, modes = _projection_pieces(300)
+    q = project(fs, modes)
+    assert q.shape == (300, len(modes))
+    stacked = np.column_stack([extract_quadratures(fs, m, 1.0) for m in modes])
+    direct = np.column_stack([_direct(fs, m) for m in modes])
+    scale = np.abs(direct).max()
+    assert np.max(np.abs(q - stacked)) <= 1e-12 * scale
+    assert np.max(np.abs(q - direct)) <= 1e-12 * scale
+    # disjoint supports alone and in the other order give the same columns
+    assert np.max(np.abs(project(fs, modes[::-1])[:, ::-1] - q)) <= 1e-12 * scale
+    assert np.max(np.abs(project(fs, [modes[0], modes[3]]) - q[:, [0, 3]])) <= 1e-12 * scale
+
+
+def test_project_chunks_do_not_change_the_result(monkeypatch):
+    fs, modes = _projection_pieces(53, dtype=np.float64)
+    whole = project(fs, modes)
+    # union of the supports, in samples: first mode start to last mode end
+    window = int(round((modes[3].t0 - modes[0].t0) / fs.dt)) + modes[3].n_samples
+    monkeypatch.setattr(dsp, "_PROJECT_CHUNK", 7 * window)  # 53 = 7 * 7 + 4 frames
+    chunked = project(fs, modes)
+    direct = np.column_stack([_direct(fs, m) for m in modes])
+    assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.abs(direct).max()
+    assert np.max(np.abs(chunked - direct)) <= 1e-12 * np.abs(direct).max()
+
+
+def test_project_single_frame():
+    fs, modes = _projection_pieces(1)
+    q = project(fs, modes)
+    assert q.shape == (1, len(modes))
+    for j, mode in enumerate(modes):
+        one = extract_quadrature(fs.frames[0], mode, 1.0, dt=fs.dt, t0=fs.t0)
+        assert one == pytest.approx(q[0, j], rel=1e-12)
+        assert one == pytest.approx(float(_direct(fs, mode)[0]), rel=1e-12)
+
+
+def test_project_rejects_bad_modes():
+    fs, modes = _projection_pieces(5)
+    outside = make_mode("tf_mode", 1e-9, t_c=300e-9, gamma=2.5e8, t_w=30e-9)
+    with pytest.raises(ValueError, match="record window"):
+        project(fs, modes + [outside])
+    off_grid = make_mode("tf_mode", 1e-9, t_c=50.4e-9, gamma=2.5e8, t_w=30e-9)
+    with pytest.raises(ValueError, match="align"):
+        project(fs, [off_grid] + modes)
+    with pytest.raises(ValueError, match="at least one mode"):
+        project(fs, [])
+
+
+def test_vacuum_scales_match_single_mode_scale():
+    det = DetectorModel(bandwidth=None)
+    ref = simulate_vacuum_reference(det, 160, 400, seed=6)
+    _, modes = _projection_pieces(1)
+    scales = vacuum_quadrature_scales(ref, modes)
+    single = [vacuum_quadrature_scale(ref, m) for m in modes]
+    assert scales == pytest.approx(single, rel=1e-12)
+    signal_set = FrameSet(ref.dt, ref.frames, ref.phase_tags, "signal", 6)
+    with pytest.raises(ValueError, match="vacuum_reference"):
+        vacuum_quadrature_scales(signal_set, modes)
 
 
 def test_spectrum_estimate_csv(tmp_path):

@@ -211,6 +211,22 @@ def test_duan_value_vacuum_sits_at_four():
     assert res.entangled == (res.value < 4.0)
 
 
+def test_duan_value_column_stacks_match_per_column_calls():
+    rng = np.random.default_rng(3)
+    # 1003 rows: the 10 split subsets are unequal, as np.array_split makes them
+    x1, p1, x2, p2 = rng.standard_normal((4, 1003, 7)) * np.linspace(0.5, 2.0, 7)
+    res = duan_value(x1, p1, x2, p2)
+    assert res.value.shape == res.stderr.shape == res.entangled.shape == (7,)
+    for j in range(7):
+        one = duan_value(x1[:, j], p1[:, j], x2[:, j], p2[:, j])
+        assert isinstance(one.value, float) and isinstance(one.entangled, bool)
+        assert res.value[j] == pytest.approx(one.value, rel=1e-12, abs=0.0)
+        assert res.stderr[j] == pytest.approx(one.stderr, rel=1e-12, abs=0.0)
+        assert bool(res.entangled[j]) == one.entangled
+    with pytest.raises(ValueError, match="equal sample counts"):
+        duan_value(x1, p1, x2[:, :6], p2)
+
+
 def test_duan_value_rejects_short_records():
     x = np.zeros(99)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from sqzsim.tomography import (
     PhaseGroup,
     TomographyInput,
     duan_prediction,
+    duan_prediction_scan,
     ellipse_angle_difference_deg,
     ml_gaussian_tomography,
     run_epr_analysis,
@@ -132,6 +133,14 @@ def test_tomography_input_validation():
         PhaseGroup(0.0, np.ones(3))
 
 
+def test_tomography_input_from_phase_tags_groups_in_first_seen_order():
+    tags = np.tile([1.0, 0.0, 2.0], 150)
+    samples = np.arange(tags.size, dtype=float)
+    data = TomographyInput.from_phase_tags(tags, samples)
+    assert [g.phase for g in data.groups] == [1.0, 0.0, 2.0]
+    assert data.groups[1].samples.tolist() == samples[1::3].tolist()
+
+
 def _epr_pieces(n_frames=200, bandwidth=None, seed=0, dt=1e-9):
     # 50 ns quadrature alternation inside a 1000 ns window, vacuum outside
     lead, dur = 160, 1000
@@ -212,6 +221,16 @@ def test_duan_prediction_detector_filtering_degrades_value():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(bandwidth=200e6)
     ideal = DetectorModel(bandwidth=None, sample_rate=det.sample_rate)
     assert duan_prediction(traj, det, g1, g2) > duan_prediction(traj, ideal, g1, g2)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 200e6])
+def test_duan_prediction_scan_equals_per_offset_loop(bandwidth):
+    traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=100, bandwidth=bandwidth)
+    offsets = np.arange(-6, 7) * det.dt
+    scan = duan_prediction_scan(traj, det, g1, g2, offsets)
+    loop = [duan_prediction(traj, det, g1.shifted(off), g2.shifted(off)) for off in offsets]
+    assert scan.shape == offsets.shape
+    assert scan.tolist() == loop
 
 
 def test_epr_result_serializes(tmp_path):

@@ -594,14 +594,16 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
     outputs = {"staircase_pump": "staircase_pump.csv"}
     checks = []
     slot_records = []
-    gamma = float(params["mode_gamma_hz"])
-    modes = [
-        dsp.make_mode("tf_mode", dt, t_c=float(center), gamma=gamma, t_w=slot.mode_width)
-        for center, slot in zip(centers, train.slots)
-    ]
-    quads = dsp.project(fs, modes) / dsp.vacuum_quadrature_scales(ref, modes)
     for k, slot in enumerate(train.slots):
-        data = tomography.TomographyInput.from_phase_tags(fs.phase_tags, quads[:, k])
+        mode = dsp.make_mode(
+            "tf_mode",
+            dt,
+            t_c=float(centers[k]),
+            gamma=float(params["mode_gamma_hz"]),
+            t_w=slot.mode_width,
+        )
+        scale = dsp.vacuum_quadrature_scale(ref, mode)
+        data = tomography.TomographyInput.from_frameset(fs, mode, scale)
         result = tomography.ml_gaussian_tomography(data, project=bool(params["project"]))
         cov = np.asarray(result.state.cov)
         det_cov = float(np.linalg.det(cov))

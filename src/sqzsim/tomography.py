@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal
 
-from sqzsim.dsp import TemporalMode, project, vacuum_quadrature_scales
+from sqzsim.dsp import TemporalMode, extract_quadratures, project, vacuum_quadrature_scales
 from sqzsim.homodyne import DetectorModel, FrameSet, _settle_samples
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
@@ -102,12 +102,14 @@ class TomographyInput:
         return cls(groups=tuple(PhaseGroup(float(p), s) for p, s in zip(phases, samples)))
 
     @classmethod
-    def from_phase_tags(cls, phase_tags: np.ndarray, samples: np.ndarray) -> "TomographyInput":
-        """Group per-frame samples (a column of :func:`~sqzsim.dsp.project`
-        output) by the frames' LO phase tags, in order of first appearance."""
+    def from_frameset(
+        cls, fs: FrameSet, mode: TemporalMode, ref_scale: float
+    ) -> "TomographyInput":
+        """Group a frame set's mode quadratures by its LO phase tags."""
+        q = extract_quadratures(fs, mode, ref_scale)
         groups = []
-        for phase in dict.fromkeys(phase_tags.tolist()):
-            groups.append(PhaseGroup(phase=float(phase), samples=samples[phase_tags == phase]))
+        for phase in dict.fromkeys(fs.phase_tags.tolist()):
+            groups.append(PhaseGroup(phase=float(phase), samples=q[fs.phase_tags == phase]))
         return cls(groups=tuple(groups))
 
 

@@ -2,19 +2,8 @@
 
 The values were computed with the per-mode projection code that
 preceded ``dsp.project``; refactors of the analysis path must reproduce
-them.  Changes that only reorder floating-point sums move the epr
-numbers by about 1e-15 relative, far inside the 1e-9 tolerance.
-
-The tm_squeezing covariances cannot be held that tightly.  The Newton
-polish in ``tomography.ml_gaussian_tomography`` takes finite-difference
-second derivatives of a log-likelihood of size ~1e4 with steps of
-1e-6, so rounding noise of 1e-16 in the quadratures moves the fitted
-covariance by ~1e-5.  Moving the projection from per-mode
-matrix-vector products to one matrix product shifted these entries by
-at most 1.7e-5 (seeds 0-4 at 1000 frames, under 0.1 % of their split
-standard error), so they are pinned to an absolute 1e-4: loose enough
-for summation order, far below any change a real behaviour difference
-makes.
+them.  Changes that only reorder floating-point sums move them by about
+1e-15 relative, far inside the 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +16,6 @@ import pytest
 from sqzsim.scenarios import ScenarioConfig, run_scenario
 
 RTOL = 1e-9
-TM_COV_ATOL = 1e-4
 
 EPR_SEED0_300 = {
     "duan": 2.4151404063776143,
@@ -53,9 +41,7 @@ def _data_rows(path):
 
 
 def test_golden_epr_seed0_300_frames(tmp_path):
-    run = run_scenario(
-        ScenarioConfig(scenario="epr", seed=0, n_frames=300, output_dir=str(tmp_path))
-    )
+    run = run_scenario(ScenarioConfig(scenario="epr", seed=0, n_frames=300, output_dir=str(tmp_path)))
     assert run.exit_code == 0
     rep = json.loads((tmp_path / "epr_report.json").read_text())
     for key, want in EPR_SEED0_300.items():
@@ -73,4 +59,4 @@ def test_golden_tm_squeezing_seed0_1000_frames(tmp_path):
     rep = json.loads((tmp_path / "slots.json").read_text())
     assert len(rep["slots"]) == len(TM_SEED0_1000_COVS)
     for slot, want in zip(rep["slots"], TM_SEED0_1000_COVS):
-        np.testing.assert_allclose(slot["result"]["cov"], want, rtol=0.0, atol=TM_COV_ATOL)
+        np.testing.assert_allclose(slot["result"]["cov"], want, rtol=RTOL, atol=0.0)

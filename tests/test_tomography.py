@@ -133,14 +133,6 @@ def test_tomography_input_validation():
         PhaseGroup(0.0, np.ones(3))
 
 
-def test_tomography_input_from_phase_tags_groups_in_first_seen_order():
-    tags = np.tile([1.0, 0.0, 2.0], 150)
-    samples = np.arange(tags.size, dtype=float)
-    data = TomographyInput.from_phase_tags(tags, samples)
-    assert [g.phase for g in data.groups] == [1.0, 0.0, 2.0]
-    assert data.groups[1].samples.tolist() == samples[1::3].tolist()
-
-
 def _epr_pieces(n_frames=200, bandwidth=None, seed=0, dt=1e-9):
     # 50 ns quadrature alternation inside a 1000 ns window, vacuum outside
     lead, dur = 160, 1000

@@ -1,9 +1,11 @@
 """Golden fingerprints: key report numbers pinned at small frame counts.
 
-The values were computed with the per-mode projection code that
-preceded ``dsp.project``; refactors of the analysis path must reproduce
-them.  Changes that only reorder floating-point sums move them by about
-1e-15 relative, far inside the 1e-9 tolerance.
+The ``epr`` and ``tm_squeezing`` values were computed with the per-mode
+projection code that preceded ``dsp.project``; the ``spectrum`` and
+``waveforms`` values with the code that materialized every frame stack
+before reducing it.  Refactors of the synthesis and analysis paths must
+reproduce them.  Changes that only reorder floating-point sums move
+them by about 1e-15 relative, far inside the 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -34,6 +36,29 @@ TM_SEED0_1000_COVS = [
     [[0.6819485664852857, -0.009251177497077785], [-0.009251177497077785, 1.495750191314248]],
 ]
 
+SPECTRUM_SEED0_200 = {
+    "squeezed_band_db": [-2.084909797609914, 0.07214647962720525],
+    "antisqueezed_band_db": [2.392846783677483, 0.0699298931447726],
+    "vacuum_check_band_db": [0.03983242871410012, 0.07614123151961176],
+    "high_band_db": [-0.013561733551377679, 0.023147246869026424],
+    "estimated_pure_db": [2.8503249943159132, 0.20238720261127782],
+    "estimated_loss": [0.2077554116354301, 0.0549878018080761],
+}
+
+# (detector_bandwidth_hz, pinned report entries); 0 is the ideal detector
+WAVEFORMS_SEED0_300 = [
+    (200e6, {
+        "square_plateau_squeezed": [0.626835747852514, 0.6207458691884],
+        "square_plateau_antisqueezed": [1.7261365842604512, 1.7078322074119252],
+        "sine_variance_range": [0.5179246808360457, 1.92058082106862],
+    }),
+    (0.0, {
+        "square_plateau_squeezed": [0.6297300912076115, 0.6207458691884],
+        "square_plateau_antisqueezed": [1.7236904459053526, 1.7078322074119252],
+        "sine_variance_range": [0.4727337594715523, 1.8407783647533518],
+    }),
+]
+
 
 def _data_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
@@ -60,3 +85,28 @@ def test_golden_tm_squeezing_seed0_1000_frames(tmp_path):
     assert len(rep["slots"]) == len(TM_SEED0_1000_COVS)
     for slot, want in zip(rep["slots"], TM_SEED0_1000_COVS):
         np.testing.assert_allclose(slot["result"]["cov"], want, rtol=RTOL, atol=0.0)
+
+
+def test_golden_spectrum_seed0_200_frames(tmp_path):
+    run = run_scenario(
+        ScenarioConfig(scenario="spectrum", seed=0, n_frames=200, output_dir=str(tmp_path))
+    )
+    assert run.exit_code == 0
+    rep = json.loads((tmp_path / "spectrum_report.json").read_text())
+    for key, want in SPECTRUM_SEED0_200.items():
+        np.testing.assert_allclose(rep[key], want, rtol=RTOL, atol=0.0, err_msg=key)
+
+
+@pytest.mark.parametrize(("bandwidth", "pins"), WAVEFORMS_SEED0_300, ids=["200MHz", "ideal"])
+def test_golden_waveforms_seed0_300_frames(tmp_path, bandwidth, pins):
+    cfg = ScenarioConfig(
+        scenario="waveforms",
+        seed=0,
+        n_frames=300,
+        output_dir=str(tmp_path),
+        overrides={"detector_bandwidth_hz": bandwidth},
+    )
+    assert run_scenario(cfg).exit_code == 0
+    rep = json.loads((tmp_path / "waveforms_report.json").read_text())
+    for key, want in pins.items():
+        np.testing.assert_allclose(rep[key], want, rtol=RTOL, atol=0.0, err_msg=key)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +29,9 @@ from sqzsim.homodyne import SIGNAL, VACUUM_REFERENCE, FrameSet
 
 __all__ = [
     "SpectrumEstimate",
+    "periodogram_bounds",
+    "periodogram_split_means",
+    "spectrum_ratio",
     "average_spectrum",
     "band_average",
     "PureSqueezingEstimate",
@@ -62,24 +65,49 @@ def _split_slices(n: int, n_splits: int = N_SPLITS) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _periodogram_split_means(frames: np.ndarray) -> np.ndarray:
-    """Mean |rfft|^2 per 10-way split, accumulated in float64.
+def periodogram_bounds(n_frames: int) -> list[tuple[int, int]]:
+    """Frame blocks of :func:`periodogram_split_means`, in reduction order.
 
-    Rectangular window; no per-bin normalization (it cancels in the
-    signal-to-vacuum ratio).
+    Each of the 10 splits is cut into blocks of at most 256 frames
+    counted from the split start, so no block crosses a split edge.
     """
-    n_frames, n_samples = frames.shape
-    n_bins = n_samples // 2 + 1
-    sums = np.zeros((N_SPLITS, n_bins))
+    if n_frames < N_SPLITS:
+        raise ValueError(f"need at least {N_SPLITS} frames for error estimation")
+    return [
+        (lo, min(lo + _FFT_CHUNK, sl.stop))
+        for sl in _split_slices(n_frames)
+        for lo in range(sl.start, sl.stop, _FFT_CHUNK)
+    ]
+
+
+def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Mean |rfft|^2 per 10-way split, reduced block by block in float64.
+
+    ``blocks`` yields the frames of each range of
+    :func:`periodogram_bounds` in order, for instance from
+    :func:`sqzsim.homodyne.iter_frame_chunks` or as slices of a frame
+    stack; only one block is held at a time.  Rectangular window; no
+    per-bin normalization (it cancels in the signal-to-vacuum ratio).
+    """
+    bounds = periodogram_bounds(n_frames)
     slices = _split_slices(n_frames)
-    for s_idx, sl in enumerate(slices):
-        for lo in range(sl.start, sl.stop, _FFT_CHUNK):
-            hi = min(lo + _FFT_CHUNK, sl.stop)
-            spec = scipy.fft.rfft(frames[lo:hi], axis=1)
-            p = np.square(spec.real, dtype=np.float64)
-            p += np.square(spec.imag, dtype=np.float64)
-            sums[s_idx] += p.sum(axis=0)
     counts = np.array([sl.stop - sl.start for sl in slices], dtype=float)
+    # the split each block lies in
+    split_of = np.searchsorted([sl.stop for sl in slices], [lo for lo, _ in bounds], side="right")
+    sums = None
+    blocks = iter(blocks)
+    for (lo, hi), s_idx in zip(bounds, split_of):
+        block = next(blocks, None)
+        if block is None or block.shape[0] != hi - lo:
+            raise ValueError(f"expected a block of frames [{lo}, {hi})")
+        spec = scipy.fft.rfft(block, axis=1)
+        p = np.square(spec.real, dtype=np.float64)
+        p += np.square(spec.imag, dtype=np.float64)
+        if sums is None:
+            sums = np.zeros((N_SPLITS, p.shape[1]))
+        sums[s_idx] += p.sum(axis=0)
+    if next(blocks, None) is not None:
+        raise ValueError(f"more blocks than the {len(bounds)} of periodogram_bounds({n_frames})")
     return sums / counts[:, None]
 
 
@@ -117,12 +145,26 @@ def average_spectrum(fs: FrameSet, ref: FrameSet) -> SpectrumEstimate:
         raise ValueError("signal and reference frame lengths differ")
     if fs.n_frames < N_SPLITS or ref.n_frames < N_SPLITS:
         raise ValueError(f"need at least {N_SPLITS} frames in both sets for error estimation")
-    sig = _periodogram_split_means(fs.frames)
-    vac = _periodogram_split_means(ref.frames)
+    sig = periodogram_split_means(fs.n_frames, _stack_blocks(fs))
+    vac = periodogram_split_means(ref.n_frames, _stack_blocks(ref))
+    return spectrum_ratio(sig, vac, fs.n_samples, fs.dt)
+
+
+def _stack_blocks(fs: FrameSet) -> Iterator[np.ndarray]:
+    return (fs.frames[lo:hi] for lo, hi in periodogram_bounds(fs.n_frames))
+
+
+def spectrum_ratio(sig: np.ndarray, vac: np.ndarray, n_samples: int, dt: float) -> SpectrumEstimate:
+    """Spectrum in dB relative to shot noise from two sets of split means.
+
+    ``sig`` and ``vac`` come from :func:`periodogram_split_means` of a
+    signal run and of its vacuum reference, on frames of ``n_samples``
+    samples at interval ``dt``.
+    """
     level = 10.0 * np.log10(sig.mean(axis=0) / vac.mean(axis=0))
     per_split = 10.0 * np.log10(sig / vac)
     stderr = per_split.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
-    freqs = np.fft.rfftfreq(fs.n_samples, d=fs.dt)
+    freqs = np.fft.rfftfreq(n_samples, d=dt)
     return SpectrumEstimate(freqs=freqs, level_db=level, stderr_db=stderr)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,7 @@ __all__ = [
     "LoEntry",
     "LoSchedule",
     "FrameSet",
+    "iter_frame_chunks",
     "simulate_frames",
     "simulate_vacuum_reference",
     "save_frameset",
@@ -215,6 +217,78 @@ def _frame_std(traj: SqueezerTrajectory, det: DetectorModel, phi: float, n_burn:
     return np.sqrt(var)
 
 
+def _frame_rng(seed: int, k: int) -> np.random.Generator:
+    """The generator of frame k: substream (seed, k) of the run."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+
+
+def _schedule(lo: LoSchedule | float) -> LoSchedule:
+    return LoSchedule.single(float(lo)) if isinstance(lo, (int, float)) else lo
+
+
+def iter_frame_chunks(
+    traj: SqueezerTrajectory,
+    det: DetectorModel,
+    lo: LoSchedule | float = 0.0,
+    n_frames: int | None = None,
+    seed: int = 0,
+    dtype=np.float64,
+    bounds: Iterable[tuple[int, int]] | None = None,
+) -> Iterator[np.ndarray]:
+    """Synthesize homodyne frames one block at a time.
+
+    Takes the arguments of :func:`simulate_frames`, plus ``bounds``, a
+    sequence of frame ranges ``(start, stop)``.  For each range it
+    yields a fresh ``(stop - start, n_samples)`` array holding exactly
+    the rows ``start:stop`` that :func:`simulate_frames` returns, so a
+    caller can reduce a long run block by block without holding its
+    frame stack.  The default bounds cut the run into consecutive
+    blocks of about 4 Mi samples including the filter burn-in.
+    """
+    phases = _schedule(lo).frame_phases(n_frames)
+    filters = det.filters()
+    n_burn = _settle_samples(filters)
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
+        raise ValueError("dtype must be float32 or float64")
+
+    # one std template per distinct LO phase (trajectory is shared)
+    std_cache: dict[float, np.ndarray] = {}
+    for phi in dict.fromkeys(phases.tolist()):
+        std_cache[phi] = _frame_std(traj, det, phi, n_burn).astype(dtype)
+    n_total = next(iter(std_cache.values())).size
+    total_frames = phases.size
+    gain = dtype.type(det.gain)
+
+    if bounds is None:
+        chunk = max(1, min(total_frames, 4_194_304 // max(n_total, 1)))
+        bounds = [(k, min(k + chunk, total_frames)) for k in range(0, total_frames, chunk)]
+    for start, stop in bounds:
+        if not 0 <= start < stop <= total_frames:
+            raise ValueError(f"frame block [{start}, {stop}) is empty or outside [0, {total_frames})")
+        if filters is None:
+            # an ideal detector needs no vacuum complement: draw one row
+            out = np.empty((stop - start, n_total), dtype=dtype)
+            for j in range(start, stop):
+                z = _frame_rng(seed, j).standard_normal(n_total, dtype=dtype)
+                out[j - start] = z * std_cache[phases[j]]
+        else:
+            # float64 working rows: lfilter computes in float64 anyway
+            b_lp, a_lp, b_hp, a_hp = filters
+            raw = np.empty((stop - start, n_total))
+            comp = np.empty((stop - start, n_total))
+            for j in range(start, stop):
+                z = _frame_rng(seed, j).standard_normal((2, n_total), dtype=dtype)
+                raw[j - start] = z[0] * std_cache[phases[j]]
+                comp[j - start] = z[1]
+            out = signal.lfilter(b_lp, a_lp, raw, axis=1)
+            out += signal.lfilter(b_hp, a_hp, comp, axis=1)
+            out = out[:, n_burn:].astype(dtype)
+        if det.gain != 1.0:
+            out *= gain
+        yield out
+
+
 def simulate_frames(
     traj: SqueezerTrajectory,
     det: DetectorModel,
@@ -242,52 +316,17 @@ def simulate_frames(
     Returns
     -------
     FrameSet
-        Frame k covers the same times as the trajectory.
+        Frame k covers the same times as the trajectory.  The frames are
+        the blocks of :func:`iter_frame_chunks` stacked in order.
     """
-    if isinstance(lo, (int, float)):
-        lo = LoSchedule.single(float(lo))
-    phases = lo.frame_phases(n_frames)
-    filters = det.filters()
-    n_burn = _settle_samples(filters)
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError("dtype must be float32 or float64")
-
-    # one std template per distinct LO phase (trajectory is shared)
-    std_cache: dict[float, np.ndarray] = {}
-    for phi in dict.fromkeys(phases.tolist()):
-        std_cache[phi] = _frame_std(traj, det, phi, n_burn).astype(dtype)
-    n_total = next(iter(std_cache.values())).size
-    n_keep = n_total - n_burn
-
-    total_frames = phases.size
-    frames = np.empty((total_frames, n_keep), dtype=dtype)
-    gain = dtype.type(det.gain)
-
-    chunk = max(1, min(total_frames, 4_194_304 // max(n_total, 1)))
-    if filters is not None:
-        b_lp, a_lp, b_hp, a_hp = filters
+    phases = _schedule(lo).frame_phases(n_frames)
+    frames = None
     k = 0
-    while k < total_frames:
-        hi = min(k + chunk, total_frames)
-        raw = np.empty((hi - k, n_total), dtype=dtype)
-        comp = np.empty((hi - k, n_total), dtype=dtype)
-        for j in range(k, hi):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-            )
-            z = rng.standard_normal((2, n_total), dtype=dtype)
-            raw[j - k] = z[0] * std_cache[phases[j]]
-            comp[j - k] = z[1]
-        if filters is None:
-            out = raw
-        else:
-            out = signal.lfilter(b_lp, a_lp, raw, axis=1)
-            out += signal.lfilter(b_hp, a_hp, comp, axis=1)
-        frames[k:hi] = out[:, n_burn:]
-        k = hi
-    if det.gain != 1.0:
-        frames *= gain
+    for block in iter_frame_chunks(traj, det, lo, n_frames, seed, dtype):
+        if frames is None:
+            frames = np.empty((phases.size, block.shape[1]), dtype=block.dtype)
+        frames[k : k + len(block)] = block
+        k += len(block)
     return FrameSet(
         dt=det.dt,
         frames=frames,
@@ -334,9 +373,18 @@ def save_frameset(fs: FrameSet, path: str | Path) -> None:
     )
 
 
+def _require_finite(fs: FrameSet, path: str | Path) -> FrameSet:
+    """Reject records with NaN or inf samples where they enter the package."""
+    bad = ~np.isfinite(fs.frames)
+    if bad.any():
+        k, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ValueError(f"{path}: frame {k}, sample {i} is {fs.frames[k, i]}; records must be finite")
+    return fs
+
+
 def load_frameset(path: str | Path) -> FrameSet:
     with np.load(Path(path), allow_pickle=False) as data:
-        return FrameSet(
+        fs = FrameSet(
             dt=float(data["dt"]),
             frames=data["frames"],
             phase_tags=data["phase_tags"],
@@ -344,6 +392,7 @@ def load_frameset(path: str | Path) -> FrameSet:
             rng_seed=int(data["rng_seed"]),
             t0=float(data["t0"]),
         )
+    return _require_finite(fs, path)
 
 
 def frameset_to_csv(fs: FrameSet, path: str | Path) -> None:
@@ -378,7 +427,7 @@ def frameset_from_csv(path: str | Path) -> FrameSet:
     required = {"dt", "t0", "kind", "rng_seed", "phase_tags"}
     if not required.issubset(header):
         raise ValueError(f"frame set CSV is missing header fields {sorted(required - set(header))}")
-    return FrameSet(
+    fs = FrameSet(
         dt=float(header["dt"]),
         frames=np.array(rows, dtype=float),
         phase_tags=np.array([float(v) for v in header["phase_tags"].split(",")]),
@@ -386,3 +435,4 @@ def frameset_from_csv(path: str | Path) -> FrameSet:
         rng_seed=int(header["rng_seed"]),
         t0=float(header["t0"]),
     )
+    return _require_finite(fs, path)

@@ -33,6 +33,7 @@ from sqzsim.homodyne import (
     FrameSet,
     LoEntry,
     LoSchedule,
+    iter_frame_chunks,
     simulate_frames,
     simulate_vacuum_reference,
 )
@@ -292,14 +293,17 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
 
     traj = opa.constant_trajectory(r, 0.0, loss, dt, n_samples)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, dt, n_samples)
-    fx = simulate_frames(traj, det, 0.0, cfg.n_frames, seeds[0], dtype=np.float32)
-    fa = simulate_frames(traj, det, math.pi / 2.0, cfg.n_frames, seeds[1], dtype=np.float32)
-    ref = simulate_vacuum_reference(det, n_samples, cfg.n_frames, seeds[2], dtype=np.float32)
-    fv = simulate_frames(vac_traj, det, 0.0, cfg.n_frames, seeds[3], dtype=np.float32)
+    bounds = dsp.periodogram_bounds(cfg.n_frames)
 
-    spec_s = dsp.average_spectrum(fx, ref)
-    spec_a = dsp.average_spectrum(fa, ref)
-    spec_v = dsp.average_spectrum(fv, ref)
+    def split_means(tr, phase, seed):
+        # each frame block is reduced and dropped; no set is held whole
+        blocks = iter_frame_chunks(tr, det, phase, cfg.n_frames, seed, np.float32, bounds)
+        return dsp.periodogram_split_means(cfg.n_frames, blocks)
+
+    vac = split_means(vac_traj, 0.0, seeds[2])
+    spec_s = dsp.spectrum_ratio(split_means(traj, 0.0, seeds[0]), vac, n_samples, det.dt)
+    spec_a = dsp.spectrum_ratio(split_means(traj, math.pi / 2.0, seeds[1]), vac, n_samples, det.dt)
+    spec_v = dsp.spectrum_ratio(split_means(vac_traj, 0.0, seeds[3]), vac, n_samples, det.dt)
 
     lo, hi = float(params["band_lo_hz"]), float(params["band_hi_hz"])
     s_db, s_se = dsp.band_average(spec_s, lo, hi)

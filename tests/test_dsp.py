@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqzsim import dsp
 from sqzsim.dsp import (
@@ -25,7 +26,13 @@ from sqzsim.dsp import (
     vacuum_quadrature_scale,
     vacuum_quadrature_scales,
 )
-from sqzsim.homodyne import DetectorModel, FrameSet, simulate_frames, simulate_vacuum_reference
+from sqzsim.homodyne import (
+    DetectorModel,
+    FrameSet,
+    iter_frame_chunks,
+    simulate_frames,
+    simulate_vacuum_reference,
+)
 from sqzsim.opa import constant_trajectory
 
 S_DB = -2.0708616181713997
@@ -79,6 +86,70 @@ def test_average_spectrum_validation():
     with pytest.raises(ValueError, match="frames"):
         average_spectrum(few, ref)
     assert average_spectrum(sig, ref).freqs[0] == 0.0
+
+
+def _split_means_loop(frames):
+    """Reference: the periodogram split means as one loop over a whole stack."""
+    n_frames, n_samples = frames.shape
+    sums = np.zeros((10, n_samples // 2 + 1))
+    edges = np.linspace(0, n_frames, 11).astype(int)
+    for s_idx, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        for lo in range(a, b, 256):
+            spec = scipy.fft.rfft(frames[lo : min(lo + 256, b)], axis=1)
+            p = np.square(spec.real, dtype=np.float64)
+            p += np.square(spec.imag, dtype=np.float64)
+            sums[s_idx] += p.sum(axis=0)
+    return sums / np.diff(edges).astype(float)[:, None]
+
+
+@pytest.mark.parametrize("n_frames", [10, 37, 999, 3001])
+def test_streamed_split_means_equal_the_whole_stack_loop(n_frames):
+    # 37 and 999 frames give splits shorter than one 256-frame rfft
+    # block, 3001 gives splits of 300 frames; none is a multiple of 10
+    traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=33)
+    det = DetectorModel()
+    fs = simulate_frames(traj, det, 0.0, n_frames=n_frames, seed=2, dtype=np.float32)
+    want = _split_means_loop(fs.frames)
+    bounds = dsp.periodogram_bounds(n_frames)
+    blocks = iter_frame_chunks(traj, det, 0.0, n_frames, 2, np.float32, bounds)
+    assert dsp.periodogram_split_means(n_frames, blocks).tobytes() == want.tobytes()
+    sliced = (fs.frames[lo:hi] for lo, hi in bounds)
+    assert dsp.periodogram_split_means(n_frames, sliced).tobytes() == want.tobytes()
+
+
+def test_periodogram_blocks_stay_inside_splits():
+    bounds = dsp.periodogram_bounds(3001)
+    assert bounds[0] == (0, 256) and bounds[1] == (256, 300) and bounds[-1] == (2956, 3001)
+    assert all(a[1] == b[0] for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def test_streamed_spectrum_equals_average_spectrum():
+    det = DetectorModel()
+    traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=128)
+    vac_traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=128)
+    fs = simulate_frames(traj, det, 0.5, n_frames=61, seed=3, dtype=np.float32)
+    ref = simulate_vacuum_reference(det, 128, 61, seed=4, dtype=np.float32)
+    bounds = dsp.periodogram_bounds(61)
+    sig = dsp.periodogram_split_means(61, iter_frame_chunks(traj, det, 0.5, 61, 3, np.float32, bounds))
+    vac = dsp.periodogram_split_means(
+        61, iter_frame_chunks(vac_traj, det, 0.0, 61, 4, np.float32, bounds)
+    )
+    got = dsp.spectrum_ratio(sig, vac, 128, det.dt)
+    want = average_spectrum(fs, ref)
+    for name in ("freqs", "level_db", "stderr_db"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_periodogram_reducer_validation():
+    frames = np.zeros((12, 8))
+    with pytest.raises(ValueError, match="at least 10 frames"):
+        dsp.periodogram_bounds(9)
+    with pytest.raises(ValueError, match="block of frames"):
+        dsp.periodogram_split_means(12, [frames[:1]] * 9)
+    with pytest.raises(ValueError, match="block of frames"):
+        dsp.periodogram_split_means(12, [frames[:1]] * 10 + [frames[:1]])
+    with pytest.raises(ValueError, match="more blocks"):
+        dsp.periodogram_split_means(12, [frames[lo:hi] for lo, hi in dsp.periodogram_bounds(12)] * 2)
 
 
 def test_band_average_validation():

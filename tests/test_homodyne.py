@@ -13,6 +13,7 @@ from sqzsim.homodyne import (
     LoSchedule,
     frameset_from_csv,
     frameset_to_csv,
+    iter_frame_chunks,
     load_frameset,
     save_frameset,
     simulate_frames,
@@ -157,3 +158,50 @@ def test_vacuum_reference_t0_offset():
     ref = simulate_vacuum_reference(DetectorModel(), 32, 5, seed=0, t0=4e-9)
     assert ref.t0 == 4e-9
     assert ref.times[0] == pytest.approx(4e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bandwidth", [None, 200e6], ids=["ideal", "200MHz"])
+def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
+    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=96)
+    det = DetectorModel(bandwidth=bandwidth, gain=2.0)
+    sched = LoSchedule(entries=(LoEntry(0.0, 5), LoEntry(0.7, 20), LoEntry(2.1, 28)))
+    whole = simulate_frames(traj, det, sched, seed=8, dtype=dtype).frames
+    bounds = [(0, 3), (3, 17), (17, 53), (40, 41)]
+    for (lo, hi), block in zip(bounds, iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype,
+                                                         bounds=bounds), strict=True):
+        assert block.dtype == whole.dtype
+        assert block.tobytes() == whole[lo:hi].tobytes()
+
+
+def test_frame_chunks_reject_bad_bounds():
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=16)
+    for bounds in ([(0, 0)], [(-1, 2)], [(5, 11)], [(3, 2)]):
+        with pytest.raises(ValueError, match="frame block"):
+            next(iter_frame_chunks(traj, DetectorModel(), 0.0, 10, bounds=bounds))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ideal_detector_frames_keep_the_paired_draw_stream(dtype):
+    # one row of draws per frame equals row 0 of the (2, n) draws that
+    # the filtered detector takes, so ideal records stay unchanged
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=33)
+    fs = simulate_frames(traj, DetectorModel(bandwidth=None), 0.0, n_frames=4, seed=6, dtype=dtype)
+    for k, row in enumerate(fs.frames):
+        ss = np.random.SeedSequence(entropy=6, spawn_key=(k,))
+        want = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, 33), dtype=dtype)[0]
+        assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loaders_reject_non_finite_samples(tmp_path, bad):
+    frames = np.zeros((3, 5))
+    frames[1, 3] = bad
+    frames[2, 0] = bad
+    fs = FrameSet(dt=1e-9, frames=frames, phase_tags=np.zeros(3), kind="signal", rng_seed=-1)
+    npz, csv_path = tmp_path / "frames.npz", tmp_path / "frames.csv"
+    save_frameset(fs, npz)
+    frameset_to_csv(fs, csv_path)
+    for load, path in ((load_frameset, npz), (frameset_from_csv, csv_path)):
+        with pytest.raises(ValueError, match=r"frames\.(npz|csv): frame 1, sample 3 is -?(nan|inf)"):
+            load(path)

@@ -7,9 +7,12 @@ the package: the data are split into 10 equal subsets, the statistic is
 evaluated per subset, and the error is the subset standard deviation
 over sqrt(10).
 
-Temporal-mode quadratures all come from :func:`project`, which
-integrates every frame against any number of modes in one matrix
-product; the one-mode helpers are thin wrappers over it.
+Spectra come from one reducer, :func:`periodogram_split_means`, which
+takes the frames block by block, so a run can stream its frames into
+it instead of holding them.  Temporal-mode quadratures all come from
+:func:`project`, which integrates every frame against any number of
+modes in one matrix product; the one-mode helpers are thin wrappers
+over it.
 """
 
 from __future__ import annotations

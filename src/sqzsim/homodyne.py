@@ -217,13 +217,65 @@ def _frame_std(traj: SqueezerTrajectory, det: DetectorModel, phi: float, n_burn:
     return np.sqrt(var)
 
 
-def _frame_rng(seed: int, k: int) -> np.random.Generator:
-    """The generator of frame k: substream (seed, k) of the run."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+class _Synthesis:
+    """The synthesis of one run: LO phases, std templates and detector filters.
 
+    :meth:`fill` writes any frame range into caller-owned rows, so the
+    one synthesis loop serves both whole stacks and streamed blocks.
+    """
 
-def _schedule(lo: LoSchedule | float) -> LoSchedule:
-    return LoSchedule.single(float(lo)) if isinstance(lo, (int, float)) else lo
+    def __init__(self, traj, det, lo, n_frames, seed, dtype) -> None:
+        if isinstance(lo, (int, float)):
+            lo = LoSchedule.single(float(lo))
+        self.phases = lo.frame_phases(n_frames)
+        self.filters = det.filters()
+        self.n_burn = _settle_samples(self.filters)
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
+            raise ValueError("dtype must be float32 or float64")
+        # one std template per distinct LO phase (trajectory is shared)
+        self.std = {
+            phi: _frame_std(traj, det, phi, self.n_burn).astype(self.dtype)
+            for phi in dict.fromkeys(self.phases.tolist())
+        }
+        self.n_total = next(iter(self.std.values())).size
+        self.n_samples = self.n_total - self.n_burn
+        self.seed = seed
+        self.gain = det.gain
+
+    def default_bounds(self) -> list[tuple[int, int]]:
+        """Consecutive blocks of about 4 Mi samples, filter burn-in included."""
+        n = self.phases.size
+        chunk = max(1, min(n, 4_194_304 // self.n_total))
+        return [(k, min(k + chunk, n)) for k in range(0, n, chunk)]
+
+    def _rng(self, k: int) -> np.random.Generator:
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(k,))
+        return np.random.Generator(np.random.PCG64(ss))
+
+    def fill(self, out: np.ndarray, start: int) -> None:
+        """Write frames [start, start + len(out)) into ``out``."""
+        stop = start + out.shape[0]
+        n = self.n_total
+        if self.filters is None:
+            # an ideal detector needs no vacuum complement: draw one row
+            for j in range(start, stop):
+                z = self._rng(j).standard_normal(n, dtype=self.dtype)
+                out[j - start] = z * self.std[self.phases[j]]
+        else:
+            # float64 working rows: lfilter computes in float64 anyway
+            b_lp, a_lp, b_hp, a_hp = self.filters
+            raw = np.empty((stop - start, n))
+            comp = np.empty((stop - start, n))
+            for j in range(start, stop):
+                z = self._rng(j).standard_normal((2, n), dtype=self.dtype)
+                raw[j - start] = z[0] * self.std[self.phases[j]]
+                comp[j - start] = z[1]
+            filtered = signal.lfilter(b_lp, a_lp, raw, axis=1)
+            filtered += signal.lfilter(b_hp, a_hp, comp, axis=1)
+            out[:] = filtered[:, self.n_burn :]
+        if self.gain != 1.0:
+            out *= self.dtype.type(self.gain)
 
 
 def iter_frame_chunks(
@@ -242,51 +294,17 @@ def iter_frame_chunks(
     yields a fresh ``(stop - start, n_samples)`` array holding exactly
     the rows ``start:stop`` that :func:`simulate_frames` returns, so a
     caller can reduce a long run block by block without holding its
-    frame stack.  The default bounds cut the run into consecutive
-    blocks of about 4 Mi samples including the filter burn-in.
+    frame stack.  The default bounds are the blocks
+    :func:`simulate_frames` synthesizes at a time.
     """
-    phases = _schedule(lo).frame_phases(n_frames)
-    filters = det.filters()
-    n_burn = _settle_samples(filters)
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError("dtype must be float32 or float64")
-
-    # one std template per distinct LO phase (trajectory is shared)
-    std_cache: dict[float, np.ndarray] = {}
-    for phi in dict.fromkeys(phases.tolist()):
-        std_cache[phi] = _frame_std(traj, det, phi, n_burn).astype(dtype)
-    n_total = next(iter(std_cache.values())).size
-    total_frames = phases.size
-    gain = dtype.type(det.gain)
-
-    if bounds is None:
-        chunk = max(1, min(total_frames, 4_194_304 // max(n_total, 1)))
-        bounds = [(k, min(k + chunk, total_frames)) for k in range(0, total_frames, chunk)]
-    for start, stop in bounds:
-        if not 0 <= start < stop <= total_frames:
-            raise ValueError(f"frame block [{start}, {stop}) is empty or outside [0, {total_frames})")
-        if filters is None:
-            # an ideal detector needs no vacuum complement: draw one row
-            out = np.empty((stop - start, n_total), dtype=dtype)
-            for j in range(start, stop):
-                z = _frame_rng(seed, j).standard_normal(n_total, dtype=dtype)
-                out[j - start] = z * std_cache[phases[j]]
-        else:
-            # float64 working rows: lfilter computes in float64 anyway
-            b_lp, a_lp, b_hp, a_hp = filters
-            raw = np.empty((stop - start, n_total))
-            comp = np.empty((stop - start, n_total))
-            for j in range(start, stop):
-                z = _frame_rng(seed, j).standard_normal((2, n_total), dtype=dtype)
-                raw[j - start] = z[0] * std_cache[phases[j]]
-                comp[j - start] = z[1]
-            out = signal.lfilter(b_lp, a_lp, raw, axis=1)
-            out += signal.lfilter(b_hp, a_hp, comp, axis=1)
-            out = out[:, n_burn:].astype(dtype)
-        if det.gain != 1.0:
-            out *= gain
-        yield out
+    synth = _Synthesis(traj, det, lo, n_frames, seed, dtype)
+    total = synth.phases.size
+    for start, stop in synth.default_bounds() if bounds is None else bounds:
+        if not 0 <= start < stop <= total:
+            raise ValueError(f"frame block [{start}, {stop}) is empty or outside [0, {total})")
+        block = np.empty((stop - start, synth.n_samples), dtype=synth.dtype)
+        synth.fill(block, start)
+        yield block
 
 
 def simulate_frames(
@@ -316,21 +334,18 @@ def simulate_frames(
     Returns
     -------
     FrameSet
-        Frame k covers the same times as the trajectory.  The frames are
-        the blocks of :func:`iter_frame_chunks` stacked in order.
+        Frame k covers the same times as the trajectory.  The stack is
+        filled block by block in place, with the synthesis that
+        :func:`iter_frame_chunks` streams.
     """
-    phases = _schedule(lo).frame_phases(n_frames)
-    frames = None
-    k = 0
-    for block in iter_frame_chunks(traj, det, lo, n_frames, seed, dtype):
-        if frames is None:
-            frames = np.empty((phases.size, block.shape[1]), dtype=block.dtype)
-        frames[k : k + len(block)] = block
-        k += len(block)
+    synth = _Synthesis(traj, det, lo, n_frames, seed, dtype)
+    frames = np.empty((synth.phases.size, synth.n_samples), dtype=synth.dtype)
+    for start, stop in synth.default_bounds():
+        synth.fill(frames[start:stop], start)
     return FrameSet(
         dt=det.dt,
         frames=frames,
-        phase_tags=phases,
+        phase_tags=synth.phases,
         kind=SIGNAL,
         rng_seed=int(seed),
         t0=traj.t0,

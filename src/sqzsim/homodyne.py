@@ -393,7 +393,8 @@ def _require_finite(fs: FrameSet, path: str | Path) -> FrameSet:
     bad = ~np.isfinite(fs.frames)
     if bad.any():
         k, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise ValueError(f"{path}: frame {k}, sample {i} is {fs.frames[k, i]}; records must be finite")
+        value = fs.frames[k, i]
+        raise ValueError(f"{path}: frame {k}, sample {i} is {value}; records must be finite")
     return fs
 
 

@@ -130,10 +130,10 @@ def test_streamed_spectrum_equals_average_spectrum():
     fs = simulate_frames(traj, det, 0.5, n_frames=61, seed=3, dtype=np.float32)
     ref = simulate_vacuum_reference(det, 128, 61, seed=4, dtype=np.float32)
     bounds = dsp.periodogram_bounds(61)
-    sig = dsp.periodogram_split_means(61, iter_frame_chunks(traj, det, 0.5, 61, 3, np.float32, bounds))
-    vac = dsp.periodogram_split_means(
-        61, iter_frame_chunks(vac_traj, det, 0.0, 61, 4, np.float32, bounds)
-    )
+    sig_blocks = iter_frame_chunks(traj, det, 0.5, 61, 3, np.float32, bounds)
+    vac_blocks = iter_frame_chunks(vac_traj, det, 0.0, 61, 4, np.float32, bounds)
+    sig = dsp.periodogram_split_means(61, sig_blocks)
+    vac = dsp.periodogram_split_means(61, vac_blocks)
     got = dsp.spectrum_ratio(sig, vac, 128, det.dt)
     want = average_spectrum(fs, ref)
     for name in ("freqs", "level_db", "stderr_db"):
@@ -149,7 +149,8 @@ def test_periodogram_reducer_validation():
     with pytest.raises(ValueError, match="block of frames"):
         dsp.periodogram_split_means(12, [frames[:1]] * 10 + [frames[:1]])
     with pytest.raises(ValueError, match="more blocks"):
-        dsp.periodogram_split_means(12, [frames[lo:hi] for lo, hi in dsp.periodogram_bounds(12)] * 2)
+        blocks = [frames[lo:hi] for lo, hi in dsp.periodogram_bounds(12)]
+        dsp.periodogram_split_means(12, blocks * 2)
 
 
 def test_band_average_validation():

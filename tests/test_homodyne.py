@@ -168,8 +168,8 @@ def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
     sched = LoSchedule(entries=(LoEntry(0.0, 5), LoEntry(0.7, 20), LoEntry(2.1, 28)))
     whole = simulate_frames(traj, det, sched, seed=8, dtype=dtype).frames
     bounds = [(0, 3), (3, 17), (17, 53), (40, 41)]
-    for (lo, hi), block in zip(bounds, iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype,
-                                                         bounds=bounds), strict=True):
+    blocks = iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype, bounds=bounds)
+    for (lo, hi), block in zip(bounds, blocks, strict=True):
         assert block.dtype == whole.dtype
         assert block.tobytes() == whole[lo:hi].tobytes()
 
@@ -203,5 +203,6 @@ def test_loaders_reject_non_finite_samples(tmp_path, bad):
     save_frameset(fs, npz)
     frameset_to_csv(fs, csv_path)
     for load, path in ((load_frameset, npz), (frameset_from_csv, csv_path)):
-        with pytest.raises(ValueError, match=r"frames\.(npz|csv): frame 1, sample 3 is -?(nan|inf)"):
+        bad_sample = r"frames\.(npz|csv): frame 1, sample 3 is -?(nan|inf)"
+        with pytest.raises(ValueError, match=bad_sample):
             load(path)

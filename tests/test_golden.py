@@ -3,7 +3,8 @@
 The ``epr`` and ``tm_squeezing`` values were computed with the per-mode
 projection code that preceded ``dsp.project``; the ``spectrum`` and
 ``waveforms`` values with the code that materialized every frame stack
-before reducing it.  Refactors of the synthesis and analysis paths must
+before reducing it; the ``calibrate`` values and CSV layout with the
+hand-written CSV writers that preceded the shared one.  Refactors of the synthesis and analysis paths must
 reproduce them.  Changes that only reorder floating-point sums move
 them by about 1e-15 relative, far inside the 1e-9 tolerance.
 """
@@ -15,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from sqzsim.pump import Calibration
 from sqzsim.scenarios import ScenarioConfig, run_scenario
 
 RTOL = 1e-9
@@ -58,6 +60,14 @@ WAVEFORMS_SEED0_300 = [
         "sine_variance_range": [0.4727337594715523, 1.8407783647533518],
     }),
 ]
+
+CALIBRATE_SEED0_300 = {
+    "gain_coeff_per_sqrt_mw": 0.12237657819075765,
+    "quad_coeff_mw_per_v2": 253.90625,
+    "linear_limit_v": 0.16,
+    "max_pump_power_mw": 6.5,
+}
+CALIBRATE_SEED0_300_SHA = "fce08f0dcd0de213b4be2ed61d07fb5ca163ac00fadb4836ed115fdae745f3d6"
 
 
 def _data_rows(path):
@@ -110,3 +120,37 @@ def test_golden_waveforms_seed0_300_frames(tmp_path, bandwidth, pins):
     rep = json.loads((tmp_path / "waveforms_report.json").read_text())
     for key, want in pins.items():
         np.testing.assert_allclose(rep[key], want, rtol=RTOL, atol=0.0, err_msg=key)
+
+
+def _run_calibrate(tmp_path):
+    cfg = ScenarioConfig(scenario="calibrate", seed=0, n_frames=300, output_dir=str(tmp_path))
+    assert run_scenario(cfg).exit_code == 0
+
+
+def test_golden_calibrate_seed0(tmp_path):
+    _run_calibrate(tmp_path)
+    fitted = json.loads((tmp_path / "calibration.json").read_text())
+    for key, want in CALIBRATE_SEED0_300.items():
+        assert fitted[key] == pytest.approx(want, rel=RTOL, abs=0.0), key
+    assert fitted["extended_lut"] is None
+    assert fitted["config_sha256"] == CALIBRATE_SEED0_300_SHA
+
+
+def test_calibrate_csv_layout(tmp_path):
+    _run_calibrate(tmp_path)
+    cal = Calibration()
+    powers = np.linspace(0.5, 6.5, 12)
+    volts = np.linspace(0.01, cal.linear_limit, 16)
+    head = f"# scenario=calibrate\n# seed=0\n# config_sha256={CALIBRATE_SEED0_300_SHA}\n"
+    for name, columns, want in (
+        ("gain_points.csv", "power_mw,parametric_gain",
+         [powers, np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))]),
+        ("quadratic_points.csv", "drive_v,power_mw", [volts, cal.power_for_voltage(volts)]),
+    ):
+        raw = (tmp_path / name).read_bytes()
+        # metadata lines end in \n; the column row and data rows in \r\n
+        assert raw.startswith((head + columns + "\r\n").encode()), name
+        rows = raw.decode()[len(head) :].split("\r\n")
+        assert rows[-1] == "" and len(rows) == 2 + want[0].size
+        parsed = np.array([[float(x) for x in row.split(",")] for row in rows[1:-1]])
+        assert np.array_equal(parsed, np.column_stack(want)), name

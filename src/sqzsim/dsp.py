@@ -3,9 +3,9 @@
 Everything here is normalized against a vacuum reference taken through
 the same detector, so detector gain and filter shape drop out of the
 reported quantities.  Standard errors follow one convention throughout
-the package: the data are split into 10 equal subsets, the statistic is
-evaluated per subset, and the error is the subset standard deviation
-over sqrt(10).
+the package: the data are split into 10 contiguous subsets by
+:func:`sqzsim.quantum.split_slices`, the statistic is evaluated per
+subset, and the error is the subset standard deviation over sqrt(10).
 
 Spectra come from one reducer, :func:`periodogram_split_means`, which
 takes the frames block by block, so a run can stream its frames into
@@ -17,18 +17,19 @@ over it.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.fft
 from scipy import signal
 
+from sqzsim._csvfile import write_csv
 from sqzsim.homodyne import SIGNAL, VACUUM_REFERENCE, FrameSet
+from sqzsim.quantum import N_SPLITS, split_slices
 
 __all__ = [
     "SpectrumEstimate",
@@ -55,17 +56,10 @@ __all__ = [
     "extract_quadratures",
 ]
 
-N_SPLITS = 10
-
 _FFT_CHUNK = 256
 
 # float64 elements per frame chunk in project(), the simulator's chunk size
 _PROJECT_CHUNK = 4_194_304
-
-
-def _split_slices(n: int, n_splits: int = N_SPLITS) -> list[slice]:
-    edges = np.linspace(0, n, n_splits + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def periodogram_bounds(n_frames: int) -> list[tuple[int, int]]:
@@ -78,7 +72,7 @@ def periodogram_bounds(n_frames: int) -> list[tuple[int, int]]:
         raise ValueError(f"need at least {N_SPLITS} frames for error estimation")
     return [
         (lo, min(lo + _FFT_CHUNK, sl.stop))
-        for sl in _split_slices(n_frames)
+        for sl in split_slices(n_frames)
         for lo in range(sl.start, sl.stop, _FFT_CHUNK)
     ]
 
@@ -93,7 +87,7 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
     per-bin normalization (it cancels in the signal-to-vacuum ratio).
     """
     bounds = periodogram_bounds(n_frames)
-    slices = _split_slices(n_frames)
+    slices = split_slices(n_frames)
     counts = np.array([sl.stop - sl.start for sl in slices], dtype=float)
     # the split each block lies in
     split_of = np.searchsorted([sl.stop for sl in slices], [lo for lo, _ in bounds], side="right")
@@ -123,13 +117,8 @@ class SpectrumEstimate:
     stderr_db: np.ndarray
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            for k, v in (meta or {}).items():
-                fh.write(f"# {k}={v}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["freq_hz", "level_db", "stderr_db"])
-            for f, l, e in zip(self.freqs, self.level_db, self.stderr_db):
-                writer.writerow([f"{f:.17g}", f"{l:.17g}", f"{e:.17g}"])
+        columns = ("freq_hz", "level_db", "stderr_db")
+        write_csv(path, meta, columns, zip(self.freqs, self.level_db, self.stderr_db))
 
 
 def average_spectrum(fs: FrameSet, ref: FrameSet) -> SpectrumEstimate:
@@ -313,14 +302,7 @@ def fir_lowpass(fs: FrameSet, taps: int = 255, cutoff: float = 100e6) -> FrameSe
     """
     h = fir_taps(fs.dt, taps=taps, cutoff=cutoff)
     filtered = signal.fftconvolve(np.asarray(fs.frames, dtype=float), h[None, :], mode="same", axes=1)
-    return FrameSet(
-        dt=fs.dt,
-        frames=filtered,
-        phase_tags=fs.phase_tags,
-        kind=fs.kind,
-        rng_seed=fs.rng_seed,
-        t0=fs.t0,
-    )
+    return replace(fs, frames=filtered)
 
 
 @dataclass(frozen=True)
@@ -340,13 +322,7 @@ class VarianceTrace:
         columns = {"time_s": self.times, "variance": self.variance, "stderr": self.stderr}
         if extra:
             columns.update(extra)
-        with open(path, "w", newline="") as fh:
-            for k, v in (meta or {}).items():
-                fh.write(f"# {k}={v}\n")
-            writer = csv.writer(fh)
-            writer.writerow(list(columns))
-            for row in zip(*columns.values()):
-                writer.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, meta, list(columns), zip(*columns.values()))
 
 
 def pointwise_variance(fs: FrameSet, ref: FrameSet) -> VarianceTrace:
@@ -367,7 +343,7 @@ def pointwise_variance(fs: FrameSet, ref: FrameSet) -> VarianceTrace:
     frames = np.asarray(fs.frames, dtype=float)
     var = np.var(frames, axis=0, ddof=1) / shot
     per_split = np.stack(
-        [np.var(frames[sl], axis=0, ddof=1) / shot for sl in _split_slices(fs.n_frames)]
+        [np.var(frames[sl], axis=0, ddof=1) / shot for sl in split_slices(fs.n_frames)]
     )
     stderr = per_split.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
     return VarianceTrace(times=fs.times, variance=var, stderr=stderr)

@@ -19,15 +19,15 @@ and frames are independent of chunking or evaluation order.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy import signal
 
+from sqzsim._csvfile import read_csv, write_csv
 from sqzsim.opa import SqueezerTrajectory, constant_trajectory
 from sqzsim.quantum import variance_at_phase
 
@@ -97,6 +97,18 @@ class DetectorModel:
         b_lp, a_lp = signal.butter(order, self.bandwidth, btype="low", fs=self.sample_rate)
         b_hp, a_hp = signal.butter(order, self.bandwidth, btype="high", fs=self.sample_rate)
         return b_lp, a_lp, b_hp, a_hp
+
+    def burn_in(self, values) -> np.ndarray:
+        """``values`` (along the last axis) preceded by the filter burn-in.
+
+        The simulator starts every frame this many samples early, with
+        the first variance held, so the detector filters forget their
+        zero initial state before the record begins; models of the
+        filtered record pad the same way.  An ideal detector has none.
+        """
+        values = np.asarray(values)
+        n = _settle_samples(self.filters())
+        return np.concatenate([np.repeat(values[..., :1], n, axis=-1), values], axis=-1)
 
 
 def _settle_samples(filters) -> int:
@@ -207,14 +219,11 @@ def _resample_hold(values: np.ndarray, dt_in: float, dt_out: float, n_out: int) 
     return values[idx]
 
 
-def _frame_std(traj: SqueezerTrajectory, det: DetectorModel, phi: float, n_burn: int) -> np.ndarray:
+def _frame_variance(traj: SqueezerTrajectory, det: DetectorModel, phi: float) -> np.ndarray:
     n_out = max(1, int(round(traj.n_samples * traj.dt * det.sample_rate)))
     r = _resample_hold(traj.r, traj.dt, det.dt, n_out)
     theta = _resample_hold(traj.theta, traj.dt, det.dt, n_out)
-    var = np.atleast_1d(variance_at_phase(r, theta, traj.loss, phi))
-    # hold the initial variance through the filter burn-in region
-    var = np.concatenate([np.full(n_burn, var[0]), var])
-    return np.sqrt(var)
+    return np.atleast_1d(variance_at_phase(r, theta, traj.loss, phi))
 
 
 class _Synthesis:
@@ -229,17 +238,17 @@ class _Synthesis:
             lo = LoSchedule.single(float(lo))
         self.phases = lo.frame_phases(n_frames)
         self.filters = det.filters()
-        self.n_burn = _settle_samples(self.filters)
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError("dtype must be float32 or float64")
         # one std template per distinct LO phase (trajectory is shared)
-        self.std = {
-            phi: _frame_std(traj, det, phi, self.n_burn).astype(self.dtype)
-            for phi in dict.fromkeys(self.phases.tolist())
-        }
-        self.n_total = next(iter(self.std.values())).size
-        self.n_samples = self.n_total - self.n_burn
+        phis = list(dict.fromkeys(self.phases.tolist()))
+        var = np.stack([_frame_variance(traj, det, phi) for phi in phis])
+        std = np.sqrt(det.burn_in(var)).astype(self.dtype)
+        self.std = dict(zip(phis, std))
+        self.n_samples = var.shape[1]
+        self.n_total = std.shape[1]
+        self.n_burn = self.n_total - self.n_samples
         self.seed = seed
         self.gain = det.gain
 
@@ -365,14 +374,7 @@ def simulate_vacuum_reference(
         raise ValueError("n_samples must be >= 1")
     traj = constant_trajectory(r=0.0, theta=0.0, loss=0.0, dt=det.dt, n_samples=n_samples, t0=t0)
     fs = simulate_frames(traj, det, lo=0.0, n_frames=n_frames, seed=seed, dtype=dtype)
-    return FrameSet(
-        dt=fs.dt,
-        frames=fs.frames,
-        phase_tags=fs.phase_tags,
-        kind=VACUUM_REFERENCE,
-        rng_seed=fs.rng_seed,
-        t0=fs.t0,
-    )
+    return replace(fs, kind=VACUUM_REFERENCE)
 
 
 def save_frameset(fs: FrameSet, path: str | Path) -> None:
@@ -416,36 +418,19 @@ def frameset_to_csv(fs: FrameSet, path: str | Path) -> None:
 
     Uses %.17g so float64 values round-trip exactly.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# dt={fs.dt:.17g}\n")
-        fh.write(f"# t0={fs.t0:.17g}\n")
-        fh.write(f"# kind={fs.kind}\n")
-        fh.write(f"# rng_seed={fs.rng_seed}\n")
-        fh.write("# phase_tags=" + ",".join(f"{p:.17g}" for p in fs.phase_tags) + "\n")
-        writer = csv.writer(fh)
-        for row in fs.frames:
-            writer.writerow([f"{v:.17g}" for v in row])
+    meta = {"dt": f"{fs.dt:.17g}", "t0": f"{fs.t0:.17g}", "kind": fs.kind, "rng_seed": fs.rng_seed}
+    meta["phase_tags"] = ",".join(f"{p:.17g}" for p in fs.phase_tags)
+    write_csv(path, meta, None, fs.frames)
 
 
 def frameset_from_csv(path: str | Path) -> FrameSet:
-    header: dict[str, str] = {}
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                header[key.strip()] = value
-            else:
-                rows.append([float(v) for v in line.split(",")])
+    header, frames = read_csv(path)
     required = {"dt", "t0", "kind", "rng_seed", "phase_tags"}
     if not required.issubset(header):
         raise ValueError(f"frame set CSV is missing header fields {sorted(required - set(header))}")
     fs = FrameSet(
         dt=float(header["dt"]),
-        frames=np.array(rows, dtype=float),
+        frames=frames,
         phase_tags=np.array([float(v) for v in header["phase_tags"].split(",")]),
         kind=header["kind"],
         rng_seed=int(header["rng_seed"]),

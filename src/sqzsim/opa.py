@@ -22,7 +22,6 @@ __all__ = [
     "SqueezerTrajectory",
     "trajectory_from_pump",
     "constant_trajectory",
-    "LossBudget",
 ]
 
 
@@ -161,38 +160,3 @@ def constant_trajectory(
         t0=t0,
     )
 
-
-@dataclass(frozen=True)
-class LossBudget:
-    """Named optical loss contributions between source and detector.
-
-    The default entries are representative design values; the total is
-    the compounded loss 1 - prod(1 - l_i).  Fitted end-to-end losses
-    from measured spectra may legitimately exceed this total, since
-    they absorb everything the budget does not itemize.
-    """
-
-    opa_internal: float = 0.09
-    propagation: float = 0.02
-    mode_matching: float = 0.03
-    photodiode: float = 0.01
-
-    def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"loss contribution {name} must satisfy 0 <= l < 1")
-
-    def as_dict(self) -> dict:
-        return {
-            "opa_internal": self.opa_internal,
-            "propagation": self.propagation,
-            "mode_matching": self.mode_matching,
-            "photodiode": self.photodiode,
-        }
-
-    @property
-    def total(self) -> float:
-        transmission = 1.0
-        for value in self.as_dict().values():
-            transmission *= 1.0 - value
-        return 1.0 - transmission

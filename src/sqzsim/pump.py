@@ -15,7 +15,6 @@ effectively instantaneous in this model.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy import signal
+
+from sqzsim._csvfile import read_csv, write_csv
 
 __all__ = [
     "AwgProgram",
@@ -106,24 +107,14 @@ class AwgProgram:
         )
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            for k, v in (meta or {}).items():
-                fh.write(f"# {k}={v}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "volts"])
-            for t, v in zip(self.times, self.samples_v):
-                writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+        write_csv(path, meta, ("time_s", "volts"), zip(self.times, self.samples_v))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AwgProgram":
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-        if rows[0] != ["time_s", "volts"]:
-            raise ValueError("unexpected CSV header for an AWG program")
-        times = np.array([float(r[0]) for r in rows[1:]])
-        volts = np.array([float(r[1]) for r in rows[1:]])
-        if times.size < 2:
+        _, rows = read_csv(path, names=("time_s", "volts"))
+        if rows.shape[0] < 2:
             raise ValueError("AWG program CSV needs at least two samples")
+        times, volts = rows[:, 0], rows[:, 1]
         dt = float(np.mean(np.diff(times)))
         if np.max(np.abs(np.diff(times) - dt)) > 1e-6 * dt:
             raise ValueError("AWG program CSV is not uniformly sampled")
@@ -161,8 +152,9 @@ class Calibration:
         Squeezing parameter per sqrt(pump power), r = gain_coeff sqrt(P).
     max_pump_power : float
         Largest pump power (mW) the source sustains.
-    loss_budget : dict | None
-        Optional named loss contributions carried through to reports.
+
+    :meth:`to_dict` and :meth:`from_dict` hold the one serialized form,
+    the unit-suffixed keys of ``calibration.json``.
     """
 
     quad_coeff: float = field(default_factory=_default_quad_coeff)
@@ -170,7 +162,6 @@ class Calibration:
     extended_lut: np.ndarray | None = None
     gain_coeff: float = field(default_factory=_default_gain_coeff)
     max_pump_power: float = 6.5
-    loss_budget: dict | None = None
 
     def __post_init__(self) -> None:
         if self.quad_coeff <= 0.0:
@@ -243,29 +234,33 @@ class Calibration:
             raise ValueError(f"{power_mw:.4g} mW exceeds the lookup table range")
         return float(np.interp(power_mw, lut[:, 1], lut[:, 0]))
 
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "quad_coeff": self.quad_coeff,
-            "linear_limit": self.linear_limit,
+    def to_dict(self) -> dict:
+        """The calibration as JSON-ready data with unit-suffixed keys."""
+        return {
+            "quad_coeff_mw_per_v2": float(self.quad_coeff),
+            "linear_limit_v": float(self.linear_limit),
+            "gain_coeff_per_sqrt_mw": float(self.gain_coeff),
+            "max_pump_power_mw": float(self.max_pump_power),
             "extended_lut": None if self.extended_lut is None else self.extended_lut.tolist(),
-            "gain_coeff": self.gain_coeff,
-            "max_pump_power": self.max_pump_power,
-            "loss_budget": self.loss_budget,
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "Calibration":
-        payload = json.loads(Path(path).read_text())
-        lut = payload.get("extended_lut")
+    def from_dict(cls, d: dict) -> "Calibration":
+        """Inverse of :meth:`to_dict`."""
+        lut = d.get("extended_lut")
         return cls(
-            quad_coeff=payload["quad_coeff"],
-            linear_limit=payload["linear_limit"],
-            extended_lut=None if lut is None else np.array(lut, dtype=float),
-            gain_coeff=payload["gain_coeff"],
-            max_pump_power=payload["max_pump_power"],
-            loss_budget=payload.get("loss_budget"),
+            quad_coeff=float(d["quad_coeff_mw_per_v2"]),
+            linear_limit=float(d["linear_limit_v"]),
+            gain_coeff=float(d["gain_coeff_per_sqrt_mw"]),
+            max_pump_power=float(d["max_pump_power_mw"]),
+            extended_lut=None if lut is None else np.asarray(lut, dtype=float),
         )
+
+    def __eq__(self, other) -> bool:
+        # the generated field-wise == cannot compare lookup-table arrays
+        if not isinstance(other, Calibration):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
 
 @dataclass(frozen=True)
@@ -475,13 +470,7 @@ class PowerTrace:
         return self.t0 + np.arange(self.power_mw.size) * self.dt
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            for k, v in (meta or {}).items():
-                fh.write(f"# {k}={v}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "power_mw"])
-            for t, p in zip(self.times, self.power_mw):
-                writer.writerow([f"{t:.17g}", f"{p:.17g}"])
+        write_csv(path, meta, ("time_s", "power_mw"), zip(self.times, self.power_mw))
 
 
 def ideal_pump_power(prog: AwgProgram, cal: Calibration) -> PowerTrace:

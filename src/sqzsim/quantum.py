@@ -31,10 +31,16 @@ VACUUM_VARIANCE = 1.0
 # physical=False rather than silently adjusted.
 PD_TOLERANCE = 1e-9
 
+# Standard errors across the package are the scatter of a statistic over
+# this many contiguous subsets of the data, cut by split_slices.
+N_SPLITS = 10
+
 __all__ = [
     "HBAR",
     "VACUUM_VARIANCE",
     "PD_TOLERANCE",
+    "N_SPLITS",
+    "split_slices",
     "SqueezeParams",
     "GaussianState",
     "TwoModeGaussianState",
@@ -70,6 +76,17 @@ class SqueezeParams:
             raise ValueError("squeezing angle must be finite")
         # fold the angle into [0, pi); variances are pi-periodic in theta
         object.__setattr__(self, "theta", float(self.theta) % math.pi)
+
+
+def split_slices(n: int, n_splits: int = N_SPLITS) -> list[slice]:
+    """The package's one cut of ``n`` samples into ``n_splits`` contiguous subsets.
+
+    The edges are ``linspace(0, n, n_splits + 1)`` truncated to
+    integers; when ``n`` is not a multiple of ``n_splits`` the subsets
+    differ in size by at most one.
+    """
+    edges = np.linspace(0, n, n_splits + 1).astype(int)
+    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def variance_at_phase(r: float, theta: float, loss: float, phi) -> np.ndarray | float:
@@ -283,13 +300,14 @@ class DuanResult:
     entangled: bool | np.ndarray
 
 
-def duan_value(x1, p1, x2, p2, n_splits: int = 10) -> DuanResult:
+def duan_value(x1, p1, x2, p2, n_splits: int = N_SPLITS) -> DuanResult:
     """Duan criterion Var(x1 - x2) + Var(p1 + p2) from quadrature samples.
 
     In hbar = 2 units two independent vacua give 4, and any value below
     4 witnesses entanglement of the two modes.  The standard error
-    comes from evaluating the statistic on ``n_splits`` equal sample
-    subsets (std of the subset values over sqrt(n_splits)).
+    comes from evaluating the statistic on the ``n_splits`` sample
+    subsets of :func:`split_slices` (std of the subset values over
+    sqrt(n_splits)).
 
     Each input is either a sample vector or an (n_samples, n_pairs)
     column stack; a stack gives the statistic of every column at once,
@@ -308,8 +326,8 @@ def duan_value(x1, p1, x2, p2, n_splits: int = 10) -> DuanResult:
     value = np.var(diff, axis=0, ddof=1) + np.var(total, axis=0, ddof=1)
     subsets = np.array(
         [
-            np.var(a, axis=0, ddof=1) + np.var(b, axis=0, ddof=1)
-            for a, b in zip(np.array_split(diff, n_splits), np.array_split(total, n_splits))
+            np.var(diff[sl], axis=0, ddof=1) + np.var(total[sl], axis=0, ddof=1)
+            for sl in split_slices(n, n_splits)
         ]
     )
     stderr = np.std(subsets, axis=0, ddof=1) / math.sqrt(n_splits)

@@ -14,13 +14,12 @@ or x / p / vacuum) for the others.  ``calibrate`` uses no frames.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import platform
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ import scipy
 
 import sqzsim
 from sqzsim import dsp, opa, pump, quantum, tomography
+from sqzsim._csvfile import write_csv
 from sqzsim.homodyne import (
     DetectorModel,
     FrameSet,
@@ -129,6 +129,8 @@ class ScenarioConfig:
             )
         if self.n_frames < 1:
             raise UsageError("n_frames must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -185,26 +187,9 @@ def load_calibration(path: str | Path) -> Calibration:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"unreadable calibration file {path}: {exc}") from exc
     try:
-        lut = payload.get("extended_lut")
-        return Calibration(
-            quad_coeff=float(payload["quad_coeff_mw_per_v2"]),
-            linear_limit=float(payload["linear_limit_v"]),
-            gain_coeff=float(payload["gain_coeff_per_sqrt_mw"]),
-            max_pump_power=float(payload["max_pump_power_mw"]),
-            extended_lut=None if lut is None else np.asarray(lut, dtype=float),
-        )
+        return Calibration.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid calibration file {path}: {exc}") from exc
-
-
-def _calibration_dict(cal: Calibration) -> dict:
-    return {
-        "quad_coeff_mw_per_v2": float(cal.quad_coeff),
-        "linear_limit_v": float(cal.linear_limit),
-        "gain_coeff_per_sqrt_mw": float(cal.gain_coeff),
-        "max_pump_power_mw": float(cal.max_pump_power),
-        "extended_lut": None if cal.extended_lut is None else cal.extended_lut.tolist(),
-    }
 
 
 def config_fingerprint(cfg: ScenarioConfig, params: dict, cal: Calibration) -> str:
@@ -213,7 +198,7 @@ def config_fingerprint(cfg: ScenarioConfig, params: dict, cal: Calibration) -> s
         "seed": int(cfg.seed),
         "n_frames": int(cfg.n_frames),
         "params": params,
-        "calibration": _calibration_dict(cal),
+        "calibration": cal.to_dict(),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -244,13 +229,8 @@ def _write_json(path: Path, payload: dict, meta: dict) -> None:
 
 def _write_pump_csv(path: Path, prog: AwgProgram, ideal: pump.PowerTrace,
                     shaped: pump.PowerTrace, meta: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "drive_v", "ideal_power_mw", "power_mw"])
-        for t, v, pi, pm in zip(prog.times, prog.samples_v, ideal.power_mw, shaped.power_mw):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}", f"{pi:.17g}", f"{pm:.17g}"])
+    columns = ("time_s", "drive_v", "ideal_power_mw", "power_mw")
+    write_csv(path, meta, columns, zip(prog.times, prog.samples_v, ideal.power_mw, shaped.power_mw))
 
 
 def _trim_edges(fs: FrameSet, n_edge: int) -> FrameSet:
@@ -259,14 +239,7 @@ def _trim_edges(fs: FrameSet, n_edge: int) -> FrameSet:
         return fs
     if fs.n_samples <= 2 * n_edge:
         raise ValueError("frames too short to trim the filter edges")
-    return FrameSet(
-        dt=fs.dt,
-        frames=fs.frames[:, n_edge:-n_edge],
-        phase_tags=fs.phase_tags,
-        kind=fs.kind,
-        rng_seed=fs.rng_seed,
-        t0=fs.t0 + n_edge * fs.dt,
-    )
+    return replace(fs, frames=fs.frames[:, n_edge:-n_edge], t0=fs.t0 + n_edge * fs.dt)
 
 
 def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, loss: float):
@@ -775,13 +748,8 @@ def _run_epr(cfg, params, cal, outdir, meta):
     _write_json(outdir / "epr_report.json", report, meta)
     _write_pump_csv(outdir / "epr_pump.csv", prog, ideal, shaped, meta)
 
-    with open(outdir / "epr_scan.csv", "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["offset_s", "duan", "duan_predicted"])
-        for off, val, pred in zip(result.scan_offsets, result.scan_duan, predicted_scan):
-            writer.writerow([f"{off:.17g}", f"{val:.17g}", f"{pred:.17g}"])
+    scan_rows = zip(result.scan_offsets, result.scan_duan, predicted_scan)
+    write_csv(outdir / "epr_scan.csv", meta, ("offset_s", "duan", "duan_predicted"), scan_rows)
 
     outputs = {
         "report": "epr_report.json",
@@ -814,20 +782,10 @@ def _run_calibrate(cfg, params, cal, outdir, meta):
         _check("gain_fit_residual", fit.fit_residual <= 1e-9, f"residual {fit.fit_residual:.2e}"),
     ]
 
-    with open(outdir / "gain_points.csv", "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["power_mw", "parametric_gain"])
-        for p, g in zip(powers, gains):
-            writer.writerow([f"{p:.17g}", f"{g:.17g}"])
-    with open(outdir / "quadratic_points.csv", "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["drive_v", "power_mw"])
-        for v, p in zip(voltages, bench_power):
-            writer.writerow([f"{v:.17g}", f"{p:.17g}"])
+    write_csv(outdir / "gain_points.csv", meta, ("power_mw", "parametric_gain"), zip(powers, gains))
+    write_csv(
+        outdir / "quadratic_points.csv", meta, ("drive_v", "power_mw"), zip(voltages, bench_power)
+    )
 
     fitted = Calibration(
         quad_coeff=quad_fit,
@@ -836,7 +794,7 @@ def _run_calibrate(cfg, params, cal, outdir, meta):
         max_pump_power=cal.max_pump_power,
         extended_lut=cal.extended_lut,
     )
-    _write_json(outdir / "calibration.json", _calibration_dict(fitted), meta)
+    _write_json(outdir / "calibration.json", fitted.to_dict(), meta)
 
     report = {
         "fitted_gain_coeff": fit.gain_coeff,
@@ -895,7 +853,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         "seed": int(cfg.seed),
         "n_frames": int(cfg.n_frames),
         "params": params,
-        "calibration": _calibration_dict(cal),
+        "calibration": cal.to_dict(),
         "config_sha256": fingerprint,
         "versions": {
             "sqzsim": sqzsim.__version__,

@@ -19,12 +19,14 @@ import numpy as np
 from scipy import signal
 
 from sqzsim.dsp import TemporalMode, extract_quadratures, project, vacuum_quadrature_scales
-from sqzsim.homodyne import DetectorModel, FrameSet, _settle_samples
+from sqzsim.homodyne import DetectorModel, FrameSet
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
+    N_SPLITS,
     GaussianState,
     duan_value,
     effective_squeezing_db,
+    split_slices,
     variance_at_phase,
 )
 
@@ -41,8 +43,6 @@ __all__ = [
     "duan_prediction",
     "duan_prediction_scan",
 ]
-
-N_SPLITS = 10
 
 MIN_GROUP_SAMPLES = 100
 
@@ -136,11 +136,6 @@ class WignerEllipse:
         }
 
 
-def _fold_angle_deg(angle: float) -> float:
-    folded = (angle + 90.0) % 180.0 - 90.0
-    return 90.0 if folded == -90.0 else folded
-
-
 def ellipse_angle_difference_deg(a_deg: float, b_deg: float) -> float:
     """Signed difference a - b of ellipse orientations, folded to [-90, 90)."""
     return (a_deg - b_deg + 90.0) % 180.0 - 90.0
@@ -155,22 +150,30 @@ def wigner_ellipse(state: GaussianState, level: float = DEFAULT_CONTOUR_LEVEL) -
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    evals, evecs = np.linalg.eigh(state.cov)
-    if evals[0] <= 0.0:
+    semi, angle = _axes_and_angle(state.cov)
+    if semi[0] == 0.0:
         raise ValueError("covariance is not positive definite")
     scale = math.sqrt(-2.0 * math.log(level))
-    semi = (scale * math.sqrt(evals[0]), scale * math.sqrt(evals[1]))
-    if evals[1] - evals[0] <= 1e-12 * max(evals[1], 1.0):
-        angle = 0.0
-    else:
-        v = evecs[:, 0]
-        angle = _fold_angle_deg(math.degrees(math.atan2(v[1], v[0])))
     return WignerEllipse(
         center=(float(state.mean[0]), float(state.mean[1])),
-        semi_axes=semi,
+        semi_axes=(scale * semi[0], scale * semi[1]),
         angle_deg=angle,
         level=level,
     )
+
+
+def _axes_and_angle(cov: np.ndarray) -> tuple[tuple[float, float], float]:
+    """Square roots of the covariance eigenvalues, and the short axis's angle.
+
+    This is the package's one ellipse geometry.  An eigenvalue <= 0
+    gives a zero axis; the angle lies in (-90, 90], 0 for a circle.
+    """
+    evals, evecs = np.linalg.eigh(cov)
+    semi = (math.sqrt(max(evals[0], 0.0)), math.sqrt(max(evals[1], 0.0)))
+    if evals[1] - evals[0] <= 1e-12 * max(evals[1], 1.0):
+        return semi, 0.0
+    angle = (math.degrees(math.atan2(evecs[1, 0], evecs[0, 0])) + 90.0) % 180.0 - 90.0
+    return semi, 90.0 if angle == -90.0 else angle
 
 
 def _group_stats(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -259,18 +262,6 @@ def _theta_to_state(theta: np.ndarray, project: bool) -> tuple[GaussianState, bo
     return GaussianState(mean=mean, cov=cov), projected
 
 
-def _ellipse_quantities(state: GaussianState) -> tuple[np.ndarray, float] | None:
-    evals, evecs = np.linalg.eigh(state.cov)
-    if evals[0] <= 0.0:
-        return None
-    semi = np.sqrt(evals)
-    if evals[1] - evals[0] <= 1e-12 * max(evals[1], 1.0):
-        angle = 0.0
-    else:
-        angle = _fold_angle_deg(math.degrees(math.atan2(evecs[1, 0], evecs[0, 0])))
-    return semi, angle
-
-
 @dataclass(frozen=True)
 class TomographyResult:
     """Fitted Gaussian state with geometry and 10-way-split errors.
@@ -332,22 +323,17 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
 
     theta = _fit_moments(phases, counts, means, variances)
     state, projected = _theta_to_state(theta, project)
-    geom = _ellipse_quantities(state)
-    ellipse = None
-    if geom is not None:
-        semi, angle = geom
-        ellipse = WignerEllipse(
-            center=(float(state.mean[0]), float(state.mean[1])),
-            semi_axes=(float(semi[0]), float(semi[1])),
-            angle_deg=angle,
-        )
+    try:
+        ellipse = wigner_ellipse(state)
+    except ValueError:  # the covariance is not positive definite
+        ellipse = None
 
     # rerun the whole fit on 10 contiguous sample splits for the errors
     split_means = np.full((N_SPLITS, 2), np.nan)
     split_covs = np.full((N_SPLITS, 2, 2), np.nan)
     split_semi = np.full((N_SPLITS, 2), np.nan)
     split_angle = np.full(N_SPLITS, np.nan)
-    per_group_splits = [np.array_split(g.samples, N_SPLITS) for g in data.groups]
+    per_group_splits = [[g.samples[sl] for sl in split_slices(g.samples.size)] for g in data.groups]
     for k in range(N_SPLITS):
         sub_means = np.array([float(np.mean(parts[k])) for parts in per_group_splits])
         sub_vars = np.array([float(np.var(parts[k])) for parts in per_group_splits])
@@ -356,9 +342,7 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
         sub_state, _ = _theta_to_state(sub_theta, project)
         split_means[k] = sub_state.mean
         split_covs[k] = sub_state.cov
-        evals, evecs = np.linalg.eigh(sub_state.cov)
-        split_semi[k] = np.sqrt(np.clip(evals, 0.0, None))
-        split_angle[k] = _fold_angle_deg(math.degrees(math.atan2(evecs[1, 0], evecs[0, 0])))
+        split_semi[k], split_angle[k] = _axes_and_angle(sub_state.cov)
 
     mean_stderr = split_means.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
     cov_stderr = split_covs.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
@@ -525,13 +509,14 @@ def duan_prediction_scan(
     if abs(traj.dt - det.dt) > 1e-12 * det.dt:
         raise ValueError("trajectory must live on the detector grid")
     n = traj.n_samples
-    v_x = np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, 0.0))
-    v_p = np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, math.pi / 2.0))
+    variances = [
+        np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, phi))
+        for phi in (0.0, math.pi / 2.0)
+    ]
+    # the simulator's burn-in, so the filters see the record it synthesizes
+    v_x, v_p = det.burn_in(np.stack(variances))
+    n_lead = v_x.size - n
     filters = det.filters()
-    n_lead = _settle_samples(filters)
-    # the simulator holds the initial variance through the burn-in
-    v_x = np.concatenate([np.full(n_lead, v_x[0]), v_x])
-    v_p = np.concatenate([np.full(n_lead, v_p[0]), v_p])
 
     w1 = np.stack([_mode_on_grid(g1.shifted(off), traj.t0, traj.dt, n, n_lead) for off in offsets])
     w2 = np.stack([_mode_on_grid(g2.shifted(off), traj.t0, traj.dt, n, n_lead) for off in offsets])

@@ -4,9 +4,10 @@ The ``epr`` and ``tm_squeezing`` values were computed with the per-mode
 projection code that preceded ``dsp.project``; the ``spectrum`` and
 ``waveforms`` values with the code that materialized every frame stack
 before reducing it; the ``calibrate`` values and CSV layout with the
-hand-written CSV writers that preceded the shared one.  Refactors of the synthesis and analysis paths must
-reproduce them.  Changes that only reorder floating-point sums move
-them by about 1e-15 relative, far inside the 1e-9 tolerance.
+hand-written CSV writers that preceded the shared one.  Refactors of
+the synthesis and analysis paths must reproduce them.  Changes that
+only reorder floating-point sums move them by about 1e-15 relative, far
+inside the 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -154,3 +155,12 @@ def test_calibrate_csv_layout(tmp_path):
         assert rows[-1] == "" and len(rows) == 2 + want[0].size
         parsed = np.array([[float(x) for x in row.split(",")] for row in rows[1:-1]])
         assert np.array_equal(parsed, np.column_stack(want)), name
+
+
+@pytest.mark.parametrize("lut", [None, [[0.16, 6.5], [0.2, 9.0], [0.25, 12.0]]])
+def test_calibration_dict_round_trip(lut):
+    cal = Calibration(extended_lut=lut)
+    data = cal.to_dict()
+    assert sorted(data) == sorted(["extended_lut", *CALIBRATE_SEED0_300])
+    assert Calibration.from_dict(data) == cal
+    assert Calibration.from_dict(json.loads(json.dumps(data))) == cal

@@ -7,7 +7,6 @@ import pytest
 
 from sqzsim.opa import (
     GainFit,
-    LossBudget,
     SqueezerTrajectory,
     constant_trajectory,
     fit_gain_curve,
@@ -97,10 +96,3 @@ def test_trajectory_folds_theta_and_validates():
     with pytest.raises(ValueError):
         SqueezerTrajectory(dt=1e-9, r=np.array([0.1]), theta=np.array([0.0]), loss=1.0)
 
-
-def test_loss_budget_total_compounds():
-    budget = LossBudget()
-    want = 1.0 - (1.0 - 0.09) * (1.0 - 0.02) * (1.0 - 0.03) * (1.0 - 0.01)
-    assert budget.total == pytest.approx(want, abs=1e-15)
-    with pytest.raises(ValueError):
-        LossBudget(opa_internal=1.0)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqzsim.dsp import pointwise_variance
+from sqzsim.homodyne import FrameSet
 from sqzsim.quantum import (
     DuanResult,
     GaussianState,
@@ -19,11 +21,13 @@ from sqzsim.quantum import (
     effective_squeezing_db,
     pure_db_from_r,
     r_from_pure_db,
+    split_slices,
     squeezed_state,
     vacuum_state,
     variance_at_phase,
     variance_from_db,
 )
+from sqzsim.tomography import ml_gaussian_tomography
 
 R_271 = 0.3120002801006932  # r for a 2.71 dB lossless squeezing level
 LOSS = 0.183
@@ -213,7 +217,7 @@ def test_duan_value_vacuum_sits_at_four():
 
 def test_duan_value_column_stacks_match_per_column_calls():
     rng = np.random.default_rng(3)
-    # 1003 rows: the 10 split subsets are unequal, as np.array_split makes them
+    # 1003 rows: the 10 split_slices subsets are unequal in size
     x1, p1, x2, p2 = rng.standard_normal((4, 1003, 7)) * np.linspace(0.5, 2.0, 7)
     res = duan_value(x1, p1, x2, p2)
     assert res.value.shape == res.stderr.shape == res.entangled.shape == (7,)
@@ -225,6 +229,41 @@ def test_duan_value_column_stacks_match_per_column_calls():
         assert bool(res.entangled[j]) == one.entangled
     with pytest.raises(ValueError, match="equal sample counts"):
         duan_value(x1, p1, x2[:, :6], p2)
+
+
+def test_split_errors_share_one_subset_convention():
+    # 1013 = 10 * 101 + 3 samples: split_slices spreads the 3 extra samples
+    # where np.array_split would put them in the first three subsets, and
+    # every subset keeps the 100 samples duan_value and PhaseGroup need
+    n = 1013
+    slices = split_slices(n)
+    sizes = [sl.stop - sl.start for sl in slices]
+    assert sizes == [101, 101, 101, 102, 101, 101, 102, 101, 101, 102]
+    rng = np.random.default_rng(13)
+
+    def split_stderr(per_split):
+        return np.std(per_split, axis=0, ddof=1) / math.sqrt(len(slices))
+
+    q = rng.standard_normal((4, n)) * np.array([[0.6], [1.5], [0.7], [1.3]])
+    want = split_stderr([duan_value(*q[:, sl]).value for sl in slices])
+    assert duan_value(*q).stderr == pytest.approx(want, rel=1e-12)
+
+    frames = rng.standard_normal((n, 8)) * np.linspace(0.5, 2.0, 8)
+    sig = FrameSet(1e-9, frames, np.zeros(n), "signal", -1)
+    ref_frames = rng.standard_normal((50, 8))
+    ref = FrameSet(1e-9, ref_frames, np.zeros(50), "vacuum_reference", -1)
+    shot = float(np.mean(np.var(ref_frames, axis=0, ddof=1)))
+    want = split_stderr([np.var(frames[sl], axis=0, ddof=1) / shot for sl in slices])
+    np.testing.assert_allclose(pointwise_variance(sig, ref).stderr, want, rtol=1e-12, atol=0.0)
+
+    phases = [0.0, math.pi / 4.0, math.pi / 2.0]
+    samples = [rng.standard_normal(n) * s for s in (0.7, 1.0, 1.4)]
+    res = ml_gaussian_tomography(list(zip(phases, samples)))
+    fits = [ml_gaussian_tomography([(p, s[sl]) for p, s in zip(phases, samples)]) for sl in slices]
+    want_mean = split_stderr([fit.state.mean for fit in fits])
+    want_cov = split_stderr([fit.state.cov for fit in fits])
+    np.testing.assert_allclose(res.mean_stderr, want_mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(res.cov_stderr, want_cov, rtol=1e-12, atol=0.0)
 
 
 def test_duan_value_rejects_short_records():

@@ -176,6 +176,20 @@ def test_cli_bad_set_syntax_exits_2(tmp_path, capsys):
     assert "key=value" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize("scenario", ["spectrum", "calibrate"])
+def test_cli_negative_seed_exits_2_naming_the_field(tmp_path, capsys, scenario):
+    code = main(["run", scenario, "--out", str(tmp_path), "--seed", "-1", "--frames", "20"])
+    assert code == 2
+    assert "seed" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not (tmp_path / scenario / "manifest.json").exists()
+
+
+def test_scenario_config_rejects_non_integer_seed(tmp_path):
+    with pytest.raises(UsageError, match="seed"):
+        ScenarioConfig(scenario="calibrate", seed=1.5, output_dir=str(tmp_path))
+    ScenarioConfig(scenario="calibrate", seed=np.uint64(2**63), output_dir=str(tmp_path))
+
+
 def test_cli_unknown_param_exits_2(tmp_path, capsys):
     code = main(["run", "calibrate", "--out", str(tmp_path), "--set", "bogus=1"])
     assert code == 2

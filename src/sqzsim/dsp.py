@@ -301,8 +301,18 @@ def fir_lowpass(fs: FrameSet, taps: int = 255, cutoff: float = 100e6) -> FrameSe
     last (taps - 1)/2 samples carry zero-padding edge transients.
     """
     h = fir_taps(fs.dt, taps=taps, cutoff=cutoff)
-    filtered = signal.fftconvolve(np.asarray(fs.frames, dtype=float), h[None, :], mode="same", axes=1)
-    return replace(fs, frames=filtered)
+    # the FFT calls of fftconvolve(mode="same", axes=1), without its
+    # float64 copy and zero-padded copy of the frames
+    n = fs.n_samples
+    size = scipy.fft.next_fast_len(n + taps - 1, True)
+    padded = np.zeros((fs.n_frames, size))
+    padded[:, :n] = fs.frames
+    spectrum = scipy.fft.rfft(padded, axis=1)
+    del padded
+    spectrum *= scipy.fft.rfft(h, size)
+    full = scipy.fft.irfft(spectrum, size, axis=1)
+    start = (taps - 1) // 2
+    return replace(fs, frames=full[:, start : start + n].copy())
 
 
 @dataclass(frozen=True)
@@ -329,14 +339,20 @@ def pointwise_variance(fs: FrameSet, ref: FrameSet) -> VarianceTrace:
     """Variance across frames at each time, normalized to shot noise.
 
     The normalization is the time-averaged pointwise variance of the
-    vacuum reference, so the trace of a vacuum set is flat at 1.
+    vacuum reference, so the trace of a vacuum set is flat at 1.  The
+    signal set needs at least two frames in each error-estimate split.
     """
     if ref.kind != VACUUM_REFERENCE:
         raise ValueError("reference frame set must have kind 'vacuum_reference'")
     if abs(fs.dt - ref.dt) > 1e-12 * ref.dt:
         raise ValueError("signal and reference sample intervals differ")
-    if fs.n_frames < N_SPLITS or ref.n_frames < 2:
-        raise ValueError("need >= 10 signal frames and >= 2 reference frames")
+    if fs.n_frames < 2 * N_SPLITS:
+        raise ValueError(
+            f"need n_frames >= {2 * N_SPLITS} signal frames, two for each of the "
+            f"{N_SPLITS} split variances, got {fs.n_frames}"
+        )
+    if ref.n_frames < 2:
+        raise ValueError("need >= 2 reference frames")
     shot = float(np.mean(np.var(np.asarray(ref.frames, dtype=float), axis=0, ddof=1)))
     if shot <= 0.0:
         raise ValueError("vacuum reference has zero variance")

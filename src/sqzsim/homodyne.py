@@ -12,14 +12,19 @@ anti-squeezing) visible in the spectrum rolls toward 0 dB above the
 detector cutoff, as a real detector shows after shot-noise
 normalization.
 
-Determinism: frame k of a run seeded with s draws from the substream
-SeedSequence(entropy=s, spawn_key=(k,)), so reruns are bit-identical
-and frames are independent of chunking or evaluation order.
+Determinism: frame k of a run seeded with s draws from PCG64 seeded
+by NumPy's SeedSequence with entropy s and spawn key (k,), so reruns
+are bit-identical and frames are independent of chunking or evaluation
+order.  :func:`_substream_states` computes those PCG64 states for a
+whole block of frames in one vectorized pass, a port of NumPy's
+seeding that a test checks against NumPy itself; a schedule may
+therefore hold at most 2**32 frames, one 32-bit spawn-key word each.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,7 +65,6 @@ class DetectorModel:
     """
 
     bandwidth: float | None = 200e6
-    filter_kind: str = "butterworth2"
     sample_rate: float = 1e9
     gain: float = 1.0
 
@@ -75,8 +79,6 @@ class DetectorModel:
                     "bandwidth must satisfy 0 < bw < sample_rate / 2, "
                     f"got {self.bandwidth} at {self.sample_rate} S/s"
                 )
-        if self.filter_kind not in ("butterworth2", "first_order"):
-            raise ValueError(f"unknown filter_kind {self.filter_kind!r}")
         if self.gain <= 0.0:
             raise ValueError("gain must be > 0")
 
@@ -87,15 +89,14 @@ class DetectorModel:
     def filters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """(b_lp, a_lp, b_hp, a_hp) or None for an ideal detector.
 
-        The low/high-pass pair of a Butterworth (any order) at the same
-        cutoff is power complementary, |H_lp|^2 + |H_hp|^2 = 1, which is
-        what makes the filtered vacuum exactly white.
+        The 2nd-order Butterworth low/high-pass pair at the bandwidth is
+        power complementary, |H_lp|^2 + |H_hp|^2 = 1, which is what
+        makes the filtered vacuum exactly white.
         """
         if self.bandwidth is None:
             return None
-        order = 2 if self.filter_kind == "butterworth2" else 1
-        b_lp, a_lp = signal.butter(order, self.bandwidth, btype="low", fs=self.sample_rate)
-        b_hp, a_hp = signal.butter(order, self.bandwidth, btype="high", fs=self.sample_rate)
+        b_lp, a_lp = signal.butter(2, self.bandwidth, btype="low", fs=self.sample_rate)
+        b_hp, a_hp = signal.butter(2, self.bandwidth, btype="high", fs=self.sample_rate)
         return b_lp, a_lp, b_hp, a_hp
 
     def burn_in(self, values) -> np.ndarray:
@@ -160,8 +161,12 @@ class LoSchedule:
             if c is None:
                 raise ValueError("no frame count: set LoEntry.n_frames or pass n_frames")
             counts.append(int(c))
-        if sum(counts) < 1:
+        total = sum(counts)
+        if total < 1:
             raise ValueError("total frame count must be >= 1")
+        # frame k's substream takes k as one uint32 spawn-key word
+        if total > 2**32:
+            raise ValueError(f"n_frames must total at most 2**32 per schedule, got {total}")
         return np.repeat([e.phase for e in self.entries], counts)
 
 
@@ -226,6 +231,73 @@ def _frame_variance(traj: SqueezerTrajectory, det: DetectorModel, phi: float) ->
     return np.atleast_1d(variance_at_phase(r, theta, traj.loss, phi))
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# the 128-bit multiplier of PCG64's LCG step
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+
+
+class _HashMix:
+    """SeedSequence's ``hashmix`` with its running hash constant."""
+
+    def __init__(self, init: int, mult: int) -> None:
+        self.const = init
+        self.mult = mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of frames ``start <= k < stop``.
+
+    Entry k - start holds the ``state`` and ``inc`` of a PCG64 seeded by
+    the SeedSequence with entropy ``seed`` and spawn key ``(k,)``.  The
+    pool mix and ``generate_state(4, uint64)`` run as uint32 arithmetic
+    over all k at once; PCG64's set-seq seeding then runs on Python ints.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    # the seed's words, padded to the pool size, then the spawn key k
+    entropy = np.empty((len(words) + 1, stop - start), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(start, stop, dtype=np.uint64)
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+    # generate_state(4, uint64): 8 words cycled from the pool, paired low first
+    hashmix = _HashMix(_INIT_B, _MULT_B)
+    half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    words64 = np.stack([half[2 * i] | half[2 * i + 1] << np.uint64(32) for i in range(4)], axis=1)
+    states = []
+    for w0, w1, w2, w3 in words64.tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append((((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 class _Synthesis:
     """The synthesis of one run: LO phases, std templates and detector filters.
 
@@ -258,28 +330,40 @@ class _Synthesis:
         chunk = max(1, min(n, 4_194_304 // self.n_total))
         return [(k, min(k + chunk, n)) for k in range(0, n, chunk)]
 
-    def _rng(self, k: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(k,))
-        return np.random.Generator(np.random.PCG64(ss))
+    def _substreams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        """One generator, set in turn to the substream of each frame in [start, stop)."""
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        pcg = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for pcg["state"], pcg["inc"] in _substream_states(self.seed, start, stop):
+            bitgen.state = state
+            yield gen
 
     def fill(self, out: np.ndarray, start: int) -> None:
         """Write frames [start, start + len(out)) into ``out``."""
         stop = start + out.shape[0]
-        n = self.n_total
         if self.filters is None:
             # an ideal detector needs no vacuum complement: draw one row
-            for j in range(start, stop):
-                z = self._rng(j).standard_normal(n, dtype=self.dtype)
-                out[j - start] = z * self.std[self.phases[j]]
+            # per frame in place, then scale each run of one LO phase
+            for row, gen in zip(out, self._substreams(start, stop)):
+                gen.standard_normal(dtype=self.dtype, out=row)
+            phases = self.phases[start:stop]
+            edges = [0, *(np.flatnonzero(phases[1:] != phases[:-1]) + 1).tolist(), len(phases)]
+            for a, b in zip(edges[:-1], edges[1:]):
+                out[a:b] *= self.std[phases[a]]
         else:
             # float64 working rows: lfilter computes in float64 anyway
             b_lp, a_lp, b_hp, a_hp = self.filters
-            raw = np.empty((stop - start, n))
-            comp = np.empty((stop - start, n))
-            for j in range(start, stop):
-                z = self._rng(j).standard_normal((2, n), dtype=self.dtype)
-                raw[j - start] = z[0] * self.std[self.phases[j]]
-                comp[j - start] = z[1]
+            raw = np.empty((stop - start, self.n_total))
+            comp = np.empty((stop - start, self.n_total))
+            z = np.empty((2, self.n_total), dtype=self.dtype)
+            for j, gen in enumerate(self._substreams(start, stop)):
+                gen.standard_normal(dtype=self.dtype, out=z)
+                # the product stays in self.dtype before the float64 cast
+                z[0] *= self.std[self.phases[start + j]]
+                raw[j] = z[0]
+                comp[j] = z[1]
             filtered = signal.lfilter(b_lp, a_lp, raw, axis=1)
             filtered += signal.lfilter(b_hp, a_hp, comp, axis=1)
             out[:] = filtered[:, self.n_burn :]

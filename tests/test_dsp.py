@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
+from scipy import signal
 
 from sqzsim import dsp
 from sqzsim.dsp import (
@@ -250,6 +251,22 @@ def test_fir_lowpass_suppresses_out_of_band_tone():
     assert float(np.abs(core).max()) < 0.01
 
 
+@pytest.mark.parametrize(
+    "n_frames, n_samples, taps, cutoff",
+    [(40, 1300, 255, 100e6), (1, 1300, 255, 100e6), (7, 1301, 255, 100e6),
+     (5, 100, 255, 100e6), (9, 640, 101, 50e6), (3, 17, 3, 300e6)],
+)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fir_lowpass_equals_fftconvolve_bytes(n_frames, n_samples, taps, cutoff, dtype):
+    frames = np.random.default_rng(n_samples).standard_normal((n_frames, n_samples)).astype(dtype)
+    fs = FrameSet(1e-9, frames, np.zeros(n_frames), "signal", 0)
+    h = fir_taps(fs.dt, taps=taps, cutoff=cutoff)
+    want = signal.fftconvolve(np.asarray(fs.frames, float), h[None, :], mode="same", axes=1)
+    got = fir_lowpass(fs, taps=taps, cutoff=cutoff).frames
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_pointwise_variance_of_vacuum_is_flat_unity():
     det = DetectorModel()
     sig = simulate_vacuum_reference(det, 300, 2000, seed=6)
@@ -267,6 +284,23 @@ def test_pointwise_variance_validation():
     sig = simulate_vacuum_reference(det, 64, 20, seed=0)
     with pytest.raises(ValueError, match="vacuum_reference"):
         pointwise_variance(sig, FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", 0))
+
+
+@pytest.mark.parametrize("n_frames", [13, 19])
+def test_pointwise_variance_needs_two_frames_per_split(n_frames):
+    det = DetectorModel()
+    sig = simulate_vacuum_reference(det, 40, n_frames, seed=3)
+    ref = simulate_vacuum_reference(det, 40, 20, seed=4)
+    with pytest.raises(ValueError, match="n_frames"):
+        pointwise_variance(FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", 3), ref)
+
+
+def test_pointwise_variance_stderr_is_finite_at_twenty_frames():
+    det = DetectorModel()
+    sig = simulate_vacuum_reference(det, 40, 20, seed=3)
+    ref = simulate_vacuum_reference(det, 40, 20, seed=4)
+    trace = pointwise_variance(FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", 3), ref)
+    assert np.all(np.isfinite(trace.stderr)) and np.all(trace.stderr > 0.0)
 
 
 def test_variance_trace_csv_includes_extra_columns(tmp_path):

@@ -18,6 +18,7 @@ from sqzsim.homodyne import (
     save_frameset,
     simulate_frames,
     simulate_vacuum_reference,
+    _substream_states,
 )
 from sqzsim.opa import constant_trajectory
 from sqzsim.quantum import variance_at_phase
@@ -43,8 +44,6 @@ def test_ideal_detector_has_no_filters():
 def test_detector_validation():
     with pytest.raises(ValueError):
         DetectorModel(bandwidth=600e6, sample_rate=1e9)
-    with pytest.raises(ValueError):
-        DetectorModel(filter_kind="bessel")
     with pytest.raises(ValueError):
         DetectorModel(gain=0.0)
 
@@ -191,6 +190,35 @@ def test_ideal_detector_frames_keep_the_paired_draw_stream(dtype):
         ss = np.random.SeedSequence(entropy=6, spawn_key=(k,))
         want = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, 33), dtype=dtype)[0]
         assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
+def test_substream_states_match_numpy_seeding(seed):
+    # blocks that start at 0 and elsewhere, around the uint32 word edges
+    # of the spawn key; 2**100 fills all four entropy words of the pool
+    blocks = [(0, 2), (255, 257), (65535, 65536), (2**31, 2**31 + 1), (2**32 - 1, 2**32)]
+    for start, stop in blocks:
+        got = _substream_states(seed, start, stop)
+        assert len(got) == stop - start
+        for k, (state, inc) in zip(range(start, stop), got):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+            want = np.random.PCG64(ss).state["state"]
+            assert (state, inc) == (want["state"], want["inc"]), (seed, k)
+
+
+def test_substream_states_reject_what_seed_sequence_rejects():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(entropy=-1, spawn_key=(0,))
+    with pytest.raises(ValueError, match="seed"):
+        _substream_states(-1, 0, 1)
+
+
+def test_schedules_beyond_the_spawn_key_range_are_rejected():
+    # checked from the entry counts, before any frame is allocated
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=4)
+    sched = LoSchedule(entries=(LoEntry(0.0, 2**31), LoEntry(1.0, 2**31 + 1)))
+    with pytest.raises(ValueError, match="n_frames"):
+        simulate_frames(traj, DetectorModel(bandwidth=None), sched)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -184,6 +184,12 @@ def test_cli_negative_seed_exits_2_naming_the_field(tmp_path, capsys, scenario):
     assert not (tmp_path / scenario / "manifest.json").exists()
 
 
+def test_cli_waveforms_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
+    code = main(["run", "waveforms", "--out", str(tmp_path), "--frames", "15"])
+    assert code == 2
+    assert "n_frames" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_scenario_config_rejects_non_integer_seed(tmp_path):
     with pytest.raises(UsageError, match="seed"):
         ScenarioConfig(scenario="calibrate", seed=1.5, output_dir=str(tmp_path))

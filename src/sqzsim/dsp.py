@@ -28,7 +28,7 @@ import scipy.fft
 from scipy import signal
 
 from sqzsim._csvfile import write_csv
-from sqzsim.homodyne import SIGNAL, VACUUM_REFERENCE, FrameSet
+from sqzsim.homodyne import VACUUM_REFERENCE, FrameSet
 from sqzsim.quantum import N_SPLITS, split_slices
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "project",
     "vacuum_quadrature_scales",
     "vacuum_quadrature_scale",
-    "extract_quadrature",
     "extract_quadratures",
 ]
 
@@ -682,25 +681,3 @@ def extract_quadratures(fs: FrameSet, mode: TemporalMode, ref_scale: float) -> n
         raise ValueError("ref_scale must be > 0")
     return project(fs, [mode])[:, 0] / ref_scale
 
-
-def extract_quadrature(
-    frame, mode: TemporalMode, ref_scale: float, dt: float | None = None, t0: float | None = None
-) -> float:
-    """Single-record version of :func:`extract_quadratures`.
-
-    ``frame`` is one 1-D homodyne record; its grid defaults to the
-    mode's own (dt = mode.dt, t0 = mode.t0, i.e. the record starts at
-    the left edge of the mode window).
-    """
-    frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 1:
-        raise ValueError("frame must be a 1-D record")
-    fs = FrameSet(
-        dt=mode.dt if dt is None else dt,
-        frames=frame[None, :],
-        phase_tags=np.zeros(1),
-        kind=SIGNAL,
-        rng_seed=-1,
-        t0=mode.t0 if t0 is None else t0,
-    )
-    return float(extract_quadratures(fs, mode, ref_scale)[0])

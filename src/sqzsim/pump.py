@@ -15,7 +15,6 @@ effectively instantaneous in this model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,6 @@ from sqzsim._csvfile import read_csv, write_csv
 __all__ = [
     "AwgProgram",
     "Calibration",
-    "RingingSpec",
     "ModulatorResponse",
     "PulseSlot",
     "PulseTrainSpec",
@@ -42,10 +40,8 @@ __all__ = [
 
 DEFAULT_SAMPLE_RATE = 1e9
 
-# 10-90 rise of a one-pole step response is tau * ln 9; of a Gaussian
-# step response it is sigma * (z(0.9) - z(0.1)).
+# 10-90 rise of a one-pole step response is tau * ln 9
 _FIRST_ORDER_RISE_PER_TAU = math.log(9.0)
-_GAUSSIAN_RISE_PER_SIGMA = 2.5631031310892007
 
 
 @dataclass(frozen=True)
@@ -88,23 +84,6 @@ class AwgProgram:
     @property
     def duration(self) -> float:
         return self.samples_v.size / self.sample_rate_hz
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "sample_rate_hz": self.sample_rate_hz,
-            "trigger_offset_s": self.trigger_offset_s,
-            "samples_v": self.samples_v.tolist(),
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "AwgProgram":
-        payload = json.loads(Path(path).read_text())
-        return cls(
-            sample_rate_hz=payload["sample_rate_hz"],
-            samples_v=np.array(payload["samples_v"], dtype=float),
-            trigger_offset_s=payload["trigger_offset_s"],
-        )
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
         write_csv(path, meta, ("time_s", "volts"), zip(self.times, self.samples_v))
@@ -264,41 +243,18 @@ class Calibration:
 
 
 @dataclass(frozen=True)
-class RingingSpec:
-    """Decaying sinusoidal overshoot added after rising power edges."""
-
-    frequency: float = 250e6
-    relative_amplitude: float = 0.1
-    decay_time: float = 10e-9
-
-    def __post_init__(self) -> None:
-        if self.frequency <= 0.0:
-            raise ValueError("ringing frequency must be > 0")
-        if not 0.0 <= self.relative_amplitude <= 0.2:
-            raise ValueError("ringing relative_amplitude must be in [0, 0.2]")
-        if self.decay_time <= 0.0:
-            raise ValueError("ringing decay_time must be > 0")
-
-
-@dataclass(frozen=True)
 class ModulatorResponse:
     """Finite-bandwidth model of the drive-to-pump-power transfer.
 
-    ``first_order`` filters the power trace with a causal one-pole
-    kernel; ``gaussian`` uses a causal Gaussian kernel (latency about
-    1.6 rise times).  Either kernel's 10-90 step rise time equals
-    ``rise_time_10_90``.
+    The power trace is filtered with a causal one-pole kernel whose
+    10-90 step rise time equals ``rise_time_10_90``.
     """
 
     rise_time_10_90: float = 7e-9
-    kind: str = "first_order"
-    ringing: RingingSpec | None = None
 
     def __post_init__(self) -> None:
         if self.rise_time_10_90 <= 0.0:
             raise ValueError("rise_time_10_90 must be > 0")
-        if self.kind not in ("first_order", "gaussian"):
-            raise ValueError(f"unknown response kind {self.kind!r}")
 
     @property
     def settling_time(self) -> float:
@@ -307,10 +263,7 @@ class ModulatorResponse:
         Used by the compiler to check that slot margins really isolate
         the mode windows.
         """
-        settle = 3.0 * self.rise_time_10_90
-        if self.ringing is not None:
-            settle = max(settle, 3.0 * self.ringing.decay_time)
-        return settle
+        return 3.0 * self.rise_time_10_90
 
 
 @dataclass(frozen=True)
@@ -345,18 +298,6 @@ class PulseSlot:
     def period(self) -> float:
         return self.margin + self.mode_width
 
-    def to_dict(self) -> dict:
-        return {
-            "squeezing_db": self.squeezing_db,
-            "quadrature": self.quadrature,
-            "mode_width": self.mode_width,
-            "margin": self.margin,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PulseSlot":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class PulseTrainSpec:
@@ -369,13 +310,6 @@ class PulseTrainSpec:
         if len(slots) == 0:
             raise ValueError("a pulse train needs at least one slot")
         object.__setattr__(self, "slots", slots)
-
-    def to_dict(self) -> dict:
-        return {"slots": [s.to_dict() for s in self.slots]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PulseTrainSpec":
-        return cls(slots=tuple(PulseSlot.from_dict(s) for s in d["slots"]))
 
 
 def slot_mode_centers(spec: PulseTrainSpec, trigger_offset_s: float = 0.0) -> np.ndarray:
@@ -440,17 +374,11 @@ def compile_pulse_train(
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Uniformly sampled pump power in mW.
-
-    ``clamp_count`` records how many samples were clamped at zero when
-    a response model (ringing undershoot) would have driven the power
-    negative.
-    """
+    """Uniformly sampled pump power in mW."""
 
     dt: float
     power_mw: np.ndarray
     t0: float = 0.0
-    clamp_count: int = 0
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -461,7 +389,7 @@ class PowerTrace:
         if not np.all(np.isfinite(power)):
             raise ValueError("power_mw contains non-finite values")
         if np.any(power < 0.0):
-            raise ValueError("power_mw must be non-negative (clamp before constructing)")
+            raise ValueError("power_mw must be non-negative")
         object.__setattr__(self, "power_mw", power)
         self.power_mw.setflags(write=False)
 
@@ -523,51 +451,16 @@ def _first_order_filter(x: np.ndarray, dt: float, rise: float) -> np.ndarray:
     return y
 
 
-def _gaussian_filter(x: np.ndarray, dt: float, rise: float) -> np.ndarray:
-    sigma = rise / _GAUSSIAN_RISE_PER_SIGMA
-    half = int(math.ceil(4.0 * sigma / dt))
-    k = np.exp(-0.5 * ((np.arange(2 * half + 1) - half) * dt / sigma) ** 2)
-    k /= k.sum()
-    # causal: output at n uses x[n - 2*half .. n]; edge-hold padding
-    # preserves pulse energy for pulses much longer than the rise time
-    padded = np.concatenate([np.full(2 * half, x[0]), x])
-    return np.convolve(padded, k, mode="valid")
-
-
 def apply_modulator_response(trace: PowerTrace, resp: ModulatorResponse) -> PowerTrace:
     """Filter a power trace with the modulator's causal step response.
 
-    Optionally superposes decaying ringing after each rising edge.
-    Samples driven negative by ringing are clamped at zero and counted
-    in the returned trace's ``clamp_count``.
+    A one-pole filter of non-negative power stays non-negative, so the
+    result needs no clamp.
     """
     if trace.dt > resp.rise_time_10_90 / 4.0:
         raise ValueError(
             f"sample interval {trace.dt:.3g} s cannot resolve a "
             f"{resp.rise_time_10_90:.3g} s rise time (need >= 4 samples per rise)"
         )
-    x = trace.power_mw
-    if resp.kind == "first_order":
-        y = _first_order_filter(x, trace.dt, resp.rise_time_10_90)
-    else:
-        y = _gaussian_filter(x, trace.dt, resp.rise_time_10_90)
-
-    if resp.ringing is not None:
-        spec = resp.ringing
-        steps = np.diff(x)
-        threshold = 0.05 * max(float(x.max()), 1e-30)
-        edges = np.nonzero(steps > threshold)[0] + 1
-        t_rel = np.arange(x.size) * trace.dt
-        for e in edges:
-            tail = t_rel[: x.size - e]
-            y[e:] += (
-                spec.relative_amplitude
-                * steps[e - 1]
-                * np.sin(2.0 * math.pi * spec.frequency * tail)
-                * np.exp(-tail / spec.decay_time)
-            )
-
-    clamped = int(np.count_nonzero(y < 0.0))
-    if clamped:
-        y = np.maximum(y, 0.0)
-    return PowerTrace(dt=trace.dt, power_mw=y, t0=trace.t0, clamp_count=trace.clamp_count + clamped)
+    y = _first_order_filter(trace.power_mw, trace.dt, resp.rise_time_10_90)
+    return PowerTrace(dt=trace.dt, power_mw=y, t0=trace.t0)

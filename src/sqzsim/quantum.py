@@ -222,10 +222,6 @@ class GaussianState:
         u = np.array([math.cos(phi), math.sin(phi)])
         return float(u @ self.cov @ u)
 
-    def quadrature_mean(self, phi: float) -> float:
-        u = np.array([math.cos(phi), math.sin(phi)])
-        return float(u @ self.mean)
-
 
 @dataclass(frozen=True)
 class TwoModeGaussianState:

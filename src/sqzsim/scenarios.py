@@ -282,7 +282,13 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
     s_db, s_se = dsp.band_average(spec_s, lo, hi)
     a_db, a_se = dsp.band_average(spec_a, lo, hi)
     v_db, v_se = dsp.band_average(spec_v, lo, hi)
-    est = dsp.estimate_pure_squeezing_and_loss(s_db, a_db, s_se, a_se)
+    try:
+        est = dsp.estimate_pure_squeezing_and_loss(s_db, a_db, s_se, a_se)
+    except ValueError as exc:
+        # noise alone can push a small run's pair outside the invertible
+        # region: that fails a check, it is not a usage error
+        est = None
+        infeasible = f"measured pair {s_db:+.4f} / {a_db:+.4f} dB: {exc}"
 
     nyquist = 0.5 / dt
     checks = []
@@ -305,12 +311,19 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
             f"vacuum-vs-vacuum band average {v_db:+.4f} dB",
         )
     )
-    checks.append(
-        _check("inversion_confident", not est.low_confidence, f"low_confidence={est.low_confidence}")
-    )
-    checks.append(
-        _check("loss_in_unit_interval", 0.0 <= est.loss < 1.0, f"loss={est.loss:.4f}")
-    )
+    if est is None:
+        checks.append(_check("inversion_feasible", False, infeasible))
+    else:
+        checks.append(
+            _check(
+                "inversion_confident",
+                not est.low_confidence,
+                f"low_confidence={est.low_confidence}",
+            )
+        )
+        checks.append(
+            _check("loss_in_unit_interval", 0.0 <= est.loss < 1.0, f"loss={est.loss:.4f}")
+        )
 
     expected_s = quantum.variance_at_phase(r, 0.0, loss, 0.0)
     expected_a = quantum.variance_at_phase(r, 0.0, loss, math.pi / 2.0)
@@ -324,9 +337,9 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
         "high_band_db": None if h_db is None else [float(h_db), float(h_se)],
         "expected_squeezed_db": float(quantum.db_from_variance(expected_s)),
         "expected_antisqueezed_db": float(quantum.db_from_variance(expected_a)),
-        "estimated_pure_db": [est.pure_db, est.pure_db_stderr],
-        "estimated_loss": [est.loss, est.loss_stderr],
-        "low_confidence": est.low_confidence,
+        "estimated_pure_db": None if est is None else [est.pure_db, est.pure_db_stderr],
+        "estimated_loss": None if est is None else [est.loss, est.loss_stderr],
+        "low_confidence": None if est is None else est.low_confidence,
     }
 
     outputs = {}
@@ -357,8 +370,6 @@ def _gaussian_peak_oracle(fwhm: float, amplitude_v: float, cal: Calibration,
     independent route to the same physical quantity as the sampled IIR
     filter in :func:`sqzsim.pump.apply_modulator_response`.
     """
-    if resp.kind != "first_order" or resp.ringing is not None:
-        raise ValueError("oracle covers the plain first-order response only")
     tau = resp.rise_time_10_90 / math.log(9.0)
     span = 6.0 * fwhm + 30.0 * tau
     n_coarse = int(round(span / dt))
@@ -377,6 +388,12 @@ def _gaussian_peak_oracle(fwhm: float, amplitude_v: float, cal: Calibration,
 
 
 def _run_waveforms(cfg, params, cal, outdir, meta):
+    # dsp.pointwise_variance needs two frames per split; fail before any work
+    if cfg.n_frames < 2 * quantum.N_SPLITS:
+        raise UsageError(
+            f"waveforms needs n_frames >= {2 * quantum.N_SPLITS}, two for each of the "
+            f"{quantum.N_SPLITS} split variances, got {cfg.n_frames}"
+        )
     dt = 1.0 / float(params["sample_rate_hz"])
     amp = float(params["amplitude_v"])
     loss = float(params["loss"])

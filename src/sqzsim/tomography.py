@@ -10,10 +10,8 @@ polishes it.  Standard errors use the package-wide 10-way split.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import signal
@@ -301,9 +299,6 @@ class TomographyResult:
             "projected": self.projected,
         }
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
 
 def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
     """Maximum-likelihood Gaussian state fit from phase-tagged samples.
@@ -380,18 +375,6 @@ class EprResult:
     entangled: bool
     scan_offsets: np.ndarray
     scan_duan: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "duan": self.duan,
-            "duan_stderr": self.duan_stderr,
-            "effective_db": self.effective_db,
-            "t_c": self.t_c,
-            "entangled": self.entangled,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _check_epr_phases(fs: FrameSet, want: float, label: str) -> None:

@@ -15,7 +15,6 @@ from sqzsim.dsp import (
     average_spectrum,
     band_average,
     estimate_pure_squeezing_and_loss,
-    extract_quadrature,
     extract_quadratures,
     fir_lowpass,
     fir_taps,
@@ -437,16 +436,6 @@ def test_extraction_rejects_misaligned_modes():
         extract_quadratures(fs, off_grid, 1.0)
 
 
-def test_extract_quadrature_single():
-    det = DetectorModel(bandwidth=None)
-    ref = simulate_vacuum_reference(det, 120, 50, seed=3)
-    fs = FrameSet(ref.dt, ref.frames, ref.phase_tags, "signal", 3)
-    mode = make_mode("tf_mode", 1e-9, t_c=60e-9, gamma=2.5e8, t_w=30e-9)
-    q_all = extract_quadratures(fs, mode, 1.0)
-    q_one = extract_quadrature(fs.frames[4], mode, 1.0, dt=fs.dt, t0=fs.t0)
-    assert q_one == pytest.approx(q_all[4], rel=1e-12)
-
-
 def _projection_pieces(n_frames: int, dtype=np.float32):
     det = DetectorModel(bandwidth=None)
     ref = simulate_vacuum_reference(det, 160, n_frames, seed=4, dtype=dtype)
@@ -496,9 +485,7 @@ def test_project_single_frame():
     q = project(fs, modes)
     assert q.shape == (1, len(modes))
     for j, mode in enumerate(modes):
-        one = extract_quadrature(fs.frames[0], mode, 1.0, dt=fs.dt, t0=fs.t0)
-        assert one == pytest.approx(q[0, j], rel=1e-12)
-        assert one == pytest.approx(float(_direct(fs, mode)[0]), rel=1e-12)
+        assert q[0, j] == pytest.approx(float(_direct(fs, mode)[0]), rel=1e-12)
 
 
 def test_project_rejects_bad_modes():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzsim.pump import (
     AwgProgram,
@@ -12,7 +14,6 @@ from sqzsim.pump import (
     PowerTrace,
     PulseSlot,
     PulseTrainSpec,
-    RingingSpec,
     apply_modulator_response,
     compile_pulse_train,
     ideal_pump_power,
@@ -84,13 +85,6 @@ def test_calibration_validation():
 
 def test_awg_program_round_trips(tmp_path):
     prog = AwgProgram(1e9, np.array([0.0, 0.1, -0.1, 0.05]), trigger_offset_s=2e-9)
-    p_json = tmp_path / "prog.json"
-    prog.to_json(p_json)
-    back = AwgProgram.from_json(p_json)
-    assert back.sample_rate_hz == prog.sample_rate_hz
-    assert back.trigger_offset_s == prog.trigger_offset_s
-    assert np.array_equal(back.samples_v, prog.samples_v)
-
     p_csv = tmp_path / "prog.csv"
     prog.to_csv(p_csv, meta={"seed": 3})
     text = p_csv.read_text()
@@ -159,9 +153,8 @@ def _step_trace(dt=1e-9, n=400, level=6.5, at=100):
     return PowerTrace(dt=dt, power_mw=p)
 
 
-@pytest.mark.parametrize("kind", ["first_order", "gaussian"])
-def test_modulator_step_rise_time(kind):
-    resp = ModulatorResponse(rise_time_10_90=7e-9, kind=kind)
+def test_modulator_step_rise_time():
+    resp = ModulatorResponse(rise_time_10_90=7e-9)
     out = apply_modulator_response(_step_trace(), resp)
     rise = rise_time_10_90(out)
     assert abs(rise - 7e-9) <= 1e-9
@@ -186,26 +179,33 @@ def test_modulator_holds_constant_input():
     assert np.allclose(out.power_mw, 2.5, rtol=1e-9)
 
 
-def test_ringing_overshoots_within_bound():
-    ringing = RingingSpec(frequency=250e6, relative_amplitude=0.15, decay_time=10e-9)
-    resp = ModulatorResponse(rise_time_10_90=7e-9, ringing=ringing)
-    out = apply_modulator_response(_step_trace(), resp)
-    peak = out.power_mw.max()
-    assert peak > 6.5
-    assert peak <= 6.5 * 1.16
-    assert out.power_mw[-1] == pytest.approx(6.5, rel=1e-3)
-    assert np.all(out.power_mw >= 0.0)
+@st.composite
+def _non_negative_power(draw):
+    """A non-negative power trace and a rise time it resolves (dt <= rise / 4)."""
+    rise = draw(st.floats(1e-9, 50e-9))
+    dt = rise / draw(st.floats(4.0, 64.0))
+    n = draw(st.integers(2, 400))
+    top = Calibration().max_pump_power
+    shape = draw(st.sampled_from(["zeros", "step", "plateaus"]))
+    if shape == "zeros":
+        power = np.zeros(n)
+    elif shape == "step":
+        power = np.zeros(n)
+        power[draw(st.integers(0, n - 1)) :] = top
+    else:
+        levels = np.array(draw(st.lists(st.floats(0.0, top), min_size=1, max_size=8)))
+        power = levels[np.arange(n) * levels.size // n]
+    return PowerTrace(dt=dt, power_mw=power), ModulatorResponse(rise_time_10_90=rise)
 
 
-def test_ringing_amplitude_bound():
-    with pytest.raises(ValueError):
-        RingingSpec(relative_amplitude=0.25)
-
-
-def test_settling_time_covers_ringing_decay():
-    slow_ring = RingingSpec(decay_time=20e-9)
-    resp = ModulatorResponse(rise_time_10_90=7e-9, ringing=slow_ring)
-    assert resp.settling_time == pytest.approx(60e-9)
+@settings(max_examples=200, deadline=None)
+@given(_non_negative_power())
+def test_modulator_response_keeps_power_non_negative(case):
+    # a one-pole filter of non-negative power needs no clamp at zero
+    trace, resp = case
+    out = apply_modulator_response(trace, resp)
+    assert isinstance(out, PowerTrace)
+    assert out.power_mw.min() >= 0.0
 
 
 def test_ideal_pump_power_matches_calibration(cal):

@@ -188,6 +188,31 @@ def test_cli_waveforms_with_too_few_frames_exits_2_naming_the_field(tmp_path, ca
     code = main(["run", "waveforms", "--out", str(tmp_path), "--frames", "15"])
     assert code == 2
     assert "n_frames" in json.loads(capsys.readouterr().err)["error"]["message"]
+    # rejected before any synthesis or file output
+    assert [p.name for p in (tmp_path / "waveforms").iterdir()] == ["error.json"]
+
+
+def test_cli_infeasible_spectrum_pair_is_a_failed_check(tmp_path, capsys):
+    # at 40 frames noise alone puts this run's band pair below the
+    # uncertainty bound; that is a failed check, not a usage error
+    argv = ["run", "spectrum", "--out", str(tmp_path), "--seed", "6", "--frames", "40",
+            "--set", "detector_bandwidth_hz=0"]
+    code = main(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"]["kind"] == "invariant"
+    assert "inversion_feasible" in err["error"]["message"]
+    outdir = tmp_path / "spectrum"
+    man = json.loads((outdir / "manifest.json").read_text())
+    failed = [c for c in man["invariant_checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["inversion_feasible"]
+    assert "infeasible squeezing pair" in failed[0]["detail"]
+    report = json.loads((outdir / "spectrum_report.json").read_text())
+    assert report["estimated_pure_db"] is None
+    assert report["estimated_loss"] is None
+    assert report["low_confidence"] is None
+    for name in ("squeezed_spectrum", "antisqueezed_spectrum", "vacuum_check_spectrum"):
+        assert (outdir / f"{name}.csv").exists()
 
 
 def test_scenario_config_rejects_non_integer_seed(tmp_path):

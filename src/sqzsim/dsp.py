@@ -7,9 +7,11 @@ the package: the data are split into 10 contiguous subsets by
 :func:`sqzsim.quantum.split_slices`, the statistic is evaluated per
 subset, and the error is the subset standard deviation over sqrt(10).
 
-Spectra come from one reducer, :func:`periodogram_split_means`, which
-takes the frames block by block, so a run can stream its frames into
-it instead of holding them.  Temporal-mode quadratures all come from
+Spectra and variance traces each come from one reducer,
+:func:`periodogram_split_means` and :func:`split_moments`, which take
+the frames block by block, so a run can stream its frames into them
+instead of holding them; :func:`fir_filter` filters such a block.
+Temporal-mode quadratures all come from
 :func:`project`, which integrates every frame against any number of
 modes in one matrix product; the one-mode helpers are thin wrappers
 over it.
@@ -17,6 +19,7 @@ over it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
@@ -41,8 +44,12 @@ __all__ = [
     "PureSqueezingEstimate",
     "estimate_pure_squeezing_and_loss",
     "fir_taps",
+    "fir_filter",
     "fir_lowpass",
     "VarianceTrace",
+    "SplitMoments",
+    "split_moments",
+    "variance_ratio",
     "pointwise_variance",
     "TemporalMode",
     "make_mode",
@@ -76,6 +83,29 @@ def periodogram_bounds(n_frames: int) -> list[tuple[int, int]]:
     ]
 
 
+def _blocks_by_split(
+    n_frames: int, blocks: Iterable[np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each block of ``blocks`` with the index of its split.
+
+    The blocks must hold the frames of the ranges of
+    :func:`periodogram_bounds`, in order; a missing, mis-sized or
+    surplus block raises.
+    """
+    bounds = periodogram_bounds(n_frames)
+    slices = split_slices(n_frames)
+    # the split each block lies in
+    split_of = np.searchsorted([sl.stop for sl in slices], [lo for lo, _ in bounds], side="right")
+    blocks = iter(blocks)
+    for (lo, hi), s_idx in zip(bounds, split_of):
+        block = next(blocks, None)
+        if block is None or block.shape[0] != hi - lo:
+            raise ValueError(f"expected a block of frames [{lo}, {hi})")
+        yield int(s_idx), block
+    if next(blocks, None) is not None:
+        raise ValueError(f"more blocks than the {len(bounds)} of periodogram_bounds({n_frames})")
+
+
 def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Mean |rfft|^2 per 10-way split, reduced block by block in float64.
 
@@ -85,25 +115,15 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
     stack; only one block is held at a time.  Rectangular window; no
     per-bin normalization (it cancels in the signal-to-vacuum ratio).
     """
-    bounds = periodogram_bounds(n_frames)
-    slices = split_slices(n_frames)
-    counts = np.array([sl.stop - sl.start for sl in slices], dtype=float)
-    # the split each block lies in
-    split_of = np.searchsorted([sl.stop for sl in slices], [lo for lo, _ in bounds], side="right")
+    counts = np.array([sl.stop - sl.start for sl in split_slices(n_frames)], dtype=float)
     sums = None
-    blocks = iter(blocks)
-    for (lo, hi), s_idx in zip(bounds, split_of):
-        block = next(blocks, None)
-        if block is None or block.shape[0] != hi - lo:
-            raise ValueError(f"expected a block of frames [{lo}, {hi})")
+    for s_idx, block in _blocks_by_split(n_frames, blocks):
         spec = scipy.fft.rfft(block, axis=1)
         p = np.square(spec.real, dtype=np.float64)
         p += np.square(spec.imag, dtype=np.float64)
         if sums is None:
             sums = np.zeros((N_SPLITS, p.shape[1]))
         sums[s_idx] += p.sum(axis=0)
-    if next(blocks, None) is not None:
-        raise ValueError(f"more blocks than the {len(bounds)} of periodogram_bounds({n_frames})")
     return sums / counts[:, None]
 
 
@@ -292,26 +312,40 @@ def fir_taps(dt: float, taps: int = 255, cutoff: float = 100e6) -> np.ndarray:
     return signal.firwin(taps, cutoff, fs=1.0 / dt)
 
 
+def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Every row of ``frames`` convolved with the odd-length taps ``h``.
+
+    The float64 result has the shape of ``frames``, with the group delay
+    of (len(h) - 1)/2 samples compensated.  These are the FFT calls of
+    ``fftconvolve(mode="same", axes=1)``, without its float64 copy and
+    zero-padded copy of the frames.  A row's bytes do not depend on the
+    other rows, so the blocks of a stream filter to the rows of the
+    whole stack.
+    """
+    n = frames.shape[1]
+    size = scipy.fft.next_fast_len(n + h.size - 1, True)
+    padded = np.zeros((frames.shape[0], size))
+    padded[:, :n] = frames
+    spectrum = scipy.fft.rfft(padded, axis=1)
+    del padded
+    spectrum *= scipy.fft.rfft(h, size)
+    start = (h.size - 1) // 2
+    return scipy.fft.irfft(spectrum, size, axis=1)[:, start : start + n]
+
+
 def fir_lowpass(fs: FrameSet, taps: int = 255, cutoff: float = 100e6) -> FrameSet:
     """Filter every frame with a linear-phase FIR low-pass.
 
     The group delay of (taps - 1)/2 samples is compensated, so filtered
     features stay aligned with the unfiltered time axis.  The first and
-    last (taps - 1)/2 samples carry zero-padding edge transients.
+    last (taps - 1)/2 samples carry zero-padding edge transients.  The
+    frames go through :func:`fir_filter` in blocks of 256.
     """
     h = fir_taps(fs.dt, taps=taps, cutoff=cutoff)
-    # the FFT calls of fftconvolve(mode="same", axes=1), without its
-    # float64 copy and zero-padded copy of the frames
-    n = fs.n_samples
-    size = scipy.fft.next_fast_len(n + taps - 1, True)
-    padded = np.zeros((fs.n_frames, size))
-    padded[:, :n] = fs.frames
-    spectrum = scipy.fft.rfft(padded, axis=1)
-    del padded
-    spectrum *= scipy.fft.rfft(h, size)
-    full = scipy.fft.irfft(spectrum, size, axis=1)
-    start = (taps - 1) // 2
-    return replace(fs, frames=full[:, start : start + n].copy())
+    out = np.empty(fs.frames.shape)
+    for lo in range(0, fs.n_frames, _FFT_CHUNK):
+        out[lo : lo + _FFT_CHUNK] = fir_filter(fs.frames[lo : lo + _FFT_CHUNK], h)
+    return replace(fs, frames=out)
 
 
 @dataclass(frozen=True)
@@ -334,34 +368,97 @@ class VarianceTrace:
         write_csv(path, meta, list(columns), zip(*columns.values()))
 
 
+def _chan_merge(a: tuple, b: tuple) -> tuple:
+    """(count, mean, M2) of the union of two disjoint sets of frames.
+
+    The pairwise update of Chan, Golub & LeVeque, Am. Stat. 37(3), 1983.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + np.square(delta) * (n_a * n_b / n)
+
+
+@dataclass(frozen=True)
+class SplitMoments:
+    """Frame count, mean and summed squared deviation per split and sample.
+
+    ``count`` has one entry per 10-way split; ``mean`` and ``m2`` have one
+    row per split and one column per time sample.
+    """
+
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+
+    def split_variances(self) -> np.ndarray:
+        """Variance across frames (ddof=1) of each split at each sample."""
+        return self.m2 / (self.count[:, None] - 1.0)
+
+    def variance(self) -> np.ndarray:
+        """Variance across all frames (ddof=1) at each sample, the splits merged."""
+        n, _, m2 = functools.reduce(_chan_merge, zip(self.count, self.mean, self.m2))
+        return m2 / (n - 1.0)
+
+
+def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
+    """Per-split moments of every time sample over frames, in float64.
+
+    ``blocks`` yields the frames of each range of
+    :func:`periodogram_bounds` in order, as for
+    :func:`periodogram_split_means`; only one block is held at a time.
+    Each block's mean and M2 are taken in two passes and merged into its
+    split with the Chan update.  Every split needs two frames for its
+    variance, so ``n_frames`` must be at least 20.
+    """
+    if n_frames < 2 * N_SPLITS:
+        raise ValueError(
+            f"need n_frames >= {2 * N_SPLITS}, two frames for each of the "
+            f"{N_SPLITS} split variances, got {n_frames}"
+        )
+    splits: list = [None] * N_SPLITS
+    for s_idx, block in _blocks_by_split(n_frames, blocks):
+        x = np.asarray(block, dtype=float)
+        mean = x.mean(axis=0)
+        d = x - mean
+        part = (float(x.shape[0]), mean, np.square(d, out=d).sum(axis=0))
+        splits[s_idx] = part if splits[s_idx] is None else _chan_merge(splits[s_idx], part)
+    count, mean, m2 = zip(*splits)
+    return SplitMoments(count=np.array(count), mean=np.stack(mean), m2=np.stack(m2))
+
+
+def variance_ratio(sig: SplitMoments, vac: SplitMoments, times: np.ndarray) -> VarianceTrace:
+    """Variance trace in shot-noise units from two sets of split moments.
+
+    ``sig`` and ``vac`` come from :func:`split_moments` of a signal run
+    and of its vacuum reference.  The unit is the time-averaged
+    pointwise variance of the reference, so the trace of a vacuum set is
+    flat at 1; the error is the scatter of the split variances.
+    """
+    shot = float(np.mean(vac.variance()))
+    if shot <= 0.0:
+        raise ValueError("vacuum reference has zero variance")
+    stderr = (sig.split_variances() / shot).std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
+    return VarianceTrace(times=times, variance=sig.variance() / shot, stderr=stderr)
+
+
 def pointwise_variance(fs: FrameSet, ref: FrameSet) -> VarianceTrace:
     """Variance across frames at each time, normalized to shot noise.
 
-    The normalization is the time-averaged pointwise variance of the
-    vacuum reference, so the trace of a vacuum set is flat at 1.  The
-    signal set needs at least two frames in each error-estimate split.
+    The frame-stack case of :func:`split_moments` and
+    :func:`variance_ratio`.  The normalization is the time-averaged
+    pointwise variance of the vacuum reference, so the trace of a vacuum
+    set is flat at 1.  Both sets need at least two frames in each
+    error-estimate split.
     """
     if ref.kind != VACUUM_REFERENCE:
         raise ValueError("reference frame set must have kind 'vacuum_reference'")
     if abs(fs.dt - ref.dt) > 1e-12 * ref.dt:
         raise ValueError("signal and reference sample intervals differ")
-    if fs.n_frames < 2 * N_SPLITS:
-        raise ValueError(
-            f"need n_frames >= {2 * N_SPLITS} signal frames, two for each of the "
-            f"{N_SPLITS} split variances, got {fs.n_frames}"
-        )
-    if ref.n_frames < 2:
-        raise ValueError("need >= 2 reference frames")
-    shot = float(np.mean(np.var(np.asarray(ref.frames, dtype=float), axis=0, ddof=1)))
-    if shot <= 0.0:
-        raise ValueError("vacuum reference has zero variance")
-    frames = np.asarray(fs.frames, dtype=float)
-    var = np.var(frames, axis=0, ddof=1) / shot
-    per_split = np.stack(
-        [np.var(frames[sl], axis=0, ddof=1) / shot for sl in split_slices(fs.n_frames)]
-    )
-    stderr = per_split.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
-    return VarianceTrace(times=fs.times, variance=var, stderr=stderr)
+    sig = split_moments(fs.n_frames, _stack_blocks(fs))
+    vac = split_moments(ref.n_frames, _stack_blocks(ref))
+    return variance_ratio(sig, vac, fs.times)
 
 
 @dataclass(frozen=True)

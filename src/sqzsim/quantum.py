@@ -35,11 +35,15 @@ PD_TOLERANCE = 1e-9
 # this many contiguous subsets of the data, cut by split_slices.
 N_SPLITS = 10
 
+# Fewest samples :func:`duan_value` accepts.
+DUAN_MIN_SAMPLES = 100
+
 __all__ = [
     "HBAR",
     "VACUUM_VARIANCE",
     "PD_TOLERANCE",
     "N_SPLITS",
+    "DUAN_MIN_SAMPLES",
     "split_slices",
     "SqueezeParams",
     "GaussianState",
@@ -314,7 +318,7 @@ def duan_value(x1, p1, x2, p2, n_splits: int = N_SPLITS) -> DuanResult:
     if any(a.shape != arrs[0].shape for a in arrs):
         raise ValueError("x1, p1, x2, p2 must have equal sample counts")
     n = arrs[0].shape[0]
-    n_min = max(100, 2 * n_splits)
+    n_min = max(DUAN_MIN_SAMPLES, 2 * n_splits)
     if n < n_min:
         raise ValueError(f"need at least {n_min} samples, got {n}")
     x1, p1, x2, p2 = arrs

@@ -19,7 +19,7 @@ import json
 import math
 import platform
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ from sqzsim import dsp, opa, pump, quantum, tomography
 from sqzsim._csvfile import write_csv
 from sqzsim.homodyne import (
     DetectorModel,
-    FrameSet,
     LoEntry,
     LoSchedule,
     iter_frame_chunks,
@@ -233,13 +232,12 @@ def _write_pump_csv(path: Path, prog: AwgProgram, ideal: pump.PowerTrace,
     write_csv(path, meta, columns, zip(prog.times, prog.samples_v, ideal.power_mw, shaped.power_mw))
 
 
-def _trim_edges(fs: FrameSet, n_edge: int) -> FrameSet:
-    """Drop filter warm-up samples at both frame ends."""
-    if n_edge < 1:
-        return fs
-    if fs.n_samples <= 2 * n_edge:
-        raise ValueError("frames too short to trim the filter edges")
-    return replace(fs, frames=fs.frames[:, n_edge:-n_edge], t0=fs.t0 + n_edge * fs.dt)
+def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str) -> None:
+    """Reject a frame count below the scenario's minimum before any work."""
+    if cfg.n_frames < minimum:
+        raise UsageError(
+            f"{cfg.scenario} needs n_frames >= {minimum}, {reason}, got {cfg.n_frames}"
+        )
 
 
 def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, loss: float):
@@ -256,6 +254,9 @@ def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, los
 
 
 def _run_spectrum(cfg, params, cal, outdir, meta):
+    _require_frames(
+        cfg, quantum.N_SPLITS, f"one for each of the {quantum.N_SPLITS} error-estimate splits"
+    )
     dt = 1.0 / float(params["sample_rate_hz"])
     n_samples = int(params["n_samples"])
     loss = float(params["loss"])
@@ -388,12 +389,9 @@ def _gaussian_peak_oracle(fwhm: float, amplitude_v: float, cal: Calibration,
 
 
 def _run_waveforms(cfg, params, cal, outdir, meta):
-    # dsp.pointwise_variance needs two frames per split; fail before any work
-    if cfg.n_frames < 2 * quantum.N_SPLITS:
-        raise UsageError(
-            f"waveforms needs n_frames >= {2 * quantum.N_SPLITS}, two for each of the "
-            f"{quantum.N_SPLITS} split variances, got {cfg.n_frames}"
-        )
+    _require_frames(
+        cfg, 2 * quantum.N_SPLITS, f"two for each of the {quantum.N_SPLITS} split variances"
+    )
     dt = 1.0 / float(params["sample_rate_hz"])
     amp = float(params["amplitude_v"])
     loss = float(params["loss"])
@@ -405,6 +403,16 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
     lead = 100e-9
     tail = 200e-9
     n_total = int(round((lead + duration + tail) / dt))
+    # the FIR edges are trimmed from every frame, so the taps must fit in one
+    if taps < 3 or taps % 2 == 0 or taps - 1 >= n_total:
+        raise UsageError(
+            f"fir_taps must be an odd integer >= 3 with fir_taps - 1 below the "
+            f"{n_total}-sample frame, got {taps}"
+        )
+    if not 0.0 < cutoff < 0.5 / dt:
+        raise UsageError(
+            f"fir_cutoff_hz must lie inside (0, {0.5 / dt:g}) Hz, below Nyquist, got {cutoff:g}"
+        )
     t = np.arange(n_total) * dt
     rel = t - lead
     active = (rel >= 0.0) & (rel < duration)
@@ -440,8 +448,19 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
     programs["step"] = st
 
     seeds = _child_seeds(cfg.seed, len(programs) + 1)
-    ref = simulate_vacuum_reference(det, n_total, cfg.n_frames, seeds[-1], dtype=np.float32)
-    ref_f = _trim_edges(dsp.fir_lowpass(ref, taps=taps, cutoff=cutoff), (taps - 1) // 2)
+    h = dsp.fir_taps(dt, taps=taps, cutoff=cutoff)
+    edge = (taps - 1) // 2
+    bounds = dsp.periodogram_bounds(cfg.n_frames)
+
+    def filtered_moments(tr, seed):
+        # each frame block is filtered, trimmed of its FIR edges, reduced
+        # and dropped; no frame set is held whole
+        blocks = iter_frame_chunks(tr, det, 0.0, cfg.n_frames, seed, np.float32, bounds)
+        trimmed = (dsp.fir_filter(block, h)[:, edge:-edge] for block in blocks)
+        return dsp.split_moments(cfg.n_frames, trimmed)
+
+    vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
+    vac = filtered_moments(vac_traj, seeds[-1])
 
     outputs = {}
     report: dict = {"programs": list(programs)}
@@ -470,15 +489,12 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
             )
             continue
 
-        fs = simulate_frames(traj, det, 0.0, cfg.n_frames, seeds[k], dtype=np.float32)
-        fs_f = _trim_edges(dsp.fir_lowpass(fs, taps=taps, cutoff=cutoff), (taps - 1) // 2)
-        vt = dsp.pointwise_variance(fs_f, ref_f)
-        offset = int(round((fs_f.t0 - traj.t0) / dt))
+        sig = filtered_moments(traj, seeds[k])
+        n_kept = sig.mean.shape[1]
+        times = (traj.t0 + edge * det.dt) + np.arange(n_kept) * det.dt
+        vt = dsp.variance_ratio(sig, vac, times)
         expected = quantum.variance_at_phase(
-            traj.r[offset : offset + fs_f.n_samples],
-            traj.theta[offset : offset + fs_f.n_samples],
-            loss,
-            0.0,
+            traj.r[edge : edge + n_kept], traj.theta[edge : edge + n_kept], loss, 0.0
         )
         vname = f"{name}_variance.csv"
         vt.to_csv(outdir / vname, extra={"quasi_static_variance": expected}, meta=meta)
@@ -665,6 +681,7 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
 
 
 def _run_epr(cfg, params, cal, outdir, meta):
+    _require_frames(cfg, quantum.DUAN_MIN_SAMPLES, "the sample minimum of the Duan statistic")
     dt = 1.0 / float(params["sample_rate_hz"])
     amp = float(params["amplitude_v"])
     loss = float(params["loss"])

@@ -34,6 +34,7 @@ from sqzsim.homodyne import (
     simulate_vacuum_reference,
 )
 from sqzsim.opa import constant_trajectory
+from sqzsim.quantum import split_slices
 
 S_DB = -2.0708616181713997
 A_DB = 2.3244519950594054
@@ -316,6 +317,96 @@ def test_variance_trace_csv_includes_extra_columns(tmp_path):
     header = lines[1].split(",")
     assert header == ["time_s", "variance", "stderr", "target"]
     assert len(lines) == 2 + 64
+
+
+# Declared tolerance of the streamed variance reduction: the Chan merge of
+# block moments reorders the sums of the two-pass np.var
+VARIANCE_RTOL = 1e-12
+
+# 37 and 999 frames are not multiples of 10; 4800 frames put two
+# 256-frame blocks into every split, so blocks merge inside a split
+STREAM_FRAME_COUNTS = [20, 37, 999, 4800]
+
+
+@pytest.mark.parametrize("n_samples", [64, 65])
+@pytest.mark.parametrize("n_frames", STREAM_FRAME_COUNTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fir_filter_blocks_equal_fir_lowpass_rows(dtype, n_frames, n_samples):
+    frames = np.random.default_rng(n_frames).standard_normal((n_frames, n_samples)).astype(dtype)
+    fs = FrameSet(1e-9, frames, np.zeros(n_frames), "signal", 0)
+    h = fir_taps(fs.dt, taps=31, cutoff=100e6)
+    whole = fir_lowpass(fs, taps=31, cutoff=100e6).frames
+    # the whole stack in one fftconvolve call gives the same bytes
+    want = signal.fftconvolve(np.asarray(frames, float), h[None, :], mode="same", axes=1)
+    assert whole.tobytes() == want.tobytes()
+    for lo, hi in dsp.periodogram_bounds(n_frames):
+        block = dsp.fir_filter(frames[lo:hi], h)
+        assert block.dtype == whole.dtype
+        assert block.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+def _two_pass(frames, ref_frames):
+    """Reference: the per-sample variances by np.var over whole stacks."""
+    frames = np.asarray(frames, dtype=float)
+    shot = float(np.mean(np.var(np.asarray(ref_frames, dtype=float), axis=0, ddof=1)))
+    per_split = np.stack([np.var(frames[sl], axis=0, ddof=1) for sl in split_slices(len(frames))])
+    return np.var(frames, axis=0, ddof=1), per_split, shot
+
+
+@pytest.mark.parametrize("n_frames", STREAM_FRAME_COUNTS)
+def test_streamed_split_moments_match_two_pass_variance(n_frames):
+    det = DetectorModel()
+    traj = constant_trajectory(0.4, 0.3, 0.1, dt=det.dt, n_samples=48)
+    vac_traj = constant_trajectory(0.0, 0.0, 0.0, dt=det.dt, n_samples=48)
+    bounds = dsp.periodogram_bounds(n_frames)
+    sig = dsp.split_moments(
+        n_frames, iter_frame_chunks(traj, det, 0.2, n_frames, 5, np.float32, bounds)
+    )
+    vac = dsp.split_moments(
+        n_frames, iter_frame_chunks(vac_traj, det, 0.0, n_frames, 6, np.float32, bounds)
+    )
+    fs = simulate_frames(traj, det, 0.2, n_frames, seed=5, dtype=np.float32)
+    ref = simulate_vacuum_reference(det, 48, n_frames, seed=6, dtype=np.float32)
+    var, per_split, shot = _two_pass(fs.frames, ref.frames)
+
+    assert sig.count.tolist() == [sl.stop - sl.start for sl in split_slices(n_frames)]
+    np.testing.assert_allclose(sig.variance(), var, rtol=VARIANCE_RTOL, atol=0.0)
+    np.testing.assert_allclose(sig.split_variances(), per_split, rtol=VARIANCE_RTOL, atol=0.0)
+    assert float(np.mean(vac.variance())) == pytest.approx(shot, rel=VARIANCE_RTOL, abs=0.0)
+
+    trace = dsp.variance_ratio(sig, vac, fs.times)
+    stderr = (per_split / shot).std(axis=0, ddof=1) / math.sqrt(10)
+    np.testing.assert_allclose(trace.variance, var / shot, rtol=VARIANCE_RTOL, atol=0.0)
+    np.testing.assert_allclose(trace.stderr, stderr, rtol=VARIANCE_RTOL, atol=0.0)
+    stack = pointwise_variance(fs, ref)
+    for name in ("times", "variance", "stderr"):
+        assert getattr(stack, name).tobytes() == getattr(trace, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n_frames", [20, 999, 4800])
+def test_split_moments_hold_the_tolerance_off_zero_mean(n_frames):
+    # a large common offset is where a one-pass sum of squares would fail
+    rng = np.random.default_rng(n_frames)
+    frames = 1e3 + rng.standard_normal((n_frames, 16)) * np.linspace(0.5, 2.0, 16)
+    blocks = (frames[lo:hi] for lo, hi in dsp.periodogram_bounds(n_frames))
+    got = dsp.split_moments(n_frames, blocks)
+    var, per_split, _ = _two_pass(frames, frames)
+    np.testing.assert_allclose(got.variance(), var, rtol=VARIANCE_RTOL, atol=0.0)
+    np.testing.assert_allclose(got.split_variances(), per_split, rtol=VARIANCE_RTOL, atol=0.0)
+
+
+def test_split_moments_validation():
+    frames = np.zeros((24, 8))
+    blocks = [frames[lo:hi] for lo, hi in dsp.periodogram_bounds(24)]
+    with pytest.raises(ValueError, match="n_frames >= 20"):
+        dsp.split_moments(19, (frames[lo:hi] for lo, hi in dsp.periodogram_bounds(19)))
+    with pytest.raises(ValueError, match="block of frames"):
+        dsp.split_moments(24, blocks[:-1])
+    with pytest.raises(ValueError, match="block of frames"):
+        dsp.split_moments(24, blocks[:3] + [frames[:5]] + blocks[4:])
+    with pytest.raises(ValueError, match="more blocks"):
+        dsp.split_moments(24, blocks + blocks[:1])
+    assert dsp.split_moments(24, blocks).count.sum() == 24
 
 
 def test_mode_normalization_all_families():

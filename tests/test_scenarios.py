@@ -192,6 +192,38 @@ def test_cli_waveforms_with_too_few_frames_exits_2_naming_the_field(tmp_path, ca
     assert [p.name for p in (tmp_path / "waveforms").iterdir()] == ["error.json"]
 
 
+def _assert_preflight_usage_error(tmp_path, capsys, argv, field):
+    """The run exits 2 naming ``field`` and leaves only error.json behind."""
+    code = main(["run", *argv, "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "usage" and field in err["message"]
+    assert [p.name for p in (tmp_path / argv[0]).iterdir()] == ["error.json"]
+
+
+@pytest.mark.parametrize(
+    "setting",
+    # even, below 3, and fir_taps - 1 not below the 1300-sample frame
+    ["fir_taps=254", "fir_taps=1", "fir_taps=1301"],
+)
+def test_cli_waveforms_rejects_bad_fir_taps_before_synthesis(tmp_path, capsys, setting):
+    argv = ["waveforms", "--frames", "25", "--set", setting]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, "fir_taps")
+
+
+def test_cli_waveforms_rejects_cutoff_at_nyquist_before_synthesis(tmp_path, capsys):
+    argv = ["waveforms", "--frames", "25", "--set", "fir_cutoff_hz=5e8"]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, "fir_cutoff_hz")
+
+
+def test_cli_epr_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
+    _assert_preflight_usage_error(tmp_path, capsys, ["epr", "--frames", "50"], "n_frames")
+
+
+def test_cli_spectrum_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
+    _assert_preflight_usage_error(tmp_path, capsys, ["spectrum", "--frames", "5"], "n_frames")
+
+
 def test_cli_infeasible_spectrum_pair_is_a_failed_check(tmp_path, capsys):
     # at 40 frames noise alone puts this run's band pair below the
     # uncertainty bound; that is a failed check, not a usage error

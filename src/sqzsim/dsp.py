@@ -11,10 +11,11 @@ Spectra and variance traces each come from one reducer,
 :func:`periodogram_split_means` and :func:`split_moments`, which take
 the frames block by block, so a run can stream its frames into them
 instead of holding them; :func:`fir_filter` filters such a block.
-Temporal-mode quadratures all come from
-:func:`project`, which integrates every frame against any number of
-modes in one matrix product; the one-mode helpers are thin wrappers
-over it.
+Temporal-mode quadratures of frame stacks come from :func:`project`,
+which integrates every frame against any number of modes in one matrix
+product; the one-mode helpers are thin wrappers over it.  A gate scan
+over frame blocks goes through :class:`ModeScan`, which slides mode
+combinations over sample lags with one FFT correlation per block.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from sqzsim.quantum import N_SPLITS, split_slices
 __all__ = [
     "SpectrumEstimate",
     "periodogram_bounds",
+    "stack_blocks",
     "periodogram_split_means",
     "spectrum_ratio",
     "average_spectrum",
@@ -57,6 +59,7 @@ __all__ = [
     "ModeSpectrum",
     "mode_spectrum",
     "project",
+    "ModeScan",
     "vacuum_quadrature_scales",
     "vacuum_quadrature_scale",
     "extract_quadratures",
@@ -64,7 +67,7 @@ __all__ = [
 
 _FFT_CHUNK = 256
 
-# float64 elements per frame chunk in project(), the simulator's chunk size
+# float64 elements per frame chunk in project()
 _PROJECT_CHUNK = 4_194_304
 
 
@@ -156,13 +159,14 @@ def average_spectrum(fs: FrameSet, ref: FrameSet) -> SpectrumEstimate:
         raise ValueError("signal and reference frame lengths differ")
     if fs.n_frames < N_SPLITS or ref.n_frames < N_SPLITS:
         raise ValueError(f"need at least {N_SPLITS} frames in both sets for error estimation")
-    sig = periodogram_split_means(fs.n_frames, _stack_blocks(fs))
-    vac = periodogram_split_means(ref.n_frames, _stack_blocks(ref))
+    sig = periodogram_split_means(fs.n_frames, stack_blocks(fs.frames))
+    vac = periodogram_split_means(ref.n_frames, stack_blocks(ref.frames))
     return spectrum_ratio(sig, vac, fs.n_samples, fs.dt)
 
 
-def _stack_blocks(fs: FrameSet) -> Iterator[np.ndarray]:
-    return (fs.frames[lo:hi] for lo, hi in periodogram_bounds(fs.n_frames))
+def stack_blocks(frames: np.ndarray) -> Iterator[np.ndarray]:
+    """Slices of a whole stack at :func:`periodogram_bounds`, the blocks the reducers take."""
+    return (frames[lo:hi] for lo, hi in periodogram_bounds(len(frames)))
 
 
 def spectrum_ratio(sig: np.ndarray, vac: np.ndarray, n_samples: int, dt: float) -> SpectrumEstimate:
@@ -456,8 +460,8 @@ def pointwise_variance(fs: FrameSet, ref: FrameSet) -> VarianceTrace:
         raise ValueError("reference frame set must have kind 'vacuum_reference'")
     if abs(fs.dt - ref.dt) > 1e-12 * ref.dt:
         raise ValueError("signal and reference sample intervals differ")
-    sig = split_moments(fs.n_frames, _stack_blocks(fs))
-    vac = split_moments(ref.n_frames, _stack_blocks(ref))
+    sig = split_moments(fs.n_frames, stack_blocks(fs.frames))
+    vac = split_moments(ref.n_frames, stack_blocks(ref.frames))
     return variance_ratio(sig, vac, fs.times)
 
 
@@ -710,17 +714,18 @@ def mode_spectrum(mode: TemporalMode, n_fft: int | None = None) -> ModeSpectrum:
     return ModeSpectrum(freqs=freqs, power=power, center_freq=center, hwhm=float(hwhm))
 
 
-def _mode_indices(fs: FrameSet, mode: TemporalMode) -> slice:
-    offset = (mode.t0 - fs.t0) / fs.dt
+def _mode_indices(t0: float, dt: float, n_samples: int, mode: TemporalMode) -> slice:
+    """Record samples under ``mode`` on a grid of ``n_samples`` from ``t0``."""
+    offset = (mode.t0 - t0) / dt
     idx0 = round(offset)
     if abs(offset - idx0) > 1e-6:
         raise ValueError(
             "mode samples fall between record samples: align the mode center "
             "with the record grid"
         )
-    if abs(mode.dt - fs.dt) > 1e-12 * fs.dt:
+    if abs(mode.dt - dt) > 1e-12 * dt:
         raise ValueError("mode and record sample intervals differ")
-    if idx0 < 0 or idx0 + mode.n_samples > fs.n_samples:
+    if idx0 < 0 or idx0 + mode.n_samples > n_samples:
         raise ValueError(
             f"mode support [{mode.t0:.3g}, {mode.t0 + mode.n_samples * mode.dt:.3g}] s "
             "is not fully inside the record window"
@@ -737,7 +742,7 @@ def project(fs: FrameSet, modes: Sequence[TemporalMode]) -> np.ndarray:
     near 4 Mi elements.  Results are in raw record units; divide by a
     :func:`vacuum_quadrature_scales` entry for shot-noise units.
     """
-    slices = [_mode_indices(fs, mode) for mode in modes]
+    slices = [_mode_indices(fs.t0, fs.dt, fs.n_samples, mode) for mode in modes]
     if not slices:
         raise ValueError("need at least one mode to project onto")
     lo = min(sl.start for sl in slices)
@@ -751,6 +756,62 @@ def project(fs: FrameSet, modes: Sequence[TemporalMode]) -> np.ndarray:
         block = np.asarray(fs.frames[r : r + rows, lo:hi], dtype=float)
         np.matmul(block, weights, out=out[r : r + rows])
     return out
+
+
+class ModeScan:
+    """Mode integrals of frame blocks with the modes slid over sample lags.
+
+    Kernel k is ``sum_i coeffs[k][i] * modes[i]``.  Column
+    ``k * len(lags) + j`` of a block's result holds each frame's
+    integral against kernel k shifted by ``lags[j]`` samples: the
+    :func:`project` columns of the shifted modes, combined with the same
+    coefficients.  The records start at ``t0`` and hold ``n_samples``
+    samples at interval ``dt``; every shifted mode must lie inside them.
+    With one lag a block's integrals are direct dot products.  With more,
+    the kernel spectra are built once, and a block costs one rfft of the
+    window the shifted kernels cover, one product and one irfft per
+    kernel: a cross-correlation in float64.  Neither route calls BLAS.
+    """
+
+    def __init__(self, modes: Sequence[TemporalMode], coeffs, lags, t0: float, dt: float,
+                 n_samples: int) -> None:
+        lags = np.asarray(lags, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if lags.ndim != 1 or lags.size == 0:
+            raise ValueError("lags must be a non-empty 1-D sequence of sample offsets")
+        if coeffs.ndim != 2 or coeffs.shape[1] != len(modes):
+            raise ValueError("coeffs needs one row per kernel and one column per mode")
+        lo_lag, hi_lag = int(lags.min()), int(lags.max())
+        # the modes at both ends of the scan must lie inside the record
+        first = [_mode_indices(t0, dt, n_samples, m.shifted(lo_lag * dt)) for m in modes]
+        for m in modes:
+            _mode_indices(t0, dt, n_samples, m.shifted(hi_lag * dt))
+        start = min(sl.start for sl in first)
+        kernels = np.zeros((coeffs.shape[0], max(sl.stop for sl in first) - start))
+        for mode, sl, c in zip(modes, first, coeffs.T):
+            kernels[:, sl.start - start : sl.stop - start] += np.outer(c, mode.weights * mode.dt)
+        self.kernels = kernels
+        self.window = slice(start, start + kernels.shape[1] + hi_lag - lo_lag)
+        self.size = scipy.fft.next_fast_len(self.window.stop - start, True)
+        self.spectra = np.conj(scipy.fft.rfft(kernels, self.size, axis=1))
+        self.lags = lags - lo_lag
+        self.n_samples = n_samples
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        """The (frames, kernels * lags) integrals of one block of frames."""
+        if block.ndim != 2 or block.shape[1] != self.n_samples:
+            raise ValueError(f"expected a block of {self.n_samples}-sample frames")
+        window = block[:, self.window]
+        if self.lags.size == 1:
+            # c_einsum, not the BLAS matmul
+            return np.einsum("ij,kj->ik", window, self.kernels, dtype=float)
+        padded = np.zeros((block.shape[0], self.size))
+        padded[:, : window.shape[1]] = window
+        spectrum = scipy.fft.rfft(padded, axis=1)
+        out = np.empty((block.shape[0], self.spectra.shape[0], self.lags.size))
+        for k, kernel_spectrum in enumerate(self.spectra):
+            out[:, k] = scipy.fft.irfft(spectrum * kernel_spectrum, self.size, axis=1)[:, self.lags]
+        return out.reshape(block.shape[0], -1)
 
 
 def vacuum_quadrature_scales(ref: FrameSet, modes: Sequence[TemporalMode]) -> np.ndarray:

@@ -323,11 +323,12 @@ class _Synthesis:
         self.n_burn = self.n_total - self.n_samples
         self.seed = seed
         self.gain = det.gain
+        self.work = np.empty((2, 0, self.n_total))
 
     def default_bounds(self) -> list[tuple[int, int]]:
-        """Consecutive blocks of about 4 Mi samples, filter burn-in included."""
+        """Consecutive blocks of about 256 Ki samples, filter burn-in included."""
         n = self.phases.size
-        chunk = max(1, min(n, 4_194_304 // self.n_total))
+        chunk = max(1, min(n, 262_144 // self.n_total))
         return [(k, min(k + chunk, n)) for k in range(0, n, chunk)]
 
     def _substreams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
@@ -353,10 +354,13 @@ class _Synthesis:
             for a, b in zip(edges[:-1], edges[1:]):
                 out[a:b] *= self.std[phases[a]]
         else:
-            # float64 working rows: lfilter computes in float64 anyway
+            # float64 working rows, kept across blocks: lfilter computes in
+            # float64 anyway, and rows freed after every block would have
+            # their pages returned to the OS and faulted in again by the next
             b_lp, a_lp, b_hp, a_hp = self.filters
-            raw = np.empty((stop - start, self.n_total))
-            comp = np.empty((stop - start, self.n_total))
+            if self.work.shape[1] < stop - start:
+                self.work = np.empty((2, stop - start, self.n_total))
+            raw, comp = self.work[:, : stop - start]
             z = np.empty((2, self.n_total), dtype=self.dtype)
             for j, gen in enumerate(self._substreams(start, stop)):
                 gen.standard_normal(dtype=self.dtype, out=z)

@@ -35,7 +35,7 @@ PD_TOLERANCE = 1e-9
 # this many contiguous subsets of the data, cut by split_slices.
 N_SPLITS = 10
 
-# Fewest samples :func:`duan_value` accepts.
+# Fewest samples the Duan statistic accepts.
 DUAN_MIN_SAMPLES = 100
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "squeezed_state",
     "vacuum_state",
     "DuanResult",
+    "duan_from_moments",
     "duan_value",
     "duan_from_covariance",
     "effective_squeezing_db",
@@ -291,8 +292,8 @@ def apply_loss(state: GaussianState | TwoModeGaussianState, loss: float):
 class DuanResult:
     """Duan inseparability value with its standard error.
 
-    Fields are floats for one pair of modes and arrays, one entry per
-    column, when :func:`duan_value` is given column stacks.
+    Fields are arrays, one entry per column of mode pairs, except from
+    :func:`duan_value` of sample vectors, which gives floats.
     """
 
     value: float | np.ndarray
@@ -300,40 +301,51 @@ class DuanResult:
     entangled: bool | np.ndarray
 
 
-def duan_value(x1, p1, x2, p2, n_splits: int = N_SPLITS) -> DuanResult:
-    """Duan criterion Var(x1 - x2) + Var(p1 + p2) from quadrature samples.
+def duan_from_moments(x, p) -> DuanResult:
+    """Duan criterion Var(x1 - x2) + Var(p1 + p2) from split moments.
 
-    In hbar = 2 units two independent vacua give 4, and any value below
-    4 witnesses entanglement of the two modes.  The standard error
-    comes from evaluating the statistic on the ``n_splits`` sample
-    subsets of :func:`split_slices` (std of the subset values over
-    sqrt(n_splits)).
+    ``x`` holds the :class:`sqzsim.dsp.SplitMoments` of ``x1 - x2`` and
+    ``p`` those of ``p1 + p2``, one column per pair of modes, over at
+    least :data:`DUAN_MIN_SAMPLES` samples each.  In hbar = 2 units two
+    independent vacua give 4, and any value below 4 witnesses
+    entanglement of the two modes.  The value adds the whole-run
+    variances; the standard error is the scatter of the summed split
+    variances over sqrt(N_SPLITS).
+    """
+    n = int(x.count.sum())
+    if n < DUAN_MIN_SAMPLES:
+        raise ValueError(f"need at least {DUAN_MIN_SAMPLES} samples, got {n}")
+    value = x.variance() + p.variance()
+    per_split = x.split_variances() + p.split_variances()
+    stderr = np.std(per_split, axis=0, ddof=1) / math.sqrt(N_SPLITS)
+    return DuanResult(value=value, stderr=stderr, entangled=value < 4.0)
+
+
+def duan_value(x1, p1, x2, p2) -> DuanResult:
+    """Duan criterion of quadrature samples; the stack case of :func:`duan_from_moments`.
 
     Each input is either a sample vector or an (n_samples, n_pairs)
     column stack; a stack gives the statistic of every column at once,
-    and a vector is its one-column case.
+    and a vector is its one-column case, with float fields.  ``x1 - x2``
+    and ``p1 + p2`` go through :func:`sqzsim.dsp.split_moments` in the
+    blocks of :func:`sqzsim.dsp.stack_blocks`.
     """
+    from sqzsim.dsp import split_moments, stack_blocks  # local import avoids a cycle
+
     arrs = [np.asarray(a, dtype=float) for a in (x1, p1, x2, p2)]
     arrs = [a if a.ndim == 2 else a.ravel() for a in arrs]
     if any(a.shape != arrs[0].shape for a in arrs):
         raise ValueError("x1, p1, x2, p2 must have equal sample counts")
-    n = arrs[0].shape[0]
-    n_min = max(DUAN_MIN_SAMPLES, 2 * n_splits)
-    if n < n_min:
-        raise ValueError(f"need at least {n_min} samples, got {n}")
-    x1, p1, x2, p2 = arrs
-    diff, total = x1 - x2, p1 + p2
-    value = np.var(diff, axis=0, ddof=1) + np.var(total, axis=0, ddof=1)
-    subsets = np.array(
-        [
-            np.var(diff[sl], axis=0, ddof=1) + np.var(total[sl], axis=0, ddof=1)
-            for sl in split_slices(n, n_splits)
-        ]
+    x1, p1, x2, p2 = (a.reshape(a.shape[0], -1) for a in arrs)
+    n = x1.shape[0]
+    x = split_moments(n, stack_blocks(x1 - x2))
+    p = split_moments(n, stack_blocks(p1 + p2))
+    res = duan_from_moments(x, p)
+    if arrs[0].ndim == 2:
+        return res
+    return DuanResult(
+        value=float(res.value[0]), stderr=float(res.stderr[0]), entangled=bool(res.entangled[0])
     )
-    stderr = np.std(subsets, axis=0, ddof=1) / math.sqrt(n_splits)
-    if value.ndim == 0:
-        return DuanResult(value=float(value), stderr=float(stderr), entangled=bool(value < 4.0))
-    return DuanResult(value=value, stderr=stderr, entangled=value < 4.0)
 
 
 def duan_from_covariance(cov: np.ndarray) -> float:

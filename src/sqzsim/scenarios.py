@@ -413,13 +413,34 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
         raise UsageError(
             f"fir_cutoff_hz must lie inside (0, {0.5 / dt:g}) Hz, below Nyquist, got {cutoff:g}"
         )
+    half = float(params["square_half_period_s"])
+    # the settled plateaus and the sine's inner span, where the checks read
+    # the trace; the FIR edge trim must leave each of them whole
+    plateaus = {
+        "squeezed": (lead + 2.0 * half + 50e-9, lead + 3.0 * half - 10e-9),
+        "antisqueezed": (lead + 3.0 * half + 50e-9, lead + 4.0 * half - 10e-9),
+    }
+    sine_window = (lead + 100e-9, lead + duration - 100e-9)
+    edge = (taps - 1) // 2
+    for name, (lo_t, hi_t) in [*plateaus.items(), ("sine", sine_window)]:
+        if lo_t < 0.0 or hi_t - lo_t < dt or hi_t > n_total * dt:
+            raise UsageError(
+                f"duration_s={duration:g} and square_half_period_s={half:g} put the {name} "
+                f"check window at [{lo_t * 1e9:g}, {hi_t * 1e9:g}) ns, which is empty or not "
+                f"inside the {n_total * dt * 1e9:g} ns frame"
+            )
+        if lo_t / dt < edge - 0.5 or hi_t / dt > n_total - edge - 0.5:
+            raise UsageError(
+                f"fir_taps={taps} trims the trace to [{edge * dt * 1e9:g}, "
+                f"{(n_total - edge) * dt * 1e9:g}) ns, which does not cover the {name} "
+                f"check window [{lo_t * 1e9:g}, {hi_t * 1e9:g}) ns"
+            )
     t = np.arange(n_total) * dt
     rel = t - lead
     active = (rel >= 0.0) & (rel < duration)
 
     programs: dict[str, np.ndarray] = {}
 
-    half = float(params["square_half_period_s"])
     sq = np.zeros(n_total)
     sq[active] = np.where((np.floor(rel[active] / half).astype(int) % 2) == 0, amp, -amp)
     programs["square"] = sq
@@ -449,7 +470,6 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
 
     seeds = _child_seeds(cfg.seed, len(programs) + 1)
     h = dsp.fir_taps(dt, taps=taps, cutoff=cutoff)
-    edge = (taps - 1) // 2
     bounds = dsp.periodogram_bounds(cfg.n_frames)
 
     def filtered_moments(tr, seed):
@@ -501,10 +521,8 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
         outputs[f"{name}_variance"] = vname
 
         if name == "square":
-            for label, lo_t, hi_t, target in (
-                ("squeezed", lead + 2.0 * half + 50e-9, lead + 3.0 * half - 10e-9, s_closed),
-                ("antisqueezed", lead + 3.0 * half + 50e-9, lead + 4.0 * half - 10e-9, a_closed),
-            ):
+            for label, target in (("squeezed", s_closed), ("antisqueezed", a_closed)):
+                lo_t, hi_t = plateaus[label]
                 sel = (vt.times >= lo_t) & (vt.times < hi_t)
                 mean = float(vt.variance[sel].mean())
                 checks.append(
@@ -516,7 +534,7 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
                 )
                 report[f"square_plateau_{label}"] = [mean, target]
         if name == "sine":
-            sel = (vt.times >= lead + 100e-9) & (vt.times < lead + duration - 100e-9)
+            sel = (vt.times >= sine_window[0]) & (vt.times < sine_window[1])
             vmin, vmax = float(vt.variance[sel].min()), float(vt.variance[sel].max())
             checks.append(
                 _check(
@@ -725,12 +743,18 @@ def _run_epr(cfg, params, cal, outdir, meta):
     advisories = sorted({str(w.message) for w in caught})
 
     seeds = _child_seeds(cfg.seed, 3)
-    fx = simulate_frames(traj, det, 0.0, cfg.n_frames, seeds[0], dtype=np.float32)
-    fp = simulate_frames(traj, det, math.pi / 2.0, cfg.n_frames, seeds[1], dtype=np.float32)
-    ref = simulate_vacuum_reference(det, n_total, cfg.n_frames, seeds[2], dtype=np.float32)
+    bounds = dsp.periodogram_bounds(cfg.n_frames)
+    vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
 
-    result = tomography.run_epr_analysis(
-        fx, fp, g1, g2, ref, scan_halfwidth=float(params["scan_halfwidth_s"])
+    def blocks(tr, phase, seed):
+        # each frame block is projected, reduced and dropped; no frame set
+        # is held whole
+        return iter_frame_chunks(tr, det, phase, cfg.n_frames, seed, np.float32, bounds)
+
+    result = tomography.stream_epr_analysis(
+        blocks(traj, 0.0, seeds[0]), blocks(traj, math.pi / 2.0, seeds[1]),
+        blocks(vac_traj, 0.0, seeds[2]), cfg.n_frames, cfg.n_frames, g1, g2,
+        traj.t0, det.dt, n_total, scan_halfwidth=float(params["scan_halfwidth_s"]),
     )
     # The detector group delay shifts the optimal gate alignment off the
     # nominal center, so the scan minimum must be compared against the

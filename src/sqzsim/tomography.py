@@ -11,18 +11,26 @@ polishes it.  Standard errors use the package-wide 10-way split.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 
-from sqzsim.dsp import TemporalMode, extract_quadratures, project, vacuum_quadrature_scales
-from sqzsim.homodyne import DetectorModel, FrameSet
+from sqzsim.dsp import (
+    ModeScan,
+    SplitMoments,
+    TemporalMode,
+    extract_quadratures,
+    split_moments,
+    stack_blocks,
+)
+from sqzsim.homodyne import VACUUM_REFERENCE, DetectorModel, FrameSet
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
     GaussianState,
-    duan_value,
+    duan_from_moments,
     effective_squeezing_db,
     split_slices,
     variance_at_phase,
@@ -38,6 +46,7 @@ __all__ = [
     "ellipse_angle_difference_deg",
     "EprResult",
     "run_epr_analysis",
+    "stream_epr_analysis",
     "duan_prediction",
     "duan_prediction_scan",
 ]
@@ -400,11 +409,59 @@ def run_epr_analysis(
     nominal centers and the reported result is taken at the center
     minimizing the Duan value.  ``ref`` supplies the vacuum
     normalization; the frames must be unfiltered (detector output as
-    simulated) for the mode weighting to be meaningful.
+    simulated) for the mode weighting to be meaningful.  The three sets
+    share one time grid, and the x and p sets one frame count.  This is
+    the frame-stack case of :func:`stream_epr_analysis`.
     """
     _check_epr_phases(fs_x, 0.0, "x-quadrature")
     _check_epr_phases(fs_p, math.pi / 2.0, "p-quadrature")
-    dt = fs_x.dt
+    if ref.kind != VACUUM_REFERENCE:
+        raise ValueError("reference frame set must have kind 'vacuum_reference'")
+    for fs in (fs_p, ref):
+        if (
+            abs(fs.dt - fs_x.dt) > 1e-12 * fs_x.dt
+            or abs(fs.t0 - fs_x.t0) > 1e-6 * fs_x.dt
+            or fs.n_samples != fs_x.n_samples
+        ):
+            raise ValueError("x, p and reference frame sets must share one time grid")
+    if fs_p.n_frames != fs_x.n_frames:
+        raise ValueError("x and p frame sets must hold equal frame counts")
+
+    x_blocks, p_blocks, vac_blocks = (stack_blocks(fs.frames) for fs in (fs_x, fs_p, ref))
+    return stream_epr_analysis(
+        x_blocks, p_blocks, vac_blocks, fs_x.n_frames, ref.n_frames, g1, g2,
+        fs_x.t0, fs_x.dt, fs_x.n_samples, scan_halfwidth, scan_step,
+    )
+
+
+def stream_epr_analysis(
+    x_blocks: Iterable[np.ndarray],
+    p_blocks: Iterable[np.ndarray],
+    vac_blocks: Iterable[np.ndarray],
+    n_frames: int,
+    n_vac: int,
+    g1: TemporalMode,
+    g2: TemporalMode,
+    t0: float,
+    dt: float,
+    n_samples: int,
+    scan_halfwidth: float = 60e-9,
+    scan_step: float | None = None,
+) -> EprResult:
+    """:func:`run_epr_analysis` over frame blocks, one block held at a time.
+
+    ``x_blocks`` and ``p_blocks`` yield the ``n_frames`` frames of the x
+    and p sets and ``vac_blocks`` the ``n_vac`` frames of the vacuum
+    reference, each in the ranges of :func:`sqzsim.dsp.periodogram_bounds`.
+    Every record holds ``n_samples`` samples at interval ``dt`` from
+    ``t0``.  The vacuum set is reduced first, to the shot-noise scales
+    s1, s2 of g1, g2.  Each x block becomes the scan columns of
+    g1/s1 - g2/s2 and each p block those of g1/s1 + g2/s2 (a
+    :class:`sqzsim.dsp.ModeScan` per set), and
+    :func:`sqzsim.dsp.split_moments` folds them into
+    :func:`sqzsim.quantum.duan_from_moments`.  The LO phases of the
+    blocks are the caller's to guarantee.
+    """
     if scan_halfwidth < 0.0:
         raise ValueError("scan_halfwidth must be >= 0")
     step_samples = 1 if scan_step is None else max(1, int(round(scan_step / dt)))
@@ -413,21 +470,21 @@ def run_epr_analysis(
 
     for mode in (g1, g2):
         for edge in (-half_samples, half_samples):
-            shifted = mode.shifted(edge * dt)
-            start = (shifted.t0 - fs_x.t0) / dt
-            if start < -1e-6 or start + mode.n_samples > fs_x.n_samples + 1e-6:
+            start = (mode.shifted(edge * dt).t0 - t0) / dt
+            if start < -1e-6 or start + mode.n_samples > n_samples + 1e-6:
                 raise ValueError(
                     "t_c search window pushes the modes outside the record; "
                     "shorten the window or lengthen the frames"
                 )
 
-    # columns [0, n) hold g1 and [n, 2n) hold g2, both at every offset
-    n = offsets.size
-    modes = [mode.shifted(int(k) * dt) for mode in (g1, g2) for k in offsets]
-    scales = np.repeat(vacuum_quadrature_scales(ref, [g1, g2]), n)
-    x = project(fs_x, modes) / scales
-    p = project(fs_p, modes) / scales
-    scan = duan_value(x[:, :n], p[:, :n], x[:, n:], p[:, n:])
+    def moments(n: int, blocks, coeffs, lags) -> SplitMoments:
+        scan = ModeScan([g1, g2], coeffs, lags, t0, dt, n_samples)
+        return split_moments(n, map(scan, blocks))
+
+    s1, s2 = np.sqrt(moments(n_vac, vac_blocks, np.eye(2), [0]).variance())
+    x = moments(n_frames, x_blocks, [[1.0 / s1, -1.0 / s2]], offsets)
+    p = moments(n_frames, p_blocks, [[1.0 / s1, 1.0 / s2]], offsets)
+    scan = duan_from_moments(x, p)
 
     best = int(np.argmin(scan.value))
     duan = float(scan.value[best])
@@ -436,7 +493,6 @@ def run_epr_analysis(
     # enter every variance multiplicatively, so their relative errors
     # (1 / sqrt(2 (n_vac - 1)) each, independent for orthogonal modes)
     # add a duan / sqrt(n_vac - 1) term the split scatter cannot see.
-    n_vac = ref.n_frames
     stderr = math.hypot(float(scan.stderr[best]), duan / math.sqrt(n_vac - 1))
     return EprResult(
         duan=duan,

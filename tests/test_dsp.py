@@ -603,6 +603,45 @@ def test_vacuum_scales_match_single_mode_scale():
         vacuum_quadrature_scales(signal_set, modes)
 
 
+# 13 and 12 lags (odd and even scan widths), every fourth sample, and the
+# one-lag case, which takes direct dot products instead of the FFT
+SCAN_LAGS = [np.arange(-6, 7), np.arange(-6, 6), np.arange(-12, 13, 4), np.array([3])]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lags", SCAN_LAGS, ids=["odd", "even", "step4", "one"])
+def test_mode_scan_matches_project_at_every_lag(lags, dtype):
+    fs, modes = _projection_pieces(264, dtype=dtype)
+    modes = [modes[0], modes[1], modes[3]]  # overlapping and disjoint supports
+    coeffs = np.array([[0.7, -1.3, 0.4], [1.1, 0.2, -0.9]])
+    scan = dsp.ModeScan(modes, coeffs, lags, fs.t0, fs.dt, fs.n_samples)
+    shifted = [m.shifted(int(k) * fs.dt) for k in lags for m in modes]
+    per_mode = project(fs, shifted).reshape(fs.n_frames, lags.size, len(modes))
+    want = np.einsum("fjm,km->fkj", per_mode, coeffs).reshape(fs.n_frames, -1)
+    # blocks of 1, 7 and 256 frames
+    for lo, hi in [(0, 1), (1, 8), (8, 264)]:
+        got = scan(fs.frames[lo:hi])
+        assert got.shape == (hi - lo, 2 * lags.size)
+        scale = np.abs(want[lo:hi]).max(axis=0)
+        assert np.all(np.abs(got - want[lo:hi]).max(axis=0) <= 1e-12 * scale), (lo, hi)
+
+
+def test_mode_scan_validation():
+    fs, modes = _projection_pieces(4)
+    with pytest.raises(ValueError, match="lags"):
+        dsp.ModeScan(modes, np.eye(4), [], fs.t0, fs.dt, fs.n_samples)
+    with pytest.raises(ValueError, match="coeffs"):
+        dsp.ModeScan(modes, np.eye(3), [0], fs.t0, fs.dt, fs.n_samples)
+    # the first mode starts 26 samples after the record does, the last
+    # ends 15 samples before it
+    for lags in ([-27, 0], [0, 16]):
+        with pytest.raises(ValueError, match="record window"):
+            dsp.ModeScan(modes, np.eye(4), lags, fs.t0, fs.dt, fs.n_samples)
+    scan = dsp.ModeScan(modes, np.eye(4), [-26, 15], fs.t0, fs.dt, fs.n_samples)
+    with pytest.raises(ValueError, match="160-sample frames"):
+        scan(fs.frames[:, :-1])
+
+
 def test_spectrum_estimate_csv(tmp_path):
     spec = SpectrumEstimate(
         freqs=np.array([1e6, 2e6]),

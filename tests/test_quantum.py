@@ -266,6 +266,33 @@ def test_split_errors_share_one_subset_convention():
     np.testing.assert_allclose(res.cov_stderr, want_cov, rtol=1e-12, atol=0.0)
 
 
+# declared tolerance of the moments route against two-pass np.var
+DUAN_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("n", [100, 1013, 4800])
+def test_duan_value_holds_the_tolerance_against_two_pass_var(n, offset):
+    # 4800 samples put two 256-sample blocks into every split; the offset
+    # survives x1 - x2 and p1 + p2, where a one-pass sum of squares fails
+    rng = np.random.default_rng(n)
+    x1, p1, x2, p2 = rng.standard_normal((4, n, 5)) * np.linspace(0.5, 2.0, 5)
+    x1 += offset
+    p1 += offset
+    res = duan_value(x1, p1, x2, p2)
+    diff, total = x1 - x2, p1 + p2
+    want = np.var(diff, axis=0, ddof=1) + np.var(total, axis=0, ddof=1)
+    per_split = [
+        np.var(diff[sl], axis=0, ddof=1) + np.var(total[sl], axis=0, ddof=1)
+        for sl in split_slices(n)
+    ]
+    stderr = np.std(per_split, axis=0, ddof=1) / math.sqrt(10)
+    np.testing.assert_allclose(res.value, want, rtol=DUAN_RTOL, atol=0.0)
+    np.testing.assert_allclose(res.stderr, stderr, rtol=DUAN_RTOL, atol=0.0)
+    one = duan_value(x1[:, 0], p1[:, 0], x2[:, 0], p2[:, 0])
+    assert one.value == pytest.approx(want[0], rel=DUAN_RTOL, abs=0.0)
+
+
 def test_duan_value_rejects_short_records():
     x = np.zeros(99)
     with pytest.raises(ValueError):

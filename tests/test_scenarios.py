@@ -211,6 +211,28 @@ def test_cli_waveforms_rejects_bad_fir_taps_before_synthesis(tmp_path, capsys, s
     _assert_preflight_usage_error(tmp_path, capsys, argv, "fir_taps")
 
 
+@pytest.mark.parametrize(
+    "setting",
+    # 1299 keeps 2 of the 1300 samples; 403 trims 201 from each end, one
+    # sample into the sine window, which starts at 200 ns
+    ["fir_taps=1299", "fir_taps=403"],
+)
+def test_cli_waveforms_rejects_fir_taps_that_cut_the_check_windows(tmp_path, capsys, setting):
+    argv = ["waveforms", "--frames", "25", "--set", setting]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, "fir_taps")
+
+
+@pytest.mark.parametrize(
+    "setting, field",
+    # 50 ns half periods leave the plateau windows empty; a 300 ns program
+    # ends before they begin
+    [("square_half_period_s=5e-8", "square_half_period_s"), ("duration_s=3e-7", "duration_s")],
+)
+def test_cli_waveforms_rejects_empty_check_windows(tmp_path, capsys, setting, field):
+    argv = ["waveforms", "--frames", "25", "--set", setting]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
 def test_cli_waveforms_rejects_cutoff_at_nyquist_before_synthesis(tmp_path, capsys):
     argv = ["waveforms", "--frames", "25", "--set", "fir_cutoff_hz=5e8"]
     _assert_preflight_usage_error(tmp_path, capsys, argv, "fir_cutoff_hz")

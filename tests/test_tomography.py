@@ -7,10 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from sqzsim.dsp import make_mode
-from sqzsim.homodyne import DetectorModel, FrameSet, simulate_frames, simulate_vacuum_reference
+from sqzsim.dsp import make_mode, periodogram_bounds, project, vacuum_quadrature_scales
+from sqzsim.homodyne import (
+    DetectorModel,
+    iter_frame_chunks,
+    simulate_frames,
+    simulate_vacuum_reference,
+)
 from sqzsim.opa import SqueezerTrajectory, constant_trajectory
-from sqzsim.quantum import squeezed_state, variance_at_phase
+from sqzsim.quantum import split_slices, squeezed_state, variance_at_phase
 from sqzsim.tomography import (
     PhaseGroup,
     TomographyInput,
@@ -19,6 +24,7 @@ from sqzsim.tomography import (
     ellipse_angle_difference_deg,
     ml_gaussian_tomography,
     run_epr_analysis,
+    stream_epr_analysis,
     wigner_ellipse,
 )
 
@@ -182,6 +188,57 @@ def test_epr_stderr_includes_reference_scale_noise():
     result = run_epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=2e-9)
     # the scale term alone bounds the error from below
     assert result.duan_stderr >= result.duan / math.sqrt(ref.n_frames - 1)
+
+
+def _stream_pieces(bandwidth, n_frames):
+    """The x, p and vacuum blocks of ``_epr_pieces`` at the reducer bounds."""
+    traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames, bandwidth, seed=4)
+    bounds = periodogram_bounds(n_frames)
+    vac_traj = constant_trajectory(0.0, 0.0, 0.0, det.dt, traj.n_samples)
+    blocks = [
+        iter_frame_chunks(tr, det, phase, n_frames, seed, np.float64, bounds)
+        for tr, phase, seed in ((traj, 0.0, 4), (traj, math.pi / 2.0, 5), (vac_traj, 0.0, 6))
+    ]
+    return (fs_x, fs_p, ref, g1, g2), blocks
+
+
+@pytest.mark.parametrize("scan_step", [None, 3e-9])
+@pytest.mark.parametrize("bandwidth", [None, 200e6])
+def test_streamed_epr_scan_equals_the_stack_route(bandwidth, scan_step):
+    # 601 frames: splits of 60 and 61, none a multiple of 10
+    (fs_x, fs_p, ref, g1, g2), blocks = _stream_pieces(bandwidth, 601)
+    kw = dict(scan_halfwidth=12e-9, scan_step=scan_step)
+    stack = run_epr_analysis(fs_x, fs_p, g1, g2, ref, **kw)
+    stream = stream_epr_analysis(
+        *blocks, 601, 601, g1, g2, fs_x.t0, fs_x.dt, fs_x.n_samples, **kw
+    )
+    assert stream.scan_duan.tobytes() == stack.scan_duan.tobytes()
+    assert stream.scan_offsets.tobytes() == stack.scan_offsets.tobytes()
+    assert (stream.duan, stream.duan_stderr, stream.t_c) == (stack.duan, stack.duan_stderr, stack.t_c)
+
+
+def test_epr_scan_matches_the_projection_route():
+    # the route the moments replaced: project every shifted mode, divide
+    # by the vacuum scales, and take two-pass variances
+    traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=300, bandwidth=200e6, seed=2)
+    result = run_epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=8e-9)
+    lags = np.arange(-8, 9)
+    scales = vacuum_quadrature_scales(ref, [g1, g2])
+    x1, x2, p1, p2 = (
+        project(fs, [g.shifted(int(k) * det.dt) for k in lags]) / s
+        for fs in (fs_x, fs_p)
+        for g, s in ((g1, scales[0]), (g2, scales[1]))
+    )
+    diff, total = x1 - x2, p1 + p2
+    two_pass = np.var(diff, axis=0, ddof=1) + np.var(total, axis=0, ddof=1)
+    np.testing.assert_allclose(result.scan_duan, two_pass, rtol=1e-12, atol=0.0)
+    best = int(np.argmin(two_pass))
+    per_split = [
+        np.var(diff[sl, best], ddof=1) + np.var(total[sl, best], ddof=1)
+        for sl in split_slices(300)
+    ]
+    se = math.hypot(np.std(per_split, ddof=1) / math.sqrt(10), two_pass[best] / math.sqrt(299))
+    assert result.duan_stderr == pytest.approx(se, rel=1e-12, abs=0.0)
 
 
 def test_epr_analysis_validates_phases():

@@ -22,11 +22,12 @@ Config files are JSON with the schema::
     }
 
 Every ``--set key=value`` targets one key of ``params``.  Exit codes:
-0 all checks passed, 1 a run-time consistency check failed, 2 usage
-error (unknown scenario or key, unreadable config or calibration,
-infeasible program).  Usage and runtime failures print a structured
-error JSON to stderr and, when the output directory is known, write it
-to ``error.json`` there.
+0 all checks passed, 1 a run-time consistency check failed (error kind
+``invariant``) or an internal fault (kind ``internal``, the exception
+class leading the message), 2 usage error (kind ``usage``: unknown
+scenario or key, unreadable config or calibration, infeasible program).
+Failures print a structured error JSON to stderr and, when the output
+directory is known, write it to ``error.json`` there.
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     except scenarios.UsageError as exc:
         _emit_error("usage", str(exc), 2, outdir)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        _emit_error(type(exc).__name__, str(exc), 1, outdir)
+    except Exception as exc:
+        # a fault of the program, not of its input
+        _emit_error("internal", f"{type(exc).__name__}: {exc}", 1, outdir)
         return 1
 
     for check in run.manifest["invariant_checks"]:

@@ -19,13 +19,20 @@ order.  :func:`_substream_states` computes those PCG64 states for a
 whole block of frames in one vectorized pass, a port of NumPy's
 seeding that a test checks against NumPy itself; a schedule may
 therefore hold at most 2**32 frames, one 32-bit spawn-key word each.
+Since no frame's bytes depend on another's, a filtered-detector block
+is filled on up to two threads, the caller and one pooled worker, each
+taking a contiguous share of its rows; on one CPU, or for a block of
+fewer than 4 rows, it is filled serially.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import os
 from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -357,22 +364,60 @@ class _Synthesis:
             # float64 working rows, kept across blocks: lfilter computes in
             # float64 anyway, and rows freed after every block would have
             # their pages returned to the OS and faulted in again by the next
-            b_lp, a_lp, b_hp, a_hp = self.filters
-            if self.work.shape[1] < stop - start:
-                self.work = np.empty((2, stop - start, self.n_total))
-            raw, comp = self.work[:, : stop - start]
-            z = np.empty((2, self.n_total), dtype=self.dtype)
-            for j, gen in enumerate(self._substreams(start, stop)):
-                gen.standard_normal(dtype=self.dtype, out=z)
-                # the product stays in self.dtype before the float64 cast
-                z[0] *= self.std[self.phases[start + j]]
-                raw[j] = z[0]
-                comp[j] = z[1]
-            filtered = signal.lfilter(b_lp, a_lp, raw, axis=1)
-            filtered += signal.lfilter(b_hp, a_hp, comp, axis=1)
-            out[:] = filtered[:, self.n_burn :]
+            n = stop - start
+            if self.work.shape[1] < n:
+                self.work = np.empty((2, n, self.n_total))
+            pool = _share_pool() if n >= 4 else None
+            if pool is None:
+                self._fill_filtered(out, start, 0, n)
+            else:
+                # every frame has its own substream and lfilter treats each
+                # row on its own, so two shares of the rows give the bytes of
+                # one pass; the worker writes into out and self.work, so it
+                # is waited for before this returns or raises
+                mid = n // 2
+                worker = pool.submit(self._fill_filtered, out, start, mid, n)
+                try:
+                    self._fill_filtered(out, start, 0, mid)
+                finally:
+                    wait((worker,))
+                worker.result()
         if self.gain != 1.0:
             out *= self.dtype.type(self.gain)
+
+    def _fill_filtered(self, out: np.ndarray, start: int, lo: int, hi: int) -> None:
+        """Rows [lo, hi) of the filtered block at ``start``, made in rows [lo, hi) of self.work."""
+        raw, comp = self.work[:, lo:hi]
+        z = np.empty((2, self.n_total), dtype=self.dtype)
+        phases = self.phases[start + lo : start + hi].tolist()
+        for j, gen in enumerate(self._substreams(start + lo, start + hi)):
+            gen.standard_normal(dtype=self.dtype, out=z)
+            # the product is taken in self.dtype, then cast to float64
+            np.multiply(z[0], self.std[phases[j]], out=raw[j], dtype=self.dtype)
+            comp[j] = z[1]
+        b_lp, a_lp, b_hp, a_hp = self.filters
+        filtered = signal.lfilter(b_lp, a_lp, raw, axis=1)
+        filtered += signal.lfilter(b_hp, a_hp, comp, axis=1)
+        out[lo:hi] = filtered[:, self.n_burn :]
+
+
+@functools.cache
+def _share_pool() -> ThreadPoolExecutor | None:
+    """The worker that fills the second share of each filtered block.
+
+    None when this process may run on one CPU only, so blocks are filled
+    serially.  Made on first use: importing the module starts no thread.
+    """
+    try:
+        n_cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        n_cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=1) if n_cpus > 1 else None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has no worker thread: it makes its own pool on first use
+    os.register_at_fork(after_in_child=_share_pool.cache_clear)
 
 
 def iter_frame_chunks(

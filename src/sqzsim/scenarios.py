@@ -267,6 +267,23 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
 
     traj = opa.constant_trajectory(r, 0.0, loss, dt, n_samples)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, dt, n_samples)
+    lo, hi = float(params["band_lo_hz"]), float(params["band_hi_hz"])
+    nyquist = 0.5 / dt
+    # the band must hold rfft bins, or the report would state a band it never averaged
+    if not 0.0 <= lo < hi:
+        raise UsageError(
+            f"band_lo_hz must satisfy 0 <= band_lo_hz < band_hi_hz, got {lo:g} and {hi:g}"
+        )
+    if hi > nyquist:
+        raise UsageError(
+            f"band_hi_hz must not exceed the {nyquist:g} Hz Nyquist frequency, got {hi:g}"
+        )
+    freqs = np.fft.rfftfreq(n_samples, d=det.dt)
+    if not np.any((freqs >= lo) & (freqs <= hi)):
+        raise UsageError(
+            f"n_samples={n_samples} puts no spectrum bin in [{lo:g}, {hi:g}] Hz; its bins lie "
+            f"{2.0 * nyquist / n_samples:g} Hz apart"
+        )
     bounds = dsp.periodogram_bounds(cfg.n_frames)
 
     def split_means(tr, phase, seed):
@@ -279,7 +296,6 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
     spec_a = dsp.spectrum_ratio(split_means(traj, math.pi / 2.0, seeds[1]), vac, n_samples, det.dt)
     spec_v = dsp.spectrum_ratio(split_means(vac_traj, 0.0, seeds[3]), vac, n_samples, det.dt)
 
-    lo, hi = float(params["band_lo_hz"]), float(params["band_hi_hz"])
     s_db, s_se = dsp.band_average(spec_s, lo, hi)
     a_db, a_se = dsp.band_average(spec_a, lo, hi)
     v_db, v_se = dsp.band_average(spec_v, lo, hi)
@@ -291,7 +307,6 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
         est = None
         infeasible = f"measured pair {s_db:+.4f} / {a_db:+.4f} dB: {exc}"
 
-    nyquist = 0.5 / dt
     checks = []
     if det.bandwidth is not None and 2.0 * det.bandwidth < 0.95 * nyquist:
         h_db, h_se = dsp.band_average(spec_s, 2.0 * det.bandwidth, 0.98 * nyquist)

@@ -1,11 +1,16 @@
 """Homodyne record synthesis: detector model, determinism, persistence."""
 
 import math
+import os
+import signal as os_signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import signal
 
+from sqzsim import homodyne
 from sqzsim.homodyne import (
     DetectorModel,
     FrameSet,
@@ -171,6 +176,122 @@ def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
     for (lo, hi), block in zip(bounds, blocks, strict=True):
         assert block.dtype == whole.dtype
         assert block.tobytes() == whole[lo:hi].tobytes()
+
+
+def _one_frame_blocks(traj, det, sched, dtype):
+    """The frames of ``sched``, synthesized one frame per block.
+
+    A one-frame block is never split, so this is the serial reference.
+    """
+    n = sched.frame_phases(None).size
+    bounds = [(k, k + 1) for k in range(n)]
+    blocks = iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype, bounds=bounds)
+    return np.concatenate(list(blocks))
+
+
+def _record_shares(monkeypatch):
+    """Record the (start + lo, start + hi) frame range of every filled share."""
+    shares = []
+    fill = homodyne._Synthesis._fill_filtered
+
+    def recorded(self, out, start, lo, hi):
+        shares.append((start + lo, start + hi))
+        fill(self, out, start, lo, hi)
+
+    monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", recorded)
+    return shares
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_rows", [3, 4, 5, 7, 255, 257])
+def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
+    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=40)
+    det = DetectorModel(gain=2.0)
+    mid = n_rows // 2
+    # the LO phase changes where the worker's share starts
+    whole_sched = LoSchedule(entries=(LoEntry(0.0, mid), LoEntry(0.7, n_rows - mid)))
+    # the same rows after three frames of another phase, as a block of their own
+    offset_sched = LoSchedule(entries=(LoEntry(2.1, 3), *whole_sched.entries))
+    whole_ref = _one_frame_blocks(traj, det, whole_sched, dtype)
+    offset_ref = _one_frame_blocks(traj, det, offset_sched, dtype)
+
+    shares = _record_shares(monkeypatch)
+    whole = simulate_frames(traj, det, whole_sched, seed=8, dtype=dtype).frames
+    (block,) = iter_frame_chunks(
+        traj, det, offset_sched, seed=8, dtype=dtype, bounds=[(3, 3 + n_rows)]
+    )
+    assert whole.tobytes() == whole_ref.tobytes()
+    assert block.tobytes() == offset_ref[3:].tobytes()
+    if n_rows < 4 or homodyne._share_pool() is None:
+        assert shares == [(0, n_rows), (3, 3 + n_rows)]
+    else:
+        want = [(0, mid), (mid, n_rows), (3, 3 + mid), (3 + mid, 3 + n_rows)]
+        assert sorted(shares) == sorted(want)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
+    if homodyne._share_pool() is None:
+        pytest.skip("one CPU: blocks are filled serially")
+    events = []
+    fill = homodyne._Synthesis._fill_filtered
+
+    def faulty(self, out, start, lo, hi):
+        share = "worker" if lo > 0 else "caller"
+        if share != failing:
+            # the other share is slow, so a caller that did not wait for
+            # the worker would raise while the worker still writes
+            time.sleep(0.2)
+            fill(self, out, start, lo, hi)
+            events.append(f"{share} done")
+            return
+        raise RuntimeError(f"planted fault in the {share} share")
+
+    monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", faulty)
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
+    blocks = iter_frame_chunks(traj, DetectorModel(), 0.0, 16, bounds=[(0, 8), (8, 16)])
+
+    def consume():
+        with pytest.raises(RuntimeError, match=f"planted fault in the {failing} share"):
+            next(blocks)
+        events.append("raised")
+        # the generator is finished: no further block is filled
+        assert next(blocks, None) is None
+
+    runner = ThreadPoolExecutor(max_workers=1)
+    try:
+        # a hang fails here instead of blocking the suite
+        runner.submit(consume).result(timeout=60)
+    finally:
+        runner.shutdown(wait=False)
+    time.sleep(0.3)
+    healthy = "worker" if failing == "caller" else "caller"
+    assert events == [f"{healthy} done", "raised"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_worker():
+    # the parent's worker thread does not exist in a forked child, so a
+    # child that reused the parent's pool would wait for it forever
+    traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=64)
+    want = simulate_frames(traj, DetectorModel(), 0.0, n_frames=40, seed=1).frames
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = simulate_frames(traj, DetectorModel(), 0.0, n_frames=40, seed=1).frames
+            code = 0 if got.tobytes() == want.tobytes() else 1
+        finally:
+            # the child never returns into the test runner
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, os_signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_frame_chunks_reject_bad_bounds():

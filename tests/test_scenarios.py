@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sqzsim import homodyne, scenarios
 from sqzsim.cli import ENV_OUTPUT_DIR, main
 from sqzsim.pump import Calibration
 from sqzsim.scenarios import (
@@ -244,6 +245,48 @@ def test_cli_epr_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
 
 def test_cli_spectrum_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
     _assert_preflight_usage_error(tmp_path, capsys, ["spectrum", "--frames", "5"], "n_frames")
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    # above the 500 MHz Nyquist frequency, a reversed band, and 64-sample
+    # frames whose 15.6 MHz bins leave the default 1-10 MHz band empty
+    [
+        (["band_hi_hz=6e8"], "band_hi_hz"),
+        (["band_lo_hz=2e7", "band_hi_hz=1e7"], "band_lo_hz"),
+        (["n_samples=64"], "n_samples"),
+    ],
+)
+def test_cli_spectrum_rejects_bad_bands_before_synthesis(
+    tmp_path, capsys, monkeypatch, settings, field
+):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran before the band was checked")
+
+    monkeypatch.setattr(scenarios, "iter_frame_chunks", no_synthesis)
+    argv = ["spectrum", "--frames", "20"]
+    for setting in settings:
+        argv += ["--set", setting]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+def test_cli_reports_a_fault_in_the_worker_share_as_internal(tmp_path, capsys, monkeypatch):
+    if homodyne._share_pool() is None:
+        pytest.skip("one CPU: blocks are filled serially")
+    fill = homodyne._Synthesis._fill_filtered
+
+    def faulty(self, out, start, lo, hi):
+        if lo > 0:
+            raise RuntimeError("planted fault")
+        fill(self, out, start, lo, hi)
+
+    monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", faulty)
+    # 40 frames make blocks of 4, which are split
+    code = main(["run", "spectrum", "--out", str(tmp_path), "--frames", "40"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1 and err["exit_code"] == 1
+    assert err["error"] == {"kind": "internal", "message": "RuntimeError: planted fault"}
+    assert [p.name for p in (tmp_path / "spectrum").iterdir()] == ["error.json"]
 
 
 def test_cli_infeasible_spectrum_pair_is_a_failed_check(tmp_path, capsys):

@@ -21,17 +21,14 @@ from sqzsim.quantum import (
     VACUUM_VARIANCE,
     GaussianState,
     SqueezeParams,
-    TwoModeGaussianState,
     apply_loss,
     db_from_variance,
-    duan_value,
     effective_squeezing_db,
     pure_db_from_r,
     r_from_pure_db,
     squeezed_state,
     vacuum_state,
     variance_at_phase,
-    variance_from_db,
 )
 
 __version__ = "0.1.0"

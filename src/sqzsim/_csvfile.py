@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-import numpy as np
-
 
 def write_csv(
     path: str | Path, meta: dict | None, names: Sequence[str] | None, rows: Iterable
@@ -31,21 +29,3 @@ def write_csv(
             line = line or ",".join(["%.17g"] * len(row)) + "\r\n"
             fh.write(line % row)
 
-
-def read_csv(path: str | Path, names: Sequence[str] | None = None) -> tuple[dict, np.ndarray]:
-    """Metadata and float rows of a file; a given ``names`` must be its first row."""
-    meta: dict[str, str] = {}
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-            elif line:
-                rows.append(line.split(","))
-    if names is not None:
-        if not rows or rows[0] != list(names):
-            raise ValueError(f"{path}: expected the column row {','.join(names)}")
-        rows = rows[1:]
-    return meta, np.array([[float(v) for v in row] for row in rows])

@@ -60,6 +60,10 @@ def _load_config(path: str) -> dict:
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise scenarios.UsageError("config 'params' must be a JSON object")
+    if not isinstance(payload.get("output_dir"), (str, type(None))):
+        raise scenarios.UsageError(
+            f"config 'output_dir' must be a string or null, got {payload['output_dir']!r}"
+        )
     return payload
 
 
@@ -120,10 +124,8 @@ def main(argv: list[str] | None = None) -> int:
         overrides.update(_parse_set(args.set))
         cfg = scenarios.ScenarioConfig(
             scenario=args.scenario,
-            seed=args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
-            n_frames=(
-                args.frames if args.frames is not None else int(file_cfg.get("n_frames", 5000))
-            ),
+            seed=args.seed if args.seed is not None else file_cfg.get("seed", 0),
+            n_frames=args.frames if args.frames is not None else file_cfg.get("n_frames", 5000),
             calibration_path=file_cfg.get("calibration_path"),
             output_dir=str(outdir),
             overrides=overrides,

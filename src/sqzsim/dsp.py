@@ -1,4 +1,4 @@
-"""Analysis of homodyne frame sets.
+"""Analysis of homodyne records.
 
 Everything here is normalized against a vacuum reference taken through
 the same detector, so detector gain and filter shape drop out of the
@@ -24,7 +24,7 @@ import functools
 import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,24 +38,19 @@ from sqzsim.quantum import N_SPLITS, split_slices
 __all__ = [
     "SpectrumEstimate",
     "periodogram_bounds",
-    "stack_blocks",
     "periodogram_split_means",
     "spectrum_ratio",
-    "average_spectrum",
     "band_average",
     "PureSqueezingEstimate",
     "estimate_pure_squeezing_and_loss",
     "fir_taps",
     "fir_filter",
-    "fir_lowpass",
     "VarianceTrace",
     "SplitMoments",
     "split_moments",
     "variance_ratio",
-    "pointwise_variance",
     "TemporalMode",
     "make_mode",
-    "mode_from_weights",
     "ModeSpectrum",
     "mode_spectrum",
     "project",
@@ -141,32 +136,6 @@ class SpectrumEstimate:
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
         columns = ("freq_hz", "level_db", "stderr_db")
         write_csv(path, meta, columns, zip(self.freqs, self.level_db, self.stderr_db))
-
-
-def average_spectrum(fs: FrameSet, ref: FrameSet) -> SpectrumEstimate:
-    """Frame-averaged periodogram of ``fs`` divided by that of ``ref``.
-
-    Both sets must share the sampling grid and frame length, and the
-    reference must be a vacuum set.  The ratio removes the detector
-    response, leaving the spectrum in dB relative to shot noise.
-    Identical inputs give exactly 0 dB at every bin.
-    """
-    if ref.kind != VACUUM_REFERENCE:
-        raise ValueError("reference frame set must have kind 'vacuum_reference'")
-    if abs(fs.dt - ref.dt) > 1e-12 * ref.dt:
-        raise ValueError("signal and reference sample intervals differ")
-    if fs.n_samples != ref.n_samples:
-        raise ValueError("signal and reference frame lengths differ")
-    if fs.n_frames < N_SPLITS or ref.n_frames < N_SPLITS:
-        raise ValueError(f"need at least {N_SPLITS} frames in both sets for error estimation")
-    sig = periodogram_split_means(fs.n_frames, stack_blocks(fs.frames))
-    vac = periodogram_split_means(ref.n_frames, stack_blocks(ref.frames))
-    return spectrum_ratio(sig, vac, fs.n_samples, fs.dt)
-
-
-def stack_blocks(frames: np.ndarray) -> Iterator[np.ndarray]:
-    """Slices of a whole stack at :func:`periodogram_bounds`, the blocks the reducers take."""
-    return (frames[lo:hi] for lo, hi in periodogram_bounds(len(frames)))
 
 
 def spectrum_ratio(sig: np.ndarray, vac: np.ndarray, n_samples: int, dt: float) -> SpectrumEstimate:
@@ -337,21 +306,6 @@ def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
     return scipy.fft.irfft(spectrum, size, axis=1)[:, start : start + n]
 
 
-def fir_lowpass(fs: FrameSet, taps: int = 255, cutoff: float = 100e6) -> FrameSet:
-    """Filter every frame with a linear-phase FIR low-pass.
-
-    The group delay of (taps - 1)/2 samples is compensated, so filtered
-    features stay aligned with the unfiltered time axis.  The first and
-    last (taps - 1)/2 samples carry zero-padding edge transients.  The
-    frames go through :func:`fir_filter` in blocks of 256.
-    """
-    h = fir_taps(fs.dt, taps=taps, cutoff=cutoff)
-    out = np.empty(fs.frames.shape)
-    for lo in range(0, fs.n_frames, _FFT_CHUNK):
-        out[lo : lo + _FFT_CHUNK] = fir_filter(fs.frames[lo : lo + _FFT_CHUNK], h)
-    return replace(fs, frames=out)
-
-
 @dataclass(frozen=True)
 class VarianceTrace:
     """Per-time-sample variance across frames, in shot-noise units."""
@@ -445,24 +399,6 @@ def variance_ratio(sig: SplitMoments, vac: SplitMoments, times: np.ndarray) -> V
         raise ValueError("vacuum reference has zero variance")
     stderr = (sig.split_variances() / shot).std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
     return VarianceTrace(times=times, variance=sig.variance() / shot, stderr=stderr)
-
-
-def pointwise_variance(fs: FrameSet, ref: FrameSet) -> VarianceTrace:
-    """Variance across frames at each time, normalized to shot noise.
-
-    The frame-stack case of :func:`split_moments` and
-    :func:`variance_ratio`.  The normalization is the time-averaged
-    pointwise variance of the vacuum reference, so the trace of a vacuum
-    set is flat at 1.  Both sets need at least two frames in each
-    error-estimate split.
-    """
-    if ref.kind != VACUUM_REFERENCE:
-        raise ValueError("reference frame set must have kind 'vacuum_reference'")
-    if abs(fs.dt - ref.dt) > 1e-12 * ref.dt:
-        raise ValueError("signal and reference sample intervals differ")
-    sig = split_moments(fs.n_frames, stack_blocks(fs.frames))
-    vac = split_moments(ref.n_frames, stack_blocks(ref.frames))
-    return variance_ratio(sig, vac, fs.times)
 
 
 @dataclass(frozen=True)
@@ -616,12 +552,6 @@ def make_mode(
     return TemporalMode(
         dt=dt, t0=t_c + tau[0], weights=_normalize(w, dt), family=family, params=params
     )
-
-
-def mode_from_weights(dt: float, t0: float, weights, family: str = "custom") -> TemporalMode:
-    """Escape hatch: wrap arbitrary user weights (normalized here)."""
-    w = np.asarray(weights, dtype=float)
-    return TemporalMode(dt=dt, t0=t0, weights=_normalize(w, dt), family=family)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,10 @@ import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy import signal
 
-from sqzsim._csvfile import read_csv, write_csv
 from sqzsim.opa import SqueezerTrajectory, constant_trajectory
 from sqzsim.quantum import variance_at_phase
 
@@ -51,10 +49,6 @@ __all__ = [
     "iter_frame_chunks",
     "simulate_frames",
     "simulate_vacuum_reference",
-    "save_frameset",
-    "load_frameset",
-    "frameset_to_csv",
-    "frameset_from_csv",
 ]
 
 SIGNAL = "signal"
@@ -509,64 +503,3 @@ def simulate_vacuum_reference(
     fs = simulate_frames(traj, det, lo=0.0, n_frames=n_frames, seed=seed, dtype=dtype)
     return replace(fs, kind=VACUUM_REFERENCE)
 
-
-def save_frameset(fs: FrameSet, path: str | Path) -> None:
-    """Lossless binary export (.npz) of a frame set."""
-    np.savez(
-        Path(path),
-        dt=np.float64(fs.dt),
-        t0=np.float64(fs.t0),
-        frames=fs.frames,
-        phase_tags=fs.phase_tags,
-        kind=np.array(fs.kind),
-        rng_seed=np.int64(fs.rng_seed),
-    )
-
-
-def _require_finite(fs: FrameSet, path: str | Path) -> FrameSet:
-    """Reject records with NaN or inf samples where they enter the package."""
-    bad = ~np.isfinite(fs.frames)
-    if bad.any():
-        k, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        value = fs.frames[k, i]
-        raise ValueError(f"{path}: frame {k}, sample {i} is {value}; records must be finite")
-    return fs
-
-
-def load_frameset(path: str | Path) -> FrameSet:
-    with np.load(Path(path), allow_pickle=False) as data:
-        fs = FrameSet(
-            dt=float(data["dt"]),
-            frames=data["frames"],
-            phase_tags=data["phase_tags"],
-            kind=str(data["kind"]),
-            rng_seed=int(data["rng_seed"]),
-            t0=float(data["t0"]),
-        )
-    return _require_finite(fs, path)
-
-
-def frameset_to_csv(fs: FrameSet, path: str | Path) -> None:
-    """CSV export: commented header plus one row of samples per frame.
-
-    Uses %.17g so float64 values round-trip exactly.
-    """
-    meta = {"dt": f"{fs.dt:.17g}", "t0": f"{fs.t0:.17g}", "kind": fs.kind, "rng_seed": fs.rng_seed}
-    meta["phase_tags"] = ",".join(f"{p:.17g}" for p in fs.phase_tags)
-    write_csv(path, meta, None, fs.frames)
-
-
-def frameset_from_csv(path: str | Path) -> FrameSet:
-    header, frames = read_csv(path)
-    required = {"dt", "t0", "kind", "rng_seed", "phase_tags"}
-    if not required.issubset(header):
-        raise ValueError(f"frame set CSV is missing header fields {sorted(required - set(header))}")
-    fs = FrameSet(
-        dt=float(header["dt"]),
-        frames=frames,
-        phase_tags=np.array([float(v) for v in header["phase_tags"].split(",")]),
-        kind=header["kind"],
-        rng_seed=int(header["rng_seed"]),
-        t0=float(header["t0"]),
-    )
-    return _require_finite(fs, path)

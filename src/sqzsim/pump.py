@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal
 
-from sqzsim._csvfile import read_csv, write_csv
+from sqzsim._csvfile import write_csv
 
 __all__ = [
     "AwgProgram",
@@ -87,17 +87,6 @@ class AwgProgram:
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
         write_csv(path, meta, ("time_s", "volts"), zip(self.times, self.samples_v))
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "AwgProgram":
-        _, rows = read_csv(path, names=("time_s", "volts"))
-        if rows.shape[0] < 2:
-            raise ValueError("AWG program CSV needs at least two samples")
-        times, volts = rows[:, 0], rows[:, 1]
-        dt = float(np.mean(np.diff(times)))
-        if np.max(np.abs(np.diff(times) - dt)) > 1e-6 * dt:
-            raise ValueError("AWG program CSV is not uniformly sampled")
-        return cls(sample_rate_hz=1.0 / dt, samples_v=volts, trigger_offset_s=float(times[0]))
 
 
 def _default_quad_coeff() -> float:
@@ -289,10 +278,6 @@ class PulseSlot:
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.mode_width <= 0.0 or self.margin <= 0.0:
             raise ValueError("mode_width and margin must be > 0")
-
-    @classmethod
-    def vacuum(cls, mode_width: float = 30e-9, margin: float = 50e-9) -> "PulseSlot":
-        return cls(squeezing_db=0.0, mode_width=mode_width, margin=margin)
 
     @property
     def period(self) -> float:

@@ -5,7 +5,6 @@ Conventions used throughout the package:
 * hbar = 2, so the vacuum variance of either quadrature is exactly 1
   ("shot-noise units").  All variances are stored and passed in these
   linear units; decibel values appear only at presentation boundaries.
-* Quadrature ordering for two-mode states is (x1, p1, x2, p2).
 * A squeezing parameter r >= 0 with squeezing angle theta means the
   quadrature measured at local-oscillator phase phi has variance
 
@@ -47,10 +46,8 @@ __all__ = [
     "split_slices",
     "SqueezeParams",
     "GaussianState",
-    "TwoModeGaussianState",
     "variance_at_phase",
     "db_from_variance",
-    "variance_from_db",
     "r_from_pure_db",
     "pure_db_from_r",
     "apply_loss",
@@ -58,8 +55,6 @@ __all__ = [
     "vacuum_state",
     "DuanResult",
     "duan_from_moments",
-    "duan_value",
-    "duan_from_covariance",
     "effective_squeezing_db",
 ]
 
@@ -129,12 +124,6 @@ def db_from_variance(v) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def variance_from_db(db) -> np.ndarray | float:
-    """Inverse of :func:`db_from_variance`."""
-    out = np.power(10.0, np.asarray(db, dtype=float) / 10.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def r_from_pure_db(db: float) -> float:
     """Squeezing parameter giving a lossless squeezing level of ``db`` dB.
 
@@ -154,15 +143,11 @@ def pure_db_from_r(r: float) -> float:
     return 20.0 * r / math.log(10.0)
 
 
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
+# the symplectic form of one mode in (x, p) order
+_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _check_cov(cov: np.ndarray, n_modes: int) -> tuple[np.ndarray, bool]:
+def _check_cov(cov: np.ndarray) -> tuple[np.ndarray, bool]:
     """Validate shape/symmetry and evaluate the uncertainty bound.
 
     Returns the symmetrized covariance and a physicality flag.  Blatant
@@ -172,9 +157,8 @@ def _check_cov(cov: np.ndarray, n_modes: int) -> tuple[np.ndarray, bool]:
     vacuum boundary never hard-fails.
     """
     cov = np.asarray(cov, dtype=float)
-    dim = 2 * n_modes
-    if cov.shape != (dim, dim):
-        raise ValueError(f"covariance must have shape {(dim, dim)}, got {cov.shape}")
+    if cov.shape != (2, 2):
+        raise ValueError(f"covariance must have shape (2, 2), got {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(cov))))
@@ -182,8 +166,7 @@ def _check_cov(cov: np.ndarray, n_modes: int) -> tuple[np.ndarray, bool]:
         raise ValueError("covariance must be symmetric")
     cov = 0.5 * (cov + cov.T)
     # uncertainty bound: cov + i*Omega >= 0 (hbar = 2 units)
-    omega = _symplectic_form(n_modes)
-    eigs = np.linalg.eigvalsh(cov + 1j * omega)
+    eigs = np.linalg.eigvalsh(cov + 1j * _OMEGA)
     physical = bool(eigs.min() >= -PD_TOLERANCE)
     if np.linalg.eigvalsh(cov).min() < -PD_TOLERANCE:
         physical = False
@@ -209,52 +192,12 @@ class GaussianState:
             raise ValueError(f"mean must have shape (2,), got {mean.shape}")
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean contains non-finite entries")
-        cov, physical = _check_cov(self.cov, n_modes=1)
+        cov, physical = _check_cov(self.cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "physical", physical)
         self.mean.setflags(write=False)
         self.cov.setflags(write=False)
-
-    def rotated(self, angle: float) -> "GaussianState":
-        """State seen in a frame rotated by ``angle`` (radians)."""
-        c, s = math.cos(angle), math.sin(angle)
-        rot = np.array([[c, s], [-s, c]])
-        return GaussianState(rot @ self.mean, rot @ self.cov @ rot.T)
-
-    def quadrature_variance(self, phi: float) -> float:
-        """Variance of the quadrature x cos(phi) + p sin(phi)."""
-        u = np.array([math.cos(phi), math.sin(phi)])
-        return float(u @ self.cov @ u)
-
-
-@dataclass(frozen=True)
-class TwoModeGaussianState:
-    """Two-mode Gaussian state in (x1, p1, x2, p2) ordering."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    physical: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (4,):
-            raise ValueError(f"mean must have shape (4,), got {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean contains non-finite entries")
-        cov, physical = _check_cov(self.cov, n_modes=2)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "physical", physical)
-        self.mean.setflags(write=False)
-        self.cov.setflags(write=False)
-
-    def mode(self, index: int) -> GaussianState:
-        """Reduced single-mode state of mode 0 or 1."""
-        if index not in (0, 1):
-            raise ValueError("mode index must be 0 or 1")
-        sl = slice(2 * index, 2 * index + 2)
-        return GaussianState(self.mean[sl], self.cov[sl, sl])
 
 
 def vacuum_state() -> GaussianState:
@@ -274,31 +217,29 @@ def squeezed_state(r: float, theta: float = 0.0, loss: float = 0.0) -> GaussianS
     return state
 
 
-def apply_loss(state: GaussianState | TwoModeGaussianState, loss: float):
+def apply_loss(state: GaussianState, loss: float) -> GaussianState:
     """Pure-loss channel: cov -> (1-L) cov + L I, mean -> sqrt(1-L) mean.
 
     Models a beam splitter of transmission (1-L) with vacuum in the
-    open port, applied identically to every mode.
+    open port.
     """
     if not 0.0 <= loss < 1.0:
         raise ValueError(f"loss must satisfy 0 <= L < 1, got {loss}")
-    eye = np.eye(state.cov.shape[0])
-    cov = (1.0 - loss) * state.cov + loss * eye
+    cov = (1.0 - loss) * state.cov + loss * np.eye(2)
     mean = math.sqrt(1.0 - loss) * state.mean
-    return type(state)(mean, cov)
+    return GaussianState(mean, cov)
 
 
 @dataclass(frozen=True)
 class DuanResult:
     """Duan inseparability value with its standard error.
 
-    Fields are arrays, one entry per column of mode pairs, except from
-    :func:`duan_value` of sample vectors, which gives floats.
+    Fields are arrays, one entry per column of mode pairs.
     """
 
-    value: float | np.ndarray
-    stderr: float | np.ndarray
-    entangled: bool | np.ndarray
+    value: np.ndarray
+    stderr: np.ndarray
+    entangled: np.ndarray
 
 
 def duan_from_moments(x, p) -> DuanResult:
@@ -319,41 +260,6 @@ def duan_from_moments(x, p) -> DuanResult:
     per_split = x.split_variances() + p.split_variances()
     stderr = np.std(per_split, axis=0, ddof=1) / math.sqrt(N_SPLITS)
     return DuanResult(value=value, stderr=stderr, entangled=value < 4.0)
-
-
-def duan_value(x1, p1, x2, p2) -> DuanResult:
-    """Duan criterion of quadrature samples; the stack case of :func:`duan_from_moments`.
-
-    Each input is either a sample vector or an (n_samples, n_pairs)
-    column stack; a stack gives the statistic of every column at once,
-    and a vector is its one-column case, with float fields.  ``x1 - x2``
-    and ``p1 + p2`` go through :func:`sqzsim.dsp.split_moments` in the
-    blocks of :func:`sqzsim.dsp.stack_blocks`.
-    """
-    from sqzsim.dsp import split_moments, stack_blocks  # local import avoids a cycle
-
-    arrs = [np.asarray(a, dtype=float) for a in (x1, p1, x2, p2)]
-    arrs = [a if a.ndim == 2 else a.ravel() for a in arrs]
-    if any(a.shape != arrs[0].shape for a in arrs):
-        raise ValueError("x1, p1, x2, p2 must have equal sample counts")
-    x1, p1, x2, p2 = (a.reshape(a.shape[0], -1) for a in arrs)
-    n = x1.shape[0]
-    x = split_moments(n, stack_blocks(x1 - x2))
-    p = split_moments(n, stack_blocks(p1 + p2))
-    res = duan_from_moments(x, p)
-    if arrs[0].ndim == 2:
-        return res
-    return DuanResult(
-        value=float(res.value[0]), stderr=float(res.stderr[0]), entangled=bool(res.entangled[0])
-    )
-
-
-def duan_from_covariance(cov: np.ndarray) -> float:
-    """Duan value from a two-mode covariance in (x1, p1, x2, p2) order."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4):
-        raise ValueError("expected a 4x4 covariance")
-    return float(cov[0, 0] + cov[2, 2] - 2.0 * cov[0, 2] + cov[1, 1] + cov[3, 3] + 2.0 * cov[1, 3])
 
 
 def effective_squeezing_db(duan: float) -> float:

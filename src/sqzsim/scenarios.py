@@ -110,6 +110,11 @@ SCENARIO_DEFAULTS: dict[str, dict] = {
 }
 
 
+def _is_integer(value) -> bool:
+    # bool is an int subclass, but True frames or seeds are a config mistake
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Resolved inputs of one scenario run."""
@@ -126,10 +131,14 @@ class ScenarioConfig:
             raise UsageError(
                 f"unknown scenario {self.scenario!r}; choose one of {', '.join(SCENARIOS)}"
             )
-        if self.n_frames < 1:
-            raise UsageError("n_frames must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.n_frames) or self.n_frames < 1:
+            raise UsageError(f"n_frames must be an integer >= 1, got {self.n_frames!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.calibration_path, (str, type(None))):
+            raise UsageError(
+                f"calibration_path must be a string or null, got {self.calibration_path!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def _coerce(scenario: str, key: str, value) -> object:
         if isinstance(default, float):
             return float(value)
         return str(value)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {key!r}: {exc}") from exc
 
 
@@ -621,10 +630,18 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
     train = PulseTrainSpec(slots=slots)
 
     prog = pump.compile_pulse_train(train, cal, resp, sample_rate_hz=1.0 / dt)
+    n_phases = int(params["n_phases"])
+    if n_phases < 3:
+        raise UsageError(
+            f"n_phases must be >= 3, the fewest distinct LO phases the tomography fit "
+            f"accepts, got {n_phases}"
+        )
+    _require_frames(
+        cfg, tomography.MIN_GROUP_SAMPLES, "the sample minimum of each tomography phase group"
+    )
     ideal, shaped, traj = _pump_chain(prog, cal, resp, loss)
     centers = pump.slot_mode_centers(train)
 
-    n_phases = int(params["n_phases"])
     phases = [k * math.pi / n_phases for k in range(n_phases)]
     sched = LoSchedule(entries=tuple(LoEntry(phase=p) for p in phases))
     seeds = _child_seeds(cfg.seed, 2)
@@ -633,8 +650,6 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
         det, prog.samples_v.size, n_phases * cfg.n_frames, seeds[1], dtype=np.float32
     )
 
-    _write_pump_csv(outdir / "staircase_pump.csv", prog, ideal, shaped, meta)
-    outputs = {"staircase_pump": "staircase_pump.csv"}
     checks = []
     slot_records = []
     for k, slot in enumerate(train.slots):
@@ -704,8 +719,9 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
         "lo_phases_rad": phases,
         "slots": slot_records,
     }
+    _write_pump_csv(outdir / "staircase_pump.csv", prog, ideal, shaped, meta)
     _write_json(outdir / "slots.json", report, meta)
-    outputs["slots"] = "slots.json"
+    outputs = {"staircase_pump": "staircase_pump.csv", "slots": "slots.json"}
     return outputs, report, checks
 
 

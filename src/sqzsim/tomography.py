@@ -23,9 +23,8 @@ from sqzsim.dsp import (
     TemporalMode,
     extract_quadratures,
     split_moments,
-    stack_blocks,
 )
-from sqzsim.homodyne import VACUUM_REFERENCE, DetectorModel, FrameSet
+from sqzsim.homodyne import DetectorModel, FrameSet
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
@@ -45,7 +44,6 @@ __all__ = [
     "ml_gaussian_tomography",
     "ellipse_angle_difference_deg",
     "EprResult",
-    "run_epr_analysis",
     "stream_epr_analysis",
     "duan_prediction",
     "duan_prediction_scan",
@@ -386,54 +384,6 @@ class EprResult:
     scan_duan: np.ndarray
 
 
-def _check_epr_phases(fs: FrameSet, want: float, label: str) -> None:
-    dev = np.abs((fs.phase_tags - want + math.pi) % (2.0 * math.pi) - math.pi)
-    if np.any(dev > 1e-6):
-        raise ValueError(f"{label} frame set must be taken at LO phase {want:g} rad")
-
-
-def run_epr_analysis(
-    fs_x: FrameSet,
-    fs_p: FrameSet,
-    g1: TemporalMode,
-    g2: TemporalMode,
-    ref: FrameSet,
-    scan_halfwidth: float = 60e-9,
-    scan_step: float | None = None,
-) -> EprResult:
-    """Duan test of the two extraction modes, optimized over their center.
-
-    Per frame, x quadratures of both modes come from ``fs_x`` (LO phase
-    0) and p quadratures from ``fs_p`` (LO phase pi/2).  Both modes are
-    slid together over [-scan_halfwidth, +scan_halfwidth] around their
-    nominal centers and the reported result is taken at the center
-    minimizing the Duan value.  ``ref`` supplies the vacuum
-    normalization; the frames must be unfiltered (detector output as
-    simulated) for the mode weighting to be meaningful.  The three sets
-    share one time grid, and the x and p sets one frame count.  This is
-    the frame-stack case of :func:`stream_epr_analysis`.
-    """
-    _check_epr_phases(fs_x, 0.0, "x-quadrature")
-    _check_epr_phases(fs_p, math.pi / 2.0, "p-quadrature")
-    if ref.kind != VACUUM_REFERENCE:
-        raise ValueError("reference frame set must have kind 'vacuum_reference'")
-    for fs in (fs_p, ref):
-        if (
-            abs(fs.dt - fs_x.dt) > 1e-12 * fs_x.dt
-            or abs(fs.t0 - fs_x.t0) > 1e-6 * fs_x.dt
-            or fs.n_samples != fs_x.n_samples
-        ):
-            raise ValueError("x, p and reference frame sets must share one time grid")
-    if fs_p.n_frames != fs_x.n_frames:
-        raise ValueError("x and p frame sets must hold equal frame counts")
-
-    x_blocks, p_blocks, vac_blocks = (stack_blocks(fs.frames) for fs in (fs_x, fs_p, ref))
-    return stream_epr_analysis(
-        x_blocks, p_blocks, vac_blocks, fs_x.n_frames, ref.n_frames, g1, g2,
-        fs_x.t0, fs_x.dt, fs_x.n_samples, scan_halfwidth, scan_step,
-    )
-
-
 def stream_epr_analysis(
     x_blocks: Iterable[np.ndarray],
     p_blocks: Iterable[np.ndarray],
@@ -446,27 +396,32 @@ def stream_epr_analysis(
     dt: float,
     n_samples: int,
     scan_halfwidth: float = 60e-9,
-    scan_step: float | None = None,
 ) -> EprResult:
-    """:func:`run_epr_analysis` over frame blocks, one block held at a time.
+    """Duan test of the two extraction modes, optimized over their center.
 
-    ``x_blocks`` and ``p_blocks`` yield the ``n_frames`` frames of the x
-    and p sets and ``vac_blocks`` the ``n_vac`` frames of the vacuum
-    reference, each in the ranges of :func:`sqzsim.dsp.periodogram_bounds`.
-    Every record holds ``n_samples`` samples at interval ``dt`` from
-    ``t0``.  The vacuum set is reduced first, to the shot-noise scales
-    s1, s2 of g1, g2.  Each x block becomes the scan columns of
-    g1/s1 - g2/s2 and each p block those of g1/s1 + g2/s2 (a
-    :class:`sqzsim.dsp.ModeScan` per set), and
-    :func:`sqzsim.dsp.split_moments` folds them into
-    :func:`sqzsim.quantum.duan_from_moments`.  The LO phases of the
-    blocks are the caller's to guarantee.
+    ``x_blocks`` yields the ``n_frames`` frames of the x set (LO phase
+    0), ``p_blocks`` those of the p set (LO phase pi/2) and
+    ``vac_blocks`` the ``n_vac`` frames of the vacuum reference, each in
+    the ranges of :func:`sqzsim.dsp.periodogram_bounds`, so only one
+    block is held at a time.  Every record holds ``n_samples`` samples
+    at interval ``dt`` from ``t0`` and is the detector output as
+    simulated, with no further filtering, for the mode weighting to be
+    meaningful.  The LO phases of the blocks are the caller's to
+    guarantee.
+
+    The vacuum set is reduced first, to the shot-noise scales s1, s2 of
+    g1, g2.  Both modes are slid together, one sample at a time, over
+    [-scan_halfwidth, +scan_halfwidth] around their nominal centers:
+    each x block becomes the scan columns of g1/s1 - g2/s2 and each p
+    block those of g1/s1 + g2/s2 (a :class:`sqzsim.dsp.ModeScan` per
+    set), and :func:`sqzsim.dsp.split_moments` folds them into
+    :func:`sqzsim.quantum.duan_from_moments`.  The result is taken at
+    the center that minimizes the Duan value.
     """
     if scan_halfwidth < 0.0:
         raise ValueError("scan_halfwidth must be >= 0")
-    step_samples = 1 if scan_step is None else max(1, int(round(scan_step / dt)))
     half_samples = int(math.floor(scan_halfwidth / dt + 1e-9))
-    offsets = np.arange(-half_samples, half_samples + 1, step_samples)
+    offsets = np.arange(-half_samples, half_samples + 1)
 
     for mode in (g1, g2):
         for edge in (-half_samples, half_samples):
@@ -521,7 +476,7 @@ def duan_prediction(
     g1: TemporalMode,
     g2: TemporalMode,
 ) -> float:
-    """Deterministic counterpart of :func:`run_epr_analysis` at fixed t_c.
+    """Deterministic counterpart of :func:`stream_epr_analysis` at fixed t_c.
 
     Evaluates the exact variance of the mode-weighted quadratures for
     the quasi-static record model, detector filtering included, with no

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sqzsim import dsp, pump, quantum, tomography
-from sqzsim.homodyne import DetectorModel, FrameSet, iter_frame_chunks
+from sqzsim.homodyne import DetectorModel, iter_frame_chunks
 from sqzsim.opa import constant_trajectory
 from sqzsim.scenarios import ScenarioConfig, run_scenario
 
@@ -46,7 +46,8 @@ def test_acceptance_1_loss_inversion_round_trip():
     }
 
     # 5000 simulated frames through the spectral estimator, streamed block
-    # by block; the estimates are byte-equal to average_spectrum of the stacks
+    # by block; the estimates are byte-equal to those of the whole stacks
+    # cut into the same blocks
     det = DetectorModel(bandwidth=None, sample_rate=5e8)
     traj = constant_trajectory(R_271, 0.0, LOSS, dt=det.dt, n_samples=32768)
     vac_traj = constant_trajectory(0.0, 0.0, 0.0, dt=det.dt, n_samples=32768)
@@ -313,8 +314,7 @@ def test_acceptance_8_property_suites(tmp_path):
     # FIR noise bandwidth: filtered white variance = sum(h^2)
     h = dsp.fir_taps(1e-9)
     white = np.random.default_rng(7).standard_normal((4000, 600))
-    fs = FrameSet(1e-9, white, np.zeros(4000), "signal", 7)
-    trimmed = dsp.fir_lowpass(fs).frames[:, 127:-127]
+    trimmed = dsp.fir_filter(white, h)[:, 127:-127]
     ratio = float(trimmed.var()) / float(white.var())
     nb_ok = abs(ratio / float(np.sum(h**2)) - 1.0) <= 0.02
 

@@ -1,14 +1,75 @@
-"""Public names of the layer modules."""
+"""Public API: the names of the layer modules and the README's library example."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
+import sqzsim
 
-@pytest.mark.parametrize("name", ["quantum", "pump", "opa", "homodyne", "dsp", "tomography"])
+LAYERS = ["quantum", "pump", "opa", "homodyne", "dsp", "tomography"]
+
+# Public names the package itself need not use: the hbar = 2 convention
+# constants, and the closed-form states and mode spectrum that tests use
+# as oracles for the simulated chain.
+UNUSED_BY_DESIGN = {
+    "HBAR",
+    "VACUUM_VARIANCE",
+    "squeezed_state",
+    "vacuum_state",
+    "pure_db_from_r",
+    "mode_spectrum",
+}
+
+
+@pytest.mark.parametrize("name", LAYERS)
 def test_all_names_resolve_once(name):
     module = importlib.import_module(f"sqzsim.{name}")
     exported = module.__all__
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == []
+
+
+def _names_the_package_uses() -> set[str]:
+    """Every name the package modules read, import or take an attribute of.
+
+    Definitions, ``__all__`` strings and docstrings are not reads, and
+    ``__init__.py`` only re-exports, so none of them counts.
+    """
+    used = set()
+    for path in Path(sqzsim.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    used = _names_the_package_uses()
+    unused = [
+        f"{name}.{n}"
+        for name in LAYERS
+        for n in importlib.import_module(f"sqzsim.{name}").__all__
+        if n not in used and n not in UNUSED_BY_DESIGN
+    ]
+    assert unused == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert "N_FRAMES = 2000\n" in code
+    # a tenth of the frames keeps the run short; every call is the same
+    code = code.replace("N_FRAMES = 2000\n", "N_FRAMES = 200\n")
+    exec(compile(code, "README.md", "exec"), {})
+    s_db, pure_db, loss = map(float, capsys.readouterr().out.split())
+    assert s_db < 0.0 and pure_db > 0.0 and 0.0 <= loss < 1.0

@@ -11,17 +11,12 @@ from scipy import signal
 from sqzsim import dsp
 from sqzsim.dsp import (
     SpectrumEstimate,
-    TemporalMode,
-    average_spectrum,
     band_average,
     estimate_pure_squeezing_and_loss,
     extract_quadratures,
-    fir_lowpass,
     fir_taps,
     make_mode,
-    mode_from_weights,
     mode_spectrum,
-    pointwise_variance,
     project,
     vacuum_quadrature_scale,
     vacuum_quadrature_scales,
@@ -35,6 +30,7 @@ from sqzsim.homodyne import (
 )
 from sqzsim.opa import constant_trajectory
 from sqzsim.quantum import split_slices
+from stack_slices import blocks
 
 S_DB = -2.0708616181713997
 A_DB = 2.3244519950594054
@@ -47,7 +43,8 @@ def _vacuum(n_samples=256, n_frames=400, seed=0, bandwidth=200e6):
 
 def test_spectrum_of_reference_against_itself_is_zero_db():
     ref = _vacuum()
-    spec = average_spectrum(ref, ref)
+    vac = dsp.periodogram_split_means(ref.n_frames, blocks(ref.frames))
+    spec = dsp.spectrum_ratio(vac, vac, ref.n_samples, ref.dt)
     assert np.allclose(spec.level_db, 0.0, atol=1e-12)
     assert np.allclose(spec.stderr_db, 0.0, atol=1e-12)
 
@@ -57,7 +54,12 @@ def test_vacuum_spectrum_is_flat_at_zero_db():
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=512)
     sig = simulate_frames(traj, det, 0.0, n_frames=600, seed=1)
     ref = simulate_vacuum_reference(det, 512, 600, seed=2)
-    spec = average_spectrum(sig, ref)
+    spec = dsp.spectrum_ratio(
+        dsp.periodogram_split_means(600, blocks(sig.frames)),
+        dsp.periodogram_split_means(600, blocks(ref.frames)),
+        512,
+        det.dt,
+    )
     level, stderr = band_average(spec, 1e6, 100e6)
     assert abs(level) <= 5.0 * stderr
     assert stderr < 0.1
@@ -69,24 +71,16 @@ def test_squeezed_spectrum_band_levels():
     sig = simulate_frames(traj, det, 0.0, n_frames=800, seed=3)
     anti = simulate_frames(traj, det, math.pi / 2.0, n_frames=800, seed=4)
     ref = simulate_vacuum_reference(det, 1024, 800, seed=5)
-    s_level, s_err = band_average(average_spectrum(sig, ref))
-    a_level, a_err = band_average(average_spectrum(anti, ref))
+    vac = dsp.periodogram_split_means(800, blocks(ref.frames))
+
+    def band(fs):
+        split_means = dsp.periodogram_split_means(800, blocks(fs.frames))
+        return band_average(dsp.spectrum_ratio(split_means, vac, 1024, det.dt))
+
+    s_level, s_err = band(sig)
+    a_level, a_err = band(anti)
     assert abs(s_level - S_DB) <= 5.0 * s_err
     assert abs(a_level - A_DB) <= 5.0 * a_err
-
-
-def test_average_spectrum_validation():
-    ref = _vacuum(n_frames=12)
-    sig = _vacuum(n_frames=12, seed=1)
-    with pytest.raises(ValueError, match="vacuum_reference"):
-        average_spectrum(ref, FrameSet(ref.dt, ref.frames, ref.phase_tags, "signal", 0))
-    short = _vacuum(n_frames=12, n_samples=128, seed=2)
-    with pytest.raises(ValueError, match="length"):
-        average_spectrum(short, ref)
-    few = _vacuum(n_frames=5, seed=3)
-    with pytest.raises(ValueError, match="frames"):
-        average_spectrum(few, ref)
-    assert average_spectrum(sig, ref).freqs[0] == 0.0
 
 
 def _split_means_loop(frames):
@@ -136,7 +130,10 @@ def test_streamed_spectrum_equals_average_spectrum():
     sig = dsp.periodogram_split_means(61, sig_blocks)
     vac = dsp.periodogram_split_means(61, vac_blocks)
     got = dsp.spectrum_ratio(sig, vac, 128, det.dt)
-    want = average_spectrum(fs, ref)
+    want = dsp.spectrum_ratio(
+        _split_means_loop(fs.frames), _split_means_loop(ref.frames), 128, det.dt
+    )
+    assert got.freqs[0] == 0.0
     for name in ("freqs", "level_db", "stderr_db"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -235,19 +232,17 @@ def test_fir_lowpass_compensates_group_delay():
     n = 2048
     t = np.arange(n) * 1e-9
     bump = np.exp(-0.5 * ((t - 1000e-9) / 40e-9) ** 2)
-    fs = FrameSet(1e-9, bump[None, :].repeat(12, axis=0), np.zeros(12), "signal", 0)
-    out = fir_lowpass(fs)
-    assert abs(int(np.argmax(out.frames[0])) - int(np.argmax(bump))) <= 1
-    assert out.frames[0].max() == pytest.approx(bump.max(), rel=1e-3)
+    out = dsp.fir_filter(bump[None, :].repeat(12, axis=0), fir_taps(1e-9))
+    assert abs(int(np.argmax(out[0])) - int(np.argmax(bump))) <= 1
+    assert out[0].max() == pytest.approx(bump.max(), rel=1e-3)
 
 
 def test_fir_lowpass_suppresses_out_of_band_tone():
     n = 4096
     t = np.arange(n) * 1e-9
     tone = np.cos(2.0 * math.pi * 300e6 * t)
-    fs = FrameSet(1e-9, tone[None, :].repeat(12, axis=0), np.zeros(12), "signal", 0)
-    out = fir_lowpass(fs, cutoff=100e6)
-    core = out.frames[0][300:-300]
+    out = dsp.fir_filter(tone[None, :].repeat(12, axis=0), fir_taps(1e-9, cutoff=100e6))
+    core = out[0][300:-300]
     assert float(np.abs(core).max()) < 0.01
 
 
@@ -259,31 +254,27 @@ def test_fir_lowpass_suppresses_out_of_band_tone():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fir_lowpass_equals_fftconvolve_bytes(n_frames, n_samples, taps, cutoff, dtype):
     frames = np.random.default_rng(n_samples).standard_normal((n_frames, n_samples)).astype(dtype)
-    fs = FrameSet(1e-9, frames, np.zeros(n_frames), "signal", 0)
-    h = fir_taps(fs.dt, taps=taps, cutoff=cutoff)
-    want = signal.fftconvolve(np.asarray(fs.frames, float), h[None, :], mode="same", axes=1)
-    got = fir_lowpass(fs, taps=taps, cutoff=cutoff).frames
+    h = fir_taps(1e-9, taps=taps, cutoff=cutoff)
+    want = signal.fftconvolve(np.asarray(frames, float), h[None, :], mode="same", axes=1)
+    got = dsp.fir_filter(frames, h)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _variance_trace(sig, ref):
+    """The streamed variance trace over slices of two whole stacks."""
+    moments = [dsp.split_moments(fs.n_frames, blocks(fs.frames)) for fs in (sig, ref)]
+    return dsp.variance_ratio(*moments, sig.times)
 
 
 def test_pointwise_variance_of_vacuum_is_flat_unity():
     det = DetectorModel()
     sig = simulate_vacuum_reference(det, 300, 2000, seed=6)
     ref = simulate_vacuum_reference(det, 300, 2000, seed=7)
-    trace = pointwise_variance(
-        FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", sig.rng_seed), ref
-    )
+    trace = _variance_trace(sig, ref)
     assert trace.variance.mean() == pytest.approx(1.0, abs=0.05)
     assert np.all(np.abs(trace.variance - 1.0) <= 6.0 * np.maximum(trace.stderr, 0.01))
     assert trace.times[0] == 0.0
-
-
-def test_pointwise_variance_validation():
-    det = DetectorModel()
-    sig = simulate_vacuum_reference(det, 64, 20, seed=0)
-    with pytest.raises(ValueError, match="vacuum_reference"):
-        pointwise_variance(sig, FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", 0))
 
 
 @pytest.mark.parametrize("n_frames", [13, 19])
@@ -292,14 +283,14 @@ def test_pointwise_variance_needs_two_frames_per_split(n_frames):
     sig = simulate_vacuum_reference(det, 40, n_frames, seed=3)
     ref = simulate_vacuum_reference(det, 40, 20, seed=4)
     with pytest.raises(ValueError, match="n_frames"):
-        pointwise_variance(FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", 3), ref)
+        _variance_trace(sig, ref)
 
 
 def test_pointwise_variance_stderr_is_finite_at_twenty_frames():
     det = DetectorModel()
     sig = simulate_vacuum_reference(det, 40, 20, seed=3)
     ref = simulate_vacuum_reference(det, 40, 20, seed=4)
-    trace = pointwise_variance(FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", 3), ref)
+    trace = _variance_trace(sig, ref)
     assert np.all(np.isfinite(trace.stderr)) and np.all(trace.stderr > 0.0)
 
 
@@ -307,9 +298,7 @@ def test_variance_trace_csv_includes_extra_columns(tmp_path):
     det = DetectorModel()
     sig = simulate_vacuum_reference(det, 64, 30, seed=1)
     ref = simulate_vacuum_reference(det, 64, 30, seed=2)
-    trace = pointwise_variance(
-        FrameSet(sig.dt, sig.frames, sig.phase_tags, "signal", 1), ref
-    )
+    trace = _variance_trace(sig, ref)
     path = tmp_path / "trace.csv"
     trace.to_csv(path, extra={"target": np.ones(64)}, meta={"seed": 1})
     lines = path.read_text().splitlines()
@@ -333,9 +322,8 @@ STREAM_FRAME_COUNTS = [20, 37, 999, 4800]
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fir_filter_blocks_equal_fir_lowpass_rows(dtype, n_frames, n_samples):
     frames = np.random.default_rng(n_frames).standard_normal((n_frames, n_samples)).astype(dtype)
-    fs = FrameSet(1e-9, frames, np.zeros(n_frames), "signal", 0)
-    h = fir_taps(fs.dt, taps=31, cutoff=100e6)
-    whole = fir_lowpass(fs, taps=31, cutoff=100e6).frames
+    h = fir_taps(1e-9, taps=31, cutoff=100e6)
+    whole = dsp.fir_filter(frames, h)
     # the whole stack in one fftconvolve call gives the same bytes
     want = signal.fftconvolve(np.asarray(frames, float), h[None, :], mode="same", axes=1)
     assert whole.tobytes() == want.tobytes()
@@ -378,9 +366,6 @@ def test_streamed_split_moments_match_two_pass_variance(n_frames):
     stderr = (per_split / shot).std(axis=0, ddof=1) / math.sqrt(10)
     np.testing.assert_allclose(trace.variance, var / shot, rtol=VARIANCE_RTOL, atol=0.0)
     np.testing.assert_allclose(trace.stderr, stderr, rtol=VARIANCE_RTOL, atol=0.0)
-    stack = pointwise_variance(fs, ref)
-    for name in ("times", "variance", "stderr"):
-        assert getattr(stack, name).tobytes() == getattr(trace, name).tobytes(), name
 
 
 @pytest.mark.parametrize("n_frames", [20, 999, 4800])
@@ -483,17 +468,11 @@ def test_mode_spectrum_dc_mode():
     assert spec.out_of_band_fraction(5e6) < 1e-6
 
 
-def test_mode_from_weights_normalizes():
-    mode = mode_from_weights(1e-9, 0.0, np.ones(100))
-    assert float(np.sum(mode.weights**2) * mode.dt) == pytest.approx(1.0, abs=1e-12)
-    assert mode.family == "custom"
-
-
 def test_quadrature_extraction_is_linear():
     rng = np.random.default_rng(0)
     f1 = rng.standard_normal(200)
     f2 = rng.standard_normal(200)
-    mode = mode_from_weights(1e-9, 50e-9, np.hanning(100))
+    mode = make_mode("tf_mode", 1e-9, t_c=100e-9, gamma=2.5e8, t_w=30e-9)
     base = dict(dt=1e-9, phase_tags=np.zeros(1), kind="signal", rng_seed=0)
     qa = extract_quadratures(FrameSet(frames=f1[None, :], **base), mode, 1.0)
     qb = extract_quadratures(FrameSet(frames=f2[None, :], **base), mode, 1.0)

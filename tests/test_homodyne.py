@@ -1,4 +1,4 @@
-"""Homodyne record synthesis: detector model, determinism, persistence."""
+"""Homodyne record synthesis: detector model, determinism, streamed blocks."""
 
 import math
 import os
@@ -16,11 +16,7 @@ from sqzsim.homodyne import (
     FrameSet,
     LoEntry,
     LoSchedule,
-    frameset_from_csv,
-    frameset_to_csv,
     iter_frame_chunks,
-    load_frameset,
-    save_frameset,
     simulate_frames,
     simulate_vacuum_reference,
     _substream_states,
@@ -125,31 +121,6 @@ def test_frameset_validation_and_immutability():
     fs = FrameSet(dt=1e-9, frames=frames, phase_tags=np.zeros(3), kind="signal", rng_seed=0)
     with pytest.raises(ValueError):
         fs.frames[0, 0] = 1.0
-
-
-def test_frameset_npz_round_trip(tmp_path):
-    traj = constant_trajectory(0.3, 0.2, 0.1, dt=2e-9, n_samples=32)
-    fs = simulate_frames(traj, DetectorModel(), 0.4, n_frames=6, seed=77)
-    path = tmp_path / "frames.npz"
-    save_frameset(fs, path)
-    back = load_frameset(path)
-    assert np.array_equal(back.frames, fs.frames)
-    assert np.array_equal(back.phase_tags, fs.phase_tags)
-    assert back.dt == fs.dt
-    assert back.kind == fs.kind
-    assert back.rng_seed == fs.rng_seed
-    assert back.t0 == fs.t0
-
-
-def test_frameset_csv_round_trip(tmp_path):
-    traj = constant_trajectory(0.1, 0.0, 0.0, dt=1e-9, n_samples=16)
-    fs = simulate_frames(traj, DetectorModel(bandwidth=None), 0.0, n_frames=4, seed=5)
-    path = tmp_path / "frames.csv"
-    frameset_to_csv(fs, path)
-    back = frameset_from_csv(path)
-    assert np.array_equal(back.frames, fs.frames)
-    assert np.array_equal(back.phase_tags, fs.phase_tags)
-    assert back.dt == fs.dt
 
 
 def test_float32_output_dtype():
@@ -340,18 +311,3 @@ def test_schedules_beyond_the_spawn_key_range_are_rejected():
     sched = LoSchedule(entries=(LoEntry(0.0, 2**31), LoEntry(1.0, 2**31 + 1)))
     with pytest.raises(ValueError, match="n_frames"):
         simulate_frames(traj, DetectorModel(bandwidth=None), sched)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_loaders_reject_non_finite_samples(tmp_path, bad):
-    frames = np.zeros((3, 5))
-    frames[1, 3] = bad
-    frames[2, 0] = bad
-    fs = FrameSet(dt=1e-9, frames=frames, phase_tags=np.zeros(3), kind="signal", rng_seed=-1)
-    npz, csv_path = tmp_path / "frames.npz", tmp_path / "frames.csv"
-    save_frameset(fs, npz)
-    frameset_to_csv(fs, csv_path)
-    for load, path in ((load_frameset, npz), (frameset_from_csv, csv_path)):
-        bad_sample = r"frames\.(npz|csv): frame 1, sample 3 is -?(nan|inf)"
-        with pytest.raises(ValueError, match=bad_sample):
-            load(path)

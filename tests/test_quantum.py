@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqzsim.dsp import pointwise_variance
-from sqzsim.homodyne import FrameSet
+from sqzsim.dsp import split_moments, variance_ratio
 from sqzsim.quantum import (
     DuanResult,
     GaussianState,
     SqueezeParams,
-    TwoModeGaussianState,
     apply_loss,
     db_from_variance,
-    duan_from_covariance,
-    duan_value,
+    duan_from_moments,
     effective_squeezing_db,
     pure_db_from_r,
     r_from_pure_db,
@@ -25,9 +22,9 @@ from sqzsim.quantum import (
     squeezed_state,
     vacuum_state,
     variance_at_phase,
-    variance_from_db,
 )
 from sqzsim.tomography import ml_gaussian_tomography
+from stack_slices import blocks
 
 R_271 = 0.3120002801006932  # r for a 2.71 dB lossless squeezing level
 LOSS = 0.183
@@ -48,7 +45,7 @@ def test_pure_db_round_trip_property(db):
 
 @given(st.floats(min_value=-30.0, max_value=30.0))
 def test_db_variance_round_trip(db):
-    assert db_from_variance(variance_from_db(db)) == pytest.approx(db, abs=1e-9)
+    assert db_from_variance(10.0 ** (db / 10.0)) == pytest.approx(db, abs=1e-9)
 
 
 def test_variance_anchor_squeezed():
@@ -117,7 +114,8 @@ def test_squeezed_state_matches_variance_at_phase():
     state = squeezed_state(r, theta, loss)
     for phi in np.linspace(0.0, math.pi, 13):
         want = variance_at_phase(r, theta, loss, float(phi))
-        assert state.quadrature_variance(float(phi)) == pytest.approx(want, abs=1e-12)
+        u = np.array([math.cos(phi), math.sin(phi)])
+        assert float(u @ state.cov @ u) == pytest.approx(want, abs=1e-12)
 
 
 def test_lossless_squeezed_state_is_minimum_uncertainty():
@@ -140,16 +138,6 @@ def test_apply_loss_scales_mean():
     assert np.allclose(out.mean, math.sqrt(0.81) * state.mean, atol=1e-12)
 
 
-def test_rotated_frame_shifts_quadrature_phase():
-    state = squeezed_state(0.5, 0.4, 0.05)
-    a = 0.7
-    rot = state.rotated(a)
-    for phi in (0.0, 0.3, 1.1):
-        assert rot.quadrature_variance(phi) == pytest.approx(
-            state.quadrature_variance(phi + a), abs=1e-12
-        )
-
-
 def test_unphysical_covariance_is_flagged():
     state = GaussianState(np.zeros(2), 0.5 * np.eye(2))
     assert not state.physical
@@ -162,16 +150,6 @@ def test_gaussian_state_validation():
         GaussianState(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
 
 
-def test_two_mode_reduction():
-    cov = np.diag([0.5, 2.0, 3.0, 0.4])
-    tm = TwoModeGaussianState(np.array([1.0, 2.0, 3.0, 4.0]), cov)
-    m1 = tm.mode(0)
-    assert np.allclose(m1.cov, np.diag([0.5, 2.0]))
-    assert np.allclose(m1.mean, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        tm.mode(2)
-
-
 def _epr_covariance(r: float, loss: float) -> np.ndarray:
     """Two squeezed modes (x- and p-squeezed) mixed on a balanced splitter."""
     s = variance_at_phase(r, 0.0, loss, 0.0)
@@ -182,15 +160,26 @@ def _epr_covariance(r: float, loss: float) -> np.ndarray:
     return bs @ cov_in @ bs.T
 
 
+def _duan_from_covariance(cov: np.ndarray) -> float:
+    """Oracle: Var(x1 - x2) + Var(p1 + p2) of a covariance in (x1, p1, x2, p2) order."""
+    return float(cov[0, 0] + cov[2, 2] - 2.0 * cov[0, 2] + cov[1, 1] + cov[3, 3] + 2.0 * cov[1, 3])
+
+
+def _duan(x1, p1, x2, p2) -> DuanResult:
+    """The streamed Duan statistic of sample columns, over slices of the whole columns."""
+    n = len(x1)
+    return duan_from_moments(split_moments(n, blocks(x1 - x2)), split_moments(n, blocks(p1 + p2)))
+
+
 def test_duan_from_covariance_epr_anchor():
     cov = _epr_covariance(R_271, LOSS)
-    duan = duan_from_covariance(cov)
+    duan = _duan_from_covariance(cov)
     assert duan == pytest.approx(2.4829834767536, abs=1e-12)
     assert duan == pytest.approx(4.0 * variance_at_phase(R_271, 0.0, LOSS, 0.0), abs=1e-12)
 
 
 def test_duan_from_covariance_vacuum_is_four():
-    assert duan_from_covariance(np.eye(4)) == pytest.approx(4.0, abs=1e-12)
+    assert _duan_from_covariance(np.eye(4)) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_duan_value_matches_covariance_route():
@@ -198,43 +187,27 @@ def test_duan_value_matches_covariance_route():
     n = 200000
     cov = _epr_covariance(R_271, LOSS)
     samples = rng.multivariate_normal(np.zeros(4), cov, size=n)
-    res = duan_value(samples[:, 0], samples[:, 1], samples[:, 2], samples[:, 3])
+    res = _duan(samples[:, [0]], samples[:, [1]], samples[:, [2]], samples[:, [3]])
     assert isinstance(res, DuanResult)
-    want = duan_from_covariance(cov)
-    assert abs(res.value - want) <= 5.0 * res.stderr
-    assert res.stderr > 0.0
-    assert res.entangled
+    want = _duan_from_covariance(cov)
+    assert abs(res.value[0] - want) <= 5.0 * res.stderr[0]
+    assert res.stderr[0] > 0.0
+    assert res.entangled[0]
 
 
 def test_duan_value_vacuum_sits_at_four():
     rng = np.random.default_rng(11)
-    q = rng.standard_normal((4, 50000))
-    res = duan_value(*q)
-    assert abs(res.value - 4.0) <= 5.0 * res.stderr
+    q = rng.standard_normal((4, 50000, 1))
+    res = _duan(*q)
+    assert abs(res.value[0] - 4.0) <= 5.0 * res.stderr[0]
     # the flag is the point comparison; significance is the caller's job
-    assert res.entangled == (res.value < 4.0)
-
-
-def test_duan_value_column_stacks_match_per_column_calls():
-    rng = np.random.default_rng(3)
-    # 1003 rows: the 10 split_slices subsets are unequal in size
-    x1, p1, x2, p2 = rng.standard_normal((4, 1003, 7)) * np.linspace(0.5, 2.0, 7)
-    res = duan_value(x1, p1, x2, p2)
-    assert res.value.shape == res.stderr.shape == res.entangled.shape == (7,)
-    for j in range(7):
-        one = duan_value(x1[:, j], p1[:, j], x2[:, j], p2[:, j])
-        assert isinstance(one.value, float) and isinstance(one.entangled, bool)
-        assert res.value[j] == pytest.approx(one.value, rel=1e-12, abs=0.0)
-        assert res.stderr[j] == pytest.approx(one.stderr, rel=1e-12, abs=0.0)
-        assert bool(res.entangled[j]) == one.entangled
-    with pytest.raises(ValueError, match="equal sample counts"):
-        duan_value(x1, p1, x2[:, :6], p2)
+    assert res.entangled[0] == (res.value[0] < 4.0)
 
 
 def test_split_errors_share_one_subset_convention():
     # 1013 = 10 * 101 + 3 samples: split_slices spreads the 3 extra samples
     # where np.array_split would put them in the first three subsets, and
-    # every subset keeps the 100 samples duan_value and PhaseGroup need
+    # every subset keeps the 100 samples the Duan statistic and PhaseGroup need
     n = 1013
     slices = split_slices(n)
     sizes = [sl.stop - sl.start for sl in slices]
@@ -244,17 +217,18 @@ def test_split_errors_share_one_subset_convention():
     def split_stderr(per_split):
         return np.std(per_split, axis=0, ddof=1) / math.sqrt(len(slices))
 
-    q = rng.standard_normal((4, n)) * np.array([[0.6], [1.5], [0.7], [1.3]])
-    want = split_stderr([duan_value(*q[:, sl]).value for sl in slices])
-    assert duan_value(*q).stderr == pytest.approx(want, rel=1e-12)
+    q = rng.standard_normal((4, n, 1)) * np.array([[[0.6]], [[1.5]], [[0.7]], [[1.3]]])
+    diff, total = q[0] - q[2], q[1] + q[3]
+    want = split_stderr([np.var(diff[sl], ddof=1) + np.var(total[sl], ddof=1) for sl in slices])
+    assert _duan(*q).stderr[0] == pytest.approx(want, rel=1e-12)
 
     frames = rng.standard_normal((n, 8)) * np.linspace(0.5, 2.0, 8)
-    sig = FrameSet(1e-9, frames, np.zeros(n), "signal", -1)
     ref_frames = rng.standard_normal((50, 8))
-    ref = FrameSet(1e-9, ref_frames, np.zeros(50), "vacuum_reference", -1)
     shot = float(np.mean(np.var(ref_frames, axis=0, ddof=1)))
     want = split_stderr([np.var(frames[sl], axis=0, ddof=1) / shot for sl in slices])
-    np.testing.assert_allclose(pointwise_variance(sig, ref).stderr, want, rtol=1e-12, atol=0.0)
+    sig, ref = (split_moments(len(f), blocks(f)) for f in (frames, ref_frames))
+    trace = variance_ratio(sig, ref, np.arange(8) * 1e-9)
+    np.testing.assert_allclose(trace.stderr, want, rtol=1e-12, atol=0.0)
 
     phases = [0.0, math.pi / 4.0, math.pi / 2.0]
     samples = [rng.standard_normal(n) * s for s in (0.7, 1.0, 1.4)]
@@ -279,7 +253,7 @@ def test_duan_value_holds_the_tolerance_against_two_pass_var(n, offset):
     x1, p1, x2, p2 = rng.standard_normal((4, n, 5)) * np.linspace(0.5, 2.0, 5)
     x1 += offset
     p1 += offset
-    res = duan_value(x1, p1, x2, p2)
+    res = _duan(x1, p1, x2, p2)
     diff, total = x1 - x2, p1 + p2
     want = np.var(diff, axis=0, ddof=1) + np.var(total, axis=0, ddof=1)
     per_split = [
@@ -289,14 +263,12 @@ def test_duan_value_holds_the_tolerance_against_two_pass_var(n, offset):
     stderr = np.std(per_split, axis=0, ddof=1) / math.sqrt(10)
     np.testing.assert_allclose(res.value, want, rtol=DUAN_RTOL, atol=0.0)
     np.testing.assert_allclose(res.stderr, stderr, rtol=DUAN_RTOL, atol=0.0)
-    one = duan_value(x1[:, 0], p1[:, 0], x2[:, 0], p2[:, 0])
-    assert one.value == pytest.approx(want[0], rel=DUAN_RTOL, abs=0.0)
 
 
 def test_duan_value_rejects_short_records():
-    x = np.zeros(99)
-    with pytest.raises(ValueError):
-        duan_value(x, x, x, x)
+    x = np.zeros((99, 1))
+    with pytest.raises(ValueError, match="at least 100 samples"):
+        _duan(x, x, x, x)
 
 
 def test_effective_squeezing_db_anchor():

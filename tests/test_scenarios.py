@@ -248,6 +248,21 @@ def test_cli_spectrum_with_too_few_frames_exits_2_naming_the_field(tmp_path, cap
 
 
 @pytest.mark.parametrize(
+    "argv, field",
+    # fewer than 3 LO phases, and phase groups below the tomography's
+    # 100-sample minimum
+    [
+        (["tm_squeezing", "--set", "n_phases=2"], "n_phases"),
+        (["tm_squeezing", "--frames", "50"], "n_frames"),
+    ],
+)
+def test_cli_tm_squeezing_rejects_unfit_tomography_input_before_synthesis(
+    tmp_path, capsys, argv, field
+):
+    _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize(
     "settings, field",
     # above the 500 MHz Nyquist frequency, a reversed band, and 64-sample
     # frames whose 15.6 MHz bins leave the default 1-10 MHz band empty
@@ -316,6 +331,30 @@ def test_scenario_config_rejects_non_integer_seed(tmp_path):
     with pytest.raises(UsageError, match="seed"):
         ScenarioConfig(scenario="calibrate", seed=1.5, output_dir=str(tmp_path))
     ScenarioConfig(scenario="calibrate", seed=np.uint64(2**63), output_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": 1.7}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"n_frames": "many"}, "n_frames"),
+        ({"n_frames": 250.9}, "n_frames"),
+        ({"calibration_path": 5}, "calibration_path"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"params": {"power_min_mw": [1]}}, "power_min_mw"),
+    ],
+)
+def test_cli_config_fields_of_the_wrong_type_exit_2_naming_the_field(
+    tmp_path, capsys, config, field
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "calibrate", "--config", str(cfg_path), "--out", str(tmp_path)])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert err["kind"] == "usage" and field in err["message"]
 
 
 def test_cli_unknown_param_exits_2(tmp_path, capsys):

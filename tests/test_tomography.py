@@ -7,14 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sqzsim.dsp import make_mode, periodogram_bounds, project, vacuum_quadrature_scales
-from sqzsim.homodyne import (
-    DetectorModel,
-    iter_frame_chunks,
-    simulate_frames,
-    simulate_vacuum_reference,
-)
-from sqzsim.opa import SqueezerTrajectory, constant_trajectory
+from sqzsim.dsp import make_mode, project, vacuum_quadrature_scales
+from sqzsim.homodyne import DetectorModel, simulate_frames, simulate_vacuum_reference
+from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import split_slices, squeezed_state, variance_at_phase
 from sqzsim.tomography import (
     PhaseGroup,
@@ -23,10 +18,10 @@ from sqzsim.tomography import (
     duan_prediction_scan,
     ellipse_angle_difference_deg,
     ml_gaussian_tomography,
-    run_epr_analysis,
     stream_epr_analysis,
     wigner_ellipse,
 )
+from stack_slices import blocks
 
 
 def test_wigner_ellipse_of_vacuum_is_unit_circle():
@@ -160,9 +155,18 @@ def _epr_pieces(n_frames=200, bandwidth=None, seed=0, dt=1e-9):
     return traj, det, fs_x, fs_p, ref, g1, g2
 
 
+def _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth):
+    """:func:`stream_epr_analysis` over slices of the three whole stacks."""
+    x_blocks, p_blocks, vac_blocks = (blocks(fs.frames) for fs in (fs_x, fs_p, ref))
+    return stream_epr_analysis(
+        x_blocks, p_blocks, vac_blocks, fs_x.n_frames, ref.n_frames, g1, g2,
+        fs_x.t0, fs_x.dt, fs_x.n_samples, scan_halfwidth,
+    )
+
+
 def test_epr_analysis_reports_entanglement():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=400)
-    result = run_epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=10e-9)
+    result = _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=10e-9)
     assert result.duan < 4.0
     assert result.entangled
     assert result.duan_stderr > 0.0
@@ -175,7 +179,7 @@ def test_epr_analysis_reports_entanglement():
 
 def test_epr_analysis_matches_prediction():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=600, seed=5)
-    result = run_epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=5e-9)
+    result = _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=5e-9)
     best = min(
         duan_prediction(traj, det, g1.shifted(off), g2.shifted(off))
         for off in result.scan_offsets
@@ -185,43 +189,16 @@ def test_epr_analysis_matches_prediction():
 
 def test_epr_stderr_includes_reference_scale_noise():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=400, seed=9)
-    result = run_epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=2e-9)
+    result = _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=2e-9)
     # the scale term alone bounds the error from below
     assert result.duan_stderr >= result.duan / math.sqrt(ref.n_frames - 1)
-
-
-def _stream_pieces(bandwidth, n_frames):
-    """The x, p and vacuum blocks of ``_epr_pieces`` at the reducer bounds."""
-    traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames, bandwidth, seed=4)
-    bounds = periodogram_bounds(n_frames)
-    vac_traj = constant_trajectory(0.0, 0.0, 0.0, det.dt, traj.n_samples)
-    blocks = [
-        iter_frame_chunks(tr, det, phase, n_frames, seed, np.float64, bounds)
-        for tr, phase, seed in ((traj, 0.0, 4), (traj, math.pi / 2.0, 5), (vac_traj, 0.0, 6))
-    ]
-    return (fs_x, fs_p, ref, g1, g2), blocks
-
-
-@pytest.mark.parametrize("scan_step", [None, 3e-9])
-@pytest.mark.parametrize("bandwidth", [None, 200e6])
-def test_streamed_epr_scan_equals_the_stack_route(bandwidth, scan_step):
-    # 601 frames: splits of 60 and 61, none a multiple of 10
-    (fs_x, fs_p, ref, g1, g2), blocks = _stream_pieces(bandwidth, 601)
-    kw = dict(scan_halfwidth=12e-9, scan_step=scan_step)
-    stack = run_epr_analysis(fs_x, fs_p, g1, g2, ref, **kw)
-    stream = stream_epr_analysis(
-        *blocks, 601, 601, g1, g2, fs_x.t0, fs_x.dt, fs_x.n_samples, **kw
-    )
-    assert stream.scan_duan.tobytes() == stack.scan_duan.tobytes()
-    assert stream.scan_offsets.tobytes() == stack.scan_offsets.tobytes()
-    assert (stream.duan, stream.duan_stderr, stream.t_c) == (stack.duan, stack.duan_stderr, stack.t_c)
 
 
 def test_epr_scan_matches_the_projection_route():
     # the route the moments replaced: project every shifted mode, divide
     # by the vacuum scales, and take two-pass variances
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=300, bandwidth=200e6, seed=2)
-    result = run_epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=8e-9)
+    result = _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=8e-9)
     lags = np.arange(-8, 9)
     scales = vacuum_quadrature_scales(ref, [g1, g2])
     x1, x2, p1, p2 = (
@@ -241,16 +218,10 @@ def test_epr_scan_matches_the_projection_route():
     assert result.duan_stderr == pytest.approx(se, rel=1e-12, abs=0.0)
 
 
-def test_epr_analysis_validates_phases():
-    traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=200)
-    with pytest.raises(ValueError, match="phase"):
-        run_epr_analysis(fs_p, fs_p, g1, g2, ref, scan_halfwidth=2e-9)
-
-
 def test_epr_analysis_rejects_oversized_scan():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=200)
     with pytest.raises(ValueError):
-        run_epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=500e-9)
+        _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=500e-9)
 
 
 def test_duan_prediction_instantaneous_anchor():

@@ -558,7 +558,7 @@ def make_mode(
 class ModeSpectrum:
     """One-sided energy spectrum of a temporal mode.
 
-    ``power`` integrates to 1 over ``freqs`` (bin spacing df); the
+    ``power`` integrates to 1 over the uniform bins ``freqs``; the
     center frequency is the dominant-lobe location and ``hwhm`` the
     half-width at half maximum of the amplitude spectrum, the usual
     linewidth convention for such modes.
@@ -568,10 +568,6 @@ class ModeSpectrum:
     power: np.ndarray
     center_freq: float
     hwhm: float
-
-    @property
-    def df(self) -> float:
-        return float(self.freqs[1] - self.freqs[0])
 
     def out_of_band_fraction(self, f_cut: float) -> float:
         """Energy fraction on the wrong side of f_cut for this mode.

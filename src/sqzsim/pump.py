@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import signal
-
-from sqzsim._csvfile import write_csv
 
 __all__ = [
     "AwgProgram",
@@ -80,13 +77,6 @@ class AwgProgram:
     @property
     def times(self) -> np.ndarray:
         return self.trigger_offset_s + np.arange(self.samples_v.size) / self.sample_rate_hz
-
-    @property
-    def duration(self) -> float:
-        return self.samples_v.size / self.sample_rate_hz
-
-    def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        write_csv(path, meta, ("time_s", "volts"), zip(self.times, self.samples_v))
 
 
 def _default_quad_coeff() -> float:
@@ -381,9 +371,6 @@ class PowerTrace:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.power_mw.size) * self.dt
-
-    def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        write_csv(path, meta, ("time_s", "power_mw"), zip(self.times, self.power_mw))
 
 
 def ideal_pump_power(prog: AwgProgram, cal: Calibration) -> PowerTrace:

@@ -3,6 +3,7 @@
 import math
 import os
 import signal as os_signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -200,6 +201,15 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
         assert sorted(shares) == sorted(want)
 
 
+def _consume_within_60_s(consume):
+    runner = ThreadPoolExecutor(max_workers=1)
+    try:
+        # a hang fails here instead of blocking the suite
+        runner.submit(consume).result(timeout=60)
+    finally:
+        runner.shutdown(wait=False)
+
+
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
     if homodyne._share_pool() is None:
@@ -229,15 +239,120 @@ def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
         # the generator is finished: no further block is filled
         assert next(blocks, None) is None
 
-    runner = ThreadPoolExecutor(max_workers=1)
-    try:
-        # a hang fails here instead of blocking the suite
-        runner.submit(consume).result(timeout=60)
-    finally:
-        runner.shutdown(wait=False)
+    _consume_within_60_s(consume)
     time.sleep(0.3)
     healthy = "worker" if failing == "caller" else "caller"
     assert events == [f"{healthy} done", "raised"]
+
+
+def _record_fills(monkeypatch):
+    """Record the (start, thread id) of every block fill."""
+    fills = []
+    fill = homodyne._Synthesis.fill
+
+    def recorded(self, out, start):
+        fills.append((start, threading.get_ident()))
+        fill(self, out, start)
+
+    monkeypatch.setattr(homodyne._Synthesis, "fill", recorded)
+    return fills
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "serial"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [(0, 3), (3, 17), (17, 40)],
+        [(0, 40)],
+        [(k, k + 1) for k in range(40)],
+        [(0, 13), (13, 27), (27, 40)],
+    ],
+    ids=["uneven", "one-block", "one-row", "phase-edge"],
+)
+def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, pooled, dtype, bounds):
+    if not pooled:
+        monkeypatch.setattr(homodyne, "_share_pool", lambda: None)
+    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=96)
+    det = DetectorModel(bandwidth=None, gain=2.0)
+    # the LO phase changes inside block (3, 17) and at the edge of (0, 13)
+    sched = LoSchedule(entries=(LoEntry(0.0, 13), LoEntry(0.7, 27)))
+    whole = simulate_frames(traj, det, sched, seed=8, dtype=dtype).frames
+    fills = _record_fills(monkeypatch)
+    blocks = iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype, bounds=bounds)
+    for (lo, hi), block in zip(bounds, blocks, strict=True):
+        assert block.dtype == whole.dtype
+        assert block.tobytes() == whole[lo:hi].tobytes()
+    caller = threading.get_ident()
+    threads = dict(fills)
+    assert sorted(threads) == [lo for lo, _ in bounds]
+    assert threads.pop(0) == caller
+    if homodyne._share_pool() is None:
+        assert set(threads.values()) <= {caller}
+    else:
+        # every later block was filled on the pooled worker
+        assert caller not in threads.values()
+
+
+def test_ideal_prefetch_fault_surfaces_at_its_block(monkeypatch):
+    if homodyne._share_pool() is None:
+        pytest.skip("one CPU: blocks are filled serially")
+    failed = threading.Event()
+    starts = []
+    fill = homodyne._Synthesis.fill
+
+    def faulty(self, out, start):
+        starts.append(start)
+        if start == 8:
+            failed.set()
+            raise RuntimeError("planted fault in block 1")
+        fill(self, out, start)
+
+    monkeypatch.setattr(homodyne._Synthesis, "fill", faulty)
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
+    bounds = [(0, 8), (8, 16), (16, 24)]
+    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, bounds=bounds)
+
+    def consume():
+        first = next(blocks)
+        # block 1 has failed on the worker, yet block 0 came back whole
+        assert failed.wait(30)
+        assert first.shape == (8, 32) and np.all(np.isfinite(first))
+        with pytest.raises(RuntimeError, match="planted fault in block 1"):
+            next(blocks)
+        # the generator is finished: no further block is filled
+        assert next(blocks, None) is None
+
+    _consume_within_60_s(consume)
+    assert sorted(starts) == [0, 8]
+
+
+def test_closing_an_ideal_stream_waits_for_the_prefetched_fill(monkeypatch):
+    if homodyne._share_pool() is None:
+        pytest.skip("one CPU: blocks are filled serially")
+    events = []
+    fill = homodyne._Synthesis.fill
+
+    def slow(self, out, start):
+        if start > 0:
+            # a close that did not wait would return while this sleeps
+            time.sleep(0.2)
+        fill(self, out, start)
+        events.append(f"filled {start}")
+
+    monkeypatch.setattr(homodyne._Synthesis, "fill", slow)
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
+    bounds = [(0, 8), (8, 16), (16, 24)]
+    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, bounds=bounds)
+
+    def consume():
+        next(blocks)
+        blocks.close()
+        events.append("closed")
+
+    _consume_within_60_s(consume)
+    time.sleep(0.3)
+    assert events == ["filled 0", "filled 8", "closed"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -21,6 +21,7 @@ from sqzsim.pump import (
     rise_time_10_90,
     slot_mode_centers,
 )
+from sqzsim.scenarios import _write_pump_csv
 
 
 @pytest.fixture
@@ -83,17 +84,21 @@ def test_calibration_validation():
         Calibration(gain_coeff=-1.0)
 
 
-def test_awg_program_round_trips(tmp_path):
+def test_awg_program_round_trips(tmp_path, cal):
     prog = AwgProgram(1e9, np.array([0.0, 0.1, -0.1, 0.05]), trigger_offset_s=2e-9)
-    p_csv = tmp_path / "prog.csv"
-    prog.to_csv(p_csv, meta={"seed": 3})
+    ideal = ideal_pump_power(prog, cal)
+    shaped = apply_modulator_response(ideal, ModulatorResponse())
+    p_csv = tmp_path / "prog_pump.csv"
+    _write_pump_csv(p_csv, prog, ideal, shaped, {"seed": 3})
     meta, names, *rows = p_csv.read_text().splitlines()
     assert meta == "# seed=3"
-    assert names == "time_s,volts"
-    # %.17g rows give the float64 times and drive voltages back exactly
+    assert names == "time_s,drive_v,ideal_power_mw,power_mw"
+    # %.17g rows give the float64 times, drive voltages and powers back exactly
     back = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(back[:, 0], prog.times)
     assert np.array_equal(back[:, 1], prog.samples_v)
+    assert np.array_equal(back[:, 2], ideal.power_mw)
+    assert np.array_equal(back[:, 3], shaped.power_mw)
 
 
 def test_awg_program_validation():
@@ -236,10 +241,11 @@ def test_rise_time_rejects_flat_or_clipped_traces():
         rise_time_10_90(PowerTrace(dt=1e-9, power_mw=np.linspace(1.0, 0.0, 50)))
 
 
-def test_power_trace_csv(tmp_path):
+def test_power_trace_csv(tmp_path, cal):
+    prog = AwgProgram(1e9, np.array([0.0, 0.05, 0.1]), trigger_offset_s=5e-9)
     trace = PowerTrace(dt=1e-9, power_mw=np.array([0.0, 1.0, 2.0]), t0=5e-9)
     path = tmp_path / "trace.csv"
-    trace.to_csv(path, meta={"scenario": "unit"})
+    _write_pump_csv(path, prog, ideal_pump_power(prog, cal), trace, {"scenario": "unit"})
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert any("scenario=unit" in ln for ln in lines if ln.startswith("#"))

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -298,6 +299,30 @@ def test_cli_reports_a_fault_in_the_worker_share_as_internal(tmp_path, capsys, m
     monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", faulty)
     # 40 frames make blocks of 4, which are split
     code = main(["run", "spectrum", "--out", str(tmp_path), "--frames", "40"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1 and err["exit_code"] == 1
+    assert err["error"] == {"kind": "internal", "message": "RuntimeError: planted fault"}
+    assert [p.name for p in (tmp_path / "spectrum").iterdir()] == ["error.json"]
+
+
+def test_cli_reports_a_fault_in_the_prefetched_ideal_block_as_internal(
+    tmp_path, capsys, monkeypatch
+):
+    if homodyne._share_pool() is None:
+        pytest.skip("one CPU: blocks are filled serially")
+    caller = threading.get_ident()
+    fill = homodyne._Synthesis.fill
+
+    def faulty(self, out, start):
+        if threading.get_ident() != caller:
+            raise RuntimeError("planted fault")
+        fill(self, out, start)
+
+    monkeypatch.setattr(homodyne._Synthesis, "fill", faulty)
+    # an ideal detector: every block after a set's first is filled on the worker
+    argv = ["run", "spectrum", "--out", str(tmp_path), "--frames", "40",
+            "--set", "detector_bandwidth_hz=0"]
+    code = main(argv)
     err = json.loads(capsys.readouterr().err)
     assert code == 1 and err["exit_code"] == 1
     assert err["error"] == {"kind": "internal", "message": "RuntimeError: planted fault"}

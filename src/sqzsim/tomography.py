@@ -4,8 +4,10 @@ The estimator assumes the measured state is Gaussian: sample groups
 taken at LO phases phi_j have mean <x>cos(phi) + <p>sin(phi) and
 variance C_xx cos^2(phi) + C_pp sin^2(phi) + 2 C_xp sin(phi)cos(phi).
 A weighted least-squares fit of the per-group moments gives the
-starting point and one Newton step on the exact Gaussian likelihood
-polishes it.  Standard errors use the package-wide 10-way split.
+starting point, and Newton's method on the analytic gradient and
+Hessian of the exact Gaussian likelihood (Lvovsky & Raymer, Rev. Mod.
+Phys. 81, 299 (2009)) runs from there to convergence.  Standard errors
+use the package-wide 10-way split.
 """
 
 from __future__ import annotations
@@ -189,68 +191,103 @@ def _group_stats(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return phases, counts, means, variances
 
 
-def _fit_moments(phases, counts, means, variances) -> np.ndarray:
-    """(mu_x, mu_p, C_xx, C_pp, C_xp) maximizing the Gaussian likelihood."""
-    c, s = np.cos(phases), np.sin(phases)
-    w = np.sqrt(counts)
+class _GroupedLikelihood:
+    """Negative log-likelihood of Gaussian sample groups, with its derivatives.
 
-    design_m = np.column_stack([c, s])
-    mean_fit, *_ = np.linalg.lstsq(design_m * w[:, None], means * w, rcond=None)
-    mu = design_m @ mean_fit
+    Group j holds ``counts[j]`` samples at LO phase ``phases[j]`` with
+    sample mean m_j and variance S_j (ddof=0).  In the parameters
+    theta = (mu_x, mu_p, C_xx, C_pp, C_xp) the group has mean
+    mu_j = b_j . (mu_x, mu_p), b_j = (cos, sin), and variance
+    v_j = a_j . (C_xx, C_pp, C_xp), a_j = (cos^2, sin^2, 2 sin cos), so
 
-    design_v = np.column_stack([c * c, s * s, 2.0 * s * c])
-    target = variances + (means - mu) ** 2
-    cov_fit, *_ = np.linalg.lstsq(design_v * w[:, None], target * w, rcond=None)
+        nll = sum_j n_j [log(v_j) / 2 + (S_j + (m_j - mu_j)^2) / (2 v_j)]
 
-    theta = np.concatenate([mean_fit, cov_fit])
+    up to a constant, and both derivatives are sums of outer products
+    of b_j and a_j.
+    """
 
-    def nll(t: np.ndarray) -> float:
-        mu_j = c * t[0] + s * t[1]
-        v_j = design_v @ t[2:]
-        if np.any(v_j <= 0.0):
+    def __init__(self, phases, counts, means, variances) -> None:
+        c, s = np.cos(phases), np.sin(phases)
+        self.b = np.column_stack([c, s])
+        self.a = np.column_stack([c * c, s * s, 2.0 * s * c])
+        self.counts = np.asarray(counts, dtype=float)
+        self.means = np.asarray(means, dtype=float)
+        self.variances = np.asarray(variances, dtype=float)
+
+    def _terms(self, theta: np.ndarray):
+        resid = self.means - self.b @ theta[:2]
+        return resid, self.a @ theta[2:], self.variances + resid * resid
+
+    def nll(self, theta: np.ndarray) -> float:
+        _, v, q = self._terms(theta)
+        if np.any(v <= 0.0):
             return math.inf
-        return float(
-            np.sum(counts * (0.5 * np.log(v_j) + (variances + (means - mu_j) ** 2) / (2.0 * v_j)))
-        )
+        return float(np.sum(self.counts * (0.5 * np.log(v) + q / (2.0 * v))))
 
-    return _newton_step(theta, nll)
+    def gradient_hessian(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        resid, v, q = self._terms(theta)
+        n = self.counts
+        grad = np.concatenate([
+            -self.b.T @ (n * resid / v),
+            self.a.T @ (n * (0.5 / v - 0.5 * q / (v * v))),
+        ])
+        h_mm = (self.b.T * (n / v)) @ self.b
+        h_mc = (self.b.T * (n * resid / (v * v))) @ self.a
+        h_cc = (self.a.T * (n * (q / v - 0.5) / (v * v))) @ self.a
+        return grad, np.block([[h_mm, h_mc], [h_mc.T, h_cc]])
+
+    def start(self) -> np.ndarray:
+        """Weighted least-squares fits of the group means, then of the second moments."""
+        w = np.sqrt(self.counts)
+        mean_fit, *_ = np.linalg.lstsq(self.b * w[:, None], self.means * w, rcond=None)
+        target = self.variances + (self.means - self.b @ mean_fit) ** 2
+        cov_fit, *_ = np.linalg.lstsq(self.a * w[:, None], target * w, rcond=None)
+        return np.concatenate([mean_fit, cov_fit])
 
 
-def _newton_step(theta: np.ndarray, nll) -> np.ndarray:
-    """One guarded Newton improvement of a negative log-likelihood."""
-    f0 = nll(theta)
-    if not np.isfinite(f0):
-        return theta
-    n = theta.size
-    h = 1e-6 * np.maximum(1.0, np.abs(theta))
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    basis = np.diag(h)
-    for i in range(n):
-        fp, fm = nll(theta + basis[i]), nll(theta - basis[i])
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            return theta
-        grad[i] = (fp - fm) / (2.0 * h[i])
-        hess[i, i] = (fp - 2.0 * f0 + fm) / (h[i] * h[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            fpp = nll(theta + basis[i] + basis[j])
-            fpm = nll(theta + basis[i] - basis[j])
-            fmp = nll(theta - basis[i] + basis[j])
-            fmm = nll(theta - basis[i] - basis[j])
-            if not all(map(math.isfinite, (fpp, fpm, fmp, fmm))):
-                return theta
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    try:
-        step = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        return theta
-    scale = 1.0
-    while scale > 1e-4:
-        candidate = theta + scale * step
-        if nll(candidate) < f0:
-            return candidate
-        scale /= 2.0
+# Newton steps are taken whole once the Newton decrement -grad.step (the
+# predicted nll drop, doubled) is below _WHOLE_STEP: nll is a sum of
+# order n_samples, so its rounding hides the drop of a step near the
+# optimum and a decrease test would stall there.  The fit ends after a
+# whole step of decrement below _CONVERGED, which leaves the parameters
+# at the optimum to rounding.
+_WHOLE_STEP = 1e-6
+_CONVERGED = 1e-16
+_MAX_NEWTON = 50
+
+
+def _fit_moments(phases, counts, means, variances) -> np.ndarray:
+    """(mu_x, mu_p, C_xx, C_pp, C_xp) maximizing the Gaussian likelihood.
+
+    Newton's method from the least-squares start, on the analytic
+    gradient and Hessian, halving a step until nll decreases while the
+    decrement is large and taking it whole below ``_WHOLE_STEP``.  An
+    indefinite Hessian or a step that never decreases nll ends the fit
+    at the current point.
+    """
+    lik = _GroupedLikelihood(phases, counts, means, variances)
+    theta = lik.start()
+    for _ in range(_MAX_NEWTON):
+        grad, hess = lik.gradient_hessian(theta)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        decrement = float(-grad @ step)
+        if not decrement > 0.0:
+            break
+        if decrement < _WHOLE_STEP:
+            theta = theta + step
+            if decrement < _CONVERGED:
+                break
+            continue
+        f0 = lik.nll(theta)
+        scale = 1.0
+        while scale > 1e-4 and not lik.nll(theta + scale * step) < f0:
+            scale /= 2.0
+        if scale <= 1e-4:
+            break
+        theta = theta + scale * step
     return theta
 
 

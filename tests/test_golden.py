@@ -1,13 +1,17 @@
 """Golden fingerprints: key report numbers pinned at small frame counts.
 
-The ``epr`` and ``tm_squeezing`` values were computed with the per-mode
-projection code that preceded ``dsp.project``; the ``spectrum`` and
-``waveforms`` values with the code that materialized every frame stack
-before reducing it; the ``calibrate`` values and CSV layout with the
-hand-written CSV writers that preceded the shared one.  Refactors of
-the synthesis and analysis paths must reproduce them.  Changes that
-only reorder floating-point sums move them by about 1e-15 relative, far
-inside the 1e-9 tolerance.
+The ``epr`` values were computed with the per-mode projection code that
+preceded the streamed mode scan; the ``spectrum`` and ``waveforms``
+values with the code that materialized every frame stack before
+reducing it; the ``calibrate`` values and CSV layout with the
+hand-written CSV writers that preceded the shared one.  The
+``tm_squeezing`` covariances were re-recorded once, when the tomography
+fit changed from one finite-difference Newton step to Newton iterated
+to convergence on the analytic derivatives (slot 0 moved by 6.4e-4),
+still on materialized frame stacks; the streamed route reproduces them.
+Refactors of the synthesis and analysis paths must reproduce every
+value.  Changes that only reorder floating-point sums move them by
+about 1e-15 relative, far inside the 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ EPR_SEED0_300 = {
 EPR_SEED0_300_SCAN_SUM = 568.895132013758
 
 TM_SEED0_1000_COVS = [
-    [[0.6415521941991994, 0.006798588261941211], [0.006798588261941211, 1.663155437771664]],
-    [[0.7662571269850305, 0.020378458368701696], [0.020378458368701696, 1.3716512151347133]],
-    [[1.0126380840757232, 0.040051402157547177], [0.040051402157547177, 0.9891037386066623]],
-    [[1.6953041578099697, 0.01578929111967668], [0.01578929111967668, 0.6355466424394711]],
-    [[1.3081916928122663, -0.018220253990726094], [-0.018220253990726094, 0.7646677342102957]],
-    [[0.6819485664852857, -0.009251177497077785], [-0.009251177497077785, 1.495750191314248]],
+    [[0.6421144984692143, 0.0070471148101007115], [0.0070471148101007115, 1.6637945069462705]],
+    [[0.7663550731185036, 0.020400278201339234], [0.020400278201339234, 1.3717154936801952]],
+    [[1.0126376334901817, 0.04005085215949427], [0.04005085215949427, 0.9891041352142411]],
+    [[1.6953079440338914, 0.01578695085844068], [0.01578695085844068, 0.6355530048303706]],
+    [[1.3081792647364214, -0.018216223656145458], [-0.018216223656145458, 0.7646748865155286]],
+    [[0.6819747811436649, -0.009249226747639066], [-0.009249226747639066, 1.4957857390138807]],
 ]
 
 SPECTRUM_SEED0_200 = {

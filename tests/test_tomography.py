@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sqzsim import tomography
 from sqzsim.dsp import make_mode, project, vacuum_quadrature_scales
 from sqzsim.homodyne import DetectorModel, simulate_frames, simulate_vacuum_reference
 from sqzsim.opa import SqueezerTrajectory
@@ -130,6 +131,81 @@ def test_tomography_input_validation():
         TomographyInput.from_arrays([0.0, 1.0], [s])
     with pytest.raises(ValueError, match="samples"):
         PhaseGroup(0.0, np.ones(3))
+
+
+def _group_moments(seed, n_per_phase=1000, n_phases=12):
+    """(phases, counts, means, variances) of one synthetic squeezed state's groups."""
+    rng = np.random.default_rng(seed)
+    phases = np.arange(n_phases) * math.pi / n_phases
+    samples = [
+        0.05 + math.sqrt(variance_at_phase(0.4, 0.3, 0.1, phi)) * rng.standard_normal(n_per_phase)
+        for phi in phases
+    ]
+    counts = np.full(n_phases, float(n_per_phase))
+    return phases, counts, np.array([s.mean() for s in samples]), np.array([s.var() for s in samples])
+
+
+def _nll_oracle(theta, phases, counts, means, variances):
+    """The grouped Gaussian negative log-likelihood, written out per group."""
+    total = 0.0
+    for phi, n, m, s2 in zip(phases, counts, means, variances):
+        c, s = math.cos(phi), math.sin(phi)
+        mu = theta[0] * c + theta[1] * s
+        v = theta[2] * c * c + theta[3] * s * s + 2.0 * theta[4] * s * c
+        total += n * (0.5 * math.log(v) + (s2 + (m - mu) ** 2) / (2.0 * v))
+    return total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_likelihood_derivatives_match_central_differences(seed):
+    stats = _group_moments(seed)
+    lik = tomography._GroupedLikelihood(*stats)
+    rng = np.random.default_rng(100 + seed)
+    # a random point near the data, with a positive definite covariance
+    theta = lik.start() * (1.0 + 0.1 * rng.standard_normal(5))
+    assert lik.nll(theta) == pytest.approx(_nll_oracle(theta, *stats), rel=1e-12)
+    grad, hess = lik.gradient_hessian(theta)
+    h = 1e-5
+    for i in range(5):
+        e = np.zeros(5)
+        e[i] = h
+        fd_grad = (_nll_oracle(theta + e, *stats) - _nll_oracle(theta - e, *stats)) / (2.0 * h)
+        assert grad[i] == pytest.approx(fd_grad, rel=1e-6, abs=1e-4), i
+        g_plus, _ = lik.gradient_hessian(theta + e)
+        g_minus, _ = lik.gradient_hessian(theta - e)
+        for j in range(5):
+            f = np.zeros(5)
+            f[j] = h
+            fd_hess = (
+                _nll_oracle(theta + e + f, *stats) - _nll_oracle(theta + e - f, *stats)
+                - _nll_oracle(theta - e + f, *stats) + _nll_oracle(theta - e - f, *stats)
+            ) / (4.0 * h * h)
+            assert hess[i, j] == pytest.approx(fd_hess, rel=1e-4, abs=1e-1), (i, j)
+        # the Hessian is the Jacobian of the analytic gradient too
+        np.testing.assert_allclose(hess[i], (g_plus - g_minus) / (2.0 * h), rtol=1e-6, atol=1e-4)
+
+
+def test_fit_is_stable_under_last_bit_perturbations():
+    phases, counts, means, variances = _group_moments(3)
+    theta = tomography._fit_moments(phases, counts, means, variances)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        nudged = [x * (1.0 + 1e-16 * rng.choice([-1.0, 1.0], x.size)) for x in (means, variances)]
+        moved = tomography._fit_moments(phases, counts, *nudged)
+        assert np.max(np.abs(moved[2:] - theta[2:])) < 1e-12 * np.max(np.abs(theta[2:]))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_fit_ends_at_a_stationary_point(seed):
+    stats = _group_moments(seed, n_per_phase=5000)
+    lik = tomography._GroupedLikelihood(*stats)
+    theta = tomography._fit_moments(*stats)
+    grad, _ = lik.gradient_hessian(theta)
+    start_grad, _ = lik.gradient_hessian(lik.start())
+    # the gradient's scale: its terms are of order count / variance
+    scale = float(np.sum(stats[1] / np.abs(lik.a @ theta[2:])))
+    assert np.max(np.abs(grad)) <= 1e-12 * scale
+    assert np.max(np.abs(grad)) < 1e-6 * np.max(np.abs(start_grad))
 
 
 def _epr_pieces(n_frames=200, bandwidth=None, seed=0, dt=1e-9):

@@ -7,15 +7,16 @@ the package: the data are split into 10 contiguous subsets by
 :func:`sqzsim.quantum.split_slices`, the statistic is evaluated per
 subset, and the error is the subset standard deviation over sqrt(10).
 
-Spectra and variance traces each come from one reducer,
-:func:`periodogram_split_means` and :func:`split_moments`, which take
-the frames block by block, so a run can stream its frames into them
-instead of holding them; :func:`fir_filter` filters such a block.
-Temporal-mode quadratures of frame stacks come from :func:`project`,
-which integrates every frame against any number of modes in one matrix
-product; the one-mode helpers are thin wrappers over it.  A gate scan
-over frame blocks goes through :class:`ModeScan`, which slides mode
-combinations over sample lags with one FFT correlation per block.
+Every analysis is a reduction over frame blocks as
+:func:`sqzsim.homodyne.iter_frame_chunks` yields them, so no run holds
+its frame stack.  Spectra come from :func:`periodogram_split_means`;
+variances and the moments of mode quadratures from
+:func:`split_moments`; :func:`fir_filter` filters a block.  Temporal-mode
+quadratures come from :class:`ModeScan`, the one projection path: it
+integrates each frame of a block against combinations of modes, at one
+sample lag by direct dot products or slid over many lags with one FFT
+correlation per block.  The shot-noise unit of a mode is the square
+root of the variance of its quadrature over a vacuum reference.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import scipy.fft
 from scipy import signal
 
 from sqzsim._csvfile import write_csv
-from sqzsim.homodyne import VACUUM_REFERENCE, FrameSet
 from sqzsim.quantum import N_SPLITS, split_slices
 
 __all__ = [
@@ -53,17 +53,10 @@ __all__ = [
     "make_mode",
     "ModeSpectrum",
     "mode_spectrum",
-    "project",
     "ModeScan",
-    "vacuum_quadrature_scales",
-    "vacuum_quadrature_scale",
-    "extract_quadratures",
 ]
 
 _FFT_CHUNK = 256
-
-# float64 elements per frame chunk in project()
-_PROJECT_CHUNK = 4_194_304
 
 
 def periodogram_bounds(n_frames: int) -> list[tuple[int, int]]:
@@ -340,10 +333,11 @@ def _chan_merge(a: tuple, b: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class SplitMoments:
-    """Frame count, mean and summed squared deviation per split and sample.
+    """Frame count, mean and summed squared deviation per split and column.
 
     ``count`` has one entry per 10-way split; ``mean`` and ``m2`` have one
-    row per split and one column per time sample.
+    row per split and one column per reduced quantity: a time sample of
+    the records, or a mode quadrature.
     """
 
     count: np.ndarray
@@ -354,9 +348,13 @@ class SplitMoments:
         """Variance across frames (ddof=1) of each split at each sample."""
         return self.m2 / (self.count[:, None] - 1.0)
 
+    def merged(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(count, mean, M2) over all frames, the splits merged."""
+        return functools.reduce(_chan_merge, zip(self.count, self.mean, self.m2))
+
     def variance(self) -> np.ndarray:
         """Variance across all frames (ddof=1) at each sample, the splits merged."""
-        n, _, m2 = functools.reduce(_chan_merge, zip(self.count, self.mean, self.m2))
+        n, _, m2 = self.merged()
         return m2 / (n - 1.0)
 
 
@@ -659,40 +657,16 @@ def _mode_indices(t0: float, dt: float, n_samples: int, mode: TemporalMode) -> s
     return slice(idx0, idx0 + mode.n_samples)
 
 
-def project(fs: FrameSet, modes: Sequence[TemporalMode]) -> np.ndarray:
-    """Mode integrals sum_t x(t) w(t) dt of every frame, one column per mode.
-
-    This is the one projection path of the package.  The weights of all
-    modes go into one matrix over the union of their supports, and the
-    frames are multiplied by it in row chunks whose float64 copy stays
-    near 4 Mi elements.  Results are in raw record units; divide by a
-    :func:`vacuum_quadrature_scales` entry for shot-noise units.
-    """
-    slices = [_mode_indices(fs.t0, fs.dt, fs.n_samples, mode) for mode in modes]
-    if not slices:
-        raise ValueError("need at least one mode to project onto")
-    lo = min(sl.start for sl in slices)
-    hi = max(sl.stop for sl in slices)
-    weights = np.zeros((hi - lo, len(slices)))
-    for j, (mode, sl) in enumerate(zip(modes, slices)):
-        weights[sl.start - lo : sl.stop - lo, j] = mode.weights * mode.dt
-    out = np.empty((fs.n_frames, len(slices)))
-    rows = max(1, _PROJECT_CHUNK // (hi - lo))
-    for r in range(0, fs.n_frames, rows):
-        block = np.asarray(fs.frames[r : r + rows, lo:hi], dtype=float)
-        np.matmul(block, weights, out=out[r : r + rows])
-    return out
-
-
 class ModeScan:
     """Mode integrals of frame blocks with the modes slid over sample lags.
 
     Kernel k is ``sum_i coeffs[k][i] * modes[i]``.  Column
     ``k * len(lags) + j`` of a block's result holds each frame's
-    integral against kernel k shifted by ``lags[j]`` samples: the
-    :func:`project` columns of the shifted modes, combined with the same
-    coefficients.  The records start at ``t0`` and hold ``n_samples``
-    samples at interval ``dt``; every shifted mode must lie inside them.
+    integral sum_t x(t) w(t) dt against kernel k shifted by ``lags[j]``
+    samples, in raw record units; identity coefficients at lag 0 give
+    the plain quadrature of every mode.  The records start at ``t0`` and
+    hold ``n_samples`` samples at interval ``dt``; every shifted mode
+    must lie inside them.
     With one lag a block's integrals are direct dot products.  With more,
     the kernel spectra are built once, and a block costs one rfft of the
     window the shifted kernels cover, one product and one irfft per
@@ -703,6 +677,8 @@ class ModeScan:
                  n_samples: int) -> None:
         lags = np.asarray(lags, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=float)
+        if not modes:
+            raise ValueError("need at least one mode to project onto")
         if lags.ndim != 1 or lags.size == 0:
             raise ValueError("lags must be a non-empty 1-D sequence of sample offsets")
         if coeffs.ndim != 2 or coeffs.shape[1] != len(modes):
@@ -738,30 +714,4 @@ class ModeScan:
         for k, kernel_spectrum in enumerate(self.spectra):
             out[:, k] = scipy.fft.irfft(spectrum * kernel_spectrum, self.size, axis=1)[:, self.lags]
         return out.reshape(block.shape[0], -1)
-
-
-def vacuum_quadrature_scales(ref: FrameSet, modes: Sequence[TemporalMode]) -> np.ndarray:
-    """RMS mode integral over a vacuum ensemble per mode; the shot-noise units."""
-    if ref.kind != VACUUM_REFERENCE:
-        raise ValueError("scale must be taken from a vacuum_reference frame set")
-    if ref.n_frames < 2:
-        raise ValueError("need >= 2 vacuum frames")
-    return np.sqrt(np.var(project(ref, modes), axis=0, ddof=1))
-
-
-def vacuum_quadrature_scale(ref: FrameSet, mode: TemporalMode) -> float:
-    """One-mode case of :func:`vacuum_quadrature_scales`."""
-    return float(vacuum_quadrature_scales(ref, [mode])[0])
-
-
-def extract_quadratures(fs: FrameSet, mode: TemporalMode, ref_scale: float) -> np.ndarray:
-    """Mode-weighted quadrature per frame, in shot-noise units.
-
-    One-mode case of :func:`project`; ``ref_scale`` comes from
-    :func:`vacuum_quadrature_scale` with the same mode, making a vacuum
-    ensemble give unit variance.
-    """
-    if ref_scale <= 0.0:
-        raise ValueError("ref_scale must be > 0")
-    return project(fs, [mode])[:, 0] / ref_scale
 

@@ -12,20 +12,23 @@ anti-squeezing) visible in the spectrum rolls toward 0 dB above the
 detector cutoff, as a real detector shows after shot-noise
 normalization.
 
+Synthesis has one entry, :func:`iter_frame_chunks`, which yields the
+frames of a run block by block at one LO phase, so an analysis reduces
+its frames as they come instead of holding them.
+
 Determinism: frame k of a run seeded with s draws from PCG64 seeded
 by NumPy's SeedSequence with entropy s and spawn key (k,), so reruns
 are bit-identical and frames are independent of chunking or evaluation
 order.  :func:`_substream_states` computes those PCG64 states for a
 whole block of frames in one vectorized pass, a port of NumPy's
-seeding that a test checks against NumPy itself; a schedule may
-therefore hold at most 2**32 frames, one 32-bit spawn-key word each.
-Since no frame's bytes depend on another's, synthesis shares the work
-with one pooled worker thread.  A filtered-detector block is split into
-two contiguous shares of its rows, the caller filling one and the
-worker the other.  An ideal-detector stream of :func:`iter_frame_chunks`
-has the worker fill the next block while the caller reduces the current
-one.  On one CPU, or for a filtered block of fewer than 4 rows, the
-fill is serial.
+seeding that a test checks against NumPy itself; a run may therefore
+hold at most 2**32 frames, one 32-bit spawn-key word each.  Since no
+frame's bytes depend on another's, synthesis shares the work with one
+pooled worker thread.  A filtered-detector block is split into two
+contiguous shares of its rows, the caller filling one and the worker
+the other.  An ideal-detector stream has the worker fill the next block
+while the caller reduces the current one.  On one CPU, or for a
+filtered block of fewer than 4 rows, the fill is serial.
 """
 
 from __future__ import annotations
@@ -36,36 +39,29 @@ import operator
 import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 
-from sqzsim.opa import SqueezerTrajectory, constant_trajectory
+from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import variance_at_phase
 
 __all__ = [
     "DetectorModel",
-    "LoEntry",
-    "LoSchedule",
-    "FrameSet",
     "iter_frame_chunks",
-    "simulate_frames",
-    "simulate_vacuum_reference",
 ]
-
-SIGNAL = "signal"
-VACUUM_REFERENCE = "vacuum_reference"
 
 
 @dataclass(frozen=True)
 class DetectorModel:
     """Homodyne detector: sampling grid, bandwidth, and output gain.
 
-    ``bandwidth=None`` models an ideal (infinite-bandwidth) detector.
-    ``gain`` only sets the arbitrary linear units of the record; every
-    analysis in the package normalizes it away against a vacuum
-    reference taken with the same detector.
+    ``bandwidth=None`` (or +inf) models an ideal (infinite-bandwidth)
+    detector; a NaN bandwidth is rejected.  ``gain`` only sets the
+    arbitrary linear units of the record; every analysis in the package
+    normalizes it away against a vacuum reference taken with the same
+    detector.
     """
 
     bandwidth: float | None = 200e6
@@ -75,10 +71,10 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if self.sample_rate <= 0.0:
             raise ValueError("sample_rate must be > 0")
+        if self.bandwidth == math.inf:
+            object.__setattr__(self, "bandwidth", None)
         if self.bandwidth is not None:
-            if not np.isfinite(self.bandwidth):
-                object.__setattr__(self, "bandwidth", None)
-            elif not 0.0 < self.bandwidth < self.sample_rate / 2.0:
+            if not 0.0 < self.bandwidth < self.sample_rate / 2.0:
                 raise ValueError(
                     "bandwidth must satisfy 0 < bw < sample_rate / 2, "
                     f"got {self.bandwidth} at {self.sample_rate} S/s"
@@ -126,98 +122,6 @@ def _settle_samples(filters) -> int:
         return 64
     n = int(math.ceil(math.log(1e-12) / math.log(top)))
     return int(min(max(n, 64), 8192))
-
-
-@dataclass(frozen=True)
-class LoEntry:
-    """One local-oscillator setting: phase (radians) and frame count."""
-
-    phase: float
-    n_frames: int | None = None
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.phase):
-            raise ValueError("LO phase must be finite")
-        if self.n_frames is not None and self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1 when given")
-
-
-@dataclass(frozen=True)
-class LoSchedule:
-    """Frame-synchronous LO phase schedule; default is phase 0 only."""
-
-    entries: tuple[LoEntry, ...] = (LoEntry(phase=0.0),)
-
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if len(entries) == 0:
-            raise ValueError("LO schedule needs at least one entry")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def single(cls, phase: float) -> "LoSchedule":
-        return cls(entries=(LoEntry(phase=phase),))
-
-    def frame_phases(self, default_count: int | None) -> np.ndarray:
-        counts = []
-        for e in self.entries:
-            c = e.n_frames if e.n_frames is not None else default_count
-            if c is None:
-                raise ValueError("no frame count: set LoEntry.n_frames or pass n_frames")
-            counts.append(int(c))
-        total = sum(counts)
-        if total < 1:
-            raise ValueError("total frame count must be >= 1")
-        # frame k's substream takes k as one uint32 spawn-key word
-        if total > 2**32:
-            raise ValueError(f"n_frames must total at most 2**32 per schedule, got {total}")
-        return np.repeat([e.phase for e in self.entries], counts)
-
-
-@dataclass(frozen=True)
-class FrameSet:
-    """A stack of homodyne records sharing one time grid.
-
-    ``frames`` has shape (n_frames, n_samples); ``phase_tags`` holds the
-    LO phase of each frame; ``kind`` is "signal" or "vacuum_reference";
-    ``rng_seed`` is the seed the set was generated from (-1 for data
-    that did not come from the simulator).
-    """
-
-    dt: float
-    frames: np.ndarray
-    phase_tags: np.ndarray
-    kind: str
-    rng_seed: int
-    t0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        frames = np.asarray(self.frames)
-        if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
-            raise ValueError("frames must be a non-empty 2-D array (n_frames, n_samples)")
-        tags = np.asarray(self.phase_tags, dtype=float)
-        if tags.shape != (frames.shape[0],):
-            raise ValueError("phase_tags must have one entry per frame")
-        if self.kind not in (SIGNAL, VACUUM_REFERENCE):
-            raise ValueError(f"kind must be 'signal' or 'vacuum_reference', got {self.kind!r}")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "phase_tags", tags)
-        self.frames.setflags(write=False)
-        self.phase_tags.setflags(write=False)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_samples) * self.dt
 
 
 def _resample_hold(values: np.ndarray, dt_in: float, dt_out: float, n_out: int) -> np.ndarray:
@@ -303,37 +207,30 @@ def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]
 
 
 class _Synthesis:
-    """The synthesis of one run: LO phases, std templates and detector filters.
+    """The synthesis of one run: LO phase, std template and detector filters.
 
-    :meth:`fill` writes any frame range into caller-owned rows, so the
-    one synthesis loop serves both whole stacks and streamed blocks.
+    :meth:`fill` writes any frame range into caller-owned rows, so every
+    block of a stream comes from the one synthesis loop.
     """
 
     def __init__(self, traj, det, lo, n_frames, seed, dtype) -> None:
-        if isinstance(lo, (int, float)):
-            lo = LoSchedule.single(float(lo))
-        self.phases = lo.frame_phases(n_frames)
+        if not np.isfinite(lo):
+            raise ValueError("LO phase must be finite")
+        # frame k's substream takes k as one uint32 spawn-key word
+        if not 1 <= n_frames <= 2**32:
+            raise ValueError(f"n_frames must lie in [1, 2**32], got {n_frames}")
         self.filters = det.filters()
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError("dtype must be float32 or float64")
-        # one std template per distinct LO phase (trajectory is shared)
-        phis = list(dict.fromkeys(self.phases.tolist()))
-        var = np.stack([_frame_variance(traj, det, phi) for phi in phis])
-        std = np.sqrt(det.burn_in(var)).astype(self.dtype)
-        self.std = dict(zip(phis, std))
-        self.n_samples = var.shape[1]
-        self.n_total = std.shape[1]
+        var = _frame_variance(traj, det, float(lo))
+        self.std = np.sqrt(det.burn_in(var)).astype(self.dtype)
+        self.n_samples = var.size
+        self.n_total = self.std.size
         self.n_burn = self.n_total - self.n_samples
         self.seed = seed
         self.gain = det.gain
         self.work = np.empty((2, 0, self.n_total))
-
-    def default_bounds(self) -> list[tuple[int, int]]:
-        """Consecutive blocks of about 256 Ki samples, filter burn-in included."""
-        n = self.phases.size
-        chunk = max(1, min(n, 262_144 // self.n_total))
-        return [(k, min(k + chunk, n)) for k in range(0, n, chunk)]
 
     def _substreams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
         """One generator, set in turn to the substream of each frame in [start, stop)."""
@@ -350,13 +247,10 @@ class _Synthesis:
         stop = start + out.shape[0]
         if self.filters is None:
             # an ideal detector needs no vacuum complement: draw one row
-            # per frame in place, then scale each run of one LO phase
+            # per frame in place, then scale the rows by the std template
             for row, gen in zip(out, self._substreams(start, stop)):
                 gen.standard_normal(dtype=self.dtype, out=row)
-            phases = self.phases[start:stop]
-            edges = [0, *(np.flatnonzero(phases[1:] != phases[:-1]) + 1).tolist(), len(phases)]
-            for a, b in zip(edges[:-1], edges[1:]):
-                out[a:b] *= self.std[phases[a]]
+            out *= self.std
         else:
             # float64 working rows, kept across blocks: lfilter computes in
             # float64 anyway, and rows freed after every block would have
@@ -386,11 +280,10 @@ class _Synthesis:
         """Rows [lo, hi) of the filtered block at ``start``, made in rows [lo, hi) of self.work."""
         raw, comp = self.work[:, lo:hi]
         z = np.empty((2, self.n_total), dtype=self.dtype)
-        phases = self.phases[start + lo : start + hi].tolist()
         for j, gen in enumerate(self._substreams(start + lo, start + hi)):
             gen.standard_normal(dtype=self.dtype, out=z)
             # the product is taken in self.dtype, then cast to float64
-            np.multiply(z[0], self.std[phases[j]], out=raw[j], dtype=self.dtype)
+            np.multiply(z[0], self.std, out=raw[j], dtype=self.dtype)
             comp[j] = z[1]
         b_lp, a_lp, b_hp, a_hp = self.filters
         filtered = signal.lfilter(b_lp, a_lp, raw, axis=1)
@@ -421,30 +314,47 @@ if hasattr(os, "register_at_fork"):
 def iter_frame_chunks(
     traj: SqueezerTrajectory,
     det: DetectorModel,
-    lo: LoSchedule | float = 0.0,
-    n_frames: int | None = None,
-    seed: int = 0,
-    dtype=np.float64,
-    bounds: Iterable[tuple[int, int]] | None = None,
+    lo: float,
+    n_frames: int,
+    seed: int,
+    dtype,
+    bounds: Iterable[tuple[int, int]],
 ) -> Iterator[np.ndarray]:
-    """Synthesize homodyne frames one block at a time.
+    """Synthesize the homodyne frames of one run, one block at a time.
 
-    Takes the arguments of :func:`simulate_frames`, plus ``bounds``, a
-    sequence of frame ranges ``(start, stop)``.  For each range it
-    yields a fresh ``(stop - start, n_samples)`` array holding exactly
-    the rows ``start:stop`` that :func:`simulate_frames` returns, so a
-    caller can reduce a long run block by block without holding its
-    frame stack.  The default bounds are the blocks
-    :func:`simulate_frames` synthesizes at a time.  Every range is
-    checked before the first block is filled; a fault in filling a
-    block is raised by the ``next()`` that would return it.
+    Parameters
+    ----------
+    traj : SqueezerTrajectory
+        Resampled onto the detector grid by zero-order hold if needed.
+    det : DetectorModel
+    lo : float
+        LO phase (radians) of every frame.
+    n_frames : int
+        Frames in the run, at most 2**32; frame k uses the (seed, k)
+        substream, so a range of frames is the same whatever else is
+        synthesized.
+    seed : int
+        Root seed.
+    dtype : numpy dtype
+        float64 or float32.
+    bounds : sequence of (start, stop)
+        Frame ranges inside [0, n_frames), in the order they are yielded.
+
+    Yields
+    ------
+    numpy.ndarray
+        For each range, a fresh ``(stop - start, n_samples)`` array of
+        frames ``start:stop``, each covering the times of the
+        trajectory, so a caller reduces a long run block by block
+        without holding its frame stack.  Every range is checked before
+        the first block is filled; a fault in filling a block is raised
+        by the ``next()`` that would return it.
     """
     synth = _Synthesis(traj, det, lo, n_frames, seed, dtype)
-    total = synth.phases.size
-    bounds = synth.default_bounds() if bounds is None else list(bounds)
+    bounds = list(bounds)
     for start, stop in bounds:
-        if not 0 <= start < stop <= total:
-            raise ValueError(f"frame block [{start}, {stop}) is empty or outside [0, {total})")
+        if not 0 <= start < stop <= n_frames:
+            raise ValueError(f"frame block [{start}, {stop}) is empty or outside [0, {n_frames})")
 
     def block(start: int, stop: int) -> np.ndarray:
         out = np.empty((stop - start, synth.n_samples), dtype=synth.dtype)
@@ -476,65 +386,4 @@ def iter_frame_chunks(
     finally:
         # a consumer that raises or closes early leaves no fill running
         wait((pending,))
-
-
-def simulate_frames(
-    traj: SqueezerTrajectory,
-    det: DetectorModel,
-    lo: LoSchedule | float = 0.0,
-    n_frames: int | None = None,
-    seed: int = 0,
-    dtype=np.float64,
-) -> FrameSet:
-    """Synthesize homodyne frames for a squeezing trajectory.
-
-    Parameters
-    ----------
-    traj : SqueezerTrajectory
-        Resampled onto the detector grid by zero-order hold if needed.
-    det : DetectorModel
-    lo : LoSchedule or float
-        LO phase schedule, or a single phase for all frames.
-    n_frames : int, optional
-        Frame count for schedule entries that do not fix their own.
-    seed : int
-        Root seed; frame k uses the (seed, k) substream.
-    dtype : numpy dtype
-        float64 (default) or float32 for long statistics runs.
-
-    Returns
-    -------
-    FrameSet
-        Frame k covers the same times as the trajectory.  The stack is
-        filled block by block in place, with the synthesis that
-        :func:`iter_frame_chunks` streams.
-    """
-    synth = _Synthesis(traj, det, lo, n_frames, seed, dtype)
-    frames = np.empty((synth.phases.size, synth.n_samples), dtype=synth.dtype)
-    for start, stop in synth.default_bounds():
-        synth.fill(frames[start:stop], start)
-    return FrameSet(
-        dt=det.dt,
-        frames=frames,
-        phase_tags=synth.phases,
-        kind=SIGNAL,
-        rng_seed=int(seed),
-        t0=traj.t0,
-    )
-
-
-def simulate_vacuum_reference(
-    det: DetectorModel,
-    n_samples: int,
-    n_frames: int,
-    seed: int = 0,
-    t0: float = 0.0,
-    dtype=np.float64,
-) -> FrameSet:
-    """Vacuum (pump off) frames through the identical pipeline."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    traj = constant_trajectory(r=0.0, theta=0.0, loss=0.0, dt=det.dt, n_samples=n_samples, t0=t0)
-    fs = simulate_frames(traj, det, lo=0.0, n_frames=n_frames, seed=seed, dtype=dtype)
-    return replace(fs, kind=VACUUM_REFERENCE)
 

@@ -28,14 +28,7 @@ import scipy
 import sqzsim
 from sqzsim import dsp, opa, pump, quantum, tomography
 from sqzsim._csvfile import write_csv
-from sqzsim.homodyne import (
-    DetectorModel,
-    LoEntry,
-    LoSchedule,
-    iter_frame_chunks,
-    simulate_frames,
-    simulate_vacuum_reference,
-)
+from sqzsim.homodyne import DetectorModel, iter_frame_chunks
 from sqzsim.pump import AwgProgram, Calibration, ModulatorResponse, PulseSlot, PulseTrainSpec
 
 SCENARIOS = ("spectrum", "waveforms", "tm_squeezing", "epr", "calibrate")
@@ -171,7 +164,10 @@ def _coerce(scenario: str, key: str, value) -> object:
         if isinstance(default, int):
             return int(str(value))
         if isinstance(default, float):
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"not a finite number: {value!r}")
+            return number
         return str(value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {key!r}: {exc}") from exc
@@ -641,27 +637,48 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
     )
     ideal, shaped, traj = _pump_chain(prog, cal, resp, loss)
     centers = pump.slot_mode_centers(train)
-
-    phases = [k * math.pi / n_phases for k in range(n_phases)]
-    sched = LoSchedule(entries=tuple(LoEntry(phase=p) for p in phases))
-    seeds = _child_seeds(cfg.seed, 2)
-    fs = simulate_frames(traj, det, sched, cfg.n_frames, seeds[0], dtype=np.float32)
-    ref = simulate_vacuum_reference(
-        det, prog.samples_v.size, n_phases * cfg.n_frames, seeds[1], dtype=np.float32
-    )
-
-    checks = []
-    slot_records = []
-    for k, slot in enumerate(train.slots):
-        mode = dsp.make_mode(
+    modes = [
+        dsp.make_mode(
             "tf_mode",
             dt,
             t_c=float(centers[k]),
             gamma=float(params["mode_gamma_hz"]),
             t_w=slot.mode_width,
         )
-        scale = dsp.vacuum_quadrature_scale(ref, mode)
-        data = tomography.TomographyInput.from_frameset(fs, mode, scale)
+        for k, slot in enumerate(train.slots)
+    ]
+    n_samples = prog.samples_v.size
+    # every frame block is projected onto all slot modes at once, reduced
+    # and dropped; no frame set is held whole
+    scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], traj.t0, det.dt, n_samples)
+
+    phases = [k * math.pi / n_phases for k in range(n_phases)]
+    n = cfg.n_frames
+    n_total = n_phases * n
+    seeds = _child_seeds(cfg.seed, 2)
+    # the vacuum reference, as many frames as the signal, gives each
+    # mode's shot-noise unit
+    vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_samples)
+    vac_blocks = iter_frame_chunks(
+        vac_traj, det, 0.0, n_total, seeds[1], np.float32, dsp.periodogram_bounds(n_total)
+    )
+    scales = np.sqrt(dsp.split_moments(n_total, map(scan, vac_blocks)).variance())
+    # phase group j is frames [j n, (j + 1) n) of one stream of n_total frames
+    groups = []
+    for j, phase in enumerate(phases):
+        bounds = [(j * n + lo, j * n + hi) for lo, hi in dsp.periodogram_bounds(n)]
+        blocks = iter_frame_chunks(traj, det, phase, n_total, seeds[0], np.float32, bounds)
+        groups.append(dsp.split_moments(n, map(scan, blocks)))
+
+    checks = []
+    slot_records = []
+    for k, slot in enumerate(train.slots):
+        # slot k's quadrature moments at every phase, in shot-noise units
+        s = scales[k]
+        moments = tuple(
+            dsp.SplitMoments(g.count, g.mean[:, [k]] / s, g.m2[:, [k]] / s**2) for g in groups
+        )
+        data = tomography.TomographyInput(phases=tuple(phases), moments=moments)
         result = tomography.ml_gaussian_tomography(data, project=bool(params["project"]))
         cov = np.asarray(result.state.cov)
         det_cov = float(np.linalg.det(cov))

@@ -3,11 +3,14 @@
 The estimator assumes the measured state is Gaussian: sample groups
 taken at LO phases phi_j have mean <x>cos(phi) + <p>sin(phi) and
 variance C_xx cos^2(phi) + C_pp sin^2(phi) + 2 C_xp sin(phi)cos(phi).
-A weighted least-squares fit of the per-group moments gives the
-starting point, and Newton's method on the analytic gradient and
-Hessian of the exact Gaussian likelihood (Lvovsky & Raymer, Rev. Mod.
-Phys. 81, 299 (2009)) runs from there to convergence.  Standard errors
-use the package-wide 10-way split.
+Each group enters as the split moments of its samples
+(:func:`sqzsim.dsp.split_moments`), so a caller streams its frames into
+the fit and never holds them.  A weighted least-squares fit of the
+group moments gives the starting point, and Newton's method on the
+analytic gradient and Hessian of the exact Gaussian likelihood
+(Lvovsky & Raymer, Rev. Mod. Phys. 81, 299 (2009)) runs from there to
+convergence.  Standard errors use the package-wide 10-way split: the
+fit is repeated on the moments of each split.
 """
 
 from __future__ import annotations
@@ -23,22 +26,20 @@ from sqzsim.dsp import (
     ModeScan,
     SplitMoments,
     TemporalMode,
-    extract_quadratures,
+    periodogram_bounds,
     split_moments,
 )
-from sqzsim.homodyne import DetectorModel, FrameSet
+from sqzsim.homodyne import DetectorModel
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
     GaussianState,
     duan_from_moments,
     effective_squeezing_db,
-    split_slices,
     variance_at_phase,
 )
 
 __all__ = [
-    "PhaseGroup",
     "TomographyInput",
     "WignerEllipse",
     "wigner_ellipse",
@@ -59,39 +60,38 @@ DEFAULT_CONTOUR_LEVEL = 1.0 / math.sqrt(math.e)
 
 
 @dataclass(frozen=True)
-class PhaseGroup:
-    """Quadrature samples taken at one LO phase (radians)."""
-
-    phase: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.phase):
-            raise ValueError("phase must be finite")
-        s = np.asarray(self.samples, dtype=float).ravel()
-        if s.size < MIN_GROUP_SAMPLES:
-            raise ValueError(f"each phase group needs >= {MIN_GROUP_SAMPLES} samples, got {s.size}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples contain non-finite values")
-        object.__setattr__(self, "samples", s)
-        self.samples.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class TomographyInput:
-    """Phase-tagged sample groups covering enough of the phase circle.
+    """Quadrature moments at LO phases covering enough of the phase circle.
 
-    Requires at least 3 distinct phases (mod pi) whose folded span is
-    at least 90 degrees; fewer leave the covariance fit ill
-    conditioned.
+    ``moments[j]`` holds the :func:`sqzsim.dsp.split_moments` of the
+    samples taken at LO phase ``phases[j]`` (radians), with one column,
+    so a caller can stream its samples into it.  Requires at least
+    ``MIN_GROUP_SAMPLES`` finite samples per phase, and at least 3
+    distinct phases (mod pi) whose folded span is at least 90 degrees;
+    fewer leave the covariance fit ill conditioned.
     """
 
-    groups: tuple[PhaseGroup, ...]
+    phases: tuple[float, ...]
+    moments: tuple[SplitMoments, ...]
 
     def __post_init__(self) -> None:
-        groups = tuple(self.groups)
-        object.__setattr__(self, "groups", groups)
-        folded = np.array([g.phase % math.pi for g in groups])
+        phases = tuple(float(p) for p in self.phases)
+        moments = tuple(self.moments)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "moments", moments)
+        if len(phases) != len(moments):
+            raise ValueError("phases and moments must pair up one-to-one")
+        if not all(map(math.isfinite, phases)):
+            raise ValueError("phases must be finite")
+        for m in moments:
+            if m.mean.shape != (N_SPLITS, 1):
+                raise ValueError("each phase needs the split moments of one quadrature")
+            n = int(m.count.sum())
+            if n < MIN_GROUP_SAMPLES:
+                raise ValueError(f"each phase group needs >= {MIN_GROUP_SAMPLES} samples, got {n}")
+            if not (np.all(np.isfinite(m.mean)) and np.all(np.isfinite(m.m2))):
+                raise ValueError("samples contain non-finite values")
+        folded = np.array(phases) % math.pi
         distinct = np.unique(np.round(folded / 1e-9).astype(np.int64))
         if distinct.size < 3:
             raise ValueError("need samples at >= 3 distinct phases (mod pi)")
@@ -104,20 +104,19 @@ class TomographyInput:
 
     @classmethod
     def from_arrays(cls, phases, samples) -> "TomographyInput":
+        """Reduce one sample array per phase through :func:`sqzsim.dsp.split_moments`."""
         if len(phases) != len(samples):
             raise ValueError("phases and samples must pair up one-to-one")
-        return cls(groups=tuple(PhaseGroup(float(p), s) for p, s in zip(phases, samples)))
-
-    @classmethod
-    def from_frameset(
-        cls, fs: FrameSet, mode: TemporalMode, ref_scale: float
-    ) -> "TomographyInput":
-        """Group a frame set's mode quadratures by its LO phase tags."""
-        q = extract_quadratures(fs, mode, ref_scale)
-        groups = []
-        for phase in dict.fromkeys(fs.phase_tags.tolist()):
-            groups.append(PhaseGroup(phase=float(phase), samples=q[fs.phase_tags == phase]))
-        return cls(groups=tuple(groups))
+        moments = []
+        for s in samples:
+            s = np.asarray(s, dtype=float).ravel()
+            if s.size < MIN_GROUP_SAMPLES:
+                raise ValueError(
+                    f"each phase group needs >= {MIN_GROUP_SAMPLES} samples, got {s.size}"
+                )
+            blocks = (s[lo:hi, None] for lo, hi in periodogram_bounds(s.size))
+            moments.append(split_moments(s.size, blocks))
+        return cls(phases=tuple(phases), moments=tuple(moments))
 
 
 @dataclass(frozen=True)
@@ -181,14 +180,6 @@ def _axes_and_angle(cov: np.ndarray) -> tuple[tuple[float, float], float]:
         return semi, 0.0
     angle = (math.degrees(math.atan2(evecs[1, 0], evecs[0, 0])) + 90.0) % 180.0 - 90.0
     return semi, 90.0 if angle == -90.0 else angle
-
-
-def _group_stats(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    phases = np.array([g.phase for g in groups])
-    counts = np.array([g.samples.size for g in groups], dtype=float)
-    means = np.array([float(np.mean(g.samples)) for g in groups])
-    variances = np.array([float(np.var(g.samples)) for g in groups])
-    return phases, counts, means, variances
 
 
 class _GroupedLikelihood:
@@ -350,6 +341,7 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
     Parameters
     ----------
     data : TomographyInput, or sequence of (phase, samples) pairs
+        Pairs are reduced to split moments on entry.
     project : bool
         When True, a fitted covariance below the det = 1 uncertainty
         bound is rescaled onto the boundary.  Off by default so that
@@ -358,7 +350,11 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
     """
     if not isinstance(data, TomographyInput):
         data = TomographyInput.from_arrays([p for p, _ in data], [s for _, s in data])
-    phases, counts, means, variances = _group_stats(data.groups)
+    phases = np.array(data.phases)
+    totals = [m.merged() for m in data.moments]
+    counts = np.array([n for n, _, _ in totals])
+    means = np.array([mean[0] for _, mean, _ in totals])
+    variances = np.array([m2[0] / n for n, _, m2 in totals])
 
     theta = _fit_moments(phases, counts, means, variances)
     state, projected = _theta_to_state(theta, project)
@@ -367,17 +363,17 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
     except ValueError:  # the covariance is not positive definite
         ellipse = None
 
-    # rerun the whole fit on 10 contiguous sample splits for the errors
+    # rerun the whole fit on the 10 contiguous sample splits for the errors
+    split_counts = np.stack([m.count for m in data.moments])
+    split_m1 = np.stack([m.mean[:, 0] for m in data.moments])
+    split_m2 = np.stack([m.m2[:, 0] for m in data.moments])
     split_means = np.full((N_SPLITS, 2), np.nan)
     split_covs = np.full((N_SPLITS, 2, 2), np.nan)
     split_semi = np.full((N_SPLITS, 2), np.nan)
     split_angle = np.full(N_SPLITS, np.nan)
-    per_group_splits = [[g.samples[sl] for sl in split_slices(g.samples.size)] for g in data.groups]
     for k in range(N_SPLITS):
-        sub_means = np.array([float(np.mean(parts[k])) for parts in per_group_splits])
-        sub_vars = np.array([float(np.var(parts[k])) for parts in per_group_splits])
-        sub_counts = np.array([parts[k].size for parts in per_group_splits], dtype=float)
-        sub_theta = _fit_moments(phases, sub_counts, sub_means, sub_vars)
+        n_k = split_counts[:, k]
+        sub_theta = _fit_moments(phases, n_k, split_m1[:, k], split_m2[:, k] / n_k)
         sub_state, _ = _theta_to_state(sub_theta, project)
         split_means[k] = sub_state.mean
         split_covs[k] = sub_state.cov

@@ -1,4 +1,4 @@
-"""Spectral estimation, variance traces, temporal modes, quadrature extraction."""
+"""Spectral estimation, variance traces, temporal modes, mode projection."""
 
 import math
 import warnings
@@ -13,38 +13,24 @@ from sqzsim.dsp import (
     SpectrumEstimate,
     band_average,
     estimate_pure_squeezing_and_loss,
-    extract_quadratures,
     fir_taps,
     make_mode,
     mode_spectrum,
-    project,
-    vacuum_quadrature_scale,
-    vacuum_quadrature_scales,
 )
-from sqzsim.homodyne import (
-    DetectorModel,
-    FrameSet,
-    iter_frame_chunks,
-    simulate_frames,
-    simulate_vacuum_reference,
-)
+from sqzsim.homodyne import DetectorModel, iter_frame_chunks
 from sqzsim.opa import constant_trajectory
 from sqzsim.quantum import split_slices
-from stack_slices import blocks
+from stack_slices import blocks, synthesize, vacuum
 
 S_DB = -2.0708616181713997
 A_DB = 2.3244519950594054
 
 
-def _vacuum(n_samples=256, n_frames=400, seed=0, bandwidth=200e6):
-    det = DetectorModel(bandwidth=bandwidth)
-    return simulate_vacuum_reference(det, n_samples, n_frames, seed=seed)
-
-
 def test_spectrum_of_reference_against_itself_is_zero_db():
-    ref = _vacuum()
-    vac = dsp.periodogram_split_means(ref.n_frames, blocks(ref.frames))
-    spec = dsp.spectrum_ratio(vac, vac, ref.n_samples, ref.dt)
+    det = DetectorModel()
+    ref = vacuum(det, 256, 400, seed=0)
+    vac = dsp.periodogram_split_means(400, blocks(ref))
+    spec = dsp.spectrum_ratio(vac, vac, 256, det.dt)
     assert np.allclose(spec.level_db, 0.0, atol=1e-12)
     assert np.allclose(spec.stderr_db, 0.0, atol=1e-12)
 
@@ -52,11 +38,11 @@ def test_spectrum_of_reference_against_itself_is_zero_db():
 def test_vacuum_spectrum_is_flat_at_zero_db():
     det = DetectorModel()
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=512)
-    sig = simulate_frames(traj, det, 0.0, n_frames=600, seed=1)
-    ref = simulate_vacuum_reference(det, 512, 600, seed=2)
+    sig = synthesize(traj, det, 0.0, 600, seed=1)
+    ref = vacuum(det, 512, 600, seed=2)
     spec = dsp.spectrum_ratio(
-        dsp.periodogram_split_means(600, blocks(sig.frames)),
-        dsp.periodogram_split_means(600, blocks(ref.frames)),
+        dsp.periodogram_split_means(600, blocks(sig)),
+        dsp.periodogram_split_means(600, blocks(ref)),
         512,
         det.dt,
     )
@@ -68,13 +54,13 @@ def test_vacuum_spectrum_is_flat_at_zero_db():
 def test_squeezed_spectrum_band_levels():
     det = DetectorModel()
     traj = constant_trajectory(0.3120002801006932, 0.0, 0.183, dt=1e-9, n_samples=1024)
-    sig = simulate_frames(traj, det, 0.0, n_frames=800, seed=3)
-    anti = simulate_frames(traj, det, math.pi / 2.0, n_frames=800, seed=4)
-    ref = simulate_vacuum_reference(det, 1024, 800, seed=5)
-    vac = dsp.periodogram_split_means(800, blocks(ref.frames))
+    sig = synthesize(traj, det, 0.0, 800, seed=3)
+    anti = synthesize(traj, det, math.pi / 2.0, 800, seed=4)
+    ref = vacuum(det, 1024, 800, seed=5)
+    vac = dsp.periodogram_split_means(800, blocks(ref))
 
-    def band(fs):
-        split_means = dsp.periodogram_split_means(800, blocks(fs.frames))
+    def band(frames):
+        split_means = dsp.periodogram_split_means(800, blocks(frames))
         return band_average(dsp.spectrum_ratio(split_means, vac, 1024, det.dt))
 
     s_level, s_err = band(sig)
@@ -103,12 +89,12 @@ def test_streamed_split_means_equal_the_whole_stack_loop(n_frames):
     # block, 3001 gives splits of 300 frames; none is a multiple of 10
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=33)
     det = DetectorModel()
-    fs = simulate_frames(traj, det, 0.0, n_frames=n_frames, seed=2, dtype=np.float32)
-    want = _split_means_loop(fs.frames)
+    frames = synthesize(traj, det, 0.0, n_frames, seed=2, dtype=np.float32)
+    want = _split_means_loop(frames)
     bounds = dsp.periodogram_bounds(n_frames)
     blocks = iter_frame_chunks(traj, det, 0.0, n_frames, 2, np.float32, bounds)
     assert dsp.periodogram_split_means(n_frames, blocks).tobytes() == want.tobytes()
-    sliced = (fs.frames[lo:hi] for lo, hi in bounds)
+    sliced = (frames[lo:hi] for lo, hi in bounds)
     assert dsp.periodogram_split_means(n_frames, sliced).tobytes() == want.tobytes()
 
 
@@ -122,8 +108,8 @@ def test_streamed_spectrum_equals_average_spectrum():
     det = DetectorModel()
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=128)
     vac_traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=128)
-    fs = simulate_frames(traj, det, 0.5, n_frames=61, seed=3, dtype=np.float32)
-    ref = simulate_vacuum_reference(det, 128, 61, seed=4, dtype=np.float32)
+    frames = synthesize(traj, det, 0.5, 61, seed=3, dtype=np.float32)
+    ref = vacuum(det, 128, 61, seed=4, dtype=np.float32)
     bounds = dsp.periodogram_bounds(61)
     sig_blocks = iter_frame_chunks(traj, det, 0.5, 61, 3, np.float32, bounds)
     vac_blocks = iter_frame_chunks(vac_traj, det, 0.0, 61, 4, np.float32, bounds)
@@ -131,7 +117,7 @@ def test_streamed_spectrum_equals_average_spectrum():
     vac = dsp.periodogram_split_means(61, vac_blocks)
     got = dsp.spectrum_ratio(sig, vac, 128, det.dt)
     want = dsp.spectrum_ratio(
-        _split_means_loop(fs.frames), _split_means_loop(ref.frames), 128, det.dt
+        _split_means_loop(frames), _split_means_loop(ref), 128, det.dt
     )
     assert got.freqs[0] == 0.0
     for name in ("freqs", "level_db", "stderr_db"):
@@ -261,16 +247,16 @@ def test_fir_lowpass_equals_fftconvolve_bytes(n_frames, n_samples, taps, cutoff,
     assert got.tobytes() == want.tobytes()
 
 
-def _variance_trace(sig, ref):
+def _variance_trace(sig, ref, dt=1e-9):
     """The streamed variance trace over slices of two whole stacks."""
-    moments = [dsp.split_moments(fs.n_frames, blocks(fs.frames)) for fs in (sig, ref)]
-    return dsp.variance_ratio(*moments, sig.times)
+    moments = [dsp.split_moments(len(frames), blocks(frames)) for frames in (sig, ref)]
+    return dsp.variance_ratio(*moments, np.arange(sig.shape[1]) * dt)
 
 
 def test_pointwise_variance_of_vacuum_is_flat_unity():
     det = DetectorModel()
-    sig = simulate_vacuum_reference(det, 300, 2000, seed=6)
-    ref = simulate_vacuum_reference(det, 300, 2000, seed=7)
+    sig = vacuum(det, 300, 2000, seed=6)
+    ref = vacuum(det, 300, 2000, seed=7)
     trace = _variance_trace(sig, ref)
     assert trace.variance.mean() == pytest.approx(1.0, abs=0.05)
     assert np.all(np.abs(trace.variance - 1.0) <= 6.0 * np.maximum(trace.stderr, 0.01))
@@ -280,24 +266,24 @@ def test_pointwise_variance_of_vacuum_is_flat_unity():
 @pytest.mark.parametrize("n_frames", [13, 19])
 def test_pointwise_variance_needs_two_frames_per_split(n_frames):
     det = DetectorModel()
-    sig = simulate_vacuum_reference(det, 40, n_frames, seed=3)
-    ref = simulate_vacuum_reference(det, 40, 20, seed=4)
+    sig = vacuum(det, 40, n_frames, seed=3)
+    ref = vacuum(det, 40, 20, seed=4)
     with pytest.raises(ValueError, match="n_frames"):
         _variance_trace(sig, ref)
 
 
 def test_pointwise_variance_stderr_is_finite_at_twenty_frames():
     det = DetectorModel()
-    sig = simulate_vacuum_reference(det, 40, 20, seed=3)
-    ref = simulate_vacuum_reference(det, 40, 20, seed=4)
+    sig = vacuum(det, 40, 20, seed=3)
+    ref = vacuum(det, 40, 20, seed=4)
     trace = _variance_trace(sig, ref)
     assert np.all(np.isfinite(trace.stderr)) and np.all(trace.stderr > 0.0)
 
 
 def test_variance_trace_csv_includes_extra_columns(tmp_path):
     det = DetectorModel()
-    sig = simulate_vacuum_reference(det, 64, 30, seed=1)
-    ref = simulate_vacuum_reference(det, 64, 30, seed=2)
+    sig = vacuum(det, 64, 30, seed=1)
+    ref = vacuum(det, 64, 30, seed=2)
     trace = _variance_trace(sig, ref)
     path = tmp_path / "trace.csv"
     trace.to_csv(path, extra={"target": np.ones(64)}, meta={"seed": 1})
@@ -353,16 +339,16 @@ def test_streamed_split_moments_match_two_pass_variance(n_frames):
     vac = dsp.split_moments(
         n_frames, iter_frame_chunks(vac_traj, det, 0.0, n_frames, 6, np.float32, bounds)
     )
-    fs = simulate_frames(traj, det, 0.2, n_frames, seed=5, dtype=np.float32)
-    ref = simulate_vacuum_reference(det, 48, n_frames, seed=6, dtype=np.float32)
-    var, per_split, shot = _two_pass(fs.frames, ref.frames)
+    frames = synthesize(traj, det, 0.2, n_frames, seed=5, dtype=np.float32)
+    ref = vacuum(det, 48, n_frames, seed=6, dtype=np.float32)
+    var, per_split, shot = _two_pass(frames, ref)
 
     assert sig.count.tolist() == [sl.stop - sl.start for sl in split_slices(n_frames)]
     np.testing.assert_allclose(sig.variance(), var, rtol=VARIANCE_RTOL, atol=0.0)
     np.testing.assert_allclose(sig.split_variances(), per_split, rtol=VARIANCE_RTOL, atol=0.0)
     assert float(np.mean(vac.variance())) == pytest.approx(shot, rel=VARIANCE_RTOL, abs=0.0)
 
-    trace = dsp.variance_ratio(sig, vac, fs.times)
+    trace = dsp.variance_ratio(sig, vac, traj.times)
     stderr = (per_split / shot).std(axis=0, ddof=1) / math.sqrt(10)
     np.testing.assert_allclose(trace.variance, var / shot, rtol=VARIANCE_RTOL, atol=0.0)
     np.testing.assert_allclose(trace.stderr, stderr, rtol=VARIANCE_RTOL, atol=0.0)
@@ -468,118 +454,123 @@ def test_mode_spectrum_dc_mode():
     assert spec.out_of_band_fraction(5e6) < 1e-6
 
 
+DT = 1e-9
+
+
+def _quadratures(frames, modes):
+    """Each frame's integral against each mode: one lag-0 scan, identity coefficients."""
+    return dsp.ModeScan(modes, np.eye(len(modes)), [0], 0.0, DT, frames.shape[1])(frames)
+
+
+def _vacuum_scales(det, modes, n_samples, n_frames, seed):
+    """The shot-noise unit of each mode, streamed from a vacuum reference."""
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=det.dt, n_samples=n_samples)
+    bounds = dsp.periodogram_bounds(n_frames)
+    ref_blocks = iter_frame_chunks(traj, det, 0.0, n_frames, seed, np.float64, bounds)
+    scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], 0.0, det.dt, n_samples)
+    return np.sqrt(dsp.split_moments(n_frames, map(scan, ref_blocks)).variance())
+
+
 def test_quadrature_extraction_is_linear():
     rng = np.random.default_rng(0)
     f1 = rng.standard_normal(200)
     f2 = rng.standard_normal(200)
-    mode = make_mode("tf_mode", 1e-9, t_c=100e-9, gamma=2.5e8, t_w=30e-9)
-    base = dict(dt=1e-9, phase_tags=np.zeros(1), kind="signal", rng_seed=0)
-    qa = extract_quadratures(FrameSet(frames=f1[None, :], **base), mode, 1.0)
-    qb = extract_quadratures(FrameSet(frames=f2[None, :], **base), mode, 1.0)
-    qc = extract_quadratures(FrameSet(frames=(2.0 * f1 + 3.0 * f2)[None, :], **base), mode, 1.0)
-    assert qc[0] == pytest.approx(2.0 * qa[0] + 3.0 * qb[0], rel=1e-12)
+    mode = make_mode("tf_mode", DT, t_c=100e-9, gamma=2.5e8, t_w=30e-9)
+    qa, qb, qc = (_quadratures(f[None, :], [mode])[0, 0] for f in (f1, f2, 2.0 * f1 + 3.0 * f2))
+    assert qc == pytest.approx(2.0 * qa + 3.0 * qb, rel=1e-12)
 
 
 def test_vacuum_scale_normalizes_to_shot_noise():
     det = DetectorModel(bandwidth=None)
-    ref = simulate_vacuum_reference(det, 400, 3000, seed=8)
-    mode = make_mode("tf_mode", 1e-9, t_c=200e-9, gamma=2.5e8, t_w=30e-9)
-    scale = vacuum_quadrature_scale(ref, mode)
-    check = simulate_vacuum_reference(det, 400, 3000, seed=9)
-    q = extract_quadratures(
-        FrameSet(check.dt, check.frames, check.phase_tags, "signal", 9), mode, scale
-    )
+    mode = make_mode("tf_mode", DT, t_c=200e-9, gamma=2.5e8, t_w=30e-9)
+    (scale,) = _vacuum_scales(det, [mode], 400, 3000, seed=8)
+    q = _quadratures(vacuum(det, 400, 3000, seed=9), [mode])[:, 0] / scale
     v = float(np.var(q, ddof=1))
     # both the scale and the check set carry chi-squared noise
     assert abs(v - 1.0) <= 5.0 * math.sqrt(4.0 / (q.size - 1))
 
 
 def test_extraction_rejects_misaligned_modes():
-    det = DetectorModel()
-    ref = simulate_vacuum_reference(det, 100, 5, seed=0)
-    fs = FrameSet(ref.dt, ref.frames, ref.phase_tags, "signal", 0)
-    outside = make_mode("tf_mode", 1e-9, t_c=300e-9, gamma=2.5e8, t_w=30e-9)
+    frames = vacuum(DetectorModel(), 100, 5, seed=0)
+    outside = make_mode("tf_mode", DT, t_c=300e-9, gamma=2.5e8, t_w=30e-9)
     with pytest.raises(ValueError, match="record"):
-        extract_quadratures(fs, outside, 1.0)
-    off_grid = make_mode("tf_mode", 1e-9, t_c=50.4e-9, gamma=2.5e8, t_w=30e-9)
+        _quadratures(frames, [outside])
+    off_grid = make_mode("tf_mode", DT, t_c=50.4e-9, gamma=2.5e8, t_w=30e-9)
     with pytest.raises(ValueError, match="align"):
-        extract_quadratures(fs, off_grid, 1.0)
+        _quadratures(frames, [off_grid])
 
 
 def _projection_pieces(n_frames: int, dtype=np.float32):
-    det = DetectorModel(bandwidth=None)
-    ref = simulate_vacuum_reference(det, 160, n_frames, seed=4, dtype=dtype)
-    fs = FrameSet(ref.dt, ref.frames, ref.phase_tags, "signal", 4)
+    frames = vacuum(DetectorModel(bandwidth=None), 160, n_frames, seed=4, dtype=dtype)
     # modes 0-2 overlap each other, mode 3 is disjoint from them
     modes = [
-        make_mode("tf_mode", 1e-9, t_c=t_c, gamma=2.5e8, t_w=30e-9)
+        make_mode("tf_mode", DT, t_c=t_c, gamma=2.5e8, t_w=30e-9)
         for t_c in (40e-9, 50e-9, 52e-9, 130e-9)
     ]
-    return fs, modes
+    return frames, modes
 
 
-def _direct(fs, mode):
-    start = int(round((mode.t0 - fs.t0) / fs.dt))
-    block = np.asarray(fs.frames[:, start : start + mode.n_samples], dtype=float)
+def _direct(frames, mode):
+    """A mode's integral over every frame as a plain dot product; records start at 0."""
+    start = int(round(mode.t0 / DT))
+    block = np.asarray(frames[:, start : start + mode.n_samples], dtype=float)
     return block @ (mode.weights * mode.dt)
 
 
 def test_project_matches_per_mode_extraction():
-    fs, modes = _projection_pieces(300)
-    q = project(fs, modes)
+    frames, modes = _projection_pieces(300)
+    q = _quadratures(frames, modes)
     assert q.shape == (300, len(modes))
-    stacked = np.column_stack([extract_quadratures(fs, m, 1.0) for m in modes])
-    direct = np.column_stack([_direct(fs, m) for m in modes])
+    direct = np.column_stack([_direct(frames, m) for m in modes])
     scale = np.abs(direct).max()
-    assert np.max(np.abs(q - stacked)) <= 1e-12 * scale
     assert np.max(np.abs(q - direct)) <= 1e-12 * scale
     # disjoint supports alone and in the other order give the same columns
-    assert np.max(np.abs(project(fs, modes[::-1])[:, ::-1] - q)) <= 1e-12 * scale
-    assert np.max(np.abs(project(fs, [modes[0], modes[3]]) - q[:, [0, 3]])) <= 1e-12 * scale
+    assert np.max(np.abs(_quadratures(frames, modes[::-1])[:, ::-1] - q)) <= 1e-12 * scale
+    disjoint = _quadratures(frames, [modes[0], modes[3]])
+    assert np.max(np.abs(disjoint - q[:, [0, 3]])) <= 1e-12 * scale
 
 
-def test_project_chunks_do_not_change_the_result(monkeypatch):
-    fs, modes = _projection_pieces(53, dtype=np.float64)
-    whole = project(fs, modes)
-    # union of the supports, in samples: first mode start to last mode end
-    window = int(round((modes[3].t0 - modes[0].t0) / fs.dt)) + modes[3].n_samples
-    monkeypatch.setattr(dsp, "_PROJECT_CHUNK", 7 * window)  # 53 = 7 * 7 + 4 frames
-    chunked = project(fs, modes)
-    direct = np.column_stack([_direct(fs, m) for m in modes])
-    assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.abs(direct).max()
+def test_project_chunks_do_not_change_the_result():
+    frames, modes = _projection_pieces(53, dtype=np.float64)
+    whole = _quadratures(frames, modes)
+    # blocks of 7 frames, 53 = 7 * 7 + 4: each frame's integrals are its
+    # own dot products, so the bytes do not depend on the block size
+    chunked = np.concatenate([_quadratures(frames[lo : lo + 7], modes) for lo in range(0, 53, 7)])
+    direct = np.column_stack([_direct(frames, m) for m in modes])
+    assert chunked.tobytes() == whole.tobytes()
     assert np.max(np.abs(chunked - direct)) <= 1e-12 * np.abs(direct).max()
 
 
 def test_project_single_frame():
-    fs, modes = _projection_pieces(1)
-    q = project(fs, modes)
+    frames, modes = _projection_pieces(1)
+    q = _quadratures(frames, modes)
     assert q.shape == (1, len(modes))
     for j, mode in enumerate(modes):
-        assert q[0, j] == pytest.approx(float(_direct(fs, mode)[0]), rel=1e-12)
+        assert q[0, j] == pytest.approx(float(_direct(frames, mode)[0]), rel=1e-12)
 
 
 def test_project_rejects_bad_modes():
-    fs, modes = _projection_pieces(5)
-    outside = make_mode("tf_mode", 1e-9, t_c=300e-9, gamma=2.5e8, t_w=30e-9)
+    frames, modes = _projection_pieces(5)
+    outside = make_mode("tf_mode", DT, t_c=300e-9, gamma=2.5e8, t_w=30e-9)
     with pytest.raises(ValueError, match="record window"):
-        project(fs, modes + [outside])
-    off_grid = make_mode("tf_mode", 1e-9, t_c=50.4e-9, gamma=2.5e8, t_w=30e-9)
+        _quadratures(frames, modes + [outside])
+    off_grid = make_mode("tf_mode", DT, t_c=50.4e-9, gamma=2.5e8, t_w=30e-9)
     with pytest.raises(ValueError, match="align"):
-        project(fs, [off_grid] + modes)
+        _quadratures(frames, [off_grid] + modes)
     with pytest.raises(ValueError, match="at least one mode"):
-        project(fs, [])
+        _quadratures(frames, [])
 
 
 def test_vacuum_scales_match_single_mode_scale():
     det = DetectorModel(bandwidth=None)
-    ref = simulate_vacuum_reference(det, 160, 400, seed=6)
     _, modes = _projection_pieces(1)
-    scales = vacuum_quadrature_scales(ref, modes)
-    single = [vacuum_quadrature_scale(ref, m) for m in modes]
+    scales = _vacuum_scales(det, modes, 160, 400, seed=6)
+    single = [_vacuum_scales(det, [m], 160, 400, seed=6)[0] for m in modes]
     assert scales == pytest.approx(single, rel=1e-12)
-    signal_set = FrameSet(ref.dt, ref.frames, ref.phase_tags, "signal", 6)
-    with pytest.raises(ValueError, match="vacuum_reference"):
-        vacuum_quadrature_scales(signal_set, modes)
+    # the two-pass rms of each mode's quadrature over the same reference
+    ref = vacuum(det, 160, 400, seed=6)
+    two_pass = [math.sqrt(np.var(_direct(ref, m), ddof=1)) for m in modes]
+    assert scales == pytest.approx(two_pass, rel=1e-12)
 
 
 # 13 and 12 lags (odd and even scan widths), every fourth sample, and the
@@ -590,35 +581,38 @@ SCAN_LAGS = [np.arange(-6, 7), np.arange(-6, 6), np.arange(-12, 13, 4), np.array
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lags", SCAN_LAGS, ids=["odd", "even", "step4", "one"])
 def test_mode_scan_matches_project_at_every_lag(lags, dtype):
-    fs, modes = _projection_pieces(264, dtype=dtype)
+    frames, modes = _projection_pieces(264, dtype=dtype)
     modes = [modes[0], modes[1], modes[3]]  # overlapping and disjoint supports
     coeffs = np.array([[0.7, -1.3, 0.4], [1.1, 0.2, -0.9]])
-    scan = dsp.ModeScan(modes, coeffs, lags, fs.t0, fs.dt, fs.n_samples)
-    shifted = [m.shifted(int(k) * fs.dt) for k in lags for m in modes]
-    per_mode = project(fs, shifted).reshape(fs.n_frames, lags.size, len(modes))
-    want = np.einsum("fjm,km->fkj", per_mode, coeffs).reshape(fs.n_frames, -1)
+    scan = dsp.ModeScan(modes, coeffs, lags, 0.0, DT, 160)
+    # (frames, lags, modes): each shifted mode's plain dot products
+    per_mode = np.stack(
+        [np.column_stack([_direct(frames, m.shifted(int(k) * DT)) for m in modes]) for k in lags],
+        axis=1,
+    )
+    want = np.einsum("fjm,km->fkj", per_mode, coeffs).reshape(len(frames), -1)
     # blocks of 1, 7 and 256 frames
     for lo, hi in [(0, 1), (1, 8), (8, 264)]:
-        got = scan(fs.frames[lo:hi])
+        got = scan(frames[lo:hi])
         assert got.shape == (hi - lo, 2 * lags.size)
         scale = np.abs(want[lo:hi]).max(axis=0)
         assert np.all(np.abs(got - want[lo:hi]).max(axis=0) <= 1e-12 * scale), (lo, hi)
 
 
 def test_mode_scan_validation():
-    fs, modes = _projection_pieces(4)
+    frames, modes = _projection_pieces(4)
     with pytest.raises(ValueError, match="lags"):
-        dsp.ModeScan(modes, np.eye(4), [], fs.t0, fs.dt, fs.n_samples)
+        dsp.ModeScan(modes, np.eye(4), [], 0.0, DT, 160)
     with pytest.raises(ValueError, match="coeffs"):
-        dsp.ModeScan(modes, np.eye(3), [0], fs.t0, fs.dt, fs.n_samples)
+        dsp.ModeScan(modes, np.eye(3), [0], 0.0, DT, 160)
     # the first mode starts 26 samples after the record does, the last
     # ends 15 samples before it
     for lags in ([-27, 0], [0, 16]):
         with pytest.raises(ValueError, match="record window"):
-            dsp.ModeScan(modes, np.eye(4), lags, fs.t0, fs.dt, fs.n_samples)
-    scan = dsp.ModeScan(modes, np.eye(4), [-26, 15], fs.t0, fs.dt, fs.n_samples)
+            dsp.ModeScan(modes, np.eye(4), lags, 0.0, DT, 160)
+    scan = dsp.ModeScan(modes, np.eye(4), [-26, 15], 0.0, DT, 160)
     with pytest.raises(ValueError, match="160-sample frames"):
-        scan(fs.frames[:, :-1])
+        scan(frames[:, :-1])
 
 
 def test_spectrum_estimate_csv(tmp_path):

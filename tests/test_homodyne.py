@@ -12,18 +12,10 @@ import pytest
 from scipy import signal
 
 from sqzsim import homodyne
-from sqzsim.homodyne import (
-    DetectorModel,
-    FrameSet,
-    LoEntry,
-    LoSchedule,
-    iter_frame_chunks,
-    simulate_frames,
-    simulate_vacuum_reference,
-    _substream_states,
-)
-from sqzsim.opa import constant_trajectory
+from sqzsim.homodyne import DetectorModel, _substream_states, iter_frame_chunks
+from sqzsim.opa import SqueezerTrajectory, constant_trajectory
 from sqzsim.quantum import variance_at_phase
+from stack_slices import synthesize, vacuum
 
 
 def test_detector_filters_are_power_complementary():
@@ -48,117 +40,119 @@ def test_detector_validation():
         DetectorModel(bandwidth=600e6, sample_rate=1e9)
     with pytest.raises(ValueError):
         DetectorModel(gain=0.0)
+    # only +inf means an ideal detector; NaN is no bandwidth at all
+    for bandwidth in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="bandwidth"):
+            DetectorModel(bandwidth=bandwidth)
 
 
 def test_simulation_is_seed_deterministic():
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=256)
     det = DetectorModel()
-    a = simulate_frames(traj, det, lo=0.0, n_frames=20, seed=42)
-    b = simulate_frames(traj, det, lo=0.0, n_frames=20, seed=42)
-    c = simulate_frames(traj, det, lo=0.0, n_frames=20, seed=43)
-    assert np.array_equal(a.frames, b.frames)
-    assert not np.array_equal(a.frames, c.frames)
-    assert a.rng_seed == 42
+    a = synthesize(traj, det, 0.0, 20, seed=42)
+    b = synthesize(traj, det, 0.0, 20, seed=42)
+    c = synthesize(traj, det, 0.0, 20, seed=43)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_vacuum_reference_variance_is_unity():
-    det = DetectorModel()
-    ref = simulate_vacuum_reference(det, n_samples=512, n_frames=4000, seed=9)
-    var = float(ref.frames.var())
-    n = ref.frames.size
+    frames = vacuum(DetectorModel(), n_samples=512, n_frames=4000, seed=9)
+    var = float(frames.var())
     # chi-squared spread of the pooled variance estimate
-    assert abs(var - 1.0) <= 5.0 * math.sqrt(2.0 / n) * 3.0
-    assert ref.kind == "vacuum_reference"
-    assert np.all(ref.phase_tags == 0.0)
+    assert abs(var - 1.0) <= 5.0 * math.sqrt(2.0 / frames.size) * 3.0
 
 
 def test_ideal_detector_record_matches_analytic_variance():
     r, loss = 0.3120002801006932, 0.183
     traj = constant_trajectory(r, 0.0, loss, dt=1e-9, n_samples=400)
-    det = DetectorModel(bandwidth=None)
-    fs = simulate_frames(traj, det, lo=0.0, n_frames=3000, seed=4)
+    frames = synthesize(traj, DetectorModel(bandwidth=None), 0.0, 3000, seed=4)
     want = variance_at_phase(r, 0.0, loss, 0.0)
-    got = float(fs.frames.var())
-    se = want * math.sqrt(2.0 / fs.frames.size)
+    got = float(frames.var())
+    se = want * math.sqrt(2.0 / frames.size)
     assert abs(got - want) <= 5.0 * se
 
 
 def test_lo_phase_selects_quadrature():
     traj = constant_trajectory(0.5, 0.0, 0.0, dt=1e-9, n_samples=300)
     det = DetectorModel(bandwidth=None)
-    squeezed = simulate_frames(traj, det, lo=0.0, n_frames=500, seed=1)
-    anti = simulate_frames(traj, det, lo=math.pi / 2.0, n_frames=500, seed=1)
-    assert float(squeezed.frames.var()) < float(anti.frames.var())
+    squeezed = synthesize(traj, det, 0.0, 500, seed=1)
+    anti = synthesize(traj, det, math.pi / 2.0, 500, seed=1)
+    assert float(squeezed.var()) < float(anti.var())
 
 
 def test_detector_gain_scales_record():
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=128)
-    unit = simulate_frames(traj, DetectorModel(gain=1.0), 0.0, n_frames=10, seed=2)
-    doubled = simulate_frames(traj, DetectorModel(gain=2.0), 0.0, n_frames=10, seed=2)
-    assert np.allclose(doubled.frames, 2.0 * unit.frames, rtol=1e-6, atol=1e-7)
-
-
-def test_lo_schedule():
-    sched = LoSchedule(entries=(LoEntry(0.0, 3), LoEntry(0.5, 2)))
-    assert list(sched.frame_phases(5)) == [0.0, 0.0, 0.0, 0.5, 0.5]
-    single = LoSchedule.single(0.25)
-    assert list(single.frame_phases(2)) == [0.25, 0.25]
-
-
-def test_schedule_simulation_tags_phases():
-    traj = constant_trajectory(0.2, 0.0, 0.0, dt=1e-9, n_samples=64)
-    det = DetectorModel(bandwidth=None)
-    sched = LoSchedule(entries=(LoEntry(0.0, 2), LoEntry(1.0, 3)))
-    fs = simulate_frames(traj, det, sched, n_frames=5, seed=0)
-    assert np.allclose(fs.phase_tags, [0.0, 0.0, 1.0, 1.0, 1.0])
-
-
-def test_frameset_validation_and_immutability():
-    frames = np.zeros((3, 8))
-    with pytest.raises(ValueError):
-        FrameSet(dt=1e-9, frames=frames, phase_tags=np.zeros(2), kind="signal", rng_seed=0)
-    with pytest.raises(ValueError):
-        FrameSet(dt=1e-9, frames=frames, phase_tags=np.zeros(3), kind="other", rng_seed=0)
-    fs = FrameSet(dt=1e-9, frames=frames, phase_tags=np.zeros(3), kind="signal", rng_seed=0)
-    with pytest.raises(ValueError):
-        fs.frames[0, 0] = 1.0
+    unit = synthesize(traj, DetectorModel(gain=1.0), 0.0, 10, seed=2)
+    doubled = synthesize(traj, DetectorModel(gain=2.0), 0.0, 10, seed=2)
+    assert np.allclose(doubled, 2.0 * unit, rtol=1e-6, atol=1e-7)
 
 
 def test_float32_output_dtype():
     traj = constant_trajectory(0.2, 0.0, 0.0, dt=1e-9, n_samples=64)
-    fs = simulate_frames(traj, DetectorModel(), 0.0, n_frames=3, seed=0, dtype=np.float32)
-    assert fs.frames.dtype == np.float32
+    (block,) = iter_frame_chunks(traj, DetectorModel(), 0.0, 3, 0, np.float32, [(0, 3)])
+    assert block.dtype == np.float32
 
 
-def test_vacuum_reference_t0_offset():
-    ref = simulate_vacuum_reference(DetectorModel(), 32, 5, seed=0, t0=4e-9)
-    assert ref.t0 == 4e-9
-    assert ref.times[0] == pytest.approx(4e-9)
+def _oracle_frames(traj, det, lo, seed, dtype, start, stop):
+    """Frames ``start:stop`` built one at a time, straight from the model.
+
+    Frame k draws from PCG64 seeded by SeedSequence(seed, spawn_key=(k,)).
+    An ideal detector scales its draws by the std template.  A filtered
+    one draws two rows over the burn-in and the record, scales the first
+    by the std template, low-passes it, high-passes the second (the
+    vacuum complement) and keeps the sum after the burn-in.  The gain
+    multiplies the result.
+    """
+    dtype = np.dtype(dtype)
+    var = np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, lo))
+    std = np.sqrt(det.burn_in(var)).astype(dtype)
+    n_burn = std.size - var.size
+    rows = []
+    for k in range(start, stop):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+        if det.filters() is None:
+            row = gen.standard_normal(var.size, dtype=dtype) * std
+        else:
+            b_lp, a_lp, b_hp, a_hp = det.filters()
+            z = gen.standard_normal((2, std.size), dtype=dtype)
+            raw = (z[0] * std).astype(np.float64)
+            total = signal.lfilter(b_lp, a_lp, raw) + signal.lfilter(b_hp, a_hp, z[1].astype(float))
+            row = total[n_burn:].astype(dtype)
+        rows.append(row * dtype.type(det.gain))
+    return np.stack(rows)
+
+
+def _ramp_trajectory(n_samples):
+    """A trajectory whose squeezing and angle change along the frame."""
+    t = np.arange(n_samples)
+    return SqueezerTrajectory(dt=1e-9, r=0.4 * t / n_samples, theta=0.01 * t, loss=0.1)
+
+
+# uneven blocks, one block of every frame, and one block per frame
+ORACLE_BOUNDS = [[(0, 3), (3, 17), (17, 53), (40, 41)], [(0, 53)], [(k, k + 1) for k in range(53)]]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bandwidth", [None, 200e6], ids=["ideal", "200MHz"])
 def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
-    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=96)
+    traj = _ramp_trajectory(96)
     det = DetectorModel(bandwidth=bandwidth, gain=2.0)
-    sched = LoSchedule(entries=(LoEntry(0.0, 5), LoEntry(0.7, 20), LoEntry(2.1, 28)))
-    whole = simulate_frames(traj, det, sched, seed=8, dtype=dtype).frames
-    bounds = [(0, 3), (3, 17), (17, 53), (40, 41)]
-    blocks = iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype, bounds=bounds)
-    for (lo, hi), block in zip(bounds, blocks, strict=True):
-        assert block.dtype == whole.dtype
-        assert block.tobytes() == whole[lo:hi].tobytes()
+    want = _oracle_frames(traj, det, 0.7, 8, dtype, 0, 53)
+    for bounds in ORACLE_BOUNDS:
+        blocks = iter_frame_chunks(traj, det, 0.7, 53, 8, dtype, bounds)
+        for (lo, hi), block in zip(bounds, blocks, strict=True):
+            assert block.dtype == want.dtype
+            assert block.tobytes() == want[lo:hi].tobytes(), (lo, hi)
 
 
-def _one_frame_blocks(traj, det, sched, dtype):
-    """The frames of ``sched``, synthesized one frame per block.
+def _one_frame_blocks(traj, det, n_frames, dtype):
+    """The frames of a run at LO phase 0.7, synthesized one frame per block.
 
     A one-frame block is never split, so this is the serial reference.
     """
-    n = sched.frame_phases(None).size
-    bounds = [(k, k + 1) for k in range(n)]
-    blocks = iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype, bounds=bounds)
-    return np.concatenate(list(blocks))
+    bounds = [(k, k + 1) for k in range(n_frames)]
+    return np.concatenate(list(iter_frame_chunks(traj, det, 0.7, n_frames, 8, dtype, bounds)))
 
 
 def _record_shares(monkeypatch):
@@ -180,20 +174,15 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
     traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=40)
     det = DetectorModel(gain=2.0)
     mid = n_rows // 2
-    # the LO phase changes where the worker's share starts
-    whole_sched = LoSchedule(entries=(LoEntry(0.0, mid), LoEntry(0.7, n_rows - mid)))
-    # the same rows after three frames of another phase, as a block of their own
-    offset_sched = LoSchedule(entries=(LoEntry(2.1, 3), *whole_sched.entries))
-    whole_ref = _one_frame_blocks(traj, det, whole_sched, dtype)
-    offset_ref = _one_frame_blocks(traj, det, offset_sched, dtype)
+    n_frames = 3 + n_rows
+    ref = _one_frame_blocks(traj, det, n_frames, dtype)
 
     shares = _record_shares(monkeypatch)
-    whole = simulate_frames(traj, det, whole_sched, seed=8, dtype=dtype).frames
-    (block,) = iter_frame_chunks(
-        traj, det, offset_sched, seed=8, dtype=dtype, bounds=[(3, 3 + n_rows)]
-    )
-    assert whole.tobytes() == whole_ref.tobytes()
-    assert block.tobytes() == offset_ref[3:].tobytes()
+    # the rows from the first frame, and the same count three frames later
+    (first,) = iter_frame_chunks(traj, det, 0.7, n_frames, 8, dtype, [(0, n_rows)])
+    (block,) = iter_frame_chunks(traj, det, 0.7, n_frames, 8, dtype, [(3, 3 + n_rows)])
+    assert first.tobytes() == ref[:n_rows].tobytes()
+    assert block.tobytes() == ref[3:].tobytes()
     if n_rows < 4 or homodyne._share_pool() is None:
         assert shares == [(0, n_rows), (3, 3 + n_rows)]
     else:
@@ -230,7 +219,7 @@ def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
 
     monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", faulty)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
-    blocks = iter_frame_chunks(traj, DetectorModel(), 0.0, 16, bounds=[(0, 8), (8, 16)])
+    blocks = iter_frame_chunks(traj, DetectorModel(), 0.0, 16, 0, np.float64, [(0, 8), (8, 16)])
 
     def consume():
         with pytest.raises(RuntimeError, match=f"planted fault in the {failing} share"):
@@ -268,21 +257,21 @@ def _record_fills(monkeypatch):
         [(k, k + 1) for k in range(40)],
         [(0, 13), (13, 27), (27, 40)],
     ],
+    # phase-edge: blocks that end where the phase groups of a streamed
+    # multi-phase run, ranges of one frame stream, would
     ids=["uneven", "one-block", "one-row", "phase-edge"],
 )
 def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, pooled, dtype, bounds):
     if not pooled:
         monkeypatch.setattr(homodyne, "_share_pool", lambda: None)
-    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=96)
+    traj = _ramp_trajectory(96)
     det = DetectorModel(bandwidth=None, gain=2.0)
-    # the LO phase changes inside block (3, 17) and at the edge of (0, 13)
-    sched = LoSchedule(entries=(LoEntry(0.0, 13), LoEntry(0.7, 27)))
-    whole = simulate_frames(traj, det, sched, seed=8, dtype=dtype).frames
+    want = _oracle_frames(traj, det, 0.7, 8, dtype, 0, 40)
     fills = _record_fills(monkeypatch)
-    blocks = iter_frame_chunks(traj, det, sched, seed=8, dtype=dtype, bounds=bounds)
+    blocks = iter_frame_chunks(traj, det, 0.7, 40, 8, dtype, bounds)
     for (lo, hi), block in zip(bounds, blocks, strict=True):
-        assert block.dtype == whole.dtype
-        assert block.tobytes() == whole[lo:hi].tobytes()
+        assert block.dtype == want.dtype
+        assert block.tobytes() == want[lo:hi].tobytes()
     caller = threading.get_ident()
     threads = dict(fills)
     assert sorted(threads) == [lo for lo, _ in bounds]
@@ -311,7 +300,7 @@ def test_ideal_prefetch_fault_surfaces_at_its_block(monkeypatch):
     monkeypatch.setattr(homodyne._Synthesis, "fill", faulty)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
     bounds = [(0, 8), (8, 16), (16, 24)]
-    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, bounds=bounds)
+    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, 0, np.float64, bounds)
 
     def consume():
         first = next(blocks)
@@ -343,7 +332,7 @@ def test_closing_an_ideal_stream_waits_for_the_prefetched_fill(monkeypatch):
     monkeypatch.setattr(homodyne._Synthesis, "fill", slow)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
     bounds = [(0, 8), (8, 16), (16, 24)]
-    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, bounds=bounds)
+    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, 0, np.float64, bounds)
 
     def consume():
         next(blocks)
@@ -360,12 +349,12 @@ def test_forked_child_makes_its_own_worker():
     # the parent's worker thread does not exist in a forked child, so a
     # child that reused the parent's pool would wait for it forever
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=64)
-    want = simulate_frames(traj, DetectorModel(), 0.0, n_frames=40, seed=1).frames
+    want = synthesize(traj, DetectorModel(), 0.0, 40, seed=1)
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            got = simulate_frames(traj, DetectorModel(), 0.0, n_frames=40, seed=1).frames
+            got = synthesize(traj, DetectorModel(), 0.0, 40, seed=1)
             code = 0 if got.tobytes() == want.tobytes() else 1
         finally:
             # the child never returns into the test runner
@@ -384,7 +373,7 @@ def test_frame_chunks_reject_bad_bounds():
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=16)
     for bounds in ([(0, 0)], [(-1, 2)], [(5, 11)], [(3, 2)]):
         with pytest.raises(ValueError, match="frame block"):
-            next(iter_frame_chunks(traj, DetectorModel(), 0.0, 10, bounds=bounds))
+            next(iter_frame_chunks(traj, DetectorModel(), 0.0, 10, 0, np.float64, bounds))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -392,8 +381,8 @@ def test_ideal_detector_frames_keep_the_paired_draw_stream(dtype):
     # one row of draws per frame equals row 0 of the (2, n) draws that
     # the filtered detector takes, so ideal records stay unchanged
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=33)
-    fs = simulate_frames(traj, DetectorModel(bandwidth=None), 0.0, n_frames=4, seed=6, dtype=dtype)
-    for k, row in enumerate(fs.frames):
+    frames = synthesize(traj, DetectorModel(bandwidth=None), 0.0, 4, seed=6, dtype=dtype)
+    for k, row in enumerate(frames):
         ss = np.random.SeedSequence(entropy=6, spawn_key=(k,))
         want = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, 33), dtype=dtype)[0]
         assert row.tobytes() == want.tobytes()
@@ -421,8 +410,13 @@ def test_substream_states_reject_what_seed_sequence_rejects():
 
 
 def test_schedules_beyond_the_spawn_key_range_are_rejected():
-    # checked from the entry counts, before any frame is allocated
+    # a run's frame count is checked before any frame is allocated
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=4)
-    sched = LoSchedule(entries=(LoEntry(0.0, 2**31), LoEntry(1.0, 2**31 + 1)))
+    det = DetectorModel(bandwidth=None)
     with pytest.raises(ValueError, match="n_frames"):
-        simulate_frames(traj, DetectorModel(bandwidth=None), sched)
+        next(iter_frame_chunks(traj, det, 0.0, 2**32 + 1, 0, np.float64, [(0, 1)]))
+    # the last frame of the largest run keeps its own substream
+    (last,) = iter_frame_chunks(traj, det, 0.0, 2**32, 0, np.float64, [(2**32 - 1, 2**32)])
+    ss = np.random.SeedSequence(entropy=0, spawn_key=(2**32 - 1,))
+    want = np.random.Generator(np.random.PCG64(ss)).standard_normal(4)
+    assert last[0].tobytes() == want.tobytes()

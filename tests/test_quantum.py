@@ -207,7 +207,7 @@ def test_duan_value_vacuum_sits_at_four():
 def test_split_errors_share_one_subset_convention():
     # 1013 = 10 * 101 + 3 samples: split_slices spreads the 3 extra samples
     # where np.array_split would put them in the first three subsets, and
-    # every subset keeps the 100 samples the Duan statistic and PhaseGroup need
+    # every subset keeps the 100 samples the Duan statistic needs
     n = 1013
     slices = split_slices(n)
     sizes = [sl.stop - sl.start for sl in slices]

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +383,25 @@ def test_cli_config_fields_of_the_wrong_type_exit_2_naming_the_field(
     assert err["kind"] == "usage" and field in err["message"]
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "+Infinity"])
+@pytest.mark.parametrize(
+    "scenario, key",
+    [("spectrum", "detector_bandwidth_hz"), ("waveforms", "loss"), ("calibrate", "power_max_mw")],
+)
+def test_cli_non_finite_set_value_exits_2_naming_the_key(tmp_path, capsys, scenario, key, value):
+    argv = [scenario, "--set", f"{key}={value}"]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, key)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_cli_non_finite_config_value_exits_2_naming_the_key(tmp_path, capsys, literal):
+    cfg_path = tmp_path / "cfg.json"
+    # JSON has no non-finite numbers, but Python's reader takes these literals
+    cfg_path.write_text('{"params": {"detector_bandwidth_hz": %s}}' % literal)
+    argv = ["spectrum", "--config", str(cfg_path)]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, "detector_bandwidth_hz")
+
+
 def test_cli_unknown_param_exits_2(tmp_path, capsys):
     code = main(["run", "calibrate", "--out", str(tmp_path), "--set", "bogus=1"])
     assert code == 2
@@ -456,6 +476,30 @@ def test_cli_reports_failed_checks_with_exit_1(tmp_path, capsys, monkeypatch):
     err = json.loads(captured.err)
     assert err["error"]["kind"] == "invariant"
     assert (tmp_path / "calibrate" / "error.json").exists()
+
+
+def _traced_peak_bytes(cfg):
+    """Peak of the memory tracemalloc sees while ``cfg`` runs, whatever its checks say."""
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tm_squeezing_memory_stays_flat_in_the_frame_count(tmp_path):
+    # every frame block is projected and folded into moments, then dropped;
+    # a frame stack would grow the peak fivefold from 200 to 1000 frames
+    peaks = [
+        _traced_peak_bytes(
+            ScenarioConfig(
+                scenario="tm_squeezing", seed=0, n_frames=n, output_dir=str(tmp_path / str(n))
+            )
+        )
+        for n in (200, 1000)
+    ]
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_tm_squeezing_slot_parsing_errors(tmp_path):

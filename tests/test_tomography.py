@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from sqzsim import tomography
-from sqzsim.dsp import make_mode, project, vacuum_quadrature_scales
-from sqzsim.homodyne import DetectorModel, simulate_frames, simulate_vacuum_reference
+from sqzsim.dsp import make_mode
+from sqzsim.homodyne import DetectorModel
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import split_slices, squeezed_state, variance_at_phase
 from sqzsim.tomography import (
-    PhaseGroup,
     TomographyInput,
     duan_prediction,
     duan_prediction_scan,
@@ -22,7 +21,7 @@ from sqzsim.tomography import (
     stream_epr_analysis,
     wigner_ellipse,
 )
-from stack_slices import blocks
+from stack_slices import blocks, synthesize, vacuum
 
 
 def test_wigner_ellipse_of_vacuum_is_unit_circle():
@@ -130,7 +129,29 @@ def test_tomography_input_validation():
     with pytest.raises(ValueError, match="one-to-one"):
         TomographyInput.from_arrays([0.0, 1.0], [s])
     with pytest.raises(ValueError, match="samples"):
-        PhaseGroup(0.0, np.ones(3))
+        TomographyInput.from_arrays([0.0, 1.0, 2.0], [s, s, np.ones(3)])
+    with pytest.raises(ValueError, match="non-finite"):
+        TomographyInput.from_arrays([0.0, 1.0, 2.0], [s, s, np.append(s, np.nan)])
+
+
+def test_tomography_input_holds_the_split_moments_of_each_phase():
+    rng = np.random.default_rng(2)
+    phases = [0.0, 0.6, 1.2, 1.8]
+    samples = [rng.standard_normal(n) for n in (100, 257, 999, 1000)]
+    data = TomographyInput.from_arrays(phases, samples)
+    assert data.phases == tuple(phases)
+    for m, x in zip(data.moments, samples):
+        assert m.mean.shape == (10, 1)
+        assert m.count.tolist() == [sl.stop - sl.start for sl in split_slices(x.size)]
+        n, mean, m2 = m.merged()
+        assert n == x.size
+        assert mean[0] == pytest.approx(x.mean(), rel=1e-12, abs=1e-15)
+        assert m2[0] / n == pytest.approx(x.var(), rel=1e-12)
+        for k, sl in enumerate(split_slices(x.size)):
+            assert m.m2[k, 0] / m.count[k] == pytest.approx(x[sl].var(), rel=1e-12)
+    # the pairs route and the moments route are one fit
+    pairs = ml_gaussian_tomography(list(zip(phases, samples)))
+    assert ml_gaussian_tomography(data).state.cov.tolist() == pairs.state.cov.tolist()
 
 
 def _group_moments(seed, n_per_phase=1000, n_phases=12):
@@ -142,7 +163,8 @@ def _group_moments(seed, n_per_phase=1000, n_phases=12):
         for phi in phases
     ]
     counts = np.full(n_phases, float(n_per_phase))
-    return phases, counts, np.array([s.mean() for s in samples]), np.array([s.var() for s in samples])
+    means = np.array([s.mean() for s in samples])
+    return phases, counts, means, np.array([s.var() for s in samples])
 
 
 def _nll_oracle(theta, phases, counts, means, variances):
@@ -219,9 +241,9 @@ def _epr_pieces(n_frames=200, bandwidth=None, seed=0, dt=1e-9):
     r = np.where(inside, 0.312, 0.0)
     traj = SqueezerTrajectory(dt=dt, r=r, theta=theta, loss=0.183)
     det = DetectorModel(bandwidth=bandwidth, sample_rate=1.0 / dt)
-    fs_x = simulate_frames(traj, det, 0.0, n_frames, seed=seed)
-    fs_p = simulate_frames(traj, det, math.pi / 2.0, n_frames, seed=seed + 1)
-    ref = simulate_vacuum_reference(det, n, n_frames, seed=seed + 2)
+    fs_x = synthesize(traj, det, 0.0, n_frames, seed=seed)
+    fs_p = synthesize(traj, det, math.pi / 2.0, n_frames, seed=seed + 1)
+    ref = vacuum(det, n, n_frames, seed=seed + 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         t_c = (lead + dur / 2.0) * dt - dt / 2.0
@@ -233,10 +255,10 @@ def _epr_pieces(n_frames=200, bandwidth=None, seed=0, dt=1e-9):
 
 def _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth):
     """:func:`stream_epr_analysis` over slices of the three whole stacks."""
-    x_blocks, p_blocks, vac_blocks = (blocks(fs.frames) for fs in (fs_x, fs_p, ref))
+    x_blocks, p_blocks, vac_blocks = (blocks(frames) for frames in (fs_x, fs_p, ref))
     return stream_epr_analysis(
-        x_blocks, p_blocks, vac_blocks, fs_x.n_frames, ref.n_frames, g1, g2,
-        fs_x.t0, fs_x.dt, fs_x.n_samples, scan_halfwidth,
+        x_blocks, p_blocks, vac_blocks, len(fs_x), len(ref), g1, g2,
+        0.0, g1.dt, fs_x.shape[1], scan_halfwidth,
     )
 
 
@@ -267,19 +289,29 @@ def test_epr_stderr_includes_reference_scale_noise():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=400, seed=9)
     result = _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=2e-9)
     # the scale term alone bounds the error from below
-    assert result.duan_stderr >= result.duan / math.sqrt(ref.n_frames - 1)
+    assert result.duan_stderr >= result.duan / math.sqrt(len(ref) - 1)
+
+
+def _dot_products(frames, mode, lags):
+    """Each frame's integral against ``mode`` shifted by each lag, as plain dot products."""
+    columns = []
+    for k in lags:
+        shifted = mode.shifted(int(k) * mode.dt)
+        start = int(round(shifted.t0 / mode.dt))
+        columns.append(frames[:, start : start + mode.n_samples] @ (mode.weights * mode.dt))
+    return np.column_stack(columns)
 
 
 def test_epr_scan_matches_the_projection_route():
-    # the route the moments replaced: project every shifted mode, divide
-    # by the vacuum scales, and take two-pass variances
+    # the route the moments replaced: integrate every frame against every
+    # shifted mode, divide by the vacuum scales, and take two-pass variances
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=300, bandwidth=200e6, seed=2)
     result = _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=8e-9)
     lags = np.arange(-8, 9)
-    scales = vacuum_quadrature_scales(ref, [g1, g2])
+    scales = [math.sqrt(np.var(_dot_products(ref, g, [0])[:, 0], ddof=1)) for g in (g1, g2)]
     x1, x2, p1, p2 = (
-        project(fs, [g.shifted(int(k) * det.dt) for k in lags]) / s
-        for fs in (fs_x, fs_p)
+        _dot_products(frames, g, lags) / s
+        for frames in (fs_x, fs_p)
         for g, s in ((g1, scales[0]), (g2, scales[1]))
     )
     diff, total = x1 - x2, p1 + p2

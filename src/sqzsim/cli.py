@@ -21,13 +21,18 @@ Config files are JSON with the schema::
       "params": {"loss": 0.2}      # scenario parameter overrides
     }
 
-Every ``--set key=value`` targets one key of ``params``.  Exit codes:
-0 all checks passed, 1 a run-time consistency check failed (error kind
-``invariant``) or an internal fault (kind ``internal``, the exception
-class leading the message), 2 usage error (kind ``usage``: unknown
-scenario or key, unreadable config or calibration, infeasible program).
-Failures print a structured error JSON to stderr and, when the output
-directory is known, write it to ``error.json`` there.
+Every ``--set key=value`` targets one key of ``params``.  A run first
+plans: it checks every parameter and builds the whole program before
+any frame is synthesized.  It then acquires and reduces every frame set,
+and only then writes its files.  Exit codes: 0 all checks passed, 1 a
+run-time consistency check failed (error kind ``invariant``) or an
+internal fault (kind ``internal``, the exception class leading the
+message; a ``ValueError`` raised after planning is one), 2 usage error
+(kind ``usage``: unknown scenario or key, unreadable config or
+calibration, a parameter the plan rejects, infeasible program), which
+leaves no artifact.  Failures print a structured error JSON to stderr
+and, when the output directory is known, write it to ``error.json``
+there.
 """
 
 from __future__ import annotations

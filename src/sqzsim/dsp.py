@@ -26,13 +26,11 @@ import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.fft
 from scipy import signal
 
-from sqzsim._csvfile import write_csv
 from sqzsim.quantum import N_SPLITS, split_slices
 
 __all__ = [
@@ -125,10 +123,6 @@ class SpectrumEstimate:
     freqs: np.ndarray
     level_db: np.ndarray
     stderr_db: np.ndarray
-
-    def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        columns = ("freq_hz", "level_db", "stderr_db")
-        write_csv(path, meta, columns, zip(self.freqs, self.level_db, self.stderr_db))
 
 
 def spectrum_ratio(sig: np.ndarray, vac: np.ndarray, n_samples: int, dt: float) -> SpectrumEstimate:
@@ -306,17 +300,6 @@ class VarianceTrace:
     times: np.ndarray
     variance: np.ndarray
     stderr: np.ndarray
-
-    def to_csv(
-        self,
-        path: str | Path,
-        extra: dict[str, np.ndarray] | None = None,
-        meta: dict | None = None,
-    ) -> None:
-        columns = {"time_s": self.times, "variance": self.variance, "stderr": self.stderr}
-        if extra:
-            columns.update(extra)
-        write_csv(path, meta, list(columns), zip(*columns.values()))
 
 
 def _chan_merge(a: tuple, b: tuple) -> tuple:

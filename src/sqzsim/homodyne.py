@@ -55,18 +55,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Homodyne detector: sampling grid, bandwidth, and output gain.
+    """Homodyne detector: sampling grid and bandwidth.
 
     ``bandwidth=None`` (or +inf) models an ideal (infinite-bandwidth)
-    detector; a NaN bandwidth is rejected.  ``gain`` only sets the
-    arbitrary linear units of the record; every analysis in the package
-    normalizes it away against a vacuum reference taken with the same
-    detector.
+    detector; a NaN bandwidth is rejected.
     """
 
     bandwidth: float | None = 200e6
     sample_rate: float = 1e9
-    gain: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0.0:
@@ -79,8 +75,6 @@ class DetectorModel:
                     "bandwidth must satisfy 0 < bw < sample_rate / 2, "
                     f"got {self.bandwidth} at {self.sample_rate} S/s"
                 )
-        if self.gain <= 0.0:
-            raise ValueError("gain must be > 0")
 
     @property
     def dt(self) -> float:
@@ -229,7 +223,6 @@ class _Synthesis:
         self.n_total = self.std.size
         self.n_burn = self.n_total - self.n_samples
         self.seed = seed
-        self.gain = det.gain
         self.work = np.empty((2, 0, self.n_total))
 
     def _substreams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
@@ -273,8 +266,6 @@ class _Synthesis:
                 finally:
                     wait((worker,))
                 worker.result()
-        if self.gain != 1.0:
-            out *= self.dtype.type(self.gain)
 
     def _fill_filtered(self, out: np.ndarray, start: int, lo: int, hi: int) -> None:
         """Rows [lo, hi) of the filtered block at ``start``, made in rows [lo, hi) of self.work."""

@@ -143,6 +143,13 @@ class ScenarioRun:
     exit_code: int
 
 
+def _number(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
 def _coerce(scenario: str, key: str, value) -> object:
     defaults = SCENARIO_DEFAULTS[scenario]
     if key not in defaults:
@@ -164,10 +171,7 @@ def _coerce(scenario: str, key: str, value) -> object:
         if isinstance(default, int):
             return int(str(value))
         if isinstance(default, float):
-            number = float(value)
-            if not math.isfinite(number):
-                raise ValueError(f"not a finite number: {value!r}")
-            return number
+            return _number(value)
         return str(value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {key!r}: {exc}") from exc
@@ -213,28 +217,40 @@ def _child_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
+def _positive(params: dict, key: str) -> float:
+    value = float(params[key])
+    if value <= 0.0:
+        raise UsageError(f"{key} must be > 0, got {value:g}")
+    return value
+
+
+def _width(value) -> float:
+    width = _number(value)
+    if width <= 0.0:
+        raise ValueError(f"not a width > 0: {value!r}")
+    return width
+
+
+def _quadrature(value: str) -> str:
+    if value not in ("x", "p"):
+        raise ValueError(f"a slot quadrature is 'x' or 'p', got {value!r}")
+    return f"{value}_squeezed"
+
+
+def _list_param(params: dict, key: str, parse) -> list:
+    """The comma-separated entries of ``params[key]``, each through ``parse``."""
+    try:
+        return [parse(entry.strip()) for entry in str(params[key]).split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad value for {key!r}: {exc}") from exc
+
+
 def _detector(params: dict) -> DetectorModel:
     bw = float(params["detector_bandwidth_hz"])
     return DetectorModel(
         bandwidth=None if bw <= 0.0 else bw,
         sample_rate=float(params["sample_rate_hz"]),
     )
-
-
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _write_json(path: Path, payload: dict, meta: dict) -> None:
-    body = dict(payload)
-    body.update(meta)
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-
-
-def _write_pump_csv(path: Path, prog: AwgProgram, ideal: pump.PowerTrace,
-                    shaped: pump.PowerTrace, meta: dict) -> None:
-    columns = ("time_s", "drive_v", "ideal_power_mw", "power_mw")
-    write_csv(path, meta, columns, zip(prog.times, prog.samples_v, ideal.power_mw, shaped.power_mw))
 
 
 def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str) -> None:
@@ -246,23 +262,36 @@ def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str) -> None:
 
 
 def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, loss: float):
+    """The pump CSV table, shaped pump power and squeezer trajectory of ``prog``."""
     ideal = pump.ideal_pump_power(prog, cal)
     shaped = pump.apply_modulator_response(ideal, resp)
     traj = opa.trajectory_from_pump(
         shaped, pump.pump_phase_trace(prog), opa.GainFit(cal.gain_coeff), loss
     )
-    return ideal, shaped, traj
+    table = {
+        "time_s": prog.times,
+        "drive_v": prog.samples_v,
+        "ideal_power_mw": ideal.power_mw,
+        "power_mw": shaped.power_mw,
+    }
+    return table, shaped, traj
 
 
 # ---------------------------------------------------------------------------
+# Each _plan_<scenario>(cfg, params, cal) checks every parameter and builds
+# the deterministic model, then returns a closure that streams and reduces
+# the frame sets.  It returns (files, checks): each manifest key's file name
+# and content (named columns for .csv, a payload for .json), and each check
+# name's (passed, detail).
+#
 # spectrum
 
 
-def _run_spectrum(cfg, params, cal, outdir, meta):
+def _plan_spectrum(cfg, params, cal):
     _require_frames(
         cfg, quantum.N_SPLITS, f"one for each of the {quantum.N_SPLITS} error-estimate splits"
     )
-    dt = 1.0 / float(params["sample_rate_hz"])
+    dt = 1.0 / _positive(params, "sample_rate_hz")
     n_samples = int(params["n_samples"])
     loss = float(params["loss"])
     det = _detector(params)
@@ -290,91 +319,84 @@ def _run_spectrum(cfg, params, cal, outdir, meta):
             f"{2.0 * nyquist / n_samples:g} Hz apart"
         )
     bounds = dsp.periodogram_bounds(cfg.n_frames)
+    # each set's spectrum is taken against the vacuum reference
+    sets = {
+        "squeezed_spectrum": (traj, 0.0, seeds[0]),
+        "antisqueezed_spectrum": (traj, math.pi / 2.0, seeds[1]),
+        "vacuum_check_spectrum": (vac_traj, 0.0, seeds[3]),
+    }
 
     def split_means(tr, phase, seed):
         # each frame block is reduced and dropped; no set is held whole
         blocks = iter_frame_chunks(tr, det, phase, cfg.n_frames, seed, np.float32, bounds)
         return dsp.periodogram_split_means(cfg.n_frames, blocks)
 
-    vac = split_means(vac_traj, 0.0, seeds[2])
-    spec_s = dsp.spectrum_ratio(split_means(traj, 0.0, seeds[0]), vac, n_samples, det.dt)
-    spec_a = dsp.spectrum_ratio(split_means(traj, math.pi / 2.0, seeds[1]), vac, n_samples, det.dt)
-    spec_v = dsp.spectrum_ratio(split_means(vac_traj, 0.0, seeds[3]), vac, n_samples, det.dt)
+    def acquire():
+        vac = split_means(vac_traj, 0.0, seeds[2])
+        specs = {
+            name: dsp.spectrum_ratio(split_means(*args), vac, n_samples, det.dt)
+            for name, args in sets.items()
+        }
+        (s_db, s_se), (a_db, a_se), (v_db, v_se) = (
+            dsp.band_average(spec, lo, hi) for spec in specs.values()
+        )
+        try:
+            est = dsp.estimate_pure_squeezing_and_loss(s_db, a_db, s_se, a_se)
+        except ValueError as exc:
+            # noise alone can push a small run's pair outside the invertible
+            # region: that fails a check, it is not a usage error
+            est = None
+            infeasible = f"measured pair {s_db:+.4f} / {a_db:+.4f} dB: {exc}"
 
-    s_db, s_se = dsp.band_average(spec_s, lo, hi)
-    a_db, a_se = dsp.band_average(spec_a, lo, hi)
-    v_db, v_se = dsp.band_average(spec_v, lo, hi)
-    try:
-        est = dsp.estimate_pure_squeezing_and_loss(s_db, a_db, s_se, a_se)
-    except ValueError as exc:
-        # noise alone can push a small run's pair outside the invertible
-        # region: that fails a check, it is not a usage error
-        est = None
-        infeasible = f"measured pair {s_db:+.4f} / {a_db:+.4f} dB: {exc}"
-
-    checks = []
-    if det.bandwidth is not None and 2.0 * det.bandwidth < 0.95 * nyquist:
-        h_db, h_se = dsp.band_average(spec_s, 2.0 * det.bandwidth, 0.98 * nyquist)
-        checks.append(
-            _check(
-                "rolloff_to_shot_noise",
-                abs(h_db) <= 0.3,
-                f"band above 2x detector bandwidth averages {h_db:+.3f} dB",
+        checks = {}
+        if det.bandwidth is not None and 2.0 * det.bandwidth < 0.95 * nyquist:
+            h_db, h_se = dsp.band_average(
+                specs["squeezed_spectrum"], 2.0 * det.bandwidth, 0.98 * nyquist
             )
-        )
-    else:
-        h_db = h_se = None
-    checks.append(_check("squeezing_below_shot_noise", s_db < 0.0, f"{s_db:+.3f} dB"))
-    checks.append(
-        _check(
-            "vacuum_check_flat",
-            abs(v_db) <= max(0.05, 5.0 * v_se),
-            f"vacuum-vs-vacuum band average {v_db:+.4f} dB",
-        )
-    )
-    if est is None:
-        checks.append(_check("inversion_feasible", False, infeasible))
-    else:
-        checks.append(
-            _check(
-                "inversion_confident",
-                not est.low_confidence,
-                f"low_confidence={est.low_confidence}",
+            checks["rolloff_to_shot_noise"] = (
+                abs(h_db) <= 0.3, f"band above 2x detector bandwidth averages {h_db:+.3f} dB"
             )
+        else:
+            h_db = h_se = None
+        checks["squeezing_below_shot_noise"] = (s_db < 0.0, f"{s_db:+.3f} dB")
+        checks["vacuum_check_flat"] = (
+            abs(v_db) <= max(0.05, 5.0 * v_se), f"vacuum-vs-vacuum band average {v_db:+.4f} dB"
         )
-        checks.append(
-            _check("loss_in_unit_interval", 0.0 <= est.loss < 1.0, f"loss={est.loss:.4f}")
-        )
+        if est is None:
+            checks["inversion_feasible"] = (False, infeasible)
+        else:
+            checks["inversion_confident"] = (
+                not est.low_confidence, f"low_confidence={est.low_confidence}"
+            )
+            checks["loss_in_unit_interval"] = (0.0 <= est.loss < 1.0, f"loss={est.loss:.4f}")
 
-    expected_s = quantum.variance_at_phase(r, 0.0, loss, 0.0)
-    expected_a = quantum.variance_at_phase(r, 0.0, loss, math.pi / 2.0)
-    report = {
-        "pump_power_mw": power,
-        "squeezing_parameter": r,
-        "band_hz": [lo, hi],
-        "squeezed_band_db": [float(s_db), float(s_se)],
-        "antisqueezed_band_db": [float(a_db), float(a_se)],
-        "vacuum_check_band_db": [float(v_db), float(v_se)],
-        "high_band_db": None if h_db is None else [float(h_db), float(h_se)],
-        "expected_squeezed_db": float(quantum.db_from_variance(expected_s)),
-        "expected_antisqueezed_db": float(quantum.db_from_variance(expected_a)),
-        "estimated_pure_db": None if est is None else [est.pure_db, est.pure_db_stderr],
-        "estimated_loss": None if est is None else [est.loss, est.loss_stderr],
-        "low_confidence": None if est is None else est.low_confidence,
-    }
+        expected_s = quantum.variance_at_phase(r, 0.0, loss, 0.0)
+        expected_a = quantum.variance_at_phase(r, 0.0, loss, math.pi / 2.0)
+        report = {
+            "pump_power_mw": power,
+            "squeezing_parameter": r,
+            "band_hz": [lo, hi],
+            "squeezed_band_db": [float(s_db), float(s_se)],
+            "antisqueezed_band_db": [float(a_db), float(a_se)],
+            "vacuum_check_band_db": [float(v_db), float(v_se)],
+            "high_band_db": None if h_db is None else [float(h_db), float(h_se)],
+            "expected_squeezed_db": float(quantum.db_from_variance(expected_s)),
+            "expected_antisqueezed_db": float(quantum.db_from_variance(expected_a)),
+            "estimated_pure_db": None if est is None else [est.pure_db, est.pure_db_stderr],
+            "estimated_loss": None if est is None else [est.loss, est.loss_stderr],
+            "low_confidence": None if est is None else est.low_confidence,
+        }
+        files = {
+            name: (
+                f"{name}.csv",
+                {"freq_hz": spec.freqs, "level_db": spec.level_db, "stderr_db": spec.stderr_db},
+            )
+            for name, spec in specs.items()
+        }
+        files["report"] = ("spectrum_report.json", report)
+        return files, checks
 
-    outputs = {}
-    for name, spec in (
-        ("squeezed_spectrum", spec_s),
-        ("antisqueezed_spectrum", spec_a),
-        ("vacuum_check_spectrum", spec_v),
-    ):
-        fname = f"{name}.csv"
-        spec.to_csv(outdir / fname, meta=meta)
-        outputs[name] = fname
-    _write_json(outdir / "spectrum_report.json", report, meta)
-    outputs["report"] = "spectrum_report.json"
-    return outputs, report, checks
+    return acquire
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +430,17 @@ def _gaussian_peak_oracle(fwhm: float, amplitude_v: float, cal: Calibration,
     return float(shaped.max())
 
 
-def _run_waveforms(cfg, params, cal, outdir, meta):
+def _plan_waveforms(cfg, params, cal):
     _require_frames(
         cfg, 2 * quantum.N_SPLITS, f"two for each of the {quantum.N_SPLITS} split variances"
     )
-    dt = 1.0 / float(params["sample_rate_hz"])
+    dt = 1.0 / _positive(params, "sample_rate_hz")
     amp = float(params["amplitude_v"])
     loss = float(params["loss"])
-    duration = float(params["duration_s"])
+    duration = _positive(params, "duration_s")
     taps = int(params["fir_taps"])
     cutoff = float(params["fir_cutoff_hz"])
+    fwhms = [w * 1e-9 for w in _list_param(params, "gauss_fwhms_ns", _width)]
     resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     det = _detector(params)
     lead = 100e-9
@@ -455,42 +478,81 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
                 f"{(n_total - edge) * dt * 1e9:g}) ns, which does not cover the {name} "
                 f"check window [{lo_t * 1e9:g}, {hi_t * 1e9:g}) ns"
             )
+    try:
+        r_top = float(opa.GainFit(cal.gain_coeff).r_of_power(cal.power_for_voltage(amp)))
+    except ValueError as exc:
+        raise UsageError(f"bad value for 'amplitude_v': {exc}") from exc
+    s_closed = float(quantum.variance_at_phase(r_top, 0.0, loss, 0.0))
+    a_closed = float(quantum.variance_at_phase(r_top, math.pi / 2.0, loss, 0.0))
     t = np.arange(n_total) * dt
     rel = t - lead
     active = (rel >= 0.0) & (rel < duration)
 
-    programs: dict[str, np.ndarray] = {}
-
-    sq = np.zeros(n_total)
-    sq[active] = np.where((np.floor(rel[active] / half).astype(int) % 2) == 0, amp, -amp)
-    programs["square"] = sq
-
+    programs = {
+        name: np.zeros(n_total) for name in ("square", "sine", "gaussians", "arbitrary", "step")
+    }
+    programs["square"][active] = np.where(
+        (np.floor(rel[active] / half).astype(int) % 2) == 0, amp, -amp
+    )
     f_sine = float(params["sine_frequency_hz"])
-    sn = np.zeros(n_total)
-    sn[active] = amp * np.sin(2.0 * math.pi * f_sine * rel[active])
-    programs["sine"] = sn
-
-    fwhms = [float(x) * 1e-9 for x in str(params["gauss_fwhms_ns"]).split(",")]
+    programs["sine"][active] = amp * np.sin(2.0 * math.pi * f_sine * rel[active])
     centers = np.linspace(0.2 * duration, 0.8 * duration, len(fwhms))
-    ga = np.zeros(n_total)
     for c, w in zip(centers, fwhms):
-        ga += amp * np.exp(-4.0 * math.log(2.0) * ((rel - c) / w) ** 2) * active
-    programs["gaussians"] = ga
-
-    ar = np.zeros(n_total)
-    ar[active] = 0.95 * amp * (
+        programs["gaussians"] += amp * np.exp(-4.0 * math.log(2.0) * ((rel - c) / w) ** 2) * active
+    programs["arbitrary"][active] = 0.95 * amp * (
         0.55 * np.sin(2.0 * math.pi * 3e6 * rel[active])
         + 0.45 * np.sin(2.0 * math.pi * 7.5e6 * rel[active] + 1.0)
     )
-    programs["arbitrary"] = ar
-
-    st = np.zeros(n_total)
-    st[t >= lead + float(params["step_time_s"])] = amp
-    programs["step"] = st
+    programs["step"][t >= lead + float(params["step_time_s"])] = amp
 
     seeds = _child_seeds(cfg.seed, len(programs) + 1)
     h = dsp.fir_taps(dt, taps=taps, cutoff=cutoff)
     bounds = dsp.periodogram_bounds(cfg.n_frames)
+    vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
+    n_kept = n_total - 2 * edge
+
+    # every pump chain, and the checks that read the pump alone, before any frame
+    pump_files = {}
+    traced = {}
+    pump_report: dict = {"programs": list(programs)}
+    pump_checks = {}
+    for k, (name, volts) in enumerate(programs.items()):
+        prog = AwgProgram(sample_rate_hz=1.0 / dt, samples_v=volts)
+        table, shaped, traj = _pump_chain(prog, cal, resp, loss)
+        pump_files[f"{name}_pump"] = (f"{name}_pump.csv", table)
+        if name == "step":
+            rise = pump.rise_time_10_90(shaped)
+            pump_report["step_rise_time_s"] = rise
+            pump_checks["step_rise_time"] = (
+                abs(rise - resp.rise_time_10_90) <= dt,
+                f"measured {rise * 1e9:.2f} ns vs {resp.rise_time_10_90 * 1e9:.2f} ns target",
+            )
+            continue
+        # the trace keeps the samples the FIR edge trim leaves
+        times = (traj.t0 + edge * det.dt) + np.arange(n_kept) * det.dt
+        expected = quantum.variance_at_phase(
+            traj.r[edge : edge + n_kept], traj.theta[edge : edge + n_kept], loss, 0.0
+        )
+        traced[name] = (traj, seeds[k], times, expected)
+        if name == "gaussians":
+            peak_measured, oracle = [], []
+            for c, w in zip(centers, fwhms):
+                sel = np.abs(shaped.times - (lead + c)) <= 0.1 * duration
+                peak_measured.append(float(shaped.power_mw[sel].max()))
+                oracle.append(_gaussian_peak_oracle(w, amp, cal, resp, dt))
+            pump_report["gauss_fwhm_s"] = list(fwhms)
+            pump_report["gauss_peak_mw"] = peak_measured
+            pump_report["gauss_peak_oracle_mw"] = oracle
+            decreasing = all(
+                peak_measured[i] > peak_measured[i + 1] for i in range(len(peak_measured) - 1)
+            )
+            pump_checks["gauss_peaks_decreasing"] = (
+                decreasing, "peaks " + ", ".join(f"{p:.3f}" for p in peak_measured) + " mW"
+            )
+            worst = max(abs(m / o - 1.0) for m, o in zip(peak_measured, oracle))
+            pump_checks["gauss_peaks_match_oracle"] = (
+                worst <= 0.01, f"worst relative deviation {worst * 100:.3f}%"
+            )
 
     def filtered_moments(tr, seed):
         # each frame block is filtered, trimmed of its FIR edges, reduced
@@ -499,130 +561,62 @@ def _run_waveforms(cfg, params, cal, outdir, meta):
         trimmed = (dsp.fir_filter(block, h)[:, edge:-edge] for block in blocks)
         return dsp.split_moments(cfg.n_frames, trimmed)
 
-    vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
-    vac = filtered_moments(vac_traj, seeds[-1])
-
-    outputs = {}
-    report: dict = {"programs": list(programs)}
-    checks = []
-    peak_measured: list[float] = []
-    r_top = float(opa.GainFit(cal.gain_coeff).r_of_power(cal.power_for_voltage(amp)))
-    s_closed = float(quantum.variance_at_phase(r_top, 0.0, loss, 0.0))
-    a_closed = float(quantum.variance_at_phase(r_top, math.pi / 2.0, loss, 0.0))
-
-    for k, (name, volts) in enumerate(programs.items()):
-        prog = AwgProgram(sample_rate_hz=1.0 / dt, samples_v=volts)
-        ideal, shaped, traj = _pump_chain(prog, cal, resp, loss)
-        fname = f"{name}_pump.csv"
-        _write_pump_csv(outdir / fname, prog, ideal, shaped, meta)
-        outputs[f"{name}_pump"] = fname
-
-        if name == "step":
-            rise = pump.rise_time_10_90(shaped)
-            report["step_rise_time_s"] = rise
-            checks.append(
-                _check(
-                    "step_rise_time",
-                    abs(rise - resp.rise_time_10_90) <= dt,
-                    f"measured {rise * 1e9:.2f} ns vs {resp.rise_time_10_90 * 1e9:.2f} ns target",
-                )
+    def acquire():
+        vac = filtered_moments(vac_traj, seeds[-1])
+        files = dict(pump_files)
+        report = dict(pump_report)
+        checks = {}
+        for name, (traj, seed, times, expected) in traced.items():
+            vt = dsp.variance_ratio(filtered_moments(traj, seed), vac, times)
+            columns = {"time_s": vt.times, "variance": vt.variance, "stderr": vt.stderr}
+            files[f"{name}_variance"] = (
+                f"{name}_variance.csv", columns | {"quasi_static_variance": expected}
             )
-            continue
-
-        sig = filtered_moments(traj, seeds[k])
-        n_kept = sig.mean.shape[1]
-        times = (traj.t0 + edge * det.dt) + np.arange(n_kept) * det.dt
-        vt = dsp.variance_ratio(sig, vac, times)
-        expected = quantum.variance_at_phase(
-            traj.r[edge : edge + n_kept], traj.theta[edge : edge + n_kept], loss, 0.0
-        )
-        vname = f"{name}_variance.csv"
-        vt.to_csv(outdir / vname, extra={"quasi_static_variance": expected}, meta=meta)
-        outputs[f"{name}_variance"] = vname
-
-        if name == "square":
-            for label, target in (("squeezed", s_closed), ("antisqueezed", a_closed)):
-                lo_t, hi_t = plateaus[label]
-                sel = (vt.times >= lo_t) & (vt.times < hi_t)
-                mean = float(vt.variance[sel].mean())
-                checks.append(
-                    _check(
-                        f"square_plateau_{label}",
+            if name == "square":
+                for label, target in (("squeezed", s_closed), ("antisqueezed", a_closed)):
+                    lo_t, hi_t = plateaus[label]
+                    sel = (vt.times >= lo_t) & (vt.times < hi_t)
+                    mean = float(vt.variance[sel].mean())
+                    checks[f"square_plateau_{label}"] = (
                         abs(mean / target - 1.0) <= 0.02,
                         f"settled plateau variance {mean:.4f} vs quasi-static {target:.4f}",
                     )
+                    report[f"square_plateau_{label}"] = [mean, target]
+            if name == "sine":
+                sel = (vt.times >= sine_window[0]) & (vt.times < sine_window[1])
+                vmin, vmax = float(vt.variance[sel].min()), float(vt.variance[sel].max())
+                checks["sine_variance_modulates"] = (
+                    vmin < 0.9 and vmax > 1.1, f"variance swings {vmin:.3f} .. {vmax:.3f}"
                 )
-                report[f"square_plateau_{label}"] = [mean, target]
-        if name == "sine":
-            sel = (vt.times >= sine_window[0]) & (vt.times < sine_window[1])
-            vmin, vmax = float(vt.variance[sel].min()), float(vt.variance[sel].max())
-            checks.append(
-                _check(
-                    "sine_variance_modulates",
-                    vmin < 0.9 and vmax > 1.1,
-                    f"variance swings {vmin:.3f} .. {vmax:.3f}",
-                )
-            )
-            report["sine_variance_range"] = [vmin, vmax]
-        if name == "gaussians":
-            oracle = []
-            for c, w in zip(centers, fwhms):
-                sel = np.abs(shaped.times - (lead + c)) <= 0.1 * duration
-                peak_measured.append(float(shaped.power_mw[sel].max()))
-                oracle.append(_gaussian_peak_oracle(w, amp, cal, resp, dt))
-            report["gauss_fwhm_s"] = list(fwhms)
-            report["gauss_peak_mw"] = peak_measured
-            report["gauss_peak_oracle_mw"] = oracle
-            decreasing = all(
-                peak_measured[i] > peak_measured[i + 1] for i in range(len(peak_measured) - 1)
-            )
-            checks.append(
-                _check(
-                    "gauss_peaks_decreasing",
-                    decreasing,
-                    "peaks " + ", ".join(f"{p:.3f}" for p in peak_measured) + " mW",
-                )
-            )
-            worst = max(abs(m / o - 1.0) for m, o in zip(peak_measured, oracle))
-            checks.append(
-                _check(
-                    "gauss_peaks_match_oracle",
-                    worst <= 0.01,
-                    f"worst relative deviation {worst * 100:.3f}%",
-                )
-            )
+                report["sine_variance_range"] = [vmin, vmax]
+        files["report"] = ("waveforms_report.json", report)
+        return files, checks | pump_checks
 
-    _write_json(outdir / "waveforms_report.json", report, meta)
-    outputs["report"] = "waveforms_report.json"
-    return outputs, report, checks
+    return acquire
 
 
 # ---------------------------------------------------------------------------
 # tm_squeezing
 
 
-def _run_tm_squeezing(cfg, params, cal, outdir, meta):
-    dt = 1.0 / float(params["sample_rate_hz"])
+def _plan_tm_squeezing(cfg, params, cal):
+    dt = 1.0 / _positive(params, "sample_rate_hz")
     loss = float(params["loss"])
     det = _detector(params)
     resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
-    dbs = [float(x) for x in str(params["slot_dbs"]).split(",")]
-    quads = [q.strip() for q in str(params["slot_quadratures"]).split(",")]
+    dbs = _list_param(params, "slot_dbs", _number)
+    quads = _list_param(params, "slot_quadratures", _quadrature)
     if len(dbs) != len(quads):
         raise UsageError("slot_dbs and slot_quadratures must have equal length")
-    name_of = {"x": "x_squeezed", "p": "p_squeezed"}
-    try:
-        slots = tuple(
-            PulseSlot(
-                squeezing_db=db,
-                quadrature=name_of[q],
-                mode_width=float(params["mode_width_s"]),
-                margin=float(params["margin_s"]),
-            )
-            for db, q in zip(dbs, quads)
+    slots = tuple(
+        PulseSlot(
+            squeezing_db=db,
+            quadrature=q,
+            mode_width=float(params["mode_width_s"]),
+            margin=float(params["margin_s"]),
         )
-    except KeyError as exc:
-        raise UsageError(f"slot quadrature must be 'x' or 'p', got {exc}") from exc
+        for db, q in zip(dbs, quads)
+    )
     train = PulseTrainSpec(slots=slots)
 
     prog = pump.compile_pulse_train(train, cal, resp, sample_rate_hz=1.0 / dt)
@@ -635,7 +629,7 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
     _require_frames(
         cfg, tomography.MIN_GROUP_SAMPLES, "the sample minimum of each tomography phase group"
     )
-    ideal, shaped, traj = _pump_chain(prog, cal, resp, loss)
+    table, _, traj = _pump_chain(prog, cal, resp, loss)
     centers = pump.slot_mode_centers(train)
     modes = [
         dsp.make_mode(
@@ -659,104 +653,101 @@ def _run_tm_squeezing(cfg, params, cal, outdir, meta):
     # the vacuum reference, as many frames as the signal, gives each
     # mode's shot-noise unit
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_samples)
-    vac_blocks = iter_frame_chunks(
-        vac_traj, det, 0.0, n_total, seeds[1], np.float32, dsp.periodogram_bounds(n_total)
-    )
-    scales = np.sqrt(dsp.split_moments(n_total, map(scan, vac_blocks)).variance())
-    # phase group j is frames [j n, (j + 1) n) of one stream of n_total frames
-    groups = []
-    for j, phase in enumerate(phases):
-        bounds = [(j * n + lo, j * n + hi) for lo, hi in dsp.periodogram_bounds(n)]
-        blocks = iter_frame_chunks(traj, det, phase, n_total, seeds[0], np.float32, bounds)
-        groups.append(dsp.split_moments(n, map(scan, blocks)))
 
-    checks = []
-    slot_records = []
-    for k, slot in enumerate(train.slots):
-        # slot k's quadrature moments at every phase, in shot-noise units
-        s = scales[k]
-        moments = tuple(
-            dsp.SplitMoments(g.count, g.mean[:, [k]] / s, g.m2[:, [k]] / s**2) for g in groups
+    def acquire():
+        vac_blocks = iter_frame_chunks(
+            vac_traj, det, 0.0, n_total, seeds[1], np.float32, dsp.periodogram_bounds(n_total)
         )
-        data = tomography.TomographyInput(phases=tuple(phases), moments=moments)
-        result = tomography.ml_gaussian_tomography(data, project=bool(params["project"]))
-        cov = np.asarray(result.state.cov)
-        det_cov = float(np.linalg.det(cov))
-        vacuum_slot = slot.squeezing_db == 0.0
-        r_slot = quantum.r_from_pure_db(slot.squeezing_db)
-        s_var = float(quantum.variance_at_phase(r_slot, 0.0, loss, 0.0))
-        a_var = float(quantum.variance_at_phase(r_slot, 0.0, loss, math.pi / 2.0))
-        theory_angle = None if vacuum_slot else (0.0 if slot.quadrature == "x_squeezed" else 90.0)
-        record = {
-            "slot": k,
-            "squeezing_db": slot.squeezing_db,
-            "quadrature": slot.quadrature,
-            "mode_center_s": float(centers[k]),
-            "theory": {
-                "angle_deg": theory_angle,
-                "semi_axes": [math.sqrt(s_var), math.sqrt(a_var)],
-            },
-            "result": result.to_dict(),
-        }
-        slot_records.append(record)
+        scales = np.sqrt(dsp.split_moments(n_total, map(scan, vac_blocks)).variance())
+        # phase group j is frames [j n, (j + 1) n) of one stream of n_total frames
+        groups = []
+        for j, phase in enumerate(phases):
+            bounds = [(j * n + lo, j * n + hi) for lo, hi in dsp.periodogram_bounds(n)]
+            blocks = iter_frame_chunks(traj, det, phase, n_total, seeds[0], np.float32, bounds)
+            groups.append(dsp.split_moments(n, map(scan, blocks)))
 
-        checks.append(
-            _check(
-                f"slot{k}_uncertainty_bound",
-                det_cov >= 1.0 - 1e-9,
-                f"det(cov) = {det_cov:.6f}",
+        checks = {}
+        slot_records = []
+        for k, slot in enumerate(train.slots):
+            # slot k's quadrature moments at every phase, in shot-noise units
+            s = scales[k]
+            moments = tuple(
+                dsp.SplitMoments(g.count, g.mean[:, [k]] / s, g.m2[:, [k]] / s**2) for g in groups
             )
-        )
-        if vacuum_slot:
-            dev = np.abs(cov - np.eye(2))
-            tol = 3.0 * np.asarray(result.cov_stderr)
-            checks.append(
-                _check(
-                    f"slot{k}_vacuum_identity",
-                    bool(np.all(dev <= tol)),
-                    f"max |cov - I| = {dev.max():.4f}, 3 SE = {tol.max():.4f}",
+            data = tomography.TomographyInput(phases=tuple(phases), moments=moments)
+            result = tomography.ml_gaussian_tomography(data, project=bool(params["project"]))
+            cov = np.asarray(result.state.cov)
+            det_cov = float(np.linalg.det(cov))
+            vacuum_slot = slot.squeezing_db == 0.0
+            r_slot = quantum.r_from_pure_db(slot.squeezing_db)
+            s_var = float(quantum.variance_at_phase(r_slot, 0.0, loss, 0.0))
+            a_var = float(quantum.variance_at_phase(r_slot, 0.0, loss, math.pi / 2.0))
+            theory_angle = (
+                None if vacuum_slot else (0.0 if slot.quadrature == "x_squeezed" else 90.0)
+            )
+            slot_records.append(
+                {
+                    "slot": k,
+                    "squeezing_db": slot.squeezing_db,
+                    "quadrature": slot.quadrature,
+                    "mode_center_s": float(centers[k]),
+                    "theory": {
+                        "angle_deg": theory_angle,
+                        "semi_axes": [math.sqrt(s_var), math.sqrt(a_var)],
+                    },
+                    "result": result.to_dict(),
+                }
+            )
+
+            checks[f"slot{k}_uncertainty_bound"] = (
+                det_cov >= 1.0 - 1e-9, f"det(cov) = {det_cov:.6f}"
+            )
+            if vacuum_slot:
+                dev = np.abs(cov - np.eye(2))
+                tol = 3.0 * np.asarray(result.cov_stderr)
+                checks[f"slot{k}_vacuum_identity"] = (
+                    np.all(dev <= tol), f"max |cov - I| = {dev.max():.4f}, 3 SE = {tol.max():.4f}"
                 )
-            )
-        else:
-            diff = tomography.ellipse_angle_difference_deg(
-                result.ellipse.angle_deg, theory_angle
-            )
-            checks.append(
-                _check(
-                    f"slot{k}_angle",
+            else:
+                diff = tomography.ellipse_angle_difference_deg(
+                    result.ellipse.angle_deg, theory_angle
+                )
+                checks[f"slot{k}_angle"] = (
                     abs(diff) <= 3.0,
                     f"recovered {result.ellipse.angle_deg:+.2f} deg, "
                     f"theory {theory_angle:+.1f} deg",
                 )
-            )
 
-    report = {
-        "n_slots": len(train.slots),
-        "slot_period_s": float(train.slots[0].period),
-        "lo_phases_rad": phases,
-        "slots": slot_records,
-    }
-    _write_pump_csv(outdir / "staircase_pump.csv", prog, ideal, shaped, meta)
-    _write_json(outdir / "slots.json", report, meta)
-    outputs = {"staircase_pump": "staircase_pump.csv", "slots": "slots.json"}
-    return outputs, report, checks
+        report = {
+            "n_slots": len(train.slots),
+            "slot_period_s": float(train.slots[0].period),
+            "lo_phases_rad": phases,
+            "slots": slot_records,
+        }
+        files = {
+            "staircase_pump": ("staircase_pump.csv", table),
+            "slots": ("slots.json", report),
+        }
+        return files, checks
+
+    return acquire
 
 
 # ---------------------------------------------------------------------------
 # epr
 
 
-def _run_epr(cfg, params, cal, outdir, meta):
+def _plan_epr(cfg, params, cal):
     _require_frames(cfg, quantum.DUAN_MIN_SAMPLES, "the sample minimum of the Duan statistic")
-    dt = 1.0 / float(params["sample_rate_hz"])
+    dt = 1.0 / _positive(params, "sample_rate_hz")
     amp = float(params["amplitude_v"])
     loss = float(params["loss"])
     det = _detector(params)
     resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     lead = float(params["lead_s"])
     tail = float(params["tail_s"])
-    duration = float(params["duration_s"])
-    segment = float(params["segment_s"])
+    duration = _positive(params, "duration_s")
+    segment = _positive(params, "segment_s")
     n_total = int(round((lead + duration + tail) / dt))
     n_segments = int(round(duration / segment))
     volts = np.zeros(n_total)
@@ -765,30 +756,46 @@ def _run_epr(cfg, params, cal, outdir, meta):
         hi = int(round((lead + (k + 1) * segment) / dt))
         volts[lo:hi] = amp if k % 2 == 0 else -amp
     prog = AwgProgram(sample_rate_hz=1.0 / dt, samples_v=volts)
-    ideal, shaped, traj = _pump_chain(prog, cal, resp, loss)
+    table, _, traj = _pump_chain(prog, cal, resp, loss)
 
     # Gate flips sit between samples, so the mode center lives on the
     # half-sample grid aligned with the drive sign flips.
     t_c = lead + 0.5 * duration - 0.5 * dt
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        g1 = dsp.make_mode(
-            "g1",
-            dt,
-            t_c=t_c,
-            gamma=float(params["mode_gamma_hz"]),
-            t_w=float(params["mode_width_s"]),
-            period=float(params["bin_period_s"]),
-        )
-        g2 = dsp.make_mode(
-            "g2",
-            dt,
-            t_c=t_c,
-            gamma=float(params["mode_gamma_hz"]),
-            t_w=float(params["mode_width_s"]),
-            period=float(params["bin_period_s"]),
+        g1, g2 = (
+            dsp.make_mode(
+                family,
+                dt,
+                t_c=t_c,
+                gamma=float(params["mode_gamma_hz"]),
+                t_w=float(params["mode_width_s"]),
+                period=float(params["bin_period_s"]),
+            )
+            for family in ("g1", "g2")
         )
     advisories = sorted({str(w.message) for w in caught})
+    scan_halfwidth = float(params["scan_halfwidth_s"])
+    try:
+        lags = tomography.epr_scan_lags(g1, g2, traj.t0, det.dt, n_total, scan_halfwidth)
+    except ValueError as exc:
+        raise UsageError(
+            f"scan_halfwidth_s={scan_halfwidth:g} does not fit the modes in the record "
+            f"that lead_s, duration_s and tail_s span: {exc}"
+        ) from exc
+
+    # The detector group delay shifts the optimal gate alignment off the
+    # nominal center, so the scan minimum must be compared against the
+    # minimum of the prediction over the same offsets.
+    scan_offsets = lags * det.dt
+    predicted_scan = tomography.duan_prediction_scan(traj, det, g1, g2, scan_offsets)
+    k_best = int(np.argmin(predicted_scan))
+    predicted_best = float(predicted_scan[k_best])
+    predicted_t_c = float(t_c + scan_offsets[k_best])
+    predicted_nominal = float(predicted_scan[len(predicted_scan) // 2])
+    predicted_inst = tomography.duan_prediction(
+        traj, DetectorModel(bandwidth=None, sample_rate=det.sample_rate), g1, g2
+    )
 
     seeds = _child_seeds(cfg.seed, 3)
     bounds = dsp.periodogram_bounds(cfg.n_frames)
@@ -799,77 +806,58 @@ def _run_epr(cfg, params, cal, outdir, meta):
         # is held whole
         return iter_frame_chunks(tr, det, phase, cfg.n_frames, seed, np.float32, bounds)
 
-    result = tomography.stream_epr_analysis(
-        blocks(traj, 0.0, seeds[0]), blocks(traj, math.pi / 2.0, seeds[1]),
-        blocks(vac_traj, 0.0, seeds[2]), cfg.n_frames, cfg.n_frames, g1, g2,
-        traj.t0, det.dt, n_total, scan_halfwidth=float(params["scan_halfwidth_s"]),
-    )
-    # The detector group delay shifts the optimal gate alignment off the
-    # nominal center, so the scan minimum must be compared against the
-    # minimum of the prediction over the same offsets.
-    predicted_scan = tomography.duan_prediction_scan(traj, det, g1, g2, result.scan_offsets)
-    k_best = int(np.argmin(predicted_scan))
-    predicted_best = float(predicted_scan[k_best])
-    predicted_t_c = float(t_c + result.scan_offsets[k_best])
-    predicted_nominal = float(predicted_scan[len(predicted_scan) // 2])
-    predicted_inst = tomography.duan_prediction(
-        traj, DetectorModel(bandwidth=None, sample_rate=det.sample_rate), g1, g2
-    )
+    def acquire():
+        result = tomography.stream_epr_analysis(
+            blocks(traj, 0.0, seeds[0]), blocks(traj, math.pi / 2.0, seeds[1]),
+            blocks(vac_traj, 0.0, seeds[2]), cfg.n_frames, cfg.n_frames, g1, g2,
+            traj.t0, det.dt, n_total, scan_halfwidth=scan_halfwidth,
+        )
+        margin = (4.0 - result.duan) / result.duan_stderr
+        checks = {
+            "entangled": (result.entangled, f"duan = {result.duan:.4f}"),
+            "separability_margin": (margin >= 5.0, f"(4 - duan)/SE = {margin:.1f}"),
+            "matches_prediction": (
+                abs(result.duan - predicted_best) <= 5.0 * result.duan_stderr,
+                f"duan {result.duan:.4f} vs predicted minimum {predicted_best:.4f} "
+                f"(SE {result.duan_stderr:.4f})",
+            ),
+            "scan_near_predicted_center": (
+                abs(result.t_c - predicted_t_c) <= 3.0 * dt,
+                f"best center {(result.t_c - t_c) * 1e9:+.1f} ns vs "
+                f"predicted {(predicted_t_c - t_c) * 1e9:+.1f} ns",
+            ),
+        }
+        report = {
+            "duan": result.duan,
+            "duan_stderr": result.duan_stderr,
+            "effective_db": result.effective_db,
+            "entangled": result.entangled,
+            "t_c_s": result.t_c,
+            "nominal_t_c_s": t_c,
+            "duan_predicted_nominal": predicted_nominal,
+            "duan_predicted_best": predicted_best,
+            "predicted_t_c_s": predicted_t_c,
+            "duan_predicted_instantaneous": float(predicted_inst),
+            "n_frames": cfg.n_frames,
+            "advisories": advisories,
+        }
+        scan = {"offset_s": result.scan_offsets, "duan": result.scan_duan,
+                "duan_predicted": predicted_scan}
+        files = {
+            "report": ("epr_report.json", report),
+            "epr_pump": ("epr_pump.csv", table),
+            "scan": ("epr_scan.csv", scan),
+        }
+        return files, checks
 
-    checks = [
-        _check("entangled", result.entangled, f"duan = {result.duan:.4f}"),
-        _check(
-            "separability_margin",
-            (4.0 - result.duan) / result.duan_stderr >= 5.0,
-            f"(4 - duan)/SE = {(4.0 - result.duan) / result.duan_stderr:.1f}",
-        ),
-        _check(
-            "matches_prediction",
-            abs(result.duan - predicted_best) <= 5.0 * result.duan_stderr,
-            f"duan {result.duan:.4f} vs predicted minimum {predicted_best:.4f} "
-            f"(SE {result.duan_stderr:.4f})",
-        ),
-        _check(
-            "scan_near_predicted_center",
-            abs(result.t_c - predicted_t_c) <= 3.0 * dt,
-            f"best center {(result.t_c - t_c) * 1e9:+.1f} ns vs "
-            f"predicted {(predicted_t_c - t_c) * 1e9:+.1f} ns",
-        ),
-    ]
-
-    report = {
-        "duan": result.duan,
-        "duan_stderr": result.duan_stderr,
-        "effective_db": result.effective_db,
-        "entangled": result.entangled,
-        "t_c_s": result.t_c,
-        "nominal_t_c_s": t_c,
-        "duan_predicted_nominal": predicted_nominal,
-        "duan_predicted_best": predicted_best,
-        "predicted_t_c_s": predicted_t_c,
-        "duan_predicted_instantaneous": float(predicted_inst),
-        "n_frames": cfg.n_frames,
-        "advisories": advisories,
-    }
-    _write_json(outdir / "epr_report.json", report, meta)
-    _write_pump_csv(outdir / "epr_pump.csv", prog, ideal, shaped, meta)
-
-    scan_rows = zip(result.scan_offsets, result.scan_duan, predicted_scan)
-    write_csv(outdir / "epr_scan.csv", meta, ("offset_s", "duan", "duan_predicted"), scan_rows)
-
-    outputs = {
-        "report": "epr_report.json",
-        "epr_pump": "epr_pump.csv",
-        "scan": "epr_scan.csv",
-    }
-    return outputs, report, checks
+    return acquire
 
 
 # ---------------------------------------------------------------------------
 # calibrate
 
 
-def _run_calibrate(cfg, params, cal, outdir, meta):
+def _plan_calibrate(cfg, params, cal):
     powers = np.linspace(float(params["power_min_mw"]), float(params["power_max_mw"]),
                          int(params["n_gain_points"]))
     gains = np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))
@@ -882,17 +870,11 @@ def _run_calibrate(cfg, params, cal, outdir, meta):
 
     gain_err = abs(fit.gain_coeff / cal.gain_coeff - 1.0)
     quad_err = abs(quad_fit / cal.quad_coeff - 1.0)
-    checks = [
-        _check("gain_fit_round_trip", gain_err <= 1e-9, f"relative error {gain_err:.2e}"),
-        _check("quad_fit_round_trip", quad_err <= 1e-9, f"relative error {quad_err:.2e}"),
-        _check("gain_fit_residual", fit.fit_residual <= 1e-9, f"residual {fit.fit_residual:.2e}"),
-    ]
-
-    write_csv(outdir / "gain_points.csv", meta, ("power_mw", "parametric_gain"), zip(powers, gains))
-    write_csv(
-        outdir / "quadratic_points.csv", meta, ("drive_v", "power_mw"), zip(voltages, bench_power)
-    )
-
+    checks = {
+        "gain_fit_round_trip": (gain_err <= 1e-9, f"relative error {gain_err:.2e}"),
+        "quad_fit_round_trip": (quad_err <= 1e-9, f"relative error {quad_err:.2e}"),
+        "gain_fit_residual": (fit.fit_residual <= 1e-9, f"residual {fit.fit_residual:.2e}"),
+    }
     fitted = Calibration(
         quad_coeff=quad_fit,
         linear_limit=cal.linear_limit,
@@ -900,39 +882,46 @@ def _run_calibrate(cfg, params, cal, outdir, meta):
         max_pump_power=cal.max_pump_power,
         extended_lut=cal.extended_lut,
     )
-    _write_json(outdir / "calibration.json", fitted.to_dict(), meta)
-
-    report = {
-        "fitted_gain_coeff": fit.gain_coeff,
-        "fitted_quad_coeff": quad_fit,
-        "fit_residual": fit.fit_residual,
+    files = {
+        "calibration": ("calibration.json", fitted.to_dict()),
+        "gain_points": ("gain_points.csv", {"power_mw": powers, "parametric_gain": gains}),
+        "quadratic_points": (
+            "quadratic_points.csv", {"drive_v": voltages, "power_mw": bench_power}
+        ),
     }
-    outputs = {
-        "calibration": "calibration.json",
-        "gain_points": "gain_points.csv",
-        "quadratic_points": "quadratic_points.csv",
-    }
-    return outputs, report, checks
+    # nothing is acquired: the fits above are the whole run
+    return lambda: (files, checks)
 
 
 # ---------------------------------------------------------------------------
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "waveforms": _run_waveforms,
-    "tm_squeezing": _run_tm_squeezing,
-    "epr": _run_epr,
-    "calibrate": _run_calibrate,
+_PLANS = {
+    "spectrum": _plan_spectrum,
+    "waveforms": _plan_waveforms,
+    "tm_squeezing": _plan_tm_squeezing,
+    "epr": _plan_epr,
+    "calibrate": _plan_calibrate,
 }
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
-    """Execute one scenario, writing its artifacts and manifest.
+def _write_artifact(path: Path, content: dict, meta: dict) -> None:
+    """Write named columns to a .csv path, else a JSON payload; ``meta`` stamps either."""
+    if path.suffix == ".csv":
+        write_csv(path, meta, list(content), zip(*content.values()))
+    else:
+        path.write_text(json.dumps(content | meta, indent=2, sort_keys=True) + "\n")
 
-    Returns the manifest contents and the process exit code: 0 when all
-    consistency checks passed, 1 otherwise.  Configuration problems
-    raise :class:`UsageError` (exit code 2 at the CLI).
+
+def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
+    """Plan one scenario, acquire its frame sets, then write its artifacts and manifest.
+
+    Planning checks every parameter before any frame is synthesized: a
+    configuration problem raises :class:`UsageError` (exit code 2 at
+    the CLI) and writes no artifact.  Any exception after planning is a
+    fault of the program, a ``ValueError`` included.  Files are written
+    only once every frame set is reduced.  Returns the manifest contents
+    and the exit code: 0 when all consistency checks passed, 1 otherwise.
     """
     params = resolve_params(cfg.scenario, cfg.overrides)
     cal = load_calibration(cfg.calibration_path) if cfg.calibration_path else Calibration()
@@ -943,16 +932,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     except OSError as exc:
         raise UsageError(f"cannot create output directory {outdir}: {exc}") from exc
 
-    meta = {"scenario": cfg.scenario, "seed": int(cfg.seed), "config_sha256": fingerprint}
     try:
-        outputs, report, checks = _RUNNERS[cfg.scenario](cfg, params, cal, outdir, meta)
+        acquire = _PLANS[cfg.scenario](cfg, params, cal)
+    except UsageError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
         # infeasible programs and inconsistent parameter combinations
         # surface as ValueError from the modules; they are usage errors
         raise UsageError(str(exc)) from exc
+    files, results = acquire()
 
+    checks = [
+        {"name": name, "passed": bool(passed), "detail": detail}
+        for name, (passed, detail) in results.items()
+    ]
     all_passed = all(c["passed"] for c in checks)
     manifest = {
         "scenario": cfg.scenario,
@@ -967,9 +960,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
-        "outputs": dict(sorted(outputs.items())) | {"manifest": "manifest.json"},
+        "outputs": {key: name for key, (name, _) in files.items()} | {"manifest": "manifest.json"},
         "invariant_checks": checks,
         "all_passed": all_passed,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # the manifest carries the same stamps as every other file
+    meta = {"scenario": cfg.scenario, "seed": int(cfg.seed), "config_sha256": fingerprint}
+    for name, content in [*files.values(), ("manifest.json", manifest)]:
+        _write_artifact(outdir / name, content, meta)
     return ScenarioRun(manifest=manifest, output_dir=outdir, exit_code=0 if all_passed else 1)

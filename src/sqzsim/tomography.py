@@ -47,6 +47,7 @@ __all__ = [
     "ml_gaussian_tomography",
     "ellipse_angle_difference_deg",
     "EprResult",
+    "epr_scan_lags",
     "stream_epr_analysis",
     "duan_prediction",
     "duan_prediction_scan",
@@ -417,6 +418,34 @@ class EprResult:
     scan_duan: np.ndarray
 
 
+def epr_scan_lags(
+    g1: TemporalMode,
+    g2: TemporalMode,
+    t0: float,
+    dt: float,
+    n_samples: int,
+    scan_halfwidth: float,
+) -> np.ndarray:
+    """The sample lags of the gate scan of :func:`stream_epr_analysis`.
+
+    One lag per sample in [-scan_halfwidth, +scan_halfwidth].  Raises
+    ``ValueError`` when the window is negative or slides either mode off
+    the ``n_samples`` record that starts at ``t0``.
+    """
+    if scan_halfwidth < 0.0:
+        raise ValueError("scan_halfwidth must be >= 0")
+    half_samples = int(math.floor(scan_halfwidth / dt + 1e-9))
+    for mode in (g1, g2):
+        for edge in (-half_samples, half_samples):
+            start = (mode.shifted(edge * dt).t0 - t0) / dt
+            if start < -1e-6 or start + mode.n_samples > n_samples + 1e-6:
+                raise ValueError(
+                    "t_c search window pushes the modes outside the record; "
+                    "shorten the window or lengthen the frames"
+                )
+    return np.arange(-half_samples, half_samples + 1)
+
+
 def stream_epr_analysis(
     x_blocks: Iterable[np.ndarray],
     p_blocks: Iterable[np.ndarray],
@@ -451,19 +480,7 @@ def stream_epr_analysis(
     :func:`sqzsim.quantum.duan_from_moments`.  The result is taken at
     the center that minimizes the Duan value.
     """
-    if scan_halfwidth < 0.0:
-        raise ValueError("scan_halfwidth must be >= 0")
-    half_samples = int(math.floor(scan_halfwidth / dt + 1e-9))
-    offsets = np.arange(-half_samples, half_samples + 1)
-
-    for mode in (g1, g2):
-        for edge in (-half_samples, half_samples):
-            start = (mode.shifted(edge * dt).t0 - t0) / dt
-            if start < -1e-6 or start + mode.n_samples > n_samples + 1e-6:
-                raise ValueError(
-                    "t_c search window pushes the modes outside the record; "
-                    "shorten the window or lengthen the frames"
-                )
+    offsets = epr_scan_lags(g1, g2, t0, dt, n_samples, scan_halfwidth)
 
     def moments(n: int, blocks, coeffs, lags) -> SplitMoments:
         scan = ModeScan([g1, g2], coeffs, lags, t0, dt, n_samples)

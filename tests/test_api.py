@@ -89,6 +89,34 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == []
 
 
+def _private_module_names() -> list[str]:
+    """The module-level private functions, classes and constants of the package.
+
+    Dunder names such as ``__all__`` and ``__version__`` are not private.
+    """
+    names = []
+    for path in sorted(Path(sqzsim.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            names += [
+                f"{path.stem}.{n}" for n in defined if n.startswith("_") and not n.startswith("__")
+            ]
+    return names
+
+
+def test_every_private_name_is_used_by_the_package():
+    used = _names_the_package_uses()
+    private = _private_module_names()
+    assert private, "no private names found"
+    assert [n for n in private if n.split(".", 1)[1] not in used] == []
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)

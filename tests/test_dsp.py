@@ -20,6 +20,7 @@ from sqzsim.dsp import (
 from sqzsim.homodyne import DetectorModel, iter_frame_chunks
 from sqzsim.opa import constant_trajectory
 from sqzsim.quantum import split_slices
+from sqzsim.scenarios import ScenarioConfig, run_scenario
 from stack_slices import blocks, synthesize, vacuum
 
 S_DB = -2.0708616181713997
@@ -281,17 +282,16 @@ def test_pointwise_variance_stderr_is_finite_at_twenty_frames():
 
 
 def test_variance_trace_csv_includes_extra_columns(tmp_path):
-    det = DetectorModel()
-    sig = vacuum(det, 64, 30, seed=1)
-    ref = vacuum(det, 64, 30, seed=2)
-    trace = _variance_trace(sig, ref)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path, extra={"target": np.ones(64)}, meta={"seed": 1})
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=1"
-    header = lines[1].split(",")
-    assert header == ["time_s", "variance", "stderr", "target"]
-    assert len(lines) == 2 + 64
+    # the waveforms scenario writes each VarianceTrace with its quasi-static target
+    run = run_scenario(ScenarioConfig("waveforms", seed=1, n_frames=20, output_dir=str(tmp_path)))
+    lines = (tmp_path / "square_variance.csv").read_text().splitlines()
+    assert lines[:3] == [
+        "# scenario=waveforms", "# seed=1", f"# config_sha256={run.manifest['config_sha256']}"
+    ]
+    header = lines[3].split(",")
+    assert header == ["time_s", "variance", "stderr", "quasi_static_variance"]
+    # the 1300-sample frames less the 127-sample FIR edge at each end
+    assert len(lines) == 4 + 1300 - 2 * 127
 
 
 # Declared tolerance of the streamed variance reduction: the Chan merge of
@@ -616,15 +616,16 @@ def test_mode_scan_validation():
 
 
 def test_spectrum_estimate_csv(tmp_path):
-    spec = SpectrumEstimate(
-        freqs=np.array([1e6, 2e6]),
-        level_db=np.array([-2.0, -2.1]),
-        stderr_db=np.array([0.05, 0.06]),
+    # the spectrum scenario writes each SpectrumEstimate as three columns
+    cfg = ScenarioConfig(
+        "spectrum", n_frames=20, output_dir=str(tmp_path), overrides={"n_samples": "1024"}
     )
-    path = tmp_path / "spec.csv"
-    spec.to_csv(path, meta={"seed": 0, "scenario": "unit"})
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=0"
-    assert lines[1] == "# scenario=unit"
-    assert lines[2] == "freq_hz,level_db,stderr_db"
-    assert len(lines) == 5
+    run = run_scenario(cfg)
+    lines = (tmp_path / "squeezed_spectrum.csv").read_text().splitlines()
+    assert lines[:3] == [
+        "# scenario=spectrum", "# seed=0", f"# config_sha256={run.manifest['config_sha256']}"
+    ]
+    assert lines[3] == "freq_hz,level_db,stderr_db"
+    rows = np.array([[float(v) for v in row.split(",")] for row in lines[4:]])
+    # one row per rfft bin; %.17g gives the frequencies back exactly
+    assert np.array_equal(rows[:, 0], np.fft.rfftfreq(1024, d=1e-9))

@@ -38,8 +38,6 @@ def test_ideal_detector_has_no_filters():
 def test_detector_validation():
     with pytest.raises(ValueError):
         DetectorModel(bandwidth=600e6, sample_rate=1e9)
-    with pytest.raises(ValueError):
-        DetectorModel(gain=0.0)
     # only +inf means an ideal detector; NaN is no bandwidth at all
     for bandwidth in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="bandwidth"):
@@ -81,13 +79,6 @@ def test_lo_phase_selects_quadrature():
     assert float(squeezed.var()) < float(anti.var())
 
 
-def test_detector_gain_scales_record():
-    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=128)
-    unit = synthesize(traj, DetectorModel(gain=1.0), 0.0, 10, seed=2)
-    doubled = synthesize(traj, DetectorModel(gain=2.0), 0.0, 10, seed=2)
-    assert np.allclose(doubled, 2.0 * unit, rtol=1e-6, atol=1e-7)
-
-
 def test_float32_output_dtype():
     traj = constant_trajectory(0.2, 0.0, 0.0, dt=1e-9, n_samples=64)
     (block,) = iter_frame_chunks(traj, DetectorModel(), 0.0, 3, 0, np.float32, [(0, 3)])
@@ -101,8 +92,7 @@ def _oracle_frames(traj, det, lo, seed, dtype, start, stop):
     An ideal detector scales its draws by the std template.  A filtered
     one draws two rows over the burn-in and the record, scales the first
     by the std template, low-passes it, high-passes the second (the
-    vacuum complement) and keeps the sum after the burn-in.  The gain
-    multiplies the result.
+    vacuum complement) and keeps the sum after the burn-in.
     """
     dtype = np.dtype(dtype)
     var = np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, lo))
@@ -119,7 +109,7 @@ def _oracle_frames(traj, det, lo, seed, dtype, start, stop):
             raw = (z[0] * std).astype(np.float64)
             total = signal.lfilter(b_lp, a_lp, raw) + signal.lfilter(b_hp, a_hp, z[1].astype(float))
             row = total[n_burn:].astype(dtype)
-        rows.append(row * dtype.type(det.gain))
+        rows.append(row)
     return np.stack(rows)
 
 
@@ -137,7 +127,7 @@ ORACLE_BOUNDS = [[(0, 3), (3, 17), (17, 53), (40, 41)], [(0, 53)], [(k, k + 1) f
 @pytest.mark.parametrize("bandwidth", [None, 200e6], ids=["ideal", "200MHz"])
 def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
     traj = _ramp_trajectory(96)
-    det = DetectorModel(bandwidth=bandwidth, gain=2.0)
+    det = DetectorModel(bandwidth=bandwidth)
     want = _oracle_frames(traj, det, 0.7, 8, dtype, 0, 53)
     for bounds in ORACLE_BOUNDS:
         blocks = iter_frame_chunks(traj, det, 0.7, 53, 8, dtype, bounds)
@@ -172,7 +162,7 @@ def _record_shares(monkeypatch):
 @pytest.mark.parametrize("n_rows", [3, 4, 5, 7, 255, 257])
 def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
     traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=40)
-    det = DetectorModel(gain=2.0)
+    det = DetectorModel()
     mid = n_rows // 2
     n_frames = 3 + n_rows
     ref = _one_frame_blocks(traj, det, n_frames, dtype)
@@ -265,7 +255,7 @@ def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, pooled, dtype
     if not pooled:
         monkeypatch.setattr(homodyne, "_share_pool", lambda: None)
     traj = _ramp_trajectory(96)
-    det = DetectorModel(bandwidth=None, gain=2.0)
+    det = DetectorModel(bandwidth=None)
     want = _oracle_frames(traj, det, 0.7, 8, dtype, 0, 40)
     fills = _record_fills(monkeypatch)
     blocks = iter_frame_chunks(traj, det, 0.7, 40, 8, dtype, bounds)

@@ -21,7 +21,7 @@ from sqzsim.pump import (
     rise_time_10_90,
     slot_mode_centers,
 )
-from sqzsim.scenarios import _write_pump_csv
+from sqzsim.scenarios import _pump_chain, _write_artifact
 
 
 @pytest.fixture
@@ -88,8 +88,9 @@ def test_awg_program_round_trips(tmp_path, cal):
     prog = AwgProgram(1e9, np.array([0.0, 0.1, -0.1, 0.05]), trigger_offset_s=2e-9)
     ideal = ideal_pump_power(prog, cal)
     shaped = apply_modulator_response(ideal, ModulatorResponse())
+    table, _, _ = _pump_chain(prog, cal, ModulatorResponse(), 0.1)
     p_csv = tmp_path / "prog_pump.csv"
-    _write_pump_csv(p_csv, prog, ideal, shaped, {"seed": 3})
+    _write_artifact(p_csv, table, {"seed": 3})
     meta, names, *rows = p_csv.read_text().splitlines()
     assert meta == "# seed=3"
     assert names == "time_s,drive_v,ideal_power_mw,power_mw"
@@ -243,9 +244,9 @@ def test_rise_time_rejects_flat_or_clipped_traces():
 
 def test_power_trace_csv(tmp_path, cal):
     prog = AwgProgram(1e9, np.array([0.0, 0.05, 0.1]), trigger_offset_s=5e-9)
-    trace = PowerTrace(dt=1e-9, power_mw=np.array([0.0, 1.0, 2.0]), t0=5e-9)
+    table, _, _ = _pump_chain(prog, cal, ModulatorResponse(), 0.1)
     path = tmp_path / "trace.csv"
-    _write_pump_csv(path, prog, ideal_pump_power(prog, cal), trace, {"scenario": "unit"})
+    _write_artifact(path, table, {"scenario": "unit"})
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert any("scenario=unit" in ln for ln in lines if ln.startswith("#"))

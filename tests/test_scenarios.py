@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqzsim import homodyne, scenarios
+from sqzsim import dsp, homodyne, scenarios
 from sqzsim.cli import ENV_OUTPUT_DIR, main
 from sqzsim.pump import Calibration
 from sqzsim.scenarios import (
@@ -120,23 +120,36 @@ def test_load_calibration_errors(tmp_path):
         load_calibration(incomplete)
 
 
-def test_spectrum_reruns_are_byte_identical(tmp_path):
-    overrides = {"n_samples": "1024"}
+# small runs of each scenario: (frames, parameter overrides, exit code); at
+# these sizes noise fails some checks of three of them, and every file is
+# still written
+SMALL_RUNS = {
+    "spectrum": (120, {"n_samples": "1024"}, 0),
+    "waveforms": (20, {}, 1),
+    "tm_squeezing": (100, {"n_phases": "3"}, 1),
+    "epr": (100, {"scan_halfwidth_s": "4e-9"}, 1),
+    "calibrate": (1, {}, 0),
+}
+
+
+@pytest.mark.parametrize("scenario", SMALL_RUNS)
+def test_reruns_are_byte_identical(tmp_path, scenario):
+    n_frames, overrides, exit_code = SMALL_RUNS[scenario]
     dirs = []
     for name in ("a", "b"):
         cfg = ScenarioConfig(
-            scenario="spectrum",
+            scenario=scenario,
             seed=5,
-            n_frames=120,
+            n_frames=n_frames,
             output_dir=str(tmp_path / name),
             overrides=overrides,
         )
         run = run_scenario(cfg)
-        assert run.exit_code == 0
+        assert run.exit_code == exit_code
         dirs.append(tmp_path / name)
     left = sorted(p.name for p in dirs[0].iterdir())
     right = sorted(p.name for p in dirs[1].iterdir())
-    assert left == right
+    assert left == right == sorted(run.manifest["outputs"].values())
     match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], left, shallow=False)
     assert mismatch == [] and errors == []
 
@@ -187,17 +200,15 @@ def test_cli_negative_seed_exits_2_naming_the_field(tmp_path, capsys, scenario):
     assert not (tmp_path / scenario / "manifest.json").exists()
 
 
-def test_cli_waveforms_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
-    code = main(["run", "waveforms", "--out", str(tmp_path), "--frames", "15"])
-    assert code == 2
-    assert "n_frames" in json.loads(capsys.readouterr().err)["error"]["message"]
-    # rejected before any synthesis or file output
-    assert [p.name for p in (tmp_path / "waveforms").iterdir()] == ["error.json"]
+def _no_synthesis(*args, **kwargs):
+    raise AssertionError("synthesis ran before every parameter was checked")
 
 
 def _assert_preflight_usage_error(tmp_path, capsys, argv, field):
-    """The run exits 2 naming ``field`` and leaves only error.json behind."""
-    code = main(["run", *argv, "--out", str(tmp_path)])
+    """The run exits 2 naming ``field`` before any synthesis and leaves only error.json."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "iter_frame_chunks", _no_synthesis)
+        code = main(["run", *argv, "--out", str(tmp_path)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "usage" and field in err["message"]
@@ -241,6 +252,10 @@ def test_cli_waveforms_rejects_cutoff_at_nyquist_before_synthesis(tmp_path, caps
     _assert_preflight_usage_error(tmp_path, capsys, argv, "fir_cutoff_hz")
 
 
+def test_cli_waveforms_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
+    _assert_preflight_usage_error(tmp_path, capsys, ["waveforms", "--frames", "15"], "n_frames")
+
+
 def test_cli_epr_with_too_few_frames_exits_2_naming_the_field(tmp_path, capsys):
     _assert_preflight_usage_error(tmp_path, capsys, ["epr", "--frames", "50"], "n_frames")
 
@@ -274,17 +289,63 @@ def test_cli_tm_squeezing_rejects_unfit_tomography_input_before_synthesis(
         (["n_samples=64"], "n_samples"),
     ],
 )
-def test_cli_spectrum_rejects_bad_bands_before_synthesis(
-    tmp_path, capsys, monkeypatch, settings, field
-):
-    def no_synthesis(*args, **kwargs):
-        raise AssertionError("synthesis ran before the band was checked")
-
-    monkeypatch.setattr(scenarios, "iter_frame_chunks", no_synthesis)
+def test_cli_spectrum_rejects_bad_bands_before_synthesis(tmp_path, capsys, settings, field):
     argv = ["spectrum", "--frames", "20"]
     for setting in settings:
         argv += ["--set", setting]
     _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # a width that is not a number, not finite, or not positive
+        (["waveforms", "--set", "gauss_fwhms_ns=abc"], "gauss_fwhms_ns"),
+        (["waveforms", "--set", "gauss_fwhms_ns=nan,20,10"], "gauss_fwhms_ns"),
+        (["waveforms", "--set", "gauss_fwhms_ns=0,20,10"], "gauss_fwhms_ns"),
+        (["tm_squeezing", "--set", "slot_dbs=abc"], "slot_dbs"),
+        (["tm_squeezing", "--set", "slot_dbs=2.71,inf,0,2.71,1.5,2.0"], "slot_dbs"),
+        (["tm_squeezing", "--set", "slot_quadratures=x,x,q,p,p,x"], "slot_quadratures"),
+    ],
+)
+def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field):
+    _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        *[([s, "--set", "sample_rate_hz=0"], "sample_rate_hz")
+          for s in ("spectrum", "waveforms", "tm_squeezing", "epr")],
+        (["epr", "--set", "segment_s=0"], "segment_s"),
+        (["epr", "--set", "duration_s=0"], "duration_s"),
+        # a gate scan that slides the modes off the record, and a negative one
+        (["epr", "--set", "scan_halfwidth_s=1e-6"], "scan_halfwidth_s"),
+        (["epr", "--set", "scan_halfwidth_s=-1e-9"], "scan_halfwidth_s"),
+        # a drive beyond the calibrated ceiling
+        (["waveforms", "--set", "amplitude_v=10"], "amplitude_v"),
+    ],
+)
+def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):
+    _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize(
+    "argv, reducer",
+    [(["waveforms", "--frames", "20"], "variance_ratio"),
+     (["tm_squeezing", "--frames", "100"], "split_moments")],
+)
+def test_cli_value_error_after_planning_is_internal(tmp_path, capsys, monkeypatch, argv, reducer):
+    def faulty(*args, **kwargs):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(dsp, reducer, faulty)
+    code = main(["run", *argv, "--out", str(tmp_path)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1 and err["exit_code"] == 1
+    assert err["error"] == {"kind": "internal", "message": "ValueError: planted fault"}
+    # nothing is written before every set is reduced
+    assert [p.name for p in (tmp_path / argv[0]).iterdir()] == ["error.json"]
 
 
 def test_cli_reports_a_fault_in_the_worker_share_as_internal(tmp_path, capsys, monkeypatch):
@@ -464,11 +525,10 @@ def test_cli_out_flag_beats_env(tmp_path, capsys, monkeypatch):
 def test_cli_reports_failed_checks_with_exit_1(tmp_path, capsys, monkeypatch):
     from sqzsim import scenarios as sc
 
-    def failing_runner(cfg, params, cal, outdir, meta):
-        checks = [{"name": "always_down", "passed": False, "detail": "synthetic"}]
-        return {}, {}, checks
+    def failing_plan(cfg, params, cal):
+        return lambda: ({}, {"always_down": (False, "synthetic")})
 
-    monkeypatch.setitem(sc._RUNNERS, "calibrate", failing_runner)
+    monkeypatch.setitem(sc._PLANS, "calibrate", failing_plan)
     code = main(["run", "calibrate", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 1

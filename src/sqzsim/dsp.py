@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
-from scipy import signal
 
 from sqzsim.quantum import N_SPLITS, split_slices
 
@@ -263,13 +262,25 @@ def estimate_pure_squeezing_and_loss(
 
 
 def fir_taps(dt: float, taps: int = 255, cutoff: float = 100e6) -> np.ndarray:
-    """Windowed-sinc linear-phase low-pass taps (unit DC gain)."""
+    """Windowed-sinc linear-phase low-pass taps (unit DC gain).
+
+    The taps of ``scipy.signal.firwin(taps, cutoff, fs=1 / dt)``, byte
+    for byte, in SciPy's own order of operations: the sinc terms, its
+    Hamming window as a cosine sum on ``linspace(-pi, pi, taps)``, then
+    the division by the DC sum.  A textbook Hamming window differs from
+    SciPy's by up to 4e-17.
+    """
     if taps < 3 or taps % 2 == 0:
         raise ValueError("taps must be an odd integer >= 3")
     nyquist = 0.5 / dt
     if not 0.0 < cutoff < nyquist:
         raise ValueError(f"cutoff must be inside (0, {nyquist:g}) Hz")
-    return signal.firwin(taps, cutoff, fs=1.0 / dt)
+    # 0.5 / dt is firwin's 0.5 * (1 / dt) exactly: halving commutes with rounding
+    right = cutoff / nyquist
+    m = np.arange(taps, dtype=np.float64) - 0.5 * (taps - 1)
+    h = right * np.sinc(right * m)
+    h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, taps))
+    return h / np.sum(h)
 
 
 def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -29,6 +29,14 @@ contiguous shares of its rows, the caller filling one and the worker
 the other.  An ideal-detector stream has the worker fill the next block
 while the caller reduces the current one.  On one CPU, or for a
 filtered block of fewer than 4 rows, the fill is serial.
+
+Only the filtered detector needs ``scipy.signal``: its Butterworth pair
+(:meth:`DetectorModel.filters`), the filtered fill and the backward
+filter of :func:`sqzsim.tomography.duan_prediction_scan` reach it
+through :func:`scipy_signal`, which imports it on first call.  An
+ideal-detector run never imports it, nor does ``calibrate``.  The
+command line calls :func:`scipy_signal` before a run with a filtered
+detector starts, so that run imports nothing once it is under way.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import variance_at_phase
@@ -50,7 +57,20 @@ from sqzsim.quantum import variance_at_phase
 __all__ = [
     "DetectorModel",
     "iter_frame_chunks",
+    "scipy_signal",
 ]
+
+
+@functools.cache
+def scipy_signal():
+    """The ``scipy.signal`` module, imported on the first call.
+
+    Its import is more than half of the package's start-up, and only
+    the IIR filters of a finite-bandwidth detector use it.
+    """
+    from scipy import signal
+
+    return signal
 
 
 @dataclass(frozen=True)
@@ -89,6 +109,7 @@ class DetectorModel:
         """
         if self.bandwidth is None:
             return None
+        signal = scipy_signal()
         b_lp, a_lp = signal.butter(2, self.bandwidth, btype="low", fs=self.sample_rate)
         b_hp, a_hp = signal.butter(2, self.bandwidth, btype="high", fs=self.sample_rate)
         return b_lp, a_lp, b_hp, a_hp
@@ -214,6 +235,8 @@ class _Synthesis:
         if not 1 <= n_frames <= 2**32:
             raise ValueError(f"n_frames must lie in [1, 2**32], got {n_frames}")
         self.filters = det.filters()
+        # looked up once, on the caller's thread, for both shares of a block
+        self.lfilter = None if self.filters is None else scipy_signal().lfilter
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError("dtype must be float32 or float64")
@@ -277,8 +300,8 @@ class _Synthesis:
             np.multiply(z[0], self.std, out=raw[j], dtype=self.dtype)
             comp[j] = z[1]
         b_lp, a_lp, b_hp, a_hp = self.filters
-        filtered = signal.lfilter(b_lp, a_lp, raw, axis=1)
-        filtered += signal.lfilter(b_hp, a_hp, comp, axis=1)
+        filtered = self.lfilter(b_lp, a_lp, raw, axis=1)
+        filtered += self.lfilter(b_hp, a_hp, comp, axis=1)
         out[lo:hi] = filtered[:, self.n_burn :]
 
 

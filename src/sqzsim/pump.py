@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 __all__ = [
     "AwgProgram",
@@ -204,14 +203,20 @@ class Calibration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Calibration":
-        """Inverse of :meth:`to_dict`."""
-        lut = d.get("extended_lut")
+        """Inverse of :meth:`to_dict`; a non-finite entry raises ValueError naming its key."""
+
+        def finite(key: str) -> np.ndarray:
+            value = np.asarray(d[key], dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{key} must hold finite numbers, got {d[key]!r}")
+            return value
+
         return cls(
-            quad_coeff=float(d["quad_coeff_mw_per_v2"]),
-            linear_limit=float(d["linear_limit_v"]),
-            gain_coeff=float(d["gain_coeff_per_sqrt_mw"]),
-            max_pump_power=float(d["max_pump_power_mw"]),
-            extended_lut=None if lut is None else np.asarray(lut, dtype=float),
+            quad_coeff=float(finite("quad_coeff_mw_per_v2")),
+            linear_limit=float(finite("linear_limit_v")),
+            gain_coeff=float(finite("gain_coeff_per_sqrt_mw")),
+            max_pump_power=float(finite("max_pump_power_mw")),
+            extended_lut=None if d.get("extended_lut") is None else finite("extended_lut"),
         )
 
     def __eq__(self, other) -> bool:
@@ -412,15 +417,26 @@ def pump_phase_trace(prog: AwgProgram) -> np.ndarray:
 
 
 def _first_order_filter(x: np.ndarray, dt: float, rise: float) -> np.ndarray:
+    """``lfilter([alpha], [1, alpha - 1], x, zi=lfiltic(..., y=[x0], x=[x0]))``, byte for byte.
+
+    The one-pole recursion runs in ``lfilter``'s transposed
+    direct-form-II order: output ``y = z + b0 x``, then state
+    ``z = 0 x - a1 y``.  A pump program is a few thousand samples, so
+    the loop costs well under a millisecond and spares ``scipy.signal``.
+    """
     tau = rise / _FIRST_ORDER_RISE_PER_TAU
-    alpha = 1.0 - math.exp(-dt / tau)
-    b = np.array([alpha])
-    a = np.array([1.0, alpha - 1.0])
+    b0 = 1.0 - math.exp(-dt / tau)
+    a1 = b0 - 1.0
+    samples = np.asarray(x, dtype=np.float64).tolist()
     # start from steady state at the initial sample so a program that
     # begins on a plateau shows no artificial turn-on transient
-    zi = signal.lfiltic(b, a, y=[x[0]], x=[x[0]])
-    y, _ = signal.lfilter(b, a, x, zi=zi)
-    return y
+    z = 0.0 - a1 * samples[0]
+    y = []
+    for v in samples:
+        out = z + b0 * v
+        z = v * 0.0 - out * a1
+        y.append(out)
+    return np.array(y)
 
 
 def apply_modulator_response(trace: PowerTrace, resp: ModulatorResponse) -> PowerTrace:

@@ -435,7 +435,9 @@ def _plan_waveforms(cfg, params, cal):
         cfg, 2 * quantum.N_SPLITS, f"two for each of the {quantum.N_SPLITS} split variances"
     )
     dt = 1.0 / _positive(params, "sample_rate_hz")
-    amp = float(params["amplitude_v"])
+    # the checks read the square's first half period as the squeezed one
+    # and judge the Gaussian peaks relative to a nonzero power
+    amp = _positive(params, "amplitude_v")
     loss = float(params["loss"])
     duration = _positive(params, "duration_s")
     taps = int(params["fir_taps"])
@@ -549,7 +551,10 @@ def _plan_waveforms(cfg, params, cal):
             pump_checks["gauss_peaks_decreasing"] = (
                 decreasing, "peaks " + ", ".join(f"{p:.3f}" for p in peak_measured) + " mW"
             )
-            worst = max(abs(m / o - 1.0) for m, o in zip(peak_measured, oracle))
+            # a drive so weak that its peak power underflows to 0 cannot pass
+            worst = max(
+                abs(m / o - 1.0) if o > 0.0 else math.inf for m, o in zip(peak_measured, oracle)
+            )
             pump_checks["gauss_peaks_match_oracle"] = (
                 worst <= 0.01, f"worst relative deviation {worst * 100:.3f}%"
             )
@@ -858,6 +863,10 @@ def _plan_epr(cfg, params, cal):
 
 
 def _plan_calibrate(cfg, params, cal):
+    # each fit has one coefficient, so one point determines it
+    for key in ("n_gain_points", "n_voltage_points"):
+        if params[key] < 1:
+            raise UsageError(f"{key} must be >= 1, one point per fit at least, got {params[key]}")
     powers = np.linspace(float(params["power_min_mw"]), float(params["power_max_mw"]),
                          int(params["n_gain_points"]))
     gains = np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))
@@ -910,7 +919,10 @@ def _write_artifact(path: Path, content: dict, meta: dict) -> None:
     if path.suffix == ".csv":
         write_csv(path, meta, list(content), zip(*content.values()))
     else:
-        path.write_text(json.dumps(content | meta, indent=2, sort_keys=True) + "\n")
+        # strict JSON: a non-finite value here is a fault, not an artifact
+        path.write_text(
+            json.dumps(content | meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:

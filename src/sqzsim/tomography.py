@@ -20,7 +20,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from sqzsim.dsp import (
     ModeScan,
@@ -29,7 +28,7 @@ from sqzsim.dsp import (
     periodogram_bounds,
     split_moments,
 )
-from sqzsim.homodyne import DetectorModel
+from sqzsim.homodyne import DetectorModel, scipy_signal
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
@@ -570,12 +569,13 @@ def duan_prediction_scan(
             return w, np.zeros_like(w)
     else:
         b_lp, a_lp, b_hp, a_hp = filters
+        lfilter = scipy_signal().lfilter
 
         def components(w):
             # W(k) = sum_j w_j h_{j-k}: run the causal filter backwards
             return (
-                signal.lfilter(b_lp, a_lp, w[:, ::-1], axis=1)[:, ::-1],
-                signal.lfilter(b_hp, a_hp, w[:, ::-1], axis=1)[:, ::-1],
+                lfilter(b_lp, a_lp, w[:, ::-1], axis=1)[:, ::-1],
+                lfilter(b_hp, a_hp, w[:, ::-1], axis=1)[:, ::-1],
             )
 
     def weighted_variance(w, v) -> np.ndarray:

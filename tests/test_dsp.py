@@ -215,6 +215,14 @@ def test_fir_taps_properties():
         fir_taps(1e-9, taps=10)
 
 
+@pytest.mark.parametrize("dt", [1e-9, 0.5e-9])
+@pytest.mark.parametrize("taps, cutoff", [(255, 100e6), (31, 1e6), (1001, 330e6), (3, 100e6)])
+def test_fir_taps_are_scipy_firwin_byte_for_byte(taps, cutoff, dt):
+    h = fir_taps(dt, taps=taps, cutoff=cutoff)
+    assert h.dtype == np.float64
+    assert h.tobytes() == signal.firwin(taps, cutoff, fs=1.0 / dt).tobytes()
+
+
 def test_fir_lowpass_compensates_group_delay():
     n = 2048
     t = np.arange(n) * 1e-9

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from sqzsim.pump import (
+    _FIRST_ORDER_RISE_PER_TAU,
     AwgProgram,
     Calibration,
     ModulatorResponse,
     PowerTrace,
     PulseSlot,
     PulseTrainSpec,
+    _first_order_filter,
     apply_modulator_response,
     compile_pulse_train,
     ideal_pump_power,
@@ -82,6 +85,21 @@ def test_calibration_validation():
         Calibration(quad_coeff=0.0)
     with pytest.raises(ValueError):
         Calibration(gain_coeff=-1.0)
+
+
+@pytest.mark.parametrize(
+    "key", ["quad_coeff_mw_per_v2", "linear_limit_v", "gain_coeff_per_sqrt_mw", "max_pump_power_mw"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_calibration_from_dict_rejects_non_finite_coefficients_naming_the_key(cal, key, value):
+    with pytest.raises(ValueError, match=f"{key} must hold finite numbers"):
+        Calibration.from_dict(cal.to_dict() | {key: value})
+
+
+def test_calibration_from_dict_rejects_a_non_finite_lookup_table():
+    lut = [[0.16, 6.5], [0.2, math.nan]]
+    with pytest.raises(ValueError, match="extended_lut must hold finite numbers"):
+        Calibration.from_dict(Calibration().to_dict() | {"extended_lut": lut})
 
 
 def test_awg_program_round_trips(tmp_path, cal):
@@ -183,6 +201,22 @@ def test_modulator_holds_constant_input():
     trace = PowerTrace(dt=1e-9, power_mw=np.full(300, 2.5))
     out = apply_modulator_response(trace, resp)
     assert np.allclose(out.power_mw, 2.5, rtol=1e-9)
+
+
+@pytest.mark.parametrize("rise", [4e-9, 7e-9])
+@pytest.mark.parametrize("dt", [0.2e-9, 1e-9])
+@pytest.mark.parametrize("n", [1000, 2600, 5000])
+@pytest.mark.parametrize("shape", ["step", "random"])
+def test_first_order_filter_is_scipy_lfilter_byte_for_byte(rise, dt, n, shape):
+    if shape == "step":
+        # starts on a plateau, then steps up
+        x = np.where(np.arange(n) < n // 3, 1.5, 6.5)
+    else:
+        x = 6.5 * np.random.default_rng(n).random(n)
+    alpha = 1.0 - math.exp(-dt / (rise / _FIRST_ORDER_RISE_PER_TAU))
+    b, a = np.array([alpha]), np.array([1.0, alpha - 1.0])
+    want, _ = signal.lfilter(b, a, x, zi=signal.lfiltic(b, a, y=[x[0]], x=[x[0]]))
+    assert _first_order_filter(x, dt, rise).tobytes() == want.tobytes()
 
 
 @st.composite

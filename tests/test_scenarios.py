@@ -322,12 +322,33 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
         # a gate scan that slides the modes off the record, and a negative one
         (["epr", "--set", "scan_halfwidth_s=1e-6"], "scan_halfwidth_s"),
         (["epr", "--set", "scan_halfwidth_s=-1e-9"], "scan_halfwidth_s"),
-        # a drive beyond the calibrated ceiling
+        # a drive beyond the calibrated ceiling, none, and a reversed one
         (["waveforms", "--set", "amplitude_v=10"], "amplitude_v"),
+        (["waveforms", "--set", "amplitude_v=0"], "amplitude_v"),
+        (["waveforms", "--set", "amplitude_v=-0.16"], "amplitude_v"),
+        # each calibration fit needs one point at least
+        (["calibrate", "--set", "n_voltage_points=0"], "n_voltage_points"),
+        (["calibrate", "--set", "n_gain_points=0"], "n_gain_points"),
     ],
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):
     _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize("key", ["quad_coeff_mw_per_v2", "gain_coeff_per_sqrt_mw"])
+def test_cli_non_finite_calibration_file_exits_2_naming_the_field(tmp_path, capsys, key):
+    # Python's json writes and reads NaN unless told not to
+    cal_path = tmp_path / "calibration.json"
+    cal_path.write_text(json.dumps(Calibration().to_dict() | {key: math.nan}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"calibration_path": str(cal_path)}))
+    argv = ["waveforms", "--config", str(cfg_path), "--frames", "25"]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, key)
+
+
+def test_json_artifacts_reject_non_finite_values(tmp_path):
+    with pytest.raises(ValueError, match="JSON"):
+        scenarios._write_artifact(tmp_path / "x.json", {"value": math.nan}, {})
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from sqzsim.quantum import N_SPLITS, split_slices
+from sqzsim.quantum import N_SPLITS, split_slices, split_stderr
 
 __all__ = [
     "SpectrumEstimate",
@@ -133,7 +133,7 @@ def spectrum_ratio(sig: np.ndarray, vac: np.ndarray, n_samples: int, dt: float) 
     """
     level = 10.0 * np.log10(sig.mean(axis=0) / vac.mean(axis=0))
     per_split = 10.0 * np.log10(sig / vac)
-    stderr = per_split.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
+    stderr = split_stderr(per_split)
     freqs = np.fft.rfftfreq(n_samples, d=dt)
     return SpectrumEstimate(freqs=freqs, level_db=level, stderr_db=stderr)
 
@@ -389,7 +389,7 @@ def variance_ratio(sig: SplitMoments, vac: SplitMoments, times: np.ndarray) -> V
     shot = float(np.mean(vac.variance()))
     if shot <= 0.0:
         raise ValueError("vacuum reference has zero variance")
-    stderr = (sig.split_variances() / shot).std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
+    stderr = split_stderr(sig.split_variances() / shot)
     return VarianceTrace(times=times, variance=sig.variance() / shot, stderr=stderr)
 
 
@@ -399,7 +399,8 @@ class TemporalMode:
 
     Normalized so sum(weights^2) * dt = 1; weights therefore carry
     units of 1/sqrt(s) and mode overlaps sum(w1 w2) * dt are
-    dimensionless.  ``t0`` is the absolute time of the first weight.
+    dimensionless.  ``t0`` is the time of the first weight on the record
+    grid, which starts at t = 0.
     """
 
     dt: float
@@ -426,10 +427,6 @@ class TemporalMode:
     def n_samples(self) -> int:
         return self.weights.size
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.weights.size) * self.dt
-
     def overlap(self, other: "TemporalMode") -> float:
         """Inner product sum(w1 w2) dt; modes must share their grid."""
         if abs(self.dt - other.dt) > 1e-12 * self.dt or self.n_samples != other.n_samples:
@@ -437,6 +434,22 @@ class TemporalMode:
         if abs(self.t0 - other.t0) > 1e-6 * self.dt:
             raise ValueError("modes must share the same time origin to take an overlap")
         return float(np.dot(self.weights, other.weights) * self.dt)
+
+    def indices(self, dt: float, n_samples: int) -> slice:
+        """The one placement of the mode: its samples on a record of ``n_samples`` at ``dt``."""
+        offset = self.t0 / dt
+        idx0 = round(offset)
+        if abs(offset - idx0) > 1e-6:
+            raise ValueError("mode samples fall between record samples: align the mode "
+                             "center with the record grid")
+        if abs(self.dt - dt) > 1e-12 * dt:
+            raise ValueError("mode and record sample intervals differ")
+        if idx0 < 0 or idx0 + self.n_samples > n_samples:
+            end = self.t0 + self.n_samples * self.dt
+            raise ValueError(
+                f"mode support [{self.t0:.3g}, {end:.3g}] s is not fully inside the record window"
+            )
+        return slice(idx0, idx0 + self.n_samples)
 
     def shifted(self, delta_t: float) -> "TemporalMode":
         return TemporalMode(
@@ -632,25 +645,6 @@ def mode_spectrum(mode: TemporalMode, n_fft: int | None = None) -> ModeSpectrum:
     return ModeSpectrum(freqs=freqs, power=power, center_freq=center, hwhm=float(hwhm))
 
 
-def _mode_indices(t0: float, dt: float, n_samples: int, mode: TemporalMode) -> slice:
-    """Record samples under ``mode`` on a grid of ``n_samples`` from ``t0``."""
-    offset = (mode.t0 - t0) / dt
-    idx0 = round(offset)
-    if abs(offset - idx0) > 1e-6:
-        raise ValueError(
-            "mode samples fall between record samples: align the mode center "
-            "with the record grid"
-        )
-    if abs(mode.dt - dt) > 1e-12 * dt:
-        raise ValueError("mode and record sample intervals differ")
-    if idx0 < 0 or idx0 + mode.n_samples > n_samples:
-        raise ValueError(
-            f"mode support [{mode.t0:.3g}, {mode.t0 + mode.n_samples * mode.dt:.3g}] s "
-            "is not fully inside the record window"
-        )
-    return slice(idx0, idx0 + mode.n_samples)
-
-
 class ModeScan:
     """Mode integrals of frame blocks with the modes slid over sample lags.
 
@@ -658,16 +652,17 @@ class ModeScan:
     ``k * len(lags) + j`` of a block's result holds each frame's
     integral sum_t x(t) w(t) dt against kernel k shifted by ``lags[j]``
     samples, in raw record units; identity coefficients at lag 0 give
-    the plain quadrature of every mode.  The records start at ``t0`` and
-    hold ``n_samples`` samples at interval ``dt``; every shifted mode
-    must lie inside them.
+    the plain quadrature of every mode.  The records hold ``n_samples``
+    samples at interval ``dt`` from t = 0, the grid of
+    :mod:`sqzsim.homodyne`; every shifted mode must lie on it, as
+    :meth:`TemporalMode.indices` places it.
     With one lag a block's integrals are direct dot products.  With more,
     the kernel spectra are built once, and a block costs one rfft of the
     window the shifted kernels cover, one product and one irfft per
     kernel: a cross-correlation in float64.  Neither route calls BLAS.
     """
 
-    def __init__(self, modes: Sequence[TemporalMode], coeffs, lags, t0: float, dt: float,
+    def __init__(self, modes: Sequence[TemporalMode], coeffs, lags, dt: float,
                  n_samples: int) -> None:
         lags = np.asarray(lags, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=float)
@@ -679,9 +674,9 @@ class ModeScan:
             raise ValueError("coeffs needs one row per kernel and one column per mode")
         lo_lag, hi_lag = int(lags.min()), int(lags.max())
         # the modes at both ends of the scan must lie inside the record
-        first = [_mode_indices(t0, dt, n_samples, m.shifted(lo_lag * dt)) for m in modes]
+        first = [m.shifted(lo_lag * dt).indices(dt, n_samples) for m in modes]
         for m in modes:
-            _mode_indices(t0, dt, n_samples, m.shifted(hi_lag * dt))
+            m.shifted(hi_lag * dt).indices(dt, n_samples)
         start = min(sl.start for sl in first)
         kernels = np.zeros((coeffs.shape[0], max(sl.stop for sl in first) - start))
         for mode, sl, c in zip(modes, first, coeffs.T):

@@ -12,6 +12,10 @@ anti-squeezing) visible in the spectrum rolls toward 0 dB above the
 detector cutoff, as a real detector shows after shot-noise
 normalization.
 
+Grid: every record starts at t = 0, sample k of a frame at t = k dt on
+the detector grid.  Nothing resamples: a trajectory must lie on that
+grid, which :meth:`DetectorModel.record_variance` checks.
+
 Synthesis has one entry, :func:`iter_frame_chunks`, which yields the
 frames of a run block by block at one LO phase, so an analysis reduces
 its frames as they come instead of holding them.
@@ -126,6 +130,12 @@ class DetectorModel:
         n = _settle_samples(self.filters())
         return np.concatenate([np.repeat(values[..., :1], n, axis=-1), values], axis=-1)
 
+    def record_variance(self, traj: SqueezerTrajectory, phi: float) -> np.ndarray:
+        """Variance of each sample of a ``traj`` frame at LO phase ``phi``, burn-in first."""
+        if abs(traj.dt - self.dt) > 1e-12 * self.dt:
+            raise ValueError("trajectory must live on the detector grid")
+        return self.burn_in(variance_at_phase(traj.r, traj.theta, traj.loss, phi))
+
 
 def _settle_samples(filters) -> int:
     if filters is None:
@@ -137,21 +147,6 @@ def _settle_samples(filters) -> int:
         return 64
     n = int(math.ceil(math.log(1e-12) / math.log(top)))
     return int(min(max(n, 64), 8192))
-
-
-def _resample_hold(values: np.ndarray, dt_in: float, dt_out: float, n_out: int) -> np.ndarray:
-    """Zero-order-hold resampling onto a new uniform grid (same origin)."""
-    if abs(dt_in - dt_out) <= 1e-12 * dt_out and values.size == n_out:
-        return values
-    idx = np.minimum((np.arange(n_out) * (dt_out / dt_in) + 1e-9).astype(int), values.size - 1)
-    return values[idx]
-
-
-def _frame_variance(traj: SqueezerTrajectory, det: DetectorModel, phi: float) -> np.ndarray:
-    n_out = max(1, int(round(traj.n_samples * traj.dt * det.sample_rate)))
-    r = _resample_hold(traj.r, traj.dt, det.dt, n_out)
-    theta = _resample_hold(traj.theta, traj.dt, det.dt, n_out)
-    return np.atleast_1d(variance_at_phase(r, theta, traj.loss, phi))
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
@@ -240,9 +235,8 @@ class _Synthesis:
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError("dtype must be float32 or float64")
-        var = _frame_variance(traj, det, float(lo))
-        self.std = np.sqrt(det.burn_in(var)).astype(self.dtype)
-        self.n_samples = var.size
+        self.std = np.sqrt(det.record_variance(traj, float(lo))).astype(self.dtype)
+        self.n_samples = traj.n_samples
         self.n_total = self.std.size
         self.n_burn = self.n_total - self.n_samples
         self.seed = seed
@@ -339,7 +333,7 @@ def iter_frame_chunks(
     Parameters
     ----------
     traj : SqueezerTrajectory
-        Resampled onto the detector grid by zero-order hold if needed.
+        On the detector grid: frame sample k is trajectory sample k.
     det : DetectorModel
     lo : float
         LO phase (radians) of every frame.

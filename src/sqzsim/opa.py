@@ -83,14 +83,13 @@ class SqueezerTrajectory:
     """Time series of squeezing parameter and angle, plus a loss.
 
     ``theta`` is the squeezing angle in [0, pi); the loss applies
-    uniformly to the whole record.
+    uniformly to the whole record.  Sample k sits at t = k dt.
     """
 
     dt: float
     r: np.ndarray
     theta: np.ndarray
     loss: float
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -119,7 +118,7 @@ class SqueezerTrajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.r.size) * self.dt
+        return np.arange(self.r.size) * self.dt
 
 
 def trajectory_from_pump(
@@ -138,7 +137,7 @@ def trajectory_from_pump(
     if phase.shape != power.power_mw.shape:
         raise ValueError("pump_phase must match the power trace sample for sample")
     r = fit.r_of_power(power.power_mw)
-    return SqueezerTrajectory(dt=power.dt, r=r, theta=0.5 * phase, loss=loss, t0=power.t0)
+    return SqueezerTrajectory(dt=power.dt, r=r, theta=0.5 * phase, loss=loss)
 
 
 def constant_trajectory(
@@ -147,7 +146,6 @@ def constant_trajectory(
     loss: float,
     dt: float,
     n_samples: int,
-    t0: float = 0.0,
 ) -> SqueezerTrajectory:
     """Trajectory with fixed squeezing, for reference runs and tests."""
     if n_samples < 1:
@@ -157,6 +155,5 @@ def constant_trajectory(
         r=np.full(n_samples, float(r)),
         theta=np.full(n_samples, float(theta)),
         loss=loss,
-        t0=t0,
     )
 

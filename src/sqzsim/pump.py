@@ -50,13 +50,12 @@ class AwgProgram:
         Output rate of the generator.
     samples_v : np.ndarray
         Drive voltage per sample.  Sign encodes the pump phase.
-    trigger_offset_s : float
-        Time of the first sample relative to the acquisition trigger.
+
+    The first sample sits at the acquisition trigger, t = 0.
     """
 
     sample_rate_hz: float
     samples_v: np.ndarray
-    trigger_offset_s: float = 0.0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0.0:
@@ -75,7 +74,7 @@ class AwgProgram:
 
     @property
     def times(self) -> np.ndarray:
-        return self.trigger_offset_s + np.arange(self.samples_v.size) / self.sample_rate_hz
+        return np.arange(self.samples_v.size) / self.sample_rate_hz
 
 
 def _default_quad_coeff() -> float:
@@ -292,10 +291,10 @@ class PulseTrainSpec:
         object.__setattr__(self, "slots", slots)
 
 
-def slot_mode_centers(spec: PulseTrainSpec, trigger_offset_s: float = 0.0) -> np.ndarray:
-    """Center time of each slot's mode window."""
+def slot_mode_centers(spec: PulseTrainSpec) -> np.ndarray:
+    """Center time of each slot's mode window, the train starting at t = 0."""
     centers = []
-    t = trigger_offset_s
+    t = 0.0
     for slot in spec.slots:
         centers.append(t + slot.margin + 0.5 * slot.mode_width)
         t += slot.period
@@ -307,7 +306,6 @@ def compile_pulse_train(
     cal: Calibration,
     resp: ModulatorResponse,
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
-    trigger_offset_s: float = 0.0,
 ) -> AwgProgram:
     """Compile a pulse-train spec into a piecewise-constant AWG program.
 
@@ -345,20 +343,15 @@ def compile_pulse_train(
         if n < 1:
             raise ValueError(f"slot {k}: period shorter than one sample at {sample_rate_hz:g} Hz")
         chunks.append(np.full(n, volts))
-    return AwgProgram(
-        sample_rate_hz=sample_rate_hz,
-        samples_v=np.concatenate(chunks),
-        trigger_offset_s=trigger_offset_s,
-    )
+    return AwgProgram(sample_rate_hz=sample_rate_hz, samples_v=np.concatenate(chunks))
 
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Uniformly sampled pump power in mW."""
+    """Uniformly sampled pump power in mW, the first sample at t = 0."""
 
     dt: float
     power_mw: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -375,7 +368,7 @@ class PowerTrace:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.power_mw.size) * self.dt
+        return np.arange(self.power_mw.size) * self.dt
 
 
 def ideal_pump_power(prog: AwgProgram, cal: Calibration) -> PowerTrace:
@@ -385,7 +378,7 @@ def ideal_pump_power(prog: AwgProgram, cal: Calibration) -> PowerTrace:
     by :func:`pump_phase_trace`.
     """
     power = cal.power_for_voltage(prog.samples_v)
-    return PowerTrace(dt=prog.dt, power_mw=power, t0=prog.trigger_offset_s)
+    return PowerTrace(dt=prog.dt, power_mw=power)
 
 
 def rise_time_10_90(trace: PowerTrace) -> float:
@@ -451,4 +444,4 @@ def apply_modulator_response(trace: PowerTrace, resp: ModulatorResponse) -> Powe
             f"{resp.rise_time_10_90:.3g} s rise time (need >= 4 samples per rise)"
         )
     y = _first_order_filter(trace.power_mw, trace.dt, resp.rise_time_10_90)
-    return PowerTrace(dt=trace.dt, power_mw=y, t0=trace.t0)
+    return PowerTrace(dt=trace.dt, power_mw=y)

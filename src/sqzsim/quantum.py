@@ -44,6 +44,7 @@ __all__ = [
     "N_SPLITS",
     "DUAN_MIN_SAMPLES",
     "split_slices",
+    "split_stderr",
     "SqueezeParams",
     "GaussianState",
     "variance_at_phase",
@@ -87,6 +88,11 @@ def split_slices(n: int, n_splits: int = N_SPLITS) -> list[slice]:
     """
     edges = np.linspace(0, n, n_splits + 1).astype(int)
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def split_stderr(per_split) -> np.ndarray:
+    """The package's one split error: std(ddof=1) over the splits (axis 0) / sqrt(N_SPLITS)."""
+    return np.std(per_split, axis=0, ddof=1) / math.sqrt(N_SPLITS)
 
 
 def variance_at_phase(r: float, theta: float, loss: float, phi) -> np.ndarray | float:
@@ -258,7 +264,7 @@ def duan_from_moments(x, p) -> DuanResult:
         raise ValueError(f"need at least {DUAN_MIN_SAMPLES} samples, got {n}")
     value = x.variance() + p.variance()
     per_split = x.split_variances() + p.split_variances()
-    stderr = np.std(per_split, axis=0, ddof=1) / math.sqrt(N_SPLITS)
+    stderr = split_stderr(per_split)
     return DuanResult(value=value, stderr=stderr, entangled=value < 4.0)
 
 

@@ -14,6 +14,7 @@ or x / p / vacuum) for the others.  ``calibrate`` uses no frames.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -237,20 +238,31 @@ def _quadrature(value: str) -> str:
     return f"{value}_squeezed"
 
 
+@contextlib.contextmanager
+def _fed_by(*keys: str):
+    """Re-raise a library error in the block as a usage error naming ``keys``.
+
+    ``keys`` are the parameters that fed the block; a ``ValueError``, or an
+    ``OverflowError`` from a float too large to count, is caught.
+    """
+    try:
+        yield
+    except UsageError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"bad value for {' or '.join(map(repr, keys))}: {exc}") from exc
+
+
 def _list_param(params: dict, key: str, parse) -> list:
     """The comma-separated entries of ``params[key]``, each through ``parse``."""
-    try:
+    with _fed_by(key):
         return [parse(entry.strip()) for entry in str(params[key]).split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key!r}: {exc}") from exc
 
 
 def _detector(params: dict) -> DetectorModel:
     bw = float(params["detector_bandwidth_hz"])
-    return DetectorModel(
-        bandwidth=None if bw <= 0.0 else bw,
-        sample_rate=float(params["sample_rate_hz"]),
-    )
+    with _fed_by("detector_bandwidth_hz", "sample_rate_hz"):
+        return DetectorModel(None if bw <= 0.0 else bw, float(params["sample_rate_hz"]))
 
 
 def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str) -> None:
@@ -264,10 +276,10 @@ def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str) -> None:
 def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, loss: float):
     """The pump CSV table, shaped pump power and squeezer trajectory of ``prog``."""
     ideal = pump.ideal_pump_power(prog, cal)
-    shaped = pump.apply_modulator_response(ideal, resp)
-    traj = opa.trajectory_from_pump(
-        shaped, pump.pump_phase_trace(prog), opa.GainFit(cal.gain_coeff), loss
-    )
+    with _fed_by("rise_time_s", "sample_rate_hz", "loss"):
+        shaped = pump.apply_modulator_response(ideal, resp)
+        phase = pump.pump_phase_trace(prog)
+        traj = opa.trajectory_from_pump(shaped, phase, opa.GainFit(cal.gain_coeff), loss)
     table = {
         "time_s": prog.times,
         "drive_v": prog.samples_v,
@@ -296,10 +308,14 @@ def _plan_spectrum(cfg, params, cal):
     loss = float(params["loss"])
     det = _detector(params)
     power = float(params["pump_power_mw"])
+    if not 0.0 < power <= cal.max_pump_power * (1.0 + 1e-9):
+        raise UsageError(f"bad value for 'pump_power_mw': {power:g} mW is outside "
+                         f"(0, {cal.max_pump_power:g}] mW, what the source sustains")
     r = float(opa.GainFit(cal.gain_coeff).r_of_power(power))
     seeds = _child_seeds(cfg.seed, 4)
 
-    traj = opa.constant_trajectory(r, 0.0, loss, dt, n_samples)
+    with _fed_by("loss", "n_samples"):
+        traj = opa.constant_trajectory(r, 0.0, loss, dt, n_samples)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, dt, n_samples)
     lo, hi = float(params["band_lo_hz"]), float(params["band_hi_hz"])
     nyquist = 0.5 / dt
@@ -443,11 +459,13 @@ def _plan_waveforms(cfg, params, cal):
     taps = int(params["fir_taps"])
     cutoff = float(params["fir_cutoff_hz"])
     fwhms = [w * 1e-9 for w in _list_param(params, "gauss_fwhms_ns", _width)]
-    resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
+    with _fed_by("rise_time_s"):
+        resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     det = _detector(params)
     lead = 100e-9
     tail = 200e-9
-    n_total = int(round((lead + duration + tail) / dt))
+    with _fed_by("duration_s", "sample_rate_hz"):
+        n_total = int(round((lead + duration + tail) / dt))
     # the FIR edges are trimmed from every frame, so the taps must fit in one
     if taps < 3 or taps % 2 == 0 or taps - 1 >= n_total:
         raise UsageError(
@@ -480,11 +498,9 @@ def _plan_waveforms(cfg, params, cal):
                 f"{(n_total - edge) * dt * 1e9:g}) ns, which does not cover the {name} "
                 f"check window [{lo_t * 1e9:g}, {hi_t * 1e9:g}) ns"
             )
-    try:
+    with _fed_by("amplitude_v", "loss"):
         r_top = float(opa.GainFit(cal.gain_coeff).r_of_power(cal.power_for_voltage(amp)))
-    except ValueError as exc:
-        raise UsageError(f"bad value for 'amplitude_v': {exc}") from exc
-    s_closed = float(quantum.variance_at_phase(r_top, 0.0, loss, 0.0))
+        s_closed = float(quantum.variance_at_phase(r_top, 0.0, loss, 0.0))
     a_closed = float(quantum.variance_at_phase(r_top, math.pi / 2.0, loss, 0.0))
     t = np.arange(n_total) * dt
     rel = t - lead
@@ -520,10 +536,13 @@ def _plan_waveforms(cfg, params, cal):
     pump_checks = {}
     for k, (name, volts) in enumerate(programs.items()):
         prog = AwgProgram(sample_rate_hz=1.0 / dt, samples_v=volts)
-        table, shaped, traj = _pump_chain(prog, cal, resp, loss)
+        # the summed Gaussian pulses may exceed the single-pulse drive
+        with _fed_by("amplitude_v", "gauss_fwhms_ns"):
+            table, shaped, traj = _pump_chain(prog, cal, resp, loss)
         pump_files[f"{name}_pump"] = (f"{name}_pump.csv", table)
         if name == "step":
-            rise = pump.rise_time_10_90(shaped)
+            with _fed_by("amplitude_v", "step_time_s", "rise_time_s"):
+                rise = pump.rise_time_10_90(shaped)
             pump_report["step_rise_time_s"] = rise
             pump_checks["step_rise_time"] = (
                 abs(rise - resp.rise_time_10_90) <= dt,
@@ -531,7 +550,7 @@ def _plan_waveforms(cfg, params, cal):
             )
             continue
         # the trace keeps the samples the FIR edge trim leaves
-        times = (traj.t0 + edge * det.dt) + np.arange(n_kept) * det.dt
+        times = edge * det.dt + np.arange(n_kept) * det.dt
         expected = quantum.variance_at_phase(
             traj.r[edge : edge + n_kept], traj.theta[edge : edge + n_kept], loss, 0.0
         )
@@ -541,7 +560,8 @@ def _plan_waveforms(cfg, params, cal):
             for c, w in zip(centers, fwhms):
                 sel = np.abs(shaped.times - (lead + c)) <= 0.1 * duration
                 peak_measured.append(float(shaped.power_mw[sel].max()))
-                oracle.append(_gaussian_peak_oracle(w, amp, cal, resp, dt))
+                with _fed_by("gauss_fwhms_ns", "rise_time_s"):
+                    oracle.append(_gaussian_peak_oracle(w, amp, cal, resp, dt))
             pump_report["gauss_fwhm_s"] = list(fwhms)
             pump_report["gauss_peak_mw"] = peak_measured
             pump_report["gauss_peak_oracle_mw"] = oracle
@@ -608,23 +628,24 @@ def _plan_tm_squeezing(cfg, params, cal):
     dt = 1.0 / _positive(params, "sample_rate_hz")
     loss = float(params["loss"])
     det = _detector(params)
-    resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
+    with _fed_by("rise_time_s"):
+        resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     dbs = _list_param(params, "slot_dbs", _number)
     quads = _list_param(params, "slot_quadratures", _quadrature)
     if len(dbs) != len(quads):
         raise UsageError("slot_dbs and slot_quadratures must have equal length")
-    slots = tuple(
-        PulseSlot(
-            squeezing_db=db,
-            quadrature=q,
-            mode_width=float(params["mode_width_s"]),
-            margin=float(params["margin_s"]),
+    with _fed_by("slot_dbs", "margin_s", "mode_width_s", "rise_time_s"):
+        slots = tuple(
+            PulseSlot(
+                squeezing_db=db,
+                quadrature=q,
+                mode_width=float(params["mode_width_s"]),
+                margin=float(params["margin_s"]),
+            )
+            for db, q in zip(dbs, quads)
         )
-        for db, q in zip(dbs, quads)
-    )
-    train = PulseTrainSpec(slots=slots)
-
-    prog = pump.compile_pulse_train(train, cal, resp, sample_rate_hz=1.0 / dt)
+        train = PulseTrainSpec(slots=slots)
+        prog = pump.compile_pulse_train(train, cal, resp, sample_rate_hz=1.0 / dt)
     n_phases = int(params["n_phases"])
     if n_phases < 3:
         raise UsageError(
@@ -636,20 +657,21 @@ def _plan_tm_squeezing(cfg, params, cal):
     )
     table, _, traj = _pump_chain(prog, cal, resp, loss)
     centers = pump.slot_mode_centers(train)
-    modes = [
-        dsp.make_mode(
-            "tf_mode",
-            dt,
-            t_c=float(centers[k]),
-            gamma=float(params["mode_gamma_hz"]),
-            t_w=slot.mode_width,
-        )
-        for k, slot in enumerate(train.slots)
-    ]
+    with _fed_by("mode_gamma_hz", "mode_width_s"):
+        modes = [
+            dsp.make_mode(
+                "tf_mode",
+                dt,
+                t_c=float(centers[k]),
+                gamma=float(params["mode_gamma_hz"]),
+                t_w=slot.mode_width,
+            )
+            for k, slot in enumerate(train.slots)
+        ]
     n_samples = prog.samples_v.size
     # every frame block is projected onto all slot modes at once, reduced
     # and dropped; no frame set is held whole
-    scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], traj.t0, det.dt, n_samples)
+    scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], det.dt, n_samples)
 
     phases = [k * math.pi / n_phases for k in range(n_phases)]
     n = cfg.n_frames
@@ -748,25 +770,37 @@ def _plan_epr(cfg, params, cal):
     amp = float(params["amplitude_v"])
     loss = float(params["loss"])
     det = _detector(params)
-    resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
+    with _fed_by("rise_time_s"):
+        resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     lead = float(params["lead_s"])
     tail = float(params["tail_s"])
+    if min(lead, tail) < 0.0:
+        raise UsageError(
+            f"bad value for 'lead_s' or 'tail_s': must not be negative, got {lead:g}, {tail:g}"
+        )
     duration = _positive(params, "duration_s")
     segment = _positive(params, "segment_s")
-    n_total = int(round((lead + duration + tail) / dt))
-    n_segments = int(round(duration / segment))
-    volts = np.zeros(n_total)
-    for k in range(n_segments):
-        lo = int(round((lead + k * segment) / dt))
-        hi = int(round((lead + (k + 1) * segment) / dt))
-        volts[lo:hi] = amp if k % 2 == 0 else -amp
-    prog = AwgProgram(sample_rate_hz=1.0 / dt, samples_v=volts)
-    table, _, traj = _pump_chain(prog, cal, resp, loss)
+    # a drive segment holds one sample at least, so the loop below is bounded
+    if segment < dt:
+        raise UsageError(f"bad value for 'segment_s': {segment:g} s is below one {dt:g} s sample")
+    with _fed_by("lead_s", "duration_s", "tail_s"):
+        n_total = int(round((lead + duration + tail) / dt))
+        n_segments = int(round(duration / segment))
+        volts = np.zeros(n_total)
+        for k in range(n_segments):
+            lo = int(round((lead + k * segment) / dt))
+            hi = int(round((lead + (k + 1) * segment) / dt))
+            volts[lo:hi] = amp if k % 2 == 0 else -amp
+        prog = AwgProgram(sample_rate_hz=1.0 / dt, samples_v=volts)
+    with _fed_by("amplitude_v"):
+        table, _, traj = _pump_chain(prog, cal, resp, loss)
 
     # Gate flips sit between samples, so the mode center lives on the
     # half-sample grid aligned with the drive sign flips.
     t_c = lead + 0.5 * duration - 0.5 * dt
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, _fed_by(
+        "mode_gamma_hz", "mode_width_s", "bin_period_s"
+    ):
         warnings.simplefilter("always")
         g1, g2 = (
             dsp.make_mode(
@@ -780,14 +814,8 @@ def _plan_epr(cfg, params, cal):
             for family in ("g1", "g2")
         )
     advisories = sorted({str(w.message) for w in caught})
-    scan_halfwidth = float(params["scan_halfwidth_s"])
-    try:
-        lags = tomography.epr_scan_lags(g1, g2, traj.t0, det.dt, n_total, scan_halfwidth)
-    except ValueError as exc:
-        raise UsageError(
-            f"scan_halfwidth_s={scan_halfwidth:g} does not fit the modes in the record "
-            f"that lead_s, duration_s and tail_s span: {exc}"
-        ) from exc
+    with _fed_by("scan_halfwidth_s", "mode_width_s", "lead_s", "duration_s", "tail_s"):
+        lags = tomography.epr_scan_lags(g1, g2, det.dt, n_total, float(params["scan_halfwidth_s"]))
 
     # The detector group delay shifts the optimal gate alignment off the
     # nominal center, so the scan minimum must be compared against the
@@ -815,7 +843,7 @@ def _plan_epr(cfg, params, cal):
         result = tomography.stream_epr_analysis(
             blocks(traj, 0.0, seeds[0]), blocks(traj, math.pi / 2.0, seeds[1]),
             blocks(vac_traj, 0.0, seeds[2]), cfg.n_frames, cfg.n_frames, g1, g2,
-            traj.t0, det.dt, n_total, scan_halfwidth=scan_halfwidth,
+            det.dt, n_total, lags,
         )
         margin = (4.0 - result.duan) / result.duan_stderr
         checks = {
@@ -870,7 +898,8 @@ def _plan_calibrate(cfg, params, cal):
     powers = np.linspace(float(params["power_min_mw"]), float(params["power_max_mw"]),
                          int(params["n_gain_points"]))
     gains = np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))
-    fit = opa.fit_gain_curve(list(zip(powers, gains)))
+    with _fed_by("power_min_mw", "power_max_mw", "n_gain_points"):
+        fit = opa.fit_gain_curve(list(zip(powers, gains)))
 
     voltages = np.linspace(0.01, cal.linear_limit, int(params["n_voltage_points"]))
     bench_power = cal.power_for_voltage(voltages)

@@ -35,7 +35,7 @@ from sqzsim.quantum import (
     GaussianState,
     duan_from_moments,
     effective_squeezing_db,
-    variance_at_phase,
+    split_stderr,
 )
 
 __all__ = [
@@ -379,14 +379,14 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
         split_covs[k] = sub_state.cov
         split_semi[k], split_angle[k] = _axes_and_angle(sub_state.cov)
 
-    mean_stderr = split_means.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
-    cov_stderr = split_covs.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
+    mean_stderr = split_stderr(split_means)
+    cov_stderr = split_stderr(split_covs)
     if ellipse is not None:
-        semi_stderr = tuple(split_semi.std(axis=0, ddof=1) / math.sqrt(N_SPLITS))
+        semi_stderr = tuple(split_stderr(split_semi))
         # angles live on a 180-degree circle: spread is measured on the
         # folded deviations from the point estimate
         dev = np.array([ellipse_angle_difference_deg(a, ellipse.angle_deg) for a in split_angle])
-        angle_stderr = float(dev.std(ddof=1) / math.sqrt(N_SPLITS))
+        angle_stderr = float(split_stderr(dev))
     else:
         semi_stderr = None
         angle_stderr = None
@@ -420,28 +420,22 @@ class EprResult:
 def epr_scan_lags(
     g1: TemporalMode,
     g2: TemporalMode,
-    t0: float,
     dt: float,
     n_samples: int,
     scan_halfwidth: float,
 ) -> np.ndarray:
-    """The sample lags of the gate scan of :func:`stream_epr_analysis`.
+    """The sample lags of a gate scan for :func:`stream_epr_analysis`.
 
     One lag per sample in [-scan_halfwidth, +scan_halfwidth].  Raises
-    ``ValueError`` when the window is negative or slides either mode off
-    the ``n_samples`` record that starts at ``t0``.
+    ``ValueError`` when the window is negative or when
+    :meth:`sqzsim.dsp.TemporalMode.indices` cannot place a mode at either end.
     """
     if scan_halfwidth < 0.0:
         raise ValueError("scan_halfwidth must be >= 0")
     half_samples = int(math.floor(scan_halfwidth / dt + 1e-9))
     for mode in (g1, g2):
         for edge in (-half_samples, half_samples):
-            start = (mode.shifted(edge * dt).t0 - t0) / dt
-            if start < -1e-6 or start + mode.n_samples > n_samples + 1e-6:
-                raise ValueError(
-                    "t_c search window pushes the modes outside the record; "
-                    "shorten the window or lengthen the frames"
-                )
+            mode.shifted(edge * dt).indices(dt, n_samples)
     return np.arange(-half_samples, half_samples + 1)
 
 
@@ -453,10 +447,9 @@ def stream_epr_analysis(
     n_vac: int,
     g1: TemporalMode,
     g2: TemporalMode,
-    t0: float,
     dt: float,
     n_samples: int,
-    scan_halfwidth: float = 60e-9,
+    lags,
 ) -> EprResult:
     """Duan test of the two extraction modes, optimized over their center.
 
@@ -465,24 +458,24 @@ def stream_epr_analysis(
     ``vac_blocks`` the ``n_vac`` frames of the vacuum reference, each in
     the ranges of :func:`sqzsim.dsp.periodogram_bounds`, so only one
     block is held at a time.  Every record holds ``n_samples`` samples
-    at interval ``dt`` from ``t0`` and is the detector output as
-    simulated, with no further filtering, for the mode weighting to be
-    meaningful.  The LO phases of the blocks are the caller's to
-    guarantee.
+    at interval ``dt`` from t = 0, the grid of :mod:`sqzsim.homodyne`,
+    and is the detector output as simulated, with no further filtering,
+    for the mode weighting to be meaningful.  The LO phases of the
+    blocks are the caller's to guarantee.
 
     The vacuum set is reduced first, to the shot-noise scales s1, s2 of
-    g1, g2.  Both modes are slid together, one sample at a time, over
-    [-scan_halfwidth, +scan_halfwidth] around their nominal centers:
+    g1, g2.  Both modes are slid together over the sample ``lags``
+    around their nominal centers, as :func:`epr_scan_lags` gives them:
     each x block becomes the scan columns of g1/s1 - g2/s2 and each p
     block those of g1/s1 + g2/s2 (a :class:`sqzsim.dsp.ModeScan` per
     set), and :func:`sqzsim.dsp.split_moments` folds them into
     :func:`sqzsim.quantum.duan_from_moments`.  The result is taken at
     the center that minimizes the Duan value.
     """
-    offsets = epr_scan_lags(g1, g2, t0, dt, n_samples, scan_halfwidth)
+    offsets = np.asarray(lags)
 
     def moments(n: int, blocks, coeffs, lags) -> SplitMoments:
-        scan = ModeScan([g1, g2], coeffs, lags, t0, dt, n_samples)
+        scan = ModeScan([g1, g2], coeffs, lags, dt, n_samples)
         return split_moments(n, map(scan, blocks))
 
     s1, s2 = np.sqrt(moments(n_vac, vac_blocks, np.eye(2), [0]).variance())
@@ -509,13 +502,10 @@ def stream_epr_analysis(
     )
 
 
-def _mode_on_grid(mode: TemporalMode, t0: float, dt: float, n: int, n_lead: int) -> np.ndarray:
-    start = (mode.t0 - t0) / dt
-    idx = round(start)
-    if abs(start - idx) > 1e-6 or idx < 0 or idx + mode.n_samples > n:
-        raise ValueError("mode does not sit on the trajectory grid")
+def _mode_on_grid(mode: TemporalMode, dt: float, n: int, n_lead: int) -> np.ndarray:
+    """The mode's weights on an ``n``-sample record preceded by ``n_lead`` burn-in samples."""
     w = np.zeros(n_lead + n)
-    w[n_lead + idx : n_lead + idx + mode.n_samples] = mode.weights
+    w[n_lead:][mode.indices(dt, n)] = mode.weights
     return w
 
 
@@ -549,20 +539,14 @@ def duan_prediction_scan(
     The detector filters are designed once and run backwards over the
     whole (n_offsets, n) stack of mode weights.
     """
-    if abs(traj.dt - det.dt) > 1e-12 * det.dt:
-        raise ValueError("trajectory must live on the detector grid")
+    # the record the simulator synthesizes, so the filters see its burn-in
+    v_x, v_p = (det.record_variance(traj, phi) for phi in (0.0, math.pi / 2.0))
     n = traj.n_samples
-    variances = [
-        np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, phi))
-        for phi in (0.0, math.pi / 2.0)
-    ]
-    # the simulator's burn-in, so the filters see the record it synthesizes
-    v_x, v_p = det.burn_in(np.stack(variances))
     n_lead = v_x.size - n
     filters = det.filters()
 
-    w1 = np.stack([_mode_on_grid(g1.shifted(off), traj.t0, traj.dt, n, n_lead) for off in offsets])
-    w2 = np.stack([_mode_on_grid(g2.shifted(off), traj.t0, traj.dt, n, n_lead) for off in offsets])
+    w1 = np.stack([_mode_on_grid(g1.shifted(off), det.dt, n, n_lead) for off in offsets])
+    w2 = np.stack([_mode_on_grid(g2.shifted(off), det.dt, n, n_lead) for off in offsets])
 
     if filters is None:
         def components(w):  # (lp-weighted, hp-weighted)

@@ -467,7 +467,7 @@ DT = 1e-9
 
 def _quadratures(frames, modes):
     """Each frame's integral against each mode: one lag-0 scan, identity coefficients."""
-    return dsp.ModeScan(modes, np.eye(len(modes)), [0], 0.0, DT, frames.shape[1])(frames)
+    return dsp.ModeScan(modes, np.eye(len(modes)), [0], DT, frames.shape[1])(frames)
 
 
 def _vacuum_scales(det, modes, n_samples, n_frames, seed):
@@ -475,7 +475,7 @@ def _vacuum_scales(det, modes, n_samples, n_frames, seed):
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=det.dt, n_samples=n_samples)
     bounds = dsp.periodogram_bounds(n_frames)
     ref_blocks = iter_frame_chunks(traj, det, 0.0, n_frames, seed, np.float64, bounds)
-    scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], 0.0, det.dt, n_samples)
+    scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], det.dt, n_samples)
     return np.sqrt(dsp.split_moments(n_frames, map(scan, ref_blocks)).variance())
 
 
@@ -592,7 +592,7 @@ def test_mode_scan_matches_project_at_every_lag(lags, dtype):
     frames, modes = _projection_pieces(264, dtype=dtype)
     modes = [modes[0], modes[1], modes[3]]  # overlapping and disjoint supports
     coeffs = np.array([[0.7, -1.3, 0.4], [1.1, 0.2, -0.9]])
-    scan = dsp.ModeScan(modes, coeffs, lags, 0.0, DT, 160)
+    scan = dsp.ModeScan(modes, coeffs, lags, DT, 160)
     # (frames, lags, modes): each shifted mode's plain dot products
     per_mode = np.stack(
         [np.column_stack([_direct(frames, m.shifted(int(k) * DT)) for m in modes]) for k in lags],
@@ -610,15 +610,15 @@ def test_mode_scan_matches_project_at_every_lag(lags, dtype):
 def test_mode_scan_validation():
     frames, modes = _projection_pieces(4)
     with pytest.raises(ValueError, match="lags"):
-        dsp.ModeScan(modes, np.eye(4), [], 0.0, DT, 160)
+        dsp.ModeScan(modes, np.eye(4), [], DT, 160)
     with pytest.raises(ValueError, match="coeffs"):
-        dsp.ModeScan(modes, np.eye(3), [0], 0.0, DT, 160)
+        dsp.ModeScan(modes, np.eye(3), [0], DT, 160)
     # the first mode starts 26 samples after the record does, the last
     # ends 15 samples before it
     for lags in ([-27, 0], [0, 16]):
         with pytest.raises(ValueError, match="record window"):
-            dsp.ModeScan(modes, np.eye(4), lags, 0.0, DT, 160)
-    scan = dsp.ModeScan(modes, np.eye(4), [-26, 15], 0.0, DT, 160)
+            dsp.ModeScan(modes, np.eye(4), lags, DT, 160)
+    scan = dsp.ModeScan(modes, np.eye(4), [-26, 15], DT, 160)
     with pytest.raises(ValueError, match="160-sample frames"):
         scan(frames[:, :-1])
 

@@ -13,8 +13,10 @@ from scipy import signal
 
 from sqzsim import homodyne
 from sqzsim.homodyne import DetectorModel, _substream_states, iter_frame_chunks
+from sqzsim.dsp import make_mode
 from sqzsim.opa import SqueezerTrajectory, constant_trajectory
 from sqzsim.quantum import variance_at_phase
+from sqzsim.tomography import duan_prediction_scan
 from stack_slices import synthesize, vacuum
 
 
@@ -364,6 +366,22 @@ def test_frame_chunks_reject_bad_bounds():
     for bounds in ([(0, 0)], [(-1, 2)], [(5, 11)], [(3, 2)]):
         with pytest.raises(ValueError, match="frame block"):
             next(iter_frame_chunks(traj, DetectorModel(), 0.0, 10, 0, np.float64, bounds))
+
+
+@pytest.mark.parametrize("dt", [2e-9, 1e-9 * (1.0 + 1e-9)])
+@pytest.mark.parametrize("bandwidth", [None, 200e6])
+def test_off_grid_trajectory_is_rejected_as_the_prediction_rejects_it(dt, bandwidth):
+    # nothing resamples: synthesis and the deterministic model of the
+    # record refuse a trajectory off the detector grid with one message
+    traj = constant_trajectory(0.3, 0.0, 0.1, dt=dt, n_samples=64)
+    det = DetectorModel(bandwidth=bandwidth)
+    with pytest.raises(ValueError) as synthesis:
+        next(iter_frame_chunks(traj, det, 0.0, 10, 0, np.float64, [(0, 10)]))
+    mode = make_mode("tf_mode", det.dt, t_c=32e-9, gamma=2.5e8, t_w=20e-9)
+    with pytest.raises(ValueError) as prediction:
+        duan_prediction_scan(traj, det, mode, mode, [0.0])
+    assert str(synthesis.value) == str(prediction.value)
+    assert "detector grid" in str(synthesis.value)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

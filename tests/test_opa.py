@@ -66,13 +66,12 @@ def test_r_of_power():
 
 def test_trajectory_from_pump():
     fit = GainFit(gain_coeff=GAIN_COEFF)
-    power = PowerTrace(dt=1e-9, power_mw=np.array([6.5, 0.0, 6.5]), t0=3e-9)
+    power = PowerTrace(dt=1e-9, power_mw=np.array([6.5, 0.0, 6.5]))
     phase = np.array([0.0, 0.0, math.pi])
     traj = trajectory_from_pump(power, phase, fit, loss=0.183)
     assert np.allclose(traj.r, [0.3120002801006932, 0.0, 0.3120002801006932])
     assert np.allclose(traj.theta, [0.0, 0.0, math.pi / 2.0])
     assert traj.loss == 0.183
-    assert traj.t0 == 3e-9
     with pytest.raises(ValueError):
         trajectory_from_pump(power, phase[:2], fit, loss=0.0)
 

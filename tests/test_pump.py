@@ -103,7 +103,7 @@ def test_calibration_from_dict_rejects_a_non_finite_lookup_table():
 
 
 def test_awg_program_round_trips(tmp_path, cal):
-    prog = AwgProgram(1e9, np.array([0.0, 0.1, -0.1, 0.05]), trigger_offset_s=2e-9)
+    prog = AwgProgram(1e9, np.array([0.0, 0.1, -0.1, 0.05]))
     ideal = ideal_pump_power(prog, cal)
     shaped = apply_modulator_response(ideal, ModulatorResponse())
     table, _, _ = _pump_chain(prog, cal, ModulatorResponse(), 0.1)
@@ -277,7 +277,7 @@ def test_rise_time_rejects_flat_or_clipped_traces():
 
 
 def test_power_trace_csv(tmp_path, cal):
-    prog = AwgProgram(1e9, np.array([0.0, 0.05, 0.1]), trigger_offset_s=5e-9)
+    prog = AwgProgram(1e9, np.array([0.0, 0.05, 0.1]))
     table, _, _ = _pump_chain(prog, cal, ModulatorResponse(), 0.1)
     path = tmp_path / "trace.csv"
     _write_artifact(path, table, {"scenario": "unit"})

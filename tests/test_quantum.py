@@ -11,6 +11,7 @@ from sqzsim.dsp import split_moments, variance_ratio
 from sqzsim.quantum import (
     DuanResult,
     GaussianState,
+    N_SPLITS,
     SqueezeParams,
     apply_loss,
     db_from_variance,
@@ -238,6 +239,16 @@ def test_split_errors_share_one_subset_convention():
     want_cov = split_stderr([fit.state.cov for fit in fits])
     np.testing.assert_allclose(res.mean_stderr, want_mean, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(res.cov_stderr, want_cov, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(N_SPLITS,), (N_SPLITS, 3, 2)])
+def test_split_stderr_is_the_split_scatter_over_root_n_splits(shape):
+    # every 10-way split error of the package is this one expression
+    from sqzsim.quantum import split_stderr
+
+    per_split = np.random.default_rng(5).standard_normal(shape)
+    want = per_split.std(axis=0, ddof=1) / math.sqrt(N_SPLITS)
+    assert np.asarray(split_stderr(per_split)).tobytes() == np.asarray(want).tobytes()
 
 
 # declared tolerance of the moments route against two-pass np.var

@@ -329,6 +329,25 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
         # each calibration fit needs one point at least
         (["calibrate", "--set", "n_voltage_points=0"], "n_voltage_points"),
         (["calibrate", "--set", "n_gain_points=0"], "n_gain_points"),
+        # a library check that planning calls names the keys that fed it
+        (["calibrate", "--set", "power_min_mw=0"], "power_min_mw"),
+        (["calibrate", "--set", "power_max_mw=0.5"], "power_max_mw"),
+        (["waveforms", "--set", "amplitude_v=1e-200"], "amplitude_v"),
+        *[([s, "--set", "rise_time_s=0"], "rise_time_s")
+          for s in ("waveforms", "tm_squeezing", "epr")],
+        (["tm_squeezing", "--set", "margin_s=1e-9"], "margin_s"),
+        *[([s, "--set", "mode_gamma_hz=0"], "mode_gamma_hz") for s in ("tm_squeezing", "epr")],
+        (["spectrum", "--set", "detector_bandwidth_hz=6e8"], "detector_bandwidth_hz"),
+        (["epr", "--set", "bin_period_s=0"], "bin_period_s"),
+        (["epr", "--set", "lead_s=-1"], "lead_s"),
+        (["spectrum", "--set", "pump_power_mw=-1"], "pump_power_mw"),
+        # a power that makes the spectrum NaN, counts that overflow an
+        # integer, and a drive segment so short its loop would not end
+        (["spectrum", "--set", "pump_power_mw=1e300"], "pump_power_mw"),
+        (["epr", "--set", "duration_s=1e300"], "duration_s"),
+        (["waveforms", "--set", "rise_time_s=1e300"], "rise_time_s"),
+        (["tm_squeezing", "--set", "margin_s=1e300"], "margin_s"),
+        (["epr", "--set", "segment_s=1e-200"], "segment_s"),
     ],
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):

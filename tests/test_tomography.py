@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sqzsim import tomography
-from sqzsim.dsp import make_mode
+from sqzsim.dsp import ModeScan, make_mode
 from sqzsim.homodyne import DetectorModel
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import split_slices, squeezed_state, variance_at_phase
@@ -256,9 +256,10 @@ def _epr_pieces(n_frames=200, bandwidth=None, seed=0, dt=1e-9):
 def _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth):
     """:func:`stream_epr_analysis` over slices of the three whole stacks."""
     x_blocks, p_blocks, vac_blocks = (blocks(frames) for frames in (fs_x, fs_p, ref))
+    lags = tomography.epr_scan_lags(g1, g2, g1.dt, fs_x.shape[1], scan_halfwidth)
     return stream_epr_analysis(
         x_blocks, p_blocks, vac_blocks, len(fs_x), len(ref), g1, g2,
-        0.0, g1.dt, fs_x.shape[1], scan_halfwidth,
+        g1.dt, fs_x.shape[1], lags,
     )
 
 
@@ -330,6 +331,29 @@ def test_epr_analysis_rejects_oversized_scan():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=200)
     with pytest.raises(ValueError):
         _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=500e-9)
+
+
+@pytest.mark.parametrize("shift", [0.5e-9, 400e-9], ids=["off_grid", "off_record"])
+def test_every_route_places_a_mode_with_one_message(shift):
+    # the mode scan, the gate-scan lags and the prediction all place a mode
+    # through TemporalMode.indices, so each refuses a bad mode alike
+    dt, n = 1e-9, 256
+    traj = SqueezerTrajectory(dt=dt, r=np.full(n, 0.3), theta=np.zeros(n), loss=0.1)
+    det = DetectorModel(bandwidth=200e6, sample_rate=1.0 / dt)
+    bad = make_mode("tf_mode", dt, t_c=128e-9 + shift, gamma=2.5e8, t_w=30e-9)
+    good = make_mode("tf_mode", dt, t_c=64e-9, gamma=2.5e8, t_w=30e-9)
+    routes = [
+        lambda: ModeScan([bad, good], np.eye(2), [0], dt, n),
+        lambda: tomography.epr_scan_lags(bad, good, dt, n, 0.0),
+        lambda: duan_prediction_scan(traj, det, bad, good, [0.0]),
+    ]
+    messages = []
+    for route in routes:
+        with pytest.raises(ValueError) as err:
+            route()
+        messages.append(str(err.value))
+    assert messages == [messages[0]] * 3
+    assert ("between record samples" if shift < dt else "record window") in messages[0]
 
 
 def test_duan_prediction_instantaneous_anchor():

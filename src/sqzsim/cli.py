@@ -43,7 +43,7 @@ import os
 import sys
 from pathlib import Path
 
-from sqzsim import homodyne, scenarios
+from sqzsim import scenarios
 
 ENV_OUTPUT_DIR = "SQZSIM_OUTPUT_DIR"
 
@@ -135,11 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             output_dir=str(outdir),
             overrides=overrides,
         )
-        params = scenarios.resolve_params(cfg.scenario, cfg.overrides)
-        if params.get("detector_bandwidth_hz", 0.0) > 0.0:
-            # a filtered detector needs scipy.signal: import it here, in
-            # start-up, so that the run itself imports no module
-            homodyne.scipy_signal()
         run = scenarios.run_scenario(cfg)
     except scenarios.UsageError as exc:
         _emit_error("usage", str(exc), 2, outdir)

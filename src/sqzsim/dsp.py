@@ -264,7 +264,7 @@ def estimate_pure_squeezing_and_loss(
 def fir_taps(dt: float, taps: int = 255, cutoff: float = 100e6) -> np.ndarray:
     """Windowed-sinc linear-phase low-pass taps (unit DC gain).
 
-    The taps of ``scipy.signal.firwin(taps, cutoff, fs=1 / dt)``, byte
+    The taps of SciPy's ``firwin(taps, cutoff, fs=1 / dt)``, byte
     for byte, in SciPy's own order of operations: the sinc terms, its
     Hamming window as a cosine sum on ``linspace(-pi, pi, taps)``, then
     the division by the DC sum.  A textbook Hamming window differs from
@@ -468,6 +468,12 @@ def _normalize(w: np.ndarray, dt: float) -> np.ndarray:
     return w / norm
 
 
+def _gaussian(gamma: float, tau: np.ndarray) -> np.ndarray:
+    """exp(-(gamma tau)^2), taken as its limit 0 where the square overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((gamma * tau) ** 2))
+
+
 def _square_wave_first_half(tau: np.ndarray, period: float) -> np.ndarray:
     """1 where tau falls in [n T, n T + T/2), else 0."""
     return (np.floor(2.0 * tau / period).astype(np.int64) % 2 == 0).astype(float)
@@ -521,7 +527,7 @@ def make_mode(
     if family == "tf_mode":
         n_half = int(math.floor(t_w / (2.0 * dt)))
         tau = np.arange(-n_half, n_half + 1) * dt
-        w = tau * np.exp(-(gamma * tau) ** 2)
+        w = tau * _gaussian(gamma, tau)
         return TemporalMode(
             dt=dt, t0=t_c - n_half * dt, weights=_normalize(w, dt), family=family, params=params
         )
@@ -544,7 +550,7 @@ def make_mode(
         n_w += 1
     # half-sample offsets: every +tau sample has an exact -tau mirror
     tau = (np.arange(n_w) - 0.5 * n_w + 0.5) * dt
-    envelope = np.exp(-(gamma * tau) ** 2)
+    envelope = _gaussian(gamma, tau)
     gate1 = _square_wave_first_half(tau, period)
     if family == "f1":
         w = envelope * gate1

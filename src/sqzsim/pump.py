@@ -415,7 +415,8 @@ def _first_order_filter(x: np.ndarray, dt: float, rise: float) -> np.ndarray:
     The one-pole recursion runs in ``lfilter``'s transposed
     direct-form-II order: output ``y = z + b0 x``, then state
     ``z = 0 x - a1 y``.  A pump program is a few thousand samples, so
-    the loop costs well under a millisecond and spares ``scipy.signal``.
+    the loop costs well under a millisecond and spares SciPy's signal
+    module.
     """
     tau = rise / _FIRST_ORDER_RISE_PER_TAU
     b0 = 1.0 - math.exp(-dt / tau)

@@ -895,6 +895,10 @@ def _plan_calibrate(cfg, params, cal):
     for key in ("n_gain_points", "n_voltage_points"):
         if params[key] < 1:
             raise UsageError(f"{key} must be >= 1, one point per fit at least, got {params[key]}")
+    # the gains below take the square root of every power
+    for key in ("power_min_mw", "power_max_mw"):
+        if not float(params[key]) > 0.0:
+            raise UsageError(f"{key} must be > 0, got {params[key]}")
     powers = np.linspace(float(params["power_min_mw"]), float(params["power_max_mw"]),
                          int(params["n_gain_points"]))
     gains = np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))

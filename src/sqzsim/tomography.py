@@ -28,7 +28,7 @@ from sqzsim.dsp import (
     periodogram_bounds,
     split_moments,
 )
-from sqzsim.homodyne import DetectorModel, scipy_signal
+from sqzsim.homodyne import DetectorModel, _BlockFilter
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
@@ -553,14 +553,12 @@ def duan_prediction_scan(
             return w, np.zeros_like(w)
     else:
         b_lp, a_lp, b_hp, a_hp = filters
-        lfilter = scipy_signal().lfilter
+        lowpass = _BlockFilter([(b_lp, a_lp)], n_lead + n)
+        highpass = _BlockFilter([(b_hp, a_hp)], n_lead + n)
 
         def components(w):
             # W(k) = sum_j w_j h_{j-k}: run the causal filter backwards
-            return (
-                lfilter(b_lp, a_lp, w[:, ::-1], axis=1)[:, ::-1],
-                lfilter(b_hp, a_hp, w[:, ::-1], axis=1)[:, ::-1],
-            )
+            return lowpass(w[:, ::-1])[:, ::-1], highpass(w[:, ::-1])[:, ::-1]
 
     def weighted_variance(w, v) -> np.ndarray:
         lp, hp = components(w)

@@ -131,11 +131,67 @@ def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
     traj = _ramp_trajectory(96)
     det = DetectorModel(bandwidth=bandwidth)
     want = _oracle_frames(traj, det, 0.7, 8, dtype, 0, 53)
+    (whole,) = iter_frame_chunks(traj, det, 0.7, 53, 8, dtype, [(0, 53)])
+    assert whole.dtype == want.dtype
+    if bandwidth is None:
+        assert whole.tobytes() == want.tobytes()
+    elif dtype == np.float32:
+        # the block kernel rounds otherwise than lfilter: 1 ulp at most
+        ulp = np.spacing(np.maximum(np.abs(whole), np.abs(want)))
+        assert np.all(np.abs(whole - want) <= ulp)
+    else:
+        assert np.abs(whole - want).max() <= 1e-13
+    # every block is byte-equal to the same rows of the whole run
     for bounds in ORACLE_BOUNDS:
         blocks = iter_frame_chunks(traj, det, 0.7, 53, 8, dtype, bounds)
         for (lo, hi), block in zip(bounds, blocks, strict=True):
-            assert block.dtype == want.dtype
-            assert block.tobytes() == want[lo:hi].tobytes(), (lo, hi)
+            assert block.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+@pytest.mark.parametrize("sample_rate", [0.5e9, 1e9, 2e9, 1.0])
+def test_butterworth_pair_is_scipy_butter_byte_for_byte(sample_rate):
+    rng = np.random.default_rng(11)
+    for bandwidth in rng.uniform(0.0, sample_rate / 2.0, 200):
+        det = DetectorModel(bandwidth=float(bandwidth), sample_rate=sample_rate)
+        b_lp, a_lp, b_hp, a_hp = det.filters()
+        for btype, got in (("low", (b_lp, a_lp)), ("high", (b_hp, a_hp))):
+            want = signal.butter(2, bandwidth, btype=btype, fs=sample_rate)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (bandwidth, btype)
+
+
+# declared tolerance of the block kernel against lfilter, per unit record rms
+KERNEL_TOLERANCE = 1e-12
+
+
+@pytest.mark.parametrize("n_samples", [5, 544, 1384, 4160, 16384])
+@pytest.mark.parametrize("bandwidth", [2e6, 20e6, 200e6, 450e6])
+def test_block_filter_matches_lfilter(bandwidth, n_samples):
+    b_lp, a_lp, b_hp, a_hp = DetectorModel(bandwidth=bandwidth).filters()
+    x = np.random.default_rng(3).standard_normal((2, 6, n_samples))
+    tol = KERNEL_TOLERANCE * float(np.sqrt(np.mean(x**2)))
+    for b, a in ((b_lp, a_lp), (b_hp, a_hp)):
+        kernel = homodyne._BlockFilter([(b, a)], n_samples)
+        # forward, and backward as duan_prediction_scan runs it
+        assert np.abs(kernel(x[0]) - signal.lfilter(b, a, x[0], axis=1)).max() <= tol
+        backward = kernel(x[0][:, ::-1])[:, ::-1]
+        assert np.abs(backward - signal.lfilter(b, a, x[0][:, ::-1], axis=1)[:, ::-1]).max() <= tol
+    # the synthesis pair: one record low-passed, the other high-passed
+    pair = homodyne._BlockFilter([(b_lp, a_lp), (b_hp, a_hp)], n_samples)
+    want = signal.lfilter(b_lp, a_lp, x[0], axis=1) + signal.lfilter(b_hp, a_hp, x[1], axis=1)
+    assert np.abs(pair(x[0], x[1]) - want).max() <= tol
+
+
+@pytest.mark.parametrize("n_samples", [544, 4160])
+def test_block_filter_rows_do_not_depend_on_the_block(n_samples):
+    b_lp, a_lp, b_hp, a_hp = DetectorModel().filters()
+    kernel = homodyne._BlockFilter([(b_lp, a_lp), (b_hp, a_hp)], n_samples)
+    x = np.random.default_rng(4).standard_normal((2, 400, n_samples))
+    alone = np.concatenate([kernel(x[0, k : k + 1], x[1, k : k + 1]) for k in range(400)])
+    for size in (1, 5, 7, 256, 385):
+        for lo in (0, 400 - size):
+            block = kernel(x[0, lo : lo + size], x[1, lo : lo + size])
+            assert block.tobytes() == alone[lo : lo + size].tobytes(), (size, lo)
 
 
 def _one_frame_blocks(traj, det, n_frames, dtype):

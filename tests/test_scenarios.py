@@ -3,12 +3,17 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqzsim
 from sqzsim import dsp, homodyne, scenarios
 from sqzsim.cli import ENV_OUTPUT_DIR, main
 from sqzsim.pump import Calibration
@@ -352,6 +357,31 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):
     _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["calibrate", "--set", "power_min_mw=-1"], "power_min_mw"),
+        (["calibrate", "--set", "power_max_mw=-1"], "power_max_mw"),
+        (["tm_squeezing", "--frames", "100", "--set", "mode_gamma_hz=1e300"], "mode_gamma_hz"),
+    ],
+)
+def test_cli_usage_error_stderr_is_one_json_document(tmp_path, argv, field):
+    # a fresh interpreter, so a NumPy warning would reach stderr as printed text
+    env = dict(os.environ)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqzsim.cli", "run", *argv, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "usage" and field in err["message"]
 
 
 @pytest.mark.parametrize("key", ["quad_coeff_mw_per_v2", "gain_coeff_per_sqrt_mw"])

@@ -1,8 +1,7 @@
 """Start-up: what a CLI run imports, and when, each in a fresh interpreter.
 
-``scipy.signal`` is only for the filtered detector, and the command line
-imports it before such a run starts, so no run imports a module while it
-is under way.
+No run imports a module once it is under way, and none imports
+``scipy.signal``: the filtered detector's design and filter are NumPy.
 """
 
 import json
@@ -38,12 +37,13 @@ print(json.dumps({"exit_code": code, "imported": imported,
 """
 
 
-def _fresh_run(tmp_path, *argv) -> dict:
+def _fresh_python(source: str, *argv: str) -> dict:
+    """The JSON last line that ``source`` prints, run on ``argv`` in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(sqzsim.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _WATCH, "run", *argv, "--out", str(tmp_path)],
+        [sys.executable, "-c", source, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -53,6 +53,10 @@ def _fresh_run(tmp_path, *argv) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _fresh_run(tmp_path, *argv) -> dict:
+    return _fresh_python(_WATCH, "run", *argv, "--out", str(tmp_path))
+
+
 @pytest.mark.parametrize("scenario", ["spectrum", "waveforms", "tm_squeezing", "epr", "calibrate"])
 def test_a_cli_run_imports_no_module_once_started(tmp_path, scenario):
     # the CLI defaults: a 200 MHz detector wherever there is one
@@ -60,7 +64,7 @@ def test_a_cli_run_imports_no_module_once_started(tmp_path, scenario):
     # noise fails some checks at this size; every run still completes
     assert result["exit_code"] in (0, 1)
     assert result["imported"] == []
-    assert result["scipy_signal"] == (scenario != "calibrate")
+    assert result["scipy_signal"] is False
 
 
 def test_an_ideal_detector_run_never_imports_scipy_signal(tmp_path):
@@ -70,3 +74,26 @@ def test_an_ideal_detector_run_never_imports_scipy_signal(tmp_path):
     assert result["exit_code"] in (0, 1)
     assert result["imported"] == []
     assert result["scipy_signal"] is False
+
+
+# a filtered synthesis run and a filtered prediction, in one interpreter
+_LIBRARY = """
+import json, sys
+import numpy as np
+from sqzsim.dsp import make_mode
+from sqzsim.homodyne import DetectorModel, iter_frame_chunks
+from sqzsim.opa import constant_trajectory
+from sqzsim.tomography import duan_prediction_scan
+
+det = DetectorModel(bandwidth=200e6)
+traj = constant_trajectory(0.3, 0.0, 0.1, dt=det.dt, n_samples=256)
+for block in iter_frame_chunks(traj, det, 0.0, 40, 0, np.float32, [(0, 3), (3, 40)]):
+    assert block.shape[1] == 256
+mode = make_mode("tf_mode", det.dt, t_c=128e-9, gamma=2.5e7, t_w=100e-9)
+assert duan_prediction_scan(traj, det, mode, mode, [0.0, 1e-9]).shape == (2,)
+print(json.dumps({"scipy_signal": "scipy.signal" in sys.modules}))
+"""
+
+
+def test_filtered_synthesis_and_prediction_never_import_scipy_signal():
+    assert _fresh_python(_LIBRARY) == {"scipy_signal": False}

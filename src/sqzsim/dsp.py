@@ -17,6 +17,11 @@ integrates each frame of a block against combinations of modes, at one
 sample lag by direct dot products or slid over many lags with one FFT
 correlation per block.  The shot-noise unit of a mode is the square
 root of the variance of its quadrature over a vacuum reference.
+
+Every transform is ``numpy.fft``, whose float64 transforms give the
+bytes of ``scipy.fft`` from NumPy 2.0 on; spectra of float32 records
+are transformed in float64.  :func:`_next_fast_len` is SciPy's
+``next_fast_len`` for real input, so no module imports SciPy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
+import numpy.fft
 
 from sqzsim.quantum import N_SPLITS, split_slices, split_stderr
 
@@ -100,17 +105,29 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
     ``blocks`` yields the frames of each range of
     :func:`periodogram_bounds` in order, for instance from
     :func:`sqzsim.homodyne.iter_frame_chunks` or as slices of a frame
-    stack; only one block is held at a time.  Rectangular window; no
-    per-bin normalization (it cancels in the signal-to-vacuum ratio).
+    stack; only one block is held at a time.  Every block is cast to
+    float64 before its rfft, whatever its dtype: NumPy's float32 rfft is
+    slower than its float64 one.  The cast, spectrum and power buffers
+    are allocated once and reused by every block.  Rectangular window;
+    no per-bin normalization (it cancels in the signal-to-vacuum ratio).
     """
     counts = np.array([sl.stop - sl.start for sl in split_slices(n_frames)], dtype=float)
+    max_rows = max(hi - lo for lo, hi in periodogram_bounds(n_frames))
     sums = None
     for s_idx, block in _blocks_by_split(n_frames, blocks):
-        spec = scipy.fft.rfft(block, axis=1)
-        p = np.square(spec.real, dtype=np.float64)
-        p += np.square(spec.imag, dtype=np.float64)
         if sums is None:
-            sums = np.zeros((N_SPLITS, p.shape[1]))
+            n_bins = block.shape[1] // 2 + 1
+            records = np.empty((max_rows, block.shape[1]))
+            spectra = np.empty((max_rows, n_bins), dtype=complex)
+            powers = np.empty((max_rows, n_bins))
+            sums = np.zeros((N_SPLITS, n_bins))
+        rows = block.shape[0]
+        x, spec, p = records[:rows], spectra[:rows], powers[:rows]
+        np.copyto(x, block)
+        np.fft.rfft(x, axis=1, out=spec)
+        # re^2 + im^2: squared in place on the interleaved float64 view
+        parts = np.square(spec.view(np.float64), out=spec.view(np.float64))
+        np.add(parts[:, 0::2], parts[:, 1::2], out=p)
         sums[s_idx] += p.sum(axis=0)
     return sums / counts[:, None]
 
@@ -283,6 +300,22 @@ def fir_taps(dt: float, taps: int = 255, cutoff: float = 100e6) -> np.ndarray:
     return h / np.sum(h)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, as ``scipy.fft.next_fast_len(n, True)``."""
+    if n <= 6:
+        return n
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the smallest power-of-two multiple of f35 that is >= n
+            best = min(best, f35 << ((n - 1) // f35).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Every row of ``frames`` convolved with the odd-length taps ``h``.
 
@@ -294,14 +327,14 @@ def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
     whole stack.
     """
     n = frames.shape[1]
-    size = scipy.fft.next_fast_len(n + h.size - 1, True)
+    size = _next_fast_len(n + h.size - 1)
     padded = np.zeros((frames.shape[0], size))
     padded[:, :n] = frames
-    spectrum = scipy.fft.rfft(padded, axis=1)
+    spectrum = np.fft.rfft(padded, axis=1)
     del padded
-    spectrum *= scipy.fft.rfft(h, size)
+    spectrum *= np.fft.rfft(h, size)
     start = (h.size - 1) // 2
-    return scipy.fft.irfft(spectrum, size, axis=1)[:, start : start + n]
+    return np.fft.irfft(spectrum, size, axis=1)[:, start : start + n]
 
 
 @dataclass(frozen=True)
@@ -601,7 +634,7 @@ def mode_spectrum(mode: TemporalMode, n_fft: int | None = None) -> ModeSpectrum:
         n_fft = 1 << max(12, int(math.ceil(math.log2(64 * n))))
     elif n_fft < n:
         raise ValueError("n_fft must be >= the number of mode samples")
-    spec = scipy.fft.rfft(mode.weights, n_fft) * mode.dt
+    spec = np.fft.rfft(mode.weights, n_fft) * mode.dt
     df = 1.0 / (n_fft * mode.dt)
     density = spec.real**2 + spec.imag**2
     power = density * df
@@ -689,8 +722,8 @@ class ModeScan:
             kernels[:, sl.start - start : sl.stop - start] += np.outer(c, mode.weights * mode.dt)
         self.kernels = kernels
         self.window = slice(start, start + kernels.shape[1] + hi_lag - lo_lag)
-        self.size = scipy.fft.next_fast_len(self.window.stop - start, True)
-        self.spectra = np.conj(scipy.fft.rfft(kernels, self.size, axis=1))
+        self.size = _next_fast_len(self.window.stop - start)
+        self.spectra = np.conj(np.fft.rfft(kernels, self.size, axis=1))
         self.lags = lags - lo_lag
         self.n_samples = n_samples
 
@@ -704,9 +737,9 @@ class ModeScan:
             return np.einsum("ij,kj->ik", window, self.kernels, dtype=float)
         padded = np.zeros((block.shape[0], self.size))
         padded[:, : window.shape[1]] = window
-        spectrum = scipy.fft.rfft(padded, axis=1)
+        spectrum = np.fft.rfft(padded, axis=1)
         out = np.empty((block.shape[0], self.spectra.shape[0], self.lags.size))
         for k, kernel_spectrum in enumerate(self.spectra):
-            out[:, k] = scipy.fft.irfft(spectrum * kernel_spectrum, self.size, axis=1)[:, self.lags]
+            out[:, k] = np.fft.irfft(spectrum * kernel_spectrum, self.size, axis=1)[:, self.lags]
         return out.reshape(block.shape[0], -1)
 

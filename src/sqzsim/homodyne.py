@@ -43,7 +43,7 @@ holds the difference within 1e-12 of the record rms for bandwidths
 from 2 MHz to 0.45 of the sample rate.  A frame's bits do not depend on
 the block or share it is filled in, since every frame gets the same
 matrix products however many rows share a call.  So no run imports
-SciPy's signal module.
+SciPy, whose ``butter`` and ``lfilter`` serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random
 
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import variance_at_phase

@@ -65,7 +65,7 @@ def fit_gain_curve(points) -> GainFit:
     power, gain = pts[:, 0], pts[:, 1]
     if np.any(power <= 0.0):
         raise ValueError("pump powers must be > 0")
-    if np.unique(power).size != power.size:
+    if len(set(power.tolist())) != power.size:
         raise ValueError("pump powers must be distinct")
     if np.any(gain <= 0.0):
         raise ValueError("parametric gains must be > 0")

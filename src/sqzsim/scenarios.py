@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
+import numpy.fft
+import numpy.random
 
 import sqzsim
 from sqzsim import dsp, opa, pump, quantum, tomography
@@ -1002,7 +1003,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         "versions": {
             "sqzsim": sqzsim.__version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "outputs": {key: name for key, (name, _) in files.items()} | {"manifest": "manifest.json"},

@@ -92,8 +92,8 @@ class TomographyInput:
             if not (np.all(np.isfinite(m.mean)) and np.all(np.isfinite(m.m2))):
                 raise ValueError("samples contain non-finite values")
         folded = np.array(phases) % math.pi
-        distinct = np.unique(np.round(folded / 1e-9).astype(np.int64))
-        if distinct.size < 3:
+        distinct = set(np.round(folded / 1e-9).astype(np.int64).tolist())
+        if len(distinct) < 3:
             raise ValueError("need samples at >= 3 distinct phases (mod pi)")
         span = float(folded.max() - folded.min())
         if span < math.pi / 2.0 - 1e-9:

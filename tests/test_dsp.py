@@ -71,13 +71,17 @@ def test_squeezed_spectrum_band_levels():
 
 
 def _split_means_loop(frames):
-    """Reference: the periodogram split means as one loop over a whole stack."""
+    """Reference: the periodogram split means as one loop over a whole stack.
+
+    Each block is transformed by SciPy in float64, the route of
+    :func:`dsp.periodogram_split_means` for records of any dtype.
+    """
     n_frames, n_samples = frames.shape
     sums = np.zeros((10, n_samples // 2 + 1))
     edges = np.linspace(0, n_frames, 11).astype(int)
     for s_idx, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for lo in range(a, b, 256):
-            spec = scipy.fft.rfft(frames[lo : min(lo + 256, b)], axis=1)
+            spec = scipy.fft.rfft(frames[lo : min(lo + 256, b)].astype(np.float64), axis=1)
             p = np.square(spec.real, dtype=np.float64)
             p += np.square(spec.imag, dtype=np.float64)
             sums[s_idx] += p.sum(axis=0)
@@ -97,6 +101,21 @@ def test_streamed_split_means_equal_the_whole_stack_loop(n_frames):
     assert dsp.periodogram_split_means(n_frames, blocks).tobytes() == want.tobytes()
     sliced = (frames[lo:hi] for lo, hi in bounds)
     assert dsp.periodogram_split_means(n_frames, sliced).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_samples", [33, 64, 4096])
+def test_periodogram_is_scipy_rfft_of_the_float64_cast(n_samples, dtype):
+    # 37 frames: a first block of 3 rows, then blocks of 4 in reused buffers
+    frames = np.random.default_rng(n_samples).standard_normal((37, n_samples)).astype(dtype)
+    got = dsp.periodogram_split_means(37, blocks(frames))
+    assert got.tobytes() == _split_means_loop(frames).tobytes()
+
+
+def test_next_fast_len_is_scipy_next_fast_len():
+    sizes = range(1, 2**17 + 1)
+    want = [scipy.fft.next_fast_len(n, True) for n in sizes]
+    assert [dsp._next_fast_len(n) for n in sizes] == want
 
 
 def test_periodogram_blocks_stay_inside_splits():

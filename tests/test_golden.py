@@ -9,9 +9,12 @@ hand-written CSV writers that preceded the shared one.  The
 fit changed from one finite-difference Newton step to Newton iterated
 to convergence on the analytic derivatives (slot 0 moved by 6.4e-4),
 still on materialized frame stacks; the streamed route reproduces them.
-Refactors of the synthesis and analysis paths must reproduce every
-value.  Changes that only reorder floating-point sums move them by
-about 1e-15 relative, far inside the 1e-9 tolerance.
+The ``spectrum`` values were re-recorded once, when the periodogram of
+float32 records moved from SciPy's float32 rfft to NumPy's rfft of their
+float64 cast (each value moved by at most 5.9e-9 dB).  Refactors of the
+synthesis and analysis paths must reproduce every value.  Changes that
+only reorder floating-point sums move them by about 1e-15 relative, far
+inside the 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ TM_SEED0_1000_COVS = [
 ]
 
 SPECTRUM_SEED0_200 = {
-    "squeezed_band_db": [-2.084909797609914, 0.07214647962720525],
-    "antisqueezed_band_db": [2.392846783677483, 0.0699298931447726],
-    "vacuum_check_band_db": [0.03983242871410012, 0.07614123151961176],
-    "high_band_db": [-0.013561733551377679, 0.023147246869026424],
-    "estimated_pure_db": [2.8503249943159132, 0.20238720261127782],
-    "estimated_loss": [0.2077554116354301, 0.0549878018080761],
+    "squeezed_band_db": [-2.084909799995212, 0.07214647919246393],
+    "antisqueezed_band_db": [2.3928467843856707, 0.06992989347603594],
+    "vacuum_check_band_db": [0.039832434524379096, 0.07614123128725905],
+    "high_band_db": [-0.013561730956343707, 0.023147246895089887],
+    "estimated_pure_db": [2.8503249921197766, 0.20238720284095646],
+    "estimated_loss": [0.207755410497785, 0.05498780179676583],
 }
 
 # (detector_bandwidth_hz, pinned report entries); 0 is the ideal detector

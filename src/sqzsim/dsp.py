@@ -18,6 +18,13 @@ sample lag by direct dot products or slid over many lags with one FFT
 correlation per block.  The shot-noise unit of a mode is the square
 root of the variance of its quadrature over a vacuum reference.
 
+Each reduction takes a block ``homodyne._TILE_ROWS`` rows at a time
+through buffers of one tile, made once per call (once per stream for
+:func:`periodogram_split_means` and :func:`split_moments`), so a block
+of up to 256 frames needs no block-sized temporary.  A row's bytes do
+not depend on its tile, and sums over a block's rows add one row after
+another across tiles, as one sum over the whole block would.
+
 Every transform is ``numpy.fft``, whose float64 transforms give the
 bytes of ``scipy.fft`` from NumPy 2.0 on; spectra of float32 records
 are transformed in float64.  :func:`_next_fast_len` is SciPy's
@@ -35,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.fft
 
+from sqzsim.homodyne import _TILE_ROWS
 from sqzsim.quantum import N_SPLITS, split_slices, split_stderr
 
 __all__ = [
@@ -107,29 +115,46 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
     :func:`sqzsim.homodyne.iter_frame_chunks` or as slices of a frame
     stack; only one block is held at a time.  Every block is cast to
     float64 before its rfft, whatever its dtype: NumPy's float32 rfft is
-    slower than its float64 one.  The cast, spectrum and power buffers
-    are allocated once and reused by every block.  Rectangular window;
+    slower than its float64 one.  A block goes through the cast, spectrum
+    and power buffers ``_TILE_ROWS`` rows at a time, buffers allocated
+    once and reused by every tile, and its power rows are summed one after
+    another, the order of a sum over the whole block.  Rectangular window;
     no per-bin normalization (it cancels in the signal-to-vacuum ratio).
     """
     counts = np.array([sl.stop - sl.start for sl in split_slices(n_frames)], dtype=float)
-    max_rows = max(hi - lo for lo, hi in periodogram_bounds(n_frames))
     sums = None
     for s_idx, block in _blocks_by_split(n_frames, blocks):
         if sums is None:
             n_bins = block.shape[1] // 2 + 1
-            records = np.empty((max_rows, block.shape[1]))
-            spectra = np.empty((max_rows, n_bins), dtype=complex)
-            powers = np.empty((max_rows, n_bins))
+            records = np.empty((_TILE_ROWS, block.shape[1]))
+            spectra = np.empty((_TILE_ROWS, n_bins), dtype=complex)
+            # row 0 is the running sum's, for _add_rows
+            powers = np.empty((_TILE_ROWS + 1, n_bins))
+            block_sum = np.empty(n_bins)
             sums = np.zeros((N_SPLITS, n_bins))
-        rows = block.shape[0]
-        x, spec, p = records[:rows], spectra[:rows], powers[:rows]
-        np.copyto(x, block)
-        np.fft.rfft(x, axis=1, out=spec)
-        # re^2 + im^2: squared in place on the interleaved float64 view
-        parts = np.square(spec.view(np.float64), out=spec.view(np.float64))
-        np.add(parts[:, 0::2], parts[:, 1::2], out=p)
-        sums[s_idx] += p.sum(axis=0)
+        for lo in range(0, block.shape[0], _TILE_ROWS):
+            rows = min(_TILE_ROWS, block.shape[0] - lo)
+            x, spec = records[:rows], spectra[:rows]
+            np.copyto(x, block[lo : lo + rows])
+            np.fft.rfft(x, axis=1, out=spec)
+            # re^2 + im^2: squared in place on the interleaved float64 view
+            parts = np.square(spec.view(np.float64), out=spec.view(np.float64))
+            np.add(parts[:, 0::2], parts[:, 1::2], out=powers[1 : rows + 1])
+            _add_rows(powers, rows, block_sum, lo == 0)
+        sums[s_idx] += block_sum
     return sums / counts[:, None]
+
+
+def _add_rows(tile: np.ndarray, rows: int, total: np.ndarray, first: bool) -> None:
+    """Add rows ``1 .. rows`` of ``tile`` to ``total``, one row after another.
+
+    Row 0 of ``tile`` carries ``total`` into the sum, or ``first`` starts
+    ``total`` at row 1, so the tiles of a block sum in the order, and to
+    the bits, of one sum over axis 0 of the whole block.
+    """
+    if not first:
+        tile[0] = total
+    np.sum(tile[int(first) : rows + 1], axis=0, out=total)
 
 
 @dataclass(frozen=True)
@@ -321,20 +346,28 @@ def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     The float64 result has the shape of ``frames``, with the group delay
     of (len(h) - 1)/2 samples compensated.  These are the FFT calls of
-    ``fftconvolve(mode="same", axes=1)``, without its float64 copy and
-    zero-padded copy of the frames.  A row's bytes do not depend on the
-    other rows, so the blocks of a stream filter to the rows of the
-    whole stack.
+    ``fftconvolve(mode="same", axes=1)``, made ``_TILE_ROWS`` rows at a
+    time in buffers of one tile.  A row's bytes do not depend on the
+    other rows, so the blocks of a stream filter to the rows of the whole
+    stack.
     """
     n = frames.shape[1]
     size = _next_fast_len(n + h.size - 1)
-    padded = np.zeros((frames.shape[0], size))
-    padded[:, :n] = frames
-    spectrum = np.fft.rfft(padded, axis=1)
-    del padded
-    spectrum *= np.fft.rfft(h, size)
+    kernel = np.fft.rfft(h, size)
     start = (h.size - 1) // 2
-    return np.fft.irfft(spectrum, size, axis=1)[:, start : start + n]
+    out = np.empty(frames.shape)
+    # the zeros past sample n stay zero from tile to tile
+    padded = np.zeros((min(_TILE_ROWS, frames.shape[0]), size))
+    spectrum = np.empty((padded.shape[0], size // 2 + 1), dtype=complex)
+    filtered = np.empty(padded.shape)
+    for lo in range(0, frames.shape[0], _TILE_ROWS):
+        rows = min(_TILE_ROWS, frames.shape[0] - lo)
+        padded[:rows, :n] = frames[lo : lo + rows]
+        np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
+        spectrum[:rows] *= kernel
+        np.fft.irfft(spectrum[:rows], size, axis=1, out=filtered[:rows])
+        out[lo : lo + rows] = filtered[:rows, start : start + n]
+    return out
 
 
 @dataclass(frozen=True)
@@ -392,8 +425,9 @@ def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
     :func:`periodogram_bounds` in order, as for
     :func:`periodogram_split_means`; only one block is held at a time.
     Each block's mean and M2 are taken in two passes and merged into its
-    split with the Chan update.  Every split needs two frames for its
-    variance, so ``n_frames`` must be at least 20.
+    split with the Chan update: the mean of the whole block first, then
+    the squared deviations ``_TILE_ROWS`` rows at a time.  Every split
+    needs two frames for its variance, so ``n_frames`` must be at least 20.
     """
     if n_frames < 2 * N_SPLITS:
         raise ValueError(
@@ -401,11 +435,20 @@ def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
             f"{N_SPLITS} split variances, got {n_frames}"
         )
     splits: list = [None] * N_SPLITS
+    deviations = None
     for s_idx, block in _blocks_by_split(n_frames, blocks):
         x = np.asarray(block, dtype=float)
+        if deviations is None:
+            # row 0 is M2's, for _add_rows
+            deviations = np.empty((_TILE_ROWS + 1, x.shape[1]))
         mean = x.mean(axis=0)
-        d = x - mean
-        part = (float(x.shape[0]), mean, np.square(d, out=d).sum(axis=0))
+        m2 = np.empty_like(mean)
+        for lo in range(0, x.shape[0], _TILE_ROWS):
+            rows = min(_TILE_ROWS, x.shape[0] - lo)
+            d = deviations[1 : rows + 1]
+            np.square(np.subtract(x[lo : lo + rows], mean, out=d), out=d)
+            _add_rows(deviations, rows, m2, lo == 0)
+        part = (float(x.shape[0]), mean, m2)
         splits[s_idx] = part if splits[s_idx] is None else _chan_merge(splits[s_idx], part)
     count, mean, m2 = zip(*splits)
     return SplitMoments(count=np.array(count), mean=np.stack(mean), m2=np.stack(m2))
@@ -735,11 +778,15 @@ class ModeScan:
         if self.lags.size == 1:
             # c_einsum, not the BLAS matmul
             return np.einsum("ij,kj->ik", window, self.kernels, dtype=float)
-        padded = np.zeros((block.shape[0], self.size))
-        padded[:, : window.shape[1]] = window
-        spectrum = np.fft.rfft(padded, axis=1)
         out = np.empty((block.shape[0], self.spectra.shape[0], self.lags.size))
-        for k, kernel_spectrum in enumerate(self.spectra):
-            out[:, k] = np.fft.irfft(spectrum * kernel_spectrum, self.size, axis=1)[:, self.lags]
+        # _TILE_ROWS frames at a time; the zeros past the window stay zero
+        padded = np.zeros((min(_TILE_ROWS, block.shape[0]), self.size))
+        for lo in range(0, block.shape[0], _TILE_ROWS):
+            rows = min(_TILE_ROWS, block.shape[0] - lo)
+            padded[:rows, : window.shape[1]] = window[lo : lo + rows]
+            spectrum = np.fft.rfft(padded[:rows], axis=1)
+            for k, kernel_spectrum in enumerate(self.spectra):
+                correlation = np.fft.irfft(spectrum * kernel_spectrum, self.size, axis=1)
+                out[lo : lo + rows, k] = correlation[:, self.lags]
         return out.reshape(block.shape[0], -1)
 

@@ -30,7 +30,7 @@ import numpy.random
 import sqzsim
 from sqzsim import dsp, opa, pump, quantum, tomography
 from sqzsim._csvfile import write_csv
-from sqzsim.homodyne import DetectorModel, iter_frame_chunks
+from sqzsim.homodyne import DetectorModel, _settle_samples, iter_frame_chunks
 from sqzsim.pump import AwgProgram, Calibration, ModulatorResponse, PulseSlot, PulseTrainSpec
 
 SCENARIOS = ("spectrum", "waveforms", "tm_squeezing", "epr", "calibrate")
@@ -274,6 +274,32 @@ def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str) -> None:
         )
 
 
+# The work budget: the most elements one array of a plan may hold, 2 GiB
+# of float64.  Planning rejects a larger array before allocating anything.
+_MAX_ARRAY_ELEMENTS = 2**28
+
+
+def _budget(elements: int, what: str, *keys: str) -> None:
+    """Reject a plan whose ``what`` holds more than the budgeted elements, naming ``keys``."""
+    if elements > _MAX_ARRAY_ELEMENTS:
+        raise UsageError(
+            f"bad value for {' or '.join(map(repr, keys))}: {what} would hold {elements} "
+            f"elements, above the work budget of {_MAX_ARRAY_ELEMENTS}"
+        )
+
+
+def _budget_stream(det: DetectorModel, n_samples: int, *keys: str) -> None:
+    """Reject a frame stream whose largest array exceeds the work budget.
+
+    That array is a block of up to 256 frames of the record with its
+    burn-in; the tile buffers of the synthesis and of the reductions,
+    FFT rows included, hold fewer elements.  Memory is flat in the frame
+    count, so the count is not budgeted.
+    """
+    row = n_samples + _settle_samples(det.filters())
+    _budget(dsp._FFT_CHUNK * row, f"a block of {dsp._FFT_CHUNK} frames", *keys)
+
+
 def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, loss: float):
     """The pump CSV table, shaped pump power and squeezer trajectory of ``prog``."""
     ideal = pump.ideal_pump_power(prog, cal)
@@ -308,6 +334,7 @@ def _plan_spectrum(cfg, params, cal):
     n_samples = int(params["n_samples"])
     loss = float(params["loss"])
     det = _detector(params)
+    _budget_stream(det, n_samples, "n_samples")
     power = float(params["pump_power_mw"])
     if not 0.0 < power <= cal.max_pump_power * (1.0 + 1e-9):
         raise UsageError(f"bad value for 'pump_power_mw': {power:g} mW is outside "
@@ -420,6 +447,17 @@ def _plan_spectrum(cfg, params, cal):
 # waveforms
 
 
+# the oracle's fine grid has this many points per sample
+_ORACLE_REFINE = 50
+
+
+def _oracle_grid(fwhm: float, resp: ModulatorResponse, dt: float) -> tuple[float, int, int]:
+    """The time constant, coarse samples and fine kernel taps of :func:`_gaussian_peak_oracle`."""
+    tau = resp.rise_time_10_90 / math.log(9.0)
+    n_coarse = int(round((6.0 * fwhm + 30.0 * tau) / dt))
+    return tau, n_coarse, int(round(30.0 * tau / (dt / _ORACLE_REFINE)))
+
+
 def _gaussian_peak_oracle(fwhm: float, amplitude_v: float, cal: Calibration,
                           resp: ModulatorResponse, dt: float) -> float:
     """Peak shaped power for a Gaussian drive pulse, by fine-grid convolution.
@@ -430,17 +468,13 @@ def _gaussian_peak_oracle(fwhm: float, amplitude_v: float, cal: Calibration,
     independent route to the same physical quantity as the sampled IIR
     filter in :func:`sqzsim.pump.apply_modulator_response`.
     """
-    tau = resp.rise_time_10_90 / math.log(9.0)
-    span = 6.0 * fwhm + 30.0 * tau
-    n_coarse = int(round(span / dt))
+    tau, n_coarse, n_kernel = _oracle_grid(fwhm, resp, dt)
     t_coarse = (np.arange(n_coarse) - n_coarse // 2) * dt
     v = amplitude_v * np.exp(-4.0 * math.log(2.0) * (t_coarse / fwhm) ** 2)
     p_coarse = cal.power_for_voltage(v)
 
-    refine = 50
-    dt_f = dt / refine
-    p_fine = np.repeat(p_coarse, refine)
-    n_kernel = int(round(30.0 * tau / dt_f))
+    dt_f = dt / _ORACLE_REFINE
+    p_fine = np.repeat(p_coarse, _ORACLE_REFINE)
     t_kernel = (np.arange(n_kernel) + 0.5) * dt_f
     kernel = np.exp(-t_kernel / tau) / tau * dt_f
     shaped = np.convolve(p_fine, kernel, mode="full")[: p_fine.size]
@@ -463,6 +497,12 @@ def _plan_waveforms(cfg, params, cal):
     with _fed_by("rise_time_s"):
         resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     det = _detector(params)
+    for w in fwhms:
+        # the fine grid's full convolution is the oracle's largest array
+        with _fed_by("gauss_fwhms_ns", "rise_time_s"):
+            _, n_coarse, n_kernel = _oracle_grid(w, resp, dt)
+        _budget(_ORACLE_REFINE * n_coarse + n_kernel - 1, "the Gaussian peak oracle's fine grid",
+                "gauss_fwhms_ns", "rise_time_s")
     lead = 100e-9
     tail = 200e-9
     with _fed_by("duration_s", "sample_rate_hz"):
@@ -473,6 +513,7 @@ def _plan_waveforms(cfg, params, cal):
             f"fir_taps must be an odd integer >= 3 with fir_taps - 1 below the "
             f"{n_total}-sample frame, got {taps}"
         )
+    _budget_stream(det, n_total, "duration_s", "sample_rate_hz")
     if not 0.0 < cutoff < 0.5 / dt:
         raise UsageError(
             f"fir_cutoff_hz must lie inside (0, {0.5 / dt:g}) Hz, below Nyquist, got {cutoff:g}"
@@ -670,6 +711,7 @@ def _plan_tm_squeezing(cfg, params, cal):
             for k, slot in enumerate(train.slots)
         ]
     n_samples = prog.samples_v.size
+    _budget_stream(det, n_samples, "slot_dbs", "margin_s", "mode_width_s", "rise_time_s")
     # every frame block is projected onto all slot modes at once, reduced
     # and dropped; no frame set is held whole
     scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], det.dt, n_samples)
@@ -786,6 +828,7 @@ def _plan_epr(cfg, params, cal):
         raise UsageError(f"bad value for 'segment_s': {segment:g} s is below one {dt:g} s sample")
     with _fed_by("lead_s", "duration_s", "tail_s"):
         n_total = int(round((lead + duration + tail) / dt))
+        _budget_stream(det, n_total, "lead_s", "duration_s", "tail_s")
         n_segments = int(round(duration / segment))
         volts = np.zeros(n_total)
         for k in range(n_segments):

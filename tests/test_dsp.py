@@ -8,7 +8,7 @@ import pytest
 import scipy.fft
 from scipy import signal
 
-from sqzsim import dsp
+from sqzsim import dsp, homodyne
 from sqzsim.dsp import (
     SpectrumEstimate,
     band_average,
@@ -109,6 +109,15 @@ def test_periodogram_is_scipy_rfft_of_the_float64_cast(n_samples, dtype):
     # 37 frames: a first block of 3 rows, then blocks of 4 in reused buffers
     frames = np.random.default_rng(n_samples).standard_normal((37, n_samples)).astype(dtype)
     got = dsp.periodogram_split_means(37, blocks(frames))
+    assert got.tobytes() == _split_means_loop(frames).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_multi_tile_periodogram_blocks_equal_the_whole_stack_loop(dtype):
+    # 1000 frames: splits of 100 frames, each block 3 whole tiles and a partial one
+    frames = np.random.default_rng(9).standard_normal((1000, 4096)).astype(dtype)
+    assert max(hi - lo for lo, hi in dsp.periodogram_bounds(1000)) > 3 * homodyne._TILE_ROWS
+    got = dsp.periodogram_split_means(1000, blocks(frames))
     assert got.tobytes() == _split_means_loop(frames).tobytes()
 
 

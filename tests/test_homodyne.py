@@ -238,6 +238,18 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
         assert sorted(shares) == sorted(want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_multi_tile_blocks_equal_one_frame_blocks(dtype):
+    # 6 tiles less 3 rows: each share, and the serial fill, spans at least
+    # 3 tiles and ends in a partial one, on 4096-sample frames
+    n_rows = 6 * homodyne._TILE_ROWS - 3
+    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=4096)
+    det = DetectorModel()
+    ref = _one_frame_blocks(traj, det, n_rows + 2, dtype)
+    (block,) = iter_frame_chunks(traj, det, 0.7, n_rows + 2, 8, dtype, [(2, n_rows + 2)])
+    assert block.tobytes() == ref[2:].tobytes()
+
+
 def _consume_within_60_s(consume):
     runner = ThreadPoolExecutor(max_workers=1)
     try:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sqzsim
-from sqzsim import dsp, homodyne, scenarios
+from sqzsim import dsp, homodyne, opa, scenarios
 from sqzsim.cli import ENV_OUTPUT_DIR, main
 from sqzsim.pump import Calibration
 from sqzsim.scenarios import (
@@ -630,6 +630,67 @@ def test_tm_squeezing_memory_stays_flat_in_the_frame_count(tmp_path):
         for n in (200, 1000)
     ]
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_filtered_spectrum_set_memory_is_a_few_tiles():
+    # a 2000-frame, 4096-sample, 200 MHz set holds one 256-frame block and
+    # the tile buffers of the synthesis shares and the periodogram; buffers
+    # sized to the block instead peaked at 55.7 MB
+    traj = opa.constant_trajectory(0.3, 0.0, 0.1, 1e-9, 4096)
+    det = homodyne.DetectorModel(bandwidth=200e6)
+    bounds = dsp.periodogram_bounds(2000)
+    tracemalloc.start()
+    try:
+        blocks = homodyne.iter_frame_chunks(traj, det, 0.0, 2000, 0, np.float32, bounds)
+        dsp.periodogram_split_means(2000, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6, peak
+
+
+# runs sqzsim.cli.main with the address space capped at 1.5 GiB, then
+# prints its exit code and the peak of the memory tracemalloc saw
+CAPPED_RUN = """
+import json, resource, sys, tracemalloc
+cap = 1536 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from sqzsim.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(json.dumps({"exit_code": code, "peak": tracemalloc.get_traced_memory()[1]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    # the Gaussian peak oracle would ask for 5.09 GiB, a spectrum block for 2.24 GiB
+    [
+        (["waveforms", "--set", "rise_time_s=1e-3"], "rise_time_s"),
+        (["spectrum", "--set", "n_samples=300000000"], "n_samples"),
+    ],
+)
+def test_cli_plan_above_the_work_budget_exits_2_before_allocating(tmp_path, argv, field):
+    # without the budget the capped child fails as internal MemoryError and
+    # never takes the machine's memory
+    env = dict(os.environ)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_RUN, "run", *argv, "--frames", "20", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    err = json.loads(proc.stderr)["error"]
+    assert result["exit_code"] == 2
+    assert err["kind"] == "usage" and field in err["message"] and "work budget" in err["message"]
+    # rejected at planning, before any large array was allocated
+    assert result["peak"] < 16 * 2**20, result
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_tm_squeezing_slot_parsing_errors(tmp_path):

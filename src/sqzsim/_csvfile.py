@@ -1,8 +1,8 @@
 """The package's one CSV layout.
 
 One ``# key=value`` line per metadata entry (ending in ``\\n``, the
-value written with ``str``), an optional row of column names, then one
-row per record with every value written as ``%.17g``, so float64
+value written with ``str``), a row of column names, then one row per
+record with every value written as ``%.17g``, so float64
 round-trips exactly.  Rows end in ``\\r\\n``, as :mod:`csv` writes them.
 """
 
@@ -12,15 +12,12 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 
-def write_csv(
-    path: str | Path, meta: dict | None, names: Sequence[str] | None, rows: Iterable
-) -> None:
-    """Write ``meta``, the column ``names`` (None for no name row) and ``rows``."""
+def write_csv(path: str | Path, meta: dict, names: Sequence[str], rows: Iterable) -> None:
+    """Write ``meta``, the column ``names`` and ``rows``."""
     with open(path, "w", newline="") as fh:
-        for k, v in (meta or {}).items():
+        for k, v in meta.items():
             fh.write(f"# {k}={v}\n")
-        if names is not None:
-            fh.write(",".join(names) + "\r\n")
+        fh.write(",".join(names) + "\r\n")
         line = None
         for row in rows:
             row = tuple(row)

@@ -8,8 +8,8 @@ the package: the data are split into 10 contiguous subsets by
 subset, and the error is the subset standard deviation over sqrt(10).
 
 Every analysis is a reduction over frame blocks as
-:func:`sqzsim.homodyne.iter_frame_chunks` yields them, so no run holds
-its frame stack.  Spectra come from :func:`periodogram_split_means`;
+:func:`sqzsim.homodyne.iter_frame_chunks` yields them, cut by
+:func:`sqzsim.homodyne.block_bounds`, so no run holds its frame stack.  Spectra come from :func:`periodogram_split_means`;
 variances and the moments of mode quadratures from
 :func:`split_moments`; :func:`fir_filter` filters a block.  Temporal-mode
 quadratures come from :class:`ModeScan`, the one projection path: it
@@ -21,7 +21,7 @@ root of the variance of its quadrature over a vacuum reference.
 Each reduction takes a block ``homodyne._TILE_ROWS`` rows at a time
 through buffers of one tile, made once per call (once per stream for
 :func:`periodogram_split_means` and :func:`split_moments`), so a block
-of up to 256 frames needs no block-sized temporary.  A row's bytes do
+of up to ``homodyne._BLOCK_ROWS`` frames needs no block-sized temporary.  A row's bytes do
 not depend on its tile, and sums over a block's rows add one row after
 another across tiles, as one sum over the whole block would.
 
@@ -42,12 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.fft
 
-from sqzsim.homodyne import _TILE_ROWS
+from sqzsim.homodyne import _TILE_ROWS, block_bounds
 from sqzsim.quantum import N_SPLITS, split_slices, split_stderr
 
 __all__ = [
     "SpectrumEstimate",
-    "periodogram_bounds",
     "periodogram_split_means",
     "spectrum_ratio",
     "band_average",
@@ -66,34 +65,16 @@ __all__ = [
     "ModeScan",
 ]
 
-_FFT_CHUNK = 256
-
-
-def periodogram_bounds(n_frames: int) -> list[tuple[int, int]]:
-    """Frame blocks of :func:`periodogram_split_means`, in reduction order.
-
-    Each of the 10 splits is cut into blocks of at most 256 frames
-    counted from the split start, so no block crosses a split edge.
-    """
-    if n_frames < N_SPLITS:
-        raise ValueError(f"need at least {N_SPLITS} frames for error estimation")
-    return [
-        (lo, min(lo + _FFT_CHUNK, sl.stop))
-        for sl in split_slices(n_frames)
-        for lo in range(sl.start, sl.stop, _FFT_CHUNK)
-    ]
-
-
 def _blocks_by_split(
     n_frames: int, blocks: Iterable[np.ndarray]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Each block of ``blocks`` with the index of its split.
 
     The blocks must hold the frames of the ranges of
-    :func:`periodogram_bounds`, in order; a missing, mis-sized or
-    surplus block raises.
+    :func:`sqzsim.homodyne.block_bounds`, in order; a missing, mis-sized
+    or surplus block raises.
     """
-    bounds = periodogram_bounds(n_frames)
+    bounds = block_bounds(n_frames)
     slices = split_slices(n_frames)
     # the split each block lies in
     split_of = np.searchsorted([sl.stop for sl in slices], [lo for lo, _ in bounds], side="right")
@@ -104,14 +85,14 @@ def _blocks_by_split(
             raise ValueError(f"expected a block of frames [{lo}, {hi})")
         yield int(s_idx), block
     if next(blocks, None) is not None:
-        raise ValueError(f"more blocks than the {len(bounds)} of periodogram_bounds({n_frames})")
+        raise ValueError(f"more blocks than the {len(bounds)} of block_bounds({n_frames})")
 
 
 def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Mean |rfft|^2 per 10-way split, reduced block by block in float64.
 
     ``blocks`` yields the frames of each range of
-    :func:`periodogram_bounds` in order, for instance from
+    :func:`sqzsim.homodyne.block_bounds` in order, for instance from
     :func:`sqzsim.homodyne.iter_frame_chunks` or as slices of a frame
     stack; only one block is held at a time.  Every block is cast to
     float64 before its rfft, whatever its dtype: NumPy's float32 rfft is
@@ -422,7 +403,7 @@ def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
     """Per-split moments of every time sample over frames, in float64.
 
     ``blocks`` yields the frames of each range of
-    :func:`periodogram_bounds` in order, as for
+    :func:`sqzsim.homodyne.block_bounds` in order, as for
     :func:`periodogram_split_means`; only one block is held at a time.
     Each block's mean and M2 are taken in two passes and merged into its
     split with the Chan update: the mean of the whole block first, then

@@ -16,9 +16,12 @@ Grid: every record starts at t = 0, sample k of a frame at t = k dt on
 the detector grid.  Nothing resamples: a trajectory must lie on that
 grid, which :meth:`DetectorModel.record_variance` checks.
 
-Synthesis has one entry, :func:`iter_frame_chunks`, which yields the
-frames of a run block by block at one LO phase, so an analysis reduces
-its frames as they come instead of holding them.
+Synthesis has one entry, :func:`iter_frame_chunks`, which yields a
+range of frames at one LO phase as float32 blocks, so an analysis
+reduces its frames as they come instead of holding them.  One layout,
+:func:`block_bounds`, cuts every stream: each of the 10 error splits
+into blocks of at most ``_BLOCK_ROWS`` frames, so a reducer knows the
+split of each block it takes.
 
 Determinism: frame k of a run seeded with s draws from PCG64 seeded
 by NumPy's SeedSequence with entropy s and spawn key (k,), so reruns
@@ -59,7 +62,7 @@ import functools
 import math
 import operator
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -67,10 +70,11 @@ import numpy as np
 import numpy.random
 
 from sqzsim.opa import SqueezerTrajectory
-from sqzsim.quantum import variance_at_phase
+from sqzsim.quantum import N_SPLITS, split_slices, variance_at_phase
 
 __all__ = [
     "DetectorModel",
+    "block_bounds",
     "iter_frame_chunks",
 ]
 
@@ -366,25 +370,39 @@ def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]
 # call at any row count.
 _TILE_ROWS = 32
 
+# Frames per block of a stream, at most; the reducers in dsp take a
+# block _TILE_ROWS rows at a time
+_BLOCK_ROWS = 256
+
+
+def block_bounds(n_frames: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` frame blocks of a stream of ``n_frames`` frames, in order.
+
+    Each of the 10 splits of :func:`sqzsim.quantum.split_slices` is cut
+    into blocks of at most ``_BLOCK_ROWS`` frames counted from the split
+    start, so no block crosses a split edge.
+    """
+    if n_frames < N_SPLITS:
+        raise ValueError(f"need at least {N_SPLITS} frames for error estimation")
+    return [
+        (lo, min(lo + _BLOCK_ROWS, sl.stop))
+        for sl in split_slices(n_frames)
+        for lo in range(sl.start, sl.stop, _BLOCK_ROWS)
+    ]
+
 
 class _Synthesis:
     """The synthesis of one run: LO phase, std template and detector filters.
 
-    :meth:`fill` writes any frame range into caller-owned rows, so every
-    block of a stream comes from the one synthesis loop.
+    :meth:`fill` writes any frame range into caller-owned float32 rows,
+    so every block of a stream comes from the one synthesis loop.
     """
 
-    def __init__(self, traj, det, lo, n_frames, seed, dtype) -> None:
+    def __init__(self, traj, det, lo, seed) -> None:
         if not np.isfinite(lo):
             raise ValueError("LO phase must be finite")
-        # frame k's substream takes k as one uint32 spawn-key word
-        if not 1 <= n_frames <= 2**32:
-            raise ValueError(f"n_frames must lie in [1, 2**32], got {n_frames}")
         filters = det.filters()
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError("dtype must be float32 or float64")
-        self.std = np.sqrt(det.record_variance(traj, float(lo))).astype(self.dtype)
+        self.std = np.sqrt(det.record_variance(traj, float(lo))).astype(np.float32)
         self.n_samples = traj.n_samples
         self.n_total = self.std.size
         self.n_burn = self.n_total - self.n_samples
@@ -415,7 +433,7 @@ class _Synthesis:
             # an ideal detector needs no vacuum complement: draw one row
             # per frame in place, then scale the rows by the std template
             for row, gen in zip(out, self._substreams(start, stop)):
-                gen.standard_normal(dtype=self.dtype, out=row)
+                gen.standard_normal(dtype=np.float32, out=row)
             out *= self.std
         else:
             n = stop - start
@@ -444,7 +462,7 @@ class _Synthesis:
         share = int(lo > 0)
         if self.tiles[share] is None:
             self.tiles[share] = (
-                np.empty((2, self.n_total), dtype=self.dtype),
+                np.empty((2, self.n_total), dtype=np.float32),
                 np.empty((2, _TILE_ROWS, self.n_total)),
                 self.kernel.scratch(_TILE_ROWS),
             )
@@ -454,9 +472,9 @@ class _Synthesis:
             n = min(_TILE_ROWS, hi - first)
             raw, comp = rows[:, :n]
             for j, gen in zip(range(n), gens):
-                gen.standard_normal(dtype=self.dtype, out=z)
-                # the product is taken in self.dtype, then cast to float64
-                np.multiply(z[0], self.std, out=raw[j], dtype=self.dtype)
+                gen.standard_normal(dtype=np.float32, out=z)
+                # the product is taken in float32, then cast to float64
+                np.multiply(z[0], self.std, out=raw[j], dtype=np.float32)
                 comp[j] = z[1]
             out[first : first + n] = self.kernel(raw, comp, scratch=scratch)[:, self.n_burn :]
 
@@ -485,12 +503,10 @@ def iter_frame_chunks(
     traj: SqueezerTrajectory,
     det: DetectorModel,
     lo: float,
-    n_frames: int,
     seed: int,
-    dtype,
-    bounds: Iterable[tuple[int, int]],
+    frames: range,
 ) -> Iterator[np.ndarray]:
-    """Synthesize the homodyne frames of one run, one block at a time.
+    """Synthesize a range of the homodyne frames of one run, one block at a time.
 
     Parameters
     ----------
@@ -499,40 +515,38 @@ def iter_frame_chunks(
     det : DetectorModel
     lo : float
         LO phase (radians) of every frame.
-    n_frames : int
-        Frames in the run, at most 2**32; frame k uses the (seed, k)
-        substream, so a range of frames is the same whatever else is
-        synthesized.
     seed : int
         Root seed.
-    dtype : numpy dtype
-        float64 or float32.
-    bounds : sequence of (start, stop)
-        Frame ranges inside [0, n_frames), in the order they are yielded.
+    frames : range
+        The frames to synthesize, a step-1 range inside [0, 2**32) of at
+        least 10 frames.  Frame k uses the (seed, k) substream, so a
+        range of frames is the same whatever else is synthesized.
 
     Yields
     ------
     numpy.ndarray
-        For each range, a fresh ``(stop - start, n_samples)`` array of
-        frames ``start:stop``, each covering the times of the
+        A fresh float32 ``(stop - start, n_samples)`` array for each
+        block of ``block_bounds(len(frames))``, counted from
+        ``frames.start``, each frame covering the times of the
         trajectory, so a caller reduces a long run block by block
-        without holding its frame stack.  Every range is checked before
+        without holding its frame stack.  The range is checked before
         the first block is filled; a fault in filling a block is raised
         by the ``next()`` that would return it.
     """
-    synth = _Synthesis(traj, det, lo, n_frames, seed, dtype)
-    bounds = list(bounds)
-    for start, stop in bounds:
-        if not 0 <= start < stop <= n_frames:
-            raise ValueError(f"frame block [{start}, {stop}) is empty or outside [0, {n_frames})")
+    # frame k's substream takes k as one uint32 spawn-key word
+    if not (isinstance(frames, range) and frames.step == 1
+            and 0 <= frames.start and frames.stop <= 2**32):
+        raise ValueError(f"frames must be a step-1 range inside [0, 2**32), got {frames!r}")
+    bounds = [(frames.start + a, frames.start + b) for a, b in block_bounds(len(frames))]
+    synth = _Synthesis(traj, det, lo, seed)
 
     def block(start: int, stop: int) -> np.ndarray:
-        out = np.empty((stop - start, synth.n_samples), dtype=synth.dtype)
+        out = np.empty((stop - start, synth.n_samples), dtype=np.float32)
         synth.fill(out, start)
         return out
 
     pool = _share_pool() if synth.kernel is None else None
-    if pool is None or len(bounds) < 2:
+    if pool is None:
         for start, stop in bounds:
             yield block(start, stop)
         return
@@ -556,4 +570,3 @@ def iter_frame_chunks(
     finally:
         # a consumer that raises or closes early leaves no fill running
         wait((pending,))
-

@@ -79,14 +79,14 @@ class SqueezeParams:
         object.__setattr__(self, "theta", float(self.theta) % math.pi)
 
 
-def split_slices(n: int, n_splits: int = N_SPLITS) -> list[slice]:
-    """The package's one cut of ``n`` samples into ``n_splits`` contiguous subsets.
+def split_slices(n: int) -> list[slice]:
+    """The package's one cut of ``n`` samples into ``N_SPLITS`` contiguous subsets.
 
-    The edges are ``linspace(0, n, n_splits + 1)`` truncated to
-    integers; when ``n`` is not a multiple of ``n_splits`` the subsets
+    The edges are ``linspace(0, n, N_SPLITS + 1)`` truncated to
+    integers; when ``n`` is not a multiple of ``N_SPLITS`` the subsets
     differ in size by at most one.
     """
-    edges = np.linspace(0, n, n_splits + 1).astype(int)
+    edges = np.linspace(0, n, N_SPLITS + 1).astype(int)
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 

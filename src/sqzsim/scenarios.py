@@ -30,7 +30,7 @@ import numpy.random
 import sqzsim
 from sqzsim import dsp, opa, pump, quantum, tomography
 from sqzsim._csvfile import write_csv
-from sqzsim.homodyne import DetectorModel, _settle_samples, iter_frame_chunks
+from sqzsim.homodyne import _BLOCK_ROWS, DetectorModel, _settle_samples, iter_frame_chunks
 from sqzsim.pump import AwgProgram, Calibration, ModulatorResponse, PulseSlot, PulseTrainSpec
 
 SCENARIOS = ("spectrum", "waveforms", "tm_squeezing", "epr", "calibrate")
@@ -291,13 +291,13 @@ def _budget(elements: int, what: str, *keys: str) -> None:
 def _budget_stream(det: DetectorModel, n_samples: int, *keys: str) -> None:
     """Reject a frame stream whose largest array exceeds the work budget.
 
-    That array is a block of up to 256 frames of the record with its
-    burn-in; the tile buffers of the synthesis and of the reductions,
-    FFT rows included, hold fewer elements.  Memory is flat in the frame
+    That array is a block of up to ``_BLOCK_ROWS`` frames of the record
+    with its burn-in; the tile buffers of the synthesis and of the
+    reductions, FFT rows included, hold fewer elements.  Memory is flat in the frame
     count, so the count is not budgeted.
     """
     row = n_samples + _settle_samples(det.filters())
-    _budget(dsp._FFT_CHUNK * row, f"a block of {dsp._FFT_CHUNK} frames", *keys)
+    _budget(_BLOCK_ROWS * row, f"a block of {_BLOCK_ROWS} frames", *keys)
 
 
 def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, loss: float):
@@ -362,7 +362,6 @@ def _plan_spectrum(cfg, params, cal):
             f"n_samples={n_samples} puts no spectrum bin in [{lo:g}, {hi:g}] Hz; its bins lie "
             f"{2.0 * nyquist / n_samples:g} Hz apart"
         )
-    bounds = dsp.periodogram_bounds(cfg.n_frames)
     # each set's spectrum is taken against the vacuum reference
     sets = {
         "squeezed_spectrum": (traj, 0.0, seeds[0]),
@@ -372,7 +371,7 @@ def _plan_spectrum(cfg, params, cal):
 
     def split_means(tr, phase, seed):
         # each frame block is reduced and dropped; no set is held whole
-        blocks = iter_frame_chunks(tr, det, phase, cfg.n_frames, seed, np.float32, bounds)
+        blocks = iter_frame_chunks(tr, det, phase, seed, range(cfg.n_frames))
         return dsp.periodogram_split_means(cfg.n_frames, blocks)
 
     def acquire():
@@ -567,7 +566,6 @@ def _plan_waveforms(cfg, params, cal):
 
     seeds = _child_seeds(cfg.seed, len(programs) + 1)
     h = dsp.fir_taps(dt, taps=taps, cutoff=cutoff)
-    bounds = dsp.periodogram_bounds(cfg.n_frames)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
     n_kept = n_total - 2 * edge
 
@@ -624,7 +622,7 @@ def _plan_waveforms(cfg, params, cal):
     def filtered_moments(tr, seed):
         # each frame block is filtered, trimmed of its FIR edges, reduced
         # and dropped; no frame set is held whole
-        blocks = iter_frame_chunks(tr, det, 0.0, cfg.n_frames, seed, np.float32, bounds)
+        blocks = iter_frame_chunks(tr, det, 0.0, seed, range(cfg.n_frames))
         trimmed = (dsp.fir_filter(block, h)[:, edge:-edge] for block in blocks)
         return dsp.split_moments(cfg.n_frames, trimmed)
 
@@ -725,15 +723,12 @@ def _plan_tm_squeezing(cfg, params, cal):
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_samples)
 
     def acquire():
-        vac_blocks = iter_frame_chunks(
-            vac_traj, det, 0.0, n_total, seeds[1], np.float32, dsp.periodogram_bounds(n_total)
-        )
+        vac_blocks = iter_frame_chunks(vac_traj, det, 0.0, seeds[1], range(n_total))
         scales = np.sqrt(dsp.split_moments(n_total, map(scan, vac_blocks)).variance())
         # phase group j is frames [j n, (j + 1) n) of one stream of n_total frames
         groups = []
         for j, phase in enumerate(phases):
-            bounds = [(j * n + lo, j * n + hi) for lo, hi in dsp.periodogram_bounds(n)]
-            blocks = iter_frame_chunks(traj, det, phase, n_total, seeds[0], np.float32, bounds)
+            blocks = iter_frame_chunks(traj, det, phase, seeds[0], range(j * n, (j + 1) * n))
             groups.append(dsp.split_moments(n, map(scan, blocks)))
 
         checks = {}
@@ -865,6 +860,13 @@ def _plan_epr(cfg, params, cal):
     # nominal center, so the scan minimum must be compared against the
     # minimum of the prediction over the same offsets.
     scan_offsets = lags * det.dt
+    # the prediction filters a (lags, burn-in + samples) stack of mode
+    # weights in a block-filter scratch about twice its size
+    row = n_total + _settle_samples(det.filters())
+    _budget(
+        2 * lags.size * row, "the prediction scan's filter scratch",
+        "scan_halfwidth_s", "lead_s", "duration_s", "tail_s",
+    )
     predicted_scan = tomography.duan_prediction_scan(traj, det, g1, g2, scan_offsets)
     k_best = int(np.argmin(predicted_scan))
     predicted_best = float(predicted_scan[k_best])
@@ -875,13 +877,12 @@ def _plan_epr(cfg, params, cal):
     )
 
     seeds = _child_seeds(cfg.seed, 3)
-    bounds = dsp.periodogram_bounds(cfg.n_frames)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
 
     def blocks(tr, phase, seed):
         # each frame block is projected, reduced and dropped; no frame set
         # is held whole
-        return iter_frame_chunks(tr, det, phase, cfg.n_frames, seed, np.float32, bounds)
+        return iter_frame_chunks(tr, det, phase, seed, range(cfg.n_frames))
 
     def acquire():
         result = tomography.stream_epr_analysis(

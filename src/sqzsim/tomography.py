@@ -25,10 +25,9 @@ from sqzsim.dsp import (
     ModeScan,
     SplitMoments,
     TemporalMode,
-    periodogram_bounds,
     split_moments,
 )
-from sqzsim.homodyne import DetectorModel, _BlockFilter
+from sqzsim.homodyne import DetectorModel, _BlockFilter, block_bounds
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
@@ -114,7 +113,7 @@ class TomographyInput:
                 raise ValueError(
                     f"each phase group needs >= {MIN_GROUP_SAMPLES} samples, got {s.size}"
                 )
-            blocks = (s[lo:hi, None] for lo, hi in periodogram_bounds(s.size))
+            blocks = (s[lo:hi, None] for lo, hi in block_bounds(s.size))
             moments.append(split_moments(s.size, blocks))
         return cls(phases=tuple(phases), moments=tuple(moments))
 
@@ -456,7 +455,7 @@ def stream_epr_analysis(
     ``x_blocks`` yields the ``n_frames`` frames of the x set (LO phase
     0), ``p_blocks`` those of the p set (LO phase pi/2) and
     ``vac_blocks`` the ``n_vac`` frames of the vacuum reference, each in
-    the ranges of :func:`sqzsim.dsp.periodogram_bounds`, so only one
+    the ranges of :func:`sqzsim.homodyne.block_bounds`, so only one
     block is held at a time.  Every record holds ``n_samples`` samples
     at interval ``dt`` from t = 0, the grid of :mod:`sqzsim.homodyne`,
     and is the detector output as simulated, with no further filtering,

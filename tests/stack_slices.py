@@ -2,23 +2,26 @@
 
 import numpy as np
 
-from sqzsim.dsp import periodogram_bounds
-from sqzsim.homodyne import iter_frame_chunks
+from sqzsim.homodyne import _Synthesis, block_bounds
 from sqzsim.opa import constant_trajectory
 
 
 def blocks(frames):
-    """The rows of ``frames`` at :func:`sqzsim.dsp.periodogram_bounds`, in order."""
-    return (frames[lo:hi] for lo, hi in periodogram_bounds(len(frames)))
+    """The rows of ``frames`` at :func:`sqzsim.homodyne.block_bounds`, in order."""
+    return (frames[lo:hi] for lo, hi in block_bounds(len(frames)))
 
 
-def synthesize(traj, det, lo, n_frames, seed, dtype=np.float64):
-    """All ``n_frames`` frames of one synthesis run, stacked."""
-    bounds = [(k, min(k + 256, n_frames)) for k in range(0, n_frames, 256)]
-    return np.concatenate(list(iter_frame_chunks(traj, det, lo, n_frames, seed, dtype, bounds)))
+def synthesize(traj, det, lo, n_frames, seed):
+    """All ``n_frames`` frames of one synthesis run, stacked, in one fill.
+
+    Every frame's bytes are those a stream yields, whatever block holds it.
+    """
+    frames = np.empty((n_frames, traj.n_samples), dtype=np.float32)
+    _Synthesis(traj, det, lo, seed).fill(frames, 0)
+    return frames
 
 
-def vacuum(det, n_samples, n_frames, seed, dtype=np.float64):
+def vacuum(det, n_samples, n_frames, seed):
     """Vacuum (pump off) frames through the same detector."""
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=det.dt, n_samples=n_samples)
-    return synthesize(traj, det, 0.0, n_frames, seed, dtype)
+    return synthesize(traj, det, 0.0, n_frames, seed)

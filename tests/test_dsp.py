@@ -17,7 +17,7 @@ from sqzsim.dsp import (
     make_mode,
     mode_spectrum,
 )
-from sqzsim.homodyne import DetectorModel, iter_frame_chunks
+from sqzsim.homodyne import DetectorModel, block_bounds, iter_frame_chunks
 from sqzsim.opa import constant_trajectory
 from sqzsim.quantum import split_slices
 from sqzsim.scenarios import ScenarioConfig, run_scenario
@@ -94,12 +94,11 @@ def test_streamed_split_means_equal_the_whole_stack_loop(n_frames):
     # block, 3001 gives splits of 300 frames; none is a multiple of 10
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=33)
     det = DetectorModel()
-    frames = synthesize(traj, det, 0.0, n_frames, seed=2, dtype=np.float32)
+    frames = synthesize(traj, det, 0.0, n_frames, seed=2)
     want = _split_means_loop(frames)
-    bounds = dsp.periodogram_bounds(n_frames)
-    blocks = iter_frame_chunks(traj, det, 0.0, n_frames, 2, np.float32, bounds)
+    blocks = iter_frame_chunks(traj, det, 0.0, 2, range(n_frames))
     assert dsp.periodogram_split_means(n_frames, blocks).tobytes() == want.tobytes()
-    sliced = (frames[lo:hi] for lo, hi in bounds)
+    sliced = (frames[lo:hi] for lo, hi in block_bounds(n_frames))
     assert dsp.periodogram_split_means(n_frames, sliced).tobytes() == want.tobytes()
 
 
@@ -116,7 +115,7 @@ def test_periodogram_is_scipy_rfft_of_the_float64_cast(n_samples, dtype):
 def test_multi_tile_periodogram_blocks_equal_the_whole_stack_loop(dtype):
     # 1000 frames: splits of 100 frames, each block 3 whole tiles and a partial one
     frames = np.random.default_rng(9).standard_normal((1000, 4096)).astype(dtype)
-    assert max(hi - lo for lo, hi in dsp.periodogram_bounds(1000)) > 3 * homodyne._TILE_ROWS
+    assert max(hi - lo for lo, hi in block_bounds(1000)) > 3 * homodyne._TILE_ROWS
     got = dsp.periodogram_split_means(1000, blocks(frames))
     assert got.tobytes() == _split_means_loop(frames).tobytes()
 
@@ -128,7 +127,7 @@ def test_next_fast_len_is_scipy_next_fast_len():
 
 
 def test_periodogram_blocks_stay_inside_splits():
-    bounds = dsp.periodogram_bounds(3001)
+    bounds = block_bounds(3001)
     assert bounds[0] == (0, 256) and bounds[1] == (256, 300) and bounds[-1] == (2956, 3001)
     assert all(a[1] == b[0] for a, b in zip(bounds[:-1], bounds[1:]))
 
@@ -137,11 +136,10 @@ def test_streamed_spectrum_equals_average_spectrum():
     det = DetectorModel()
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=128)
     vac_traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=128)
-    frames = synthesize(traj, det, 0.5, 61, seed=3, dtype=np.float32)
-    ref = vacuum(det, 128, 61, seed=4, dtype=np.float32)
-    bounds = dsp.periodogram_bounds(61)
-    sig_blocks = iter_frame_chunks(traj, det, 0.5, 61, 3, np.float32, bounds)
-    vac_blocks = iter_frame_chunks(vac_traj, det, 0.0, 61, 4, np.float32, bounds)
+    frames = synthesize(traj, det, 0.5, 61, seed=3)
+    ref = vacuum(det, 128, 61, seed=4)
+    sig_blocks = iter_frame_chunks(traj, det, 0.5, 3, range(61))
+    vac_blocks = iter_frame_chunks(vac_traj, det, 0.0, 4, range(61))
     sig = dsp.periodogram_split_means(61, sig_blocks)
     vac = dsp.periodogram_split_means(61, vac_blocks)
     got = dsp.spectrum_ratio(sig, vac, 128, det.dt)
@@ -156,13 +154,13 @@ def test_streamed_spectrum_equals_average_spectrum():
 def test_periodogram_reducer_validation():
     frames = np.zeros((12, 8))
     with pytest.raises(ValueError, match="at least 10 frames"):
-        dsp.periodogram_bounds(9)
+        block_bounds(9)
     with pytest.raises(ValueError, match="block of frames"):
         dsp.periodogram_split_means(12, [frames[:1]] * 9)
     with pytest.raises(ValueError, match="block of frames"):
         dsp.periodogram_split_means(12, [frames[:1]] * 10 + [frames[:1]])
     with pytest.raises(ValueError, match="more blocks"):
-        blocks = [frames[lo:hi] for lo, hi in dsp.periodogram_bounds(12)]
+        blocks = [frames[lo:hi] for lo, hi in block_bounds(12)]
         dsp.periodogram_split_means(12, blocks * 2)
 
 
@@ -349,7 +347,7 @@ def test_fir_filter_blocks_equal_fir_lowpass_rows(dtype, n_frames, n_samples):
     # the whole stack in one fftconvolve call gives the same bytes
     want = signal.fftconvolve(np.asarray(frames, float), h[None, :], mode="same", axes=1)
     assert whole.tobytes() == want.tobytes()
-    for lo, hi in dsp.periodogram_bounds(n_frames):
+    for lo, hi in block_bounds(n_frames):
         block = dsp.fir_filter(frames[lo:hi], h)
         assert block.dtype == whole.dtype
         assert block.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
@@ -368,15 +366,10 @@ def test_streamed_split_moments_match_two_pass_variance(n_frames):
     det = DetectorModel()
     traj = constant_trajectory(0.4, 0.3, 0.1, dt=det.dt, n_samples=48)
     vac_traj = constant_trajectory(0.0, 0.0, 0.0, dt=det.dt, n_samples=48)
-    bounds = dsp.periodogram_bounds(n_frames)
-    sig = dsp.split_moments(
-        n_frames, iter_frame_chunks(traj, det, 0.2, n_frames, 5, np.float32, bounds)
-    )
-    vac = dsp.split_moments(
-        n_frames, iter_frame_chunks(vac_traj, det, 0.0, n_frames, 6, np.float32, bounds)
-    )
-    frames = synthesize(traj, det, 0.2, n_frames, seed=5, dtype=np.float32)
-    ref = vacuum(det, 48, n_frames, seed=6, dtype=np.float32)
+    sig = dsp.split_moments(n_frames, iter_frame_chunks(traj, det, 0.2, 5, range(n_frames)))
+    vac = dsp.split_moments(n_frames, iter_frame_chunks(vac_traj, det, 0.0, 6, range(n_frames)))
+    frames = synthesize(traj, det, 0.2, n_frames, seed=5)
+    ref = vacuum(det, 48, n_frames, seed=6)
     var, per_split, shot = _two_pass(frames, ref)
 
     assert sig.count.tolist() == [sl.stop - sl.start for sl in split_slices(n_frames)]
@@ -395,7 +388,7 @@ def test_split_moments_hold_the_tolerance_off_zero_mean(n_frames):
     # a large common offset is where a one-pass sum of squares would fail
     rng = np.random.default_rng(n_frames)
     frames = 1e3 + rng.standard_normal((n_frames, 16)) * np.linspace(0.5, 2.0, 16)
-    blocks = (frames[lo:hi] for lo, hi in dsp.periodogram_bounds(n_frames))
+    blocks = (frames[lo:hi] for lo, hi in block_bounds(n_frames))
     got = dsp.split_moments(n_frames, blocks)
     var, per_split, _ = _two_pass(frames, frames)
     np.testing.assert_allclose(got.variance(), var, rtol=VARIANCE_RTOL, atol=0.0)
@@ -404,9 +397,9 @@ def test_split_moments_hold_the_tolerance_off_zero_mean(n_frames):
 
 def test_split_moments_validation():
     frames = np.zeros((24, 8))
-    blocks = [frames[lo:hi] for lo, hi in dsp.periodogram_bounds(24)]
+    blocks = [frames[lo:hi] for lo, hi in block_bounds(24)]
     with pytest.raises(ValueError, match="n_frames >= 20"):
-        dsp.split_moments(19, (frames[lo:hi] for lo, hi in dsp.periodogram_bounds(19)))
+        dsp.split_moments(19, (frames[lo:hi] for lo, hi in block_bounds(19)))
     with pytest.raises(ValueError, match="block of frames"):
         dsp.split_moments(24, blocks[:-1])
     with pytest.raises(ValueError, match="block of frames"):
@@ -501,8 +494,7 @@ def _quadratures(frames, modes):
 def _vacuum_scales(det, modes, n_samples, n_frames, seed):
     """The shot-noise unit of each mode, streamed from a vacuum reference."""
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=det.dt, n_samples=n_samples)
-    bounds = dsp.periodogram_bounds(n_frames)
-    ref_blocks = iter_frame_chunks(traj, det, 0.0, n_frames, seed, np.float64, bounds)
+    ref_blocks = iter_frame_chunks(traj, det, 0.0, seed, range(n_frames))
     scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], det.dt, n_samples)
     return np.sqrt(dsp.split_moments(n_frames, map(scan, ref_blocks)).variance())
 
@@ -537,7 +529,7 @@ def test_extraction_rejects_misaligned_modes():
 
 
 def _projection_pieces(n_frames: int, dtype=np.float32):
-    frames = vacuum(DetectorModel(bandwidth=None), 160, n_frames, seed=4, dtype=dtype)
+    frames = vacuum(DetectorModel(bandwidth=None), 160, n_frames, seed=4).astype(dtype)
     # modes 0-2 overlap each other, mode 3 is disjoint from them
     modes = [
         make_mode("tf_mode", DT, t_c=t_c, gamma=2.5e8, t_w=30e-9)

@@ -12,7 +12,7 @@ import pytest
 from scipy import signal
 
 from sqzsim import homodyne
-from sqzsim.homodyne import DetectorModel, _substream_states, iter_frame_chunks
+from sqzsim.homodyne import DetectorModel, _substream_states, block_bounds, iter_frame_chunks
 from sqzsim.dsp import make_mode
 from sqzsim.opa import SqueezerTrajectory, constant_trajectory
 from sqzsim.quantum import variance_at_phase
@@ -83,11 +83,11 @@ def test_lo_phase_selects_quadrature():
 
 def test_float32_output_dtype():
     traj = constant_trajectory(0.2, 0.0, 0.0, dt=1e-9, n_samples=64)
-    (block,) = iter_frame_chunks(traj, DetectorModel(), 0.0, 3, 0, np.float32, [(0, 3)])
-    assert block.dtype == np.float32
+    blocks = list(iter_frame_chunks(traj, DetectorModel(), 0.0, 0, range(10)))
+    assert [block.dtype for block in blocks] == [np.float32] * 10
 
 
-def _oracle_frames(traj, det, lo, seed, dtype, start, stop):
+def _oracle_frames(traj, det, lo, seed, start, stop):
     """Frames ``start:stop`` built one at a time, straight from the model.
 
     Frame k draws from PCG64 seeded by SeedSequence(seed, spawn_key=(k,)).
@@ -96,21 +96,20 @@ def _oracle_frames(traj, det, lo, seed, dtype, start, stop):
     by the std template, low-passes it, high-passes the second (the
     vacuum complement) and keeps the sum after the burn-in.
     """
-    dtype = np.dtype(dtype)
     var = np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, lo))
-    std = np.sqrt(det.burn_in(var)).astype(dtype)
+    std = np.sqrt(det.burn_in(var)).astype(np.float32)
     n_burn = std.size - var.size
     rows = []
     for k in range(start, stop):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
         if det.filters() is None:
-            row = gen.standard_normal(var.size, dtype=dtype) * std
+            row = gen.standard_normal(var.size, dtype=np.float32) * std
         else:
             b_lp, a_lp, b_hp, a_hp = det.filters()
-            z = gen.standard_normal((2, std.size), dtype=dtype)
+            z = gen.standard_normal((2, std.size), dtype=np.float32)
             raw = (z[0] * std).astype(np.float64)
             total = signal.lfilter(b_lp, a_lp, raw) + signal.lfilter(b_hp, a_hp, z[1].astype(float))
-            row = total[n_burn:].astype(dtype)
+            row = total[n_burn:].astype(np.float32)
         rows.append(row)
     return np.stack(rows)
 
@@ -121,30 +120,30 @@ def _ramp_trajectory(n_samples):
     return SqueezerTrajectory(dt=1e-9, r=0.4 * t / n_samples, theta=0.01 * t, loss=0.1)
 
 
-# uneven blocks, one block of every frame, and one block per frame
-ORACLE_BOUNDS = [[(0, 3), (3, 17), (17, 53), (40, 41)], [(0, 53)], [(k, k + 1) for k in range(53)]]
+# one fill of every frame, uneven fills, and one fill per frame
+ORACLE_FILLS = [[(0, 53)], [(0, 3), (3, 17), (17, 53), (40, 41)], [(k, k + 1) for k in range(53)]]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 @pytest.mark.parametrize("bandwidth", [None, 200e6], ids=["ideal", "200MHz"])
 def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
     traj = _ramp_trajectory(96)
     det = DetectorModel(bandwidth=bandwidth)
-    want = _oracle_frames(traj, det, 0.7, 8, dtype, 0, 53)
-    (whole,) = iter_frame_chunks(traj, det, 0.7, 53, 8, dtype, [(0, 53)])
-    assert whole.dtype == want.dtype
+    want = _oracle_frames(traj, det, 0.7, 8, 0, 53)
+    whole = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(53))))
+    assert whole.dtype == want.dtype == dtype
     if bandwidth is None:
         assert whole.tobytes() == want.tobytes()
-    elif dtype == np.float32:
+    else:
         # the block kernel rounds otherwise than lfilter: 1 ulp at most
         ulp = np.spacing(np.maximum(np.abs(whole), np.abs(want)))
         assert np.all(np.abs(whole - want) <= ulp)
-    else:
-        assert np.abs(whole - want).max() <= 1e-13
-    # every block is byte-equal to the same rows of the whole run
-    for bounds in ORACLE_BOUNDS:
-        blocks = iter_frame_chunks(traj, det, 0.7, 53, 8, dtype, bounds)
-        for (lo, hi), block in zip(bounds, blocks, strict=True):
+    # the streamed rows are byte-equal to the same rows filled in any blocks
+    synth = homodyne._Synthesis(traj, det, 0.7, 8)
+    for fills in ORACLE_FILLS:
+        for lo, hi in fills:
+            block = np.empty((hi - lo, 96), dtype=np.float32)
+            synth.fill(block, lo)
             assert block.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
 
@@ -194,13 +193,19 @@ def test_block_filter_rows_do_not_depend_on_the_block(n_samples):
             assert block.tobytes() == alone[lo : lo + size].tobytes(), (size, lo)
 
 
-def _one_frame_blocks(traj, det, n_frames, dtype):
-    """The frames of a run at LO phase 0.7, synthesized one frame per block.
+def _filled(traj, det, start, n_rows):
+    """Frames [start, start + n_rows) of a run at LO phase 0.7, seed 8, in one fill."""
+    rows = np.empty((n_rows, traj.n_samples), dtype=np.float32)
+    homodyne._Synthesis(traj, det, 0.7, 8).fill(rows, start)
+    return rows
 
-    A one-frame block is never split, so this is the serial reference.
+
+def _one_frame_blocks(traj, det, n_frames):
+    """The frames of a run at LO phase 0.7, synthesized one frame per fill.
+
+    A one-frame fill is never split, so this is the serial reference.
     """
-    bounds = [(k, k + 1) for k in range(n_frames)]
-    return np.concatenate(list(iter_frame_chunks(traj, det, 0.7, n_frames, 8, dtype, bounds)))
+    return np.concatenate([_filled(traj, det, k, 1) for k in range(n_frames)])
 
 
 def _record_shares(monkeypatch):
@@ -216,19 +221,20 @@ def _record_shares(monkeypatch):
     return shares
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 @pytest.mark.parametrize("n_rows", [3, 4, 5, 7, 255, 257])
 def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
     traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=40)
     det = DetectorModel()
     mid = n_rows // 2
     n_frames = 3 + n_rows
-    ref = _one_frame_blocks(traj, det, n_frames, dtype)
+    ref = _one_frame_blocks(traj, det, n_frames)
+    assert ref.dtype == dtype
 
     shares = _record_shares(monkeypatch)
     # the rows from the first frame, and the same count three frames later
-    (first,) = iter_frame_chunks(traj, det, 0.7, n_frames, 8, dtype, [(0, n_rows)])
-    (block,) = iter_frame_chunks(traj, det, 0.7, n_frames, 8, dtype, [(3, 3 + n_rows)])
+    first = _filled(traj, det, 0, n_rows)
+    block = _filled(traj, det, 3, n_rows)
     assert first.tobytes() == ref[:n_rows].tobytes()
     assert block.tobytes() == ref[3:].tobytes()
     if n_rows < 4 or homodyne._share_pool() is None:
@@ -238,15 +244,16 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
         assert sorted(shares) == sorted(want)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 def test_multi_tile_blocks_equal_one_frame_blocks(dtype):
     # 6 tiles less 3 rows: each share, and the serial fill, spans at least
     # 3 tiles and ends in a partial one, on 4096-sample frames
     n_rows = 6 * homodyne._TILE_ROWS - 3
     traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=4096)
     det = DetectorModel()
-    ref = _one_frame_blocks(traj, det, n_rows + 2, dtype)
-    (block,) = iter_frame_chunks(traj, det, 0.7, n_rows + 2, 8, dtype, [(2, n_rows + 2)])
+    ref = _one_frame_blocks(traj, det, n_rows + 2)
+    block = _filled(traj, det, 2, n_rows)
+    assert block.dtype == dtype
     assert block.tobytes() == ref[2:].tobytes()
 
 
@@ -279,7 +286,8 @@ def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
 
     monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", faulty)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
-    blocks = iter_frame_chunks(traj, DetectorModel(), 0.0, 16, 0, np.float64, [(0, 8), (8, 16)])
+    # 40 frames: blocks of 4 rows, each split in two shares
+    blocks = iter_frame_chunks(traj, DetectorModel(), 0.0, 0, range(40))
 
     def consume():
         with pytest.raises(RuntimeError, match=f"planted fault in the {failing} share"):
@@ -308,34 +316,31 @@ def _record_fills(monkeypatch):
 
 
 @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "serial"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 @pytest.mark.parametrize(
-    "bounds",
-    [
-        [(0, 3), (3, 17), (17, 40)],
-        [(0, 40)],
-        [(k, k + 1) for k in range(40)],
-        [(0, 13), (13, 27), (27, 40)],
-    ],
-    # phase-edge: blocks that end where the phase groups of a streamed
-    # multi-phase run, ranges of one frame stream, would
+    "frames",
+    [range(43), range(2560), range(10), range(20, 40)],
+    # uneven: splits of 4 and 5 frames; one-block: one full block per
+    # split; one-row: one frame per block; phase-edge: phase group 1 of a
+    # streamed run of 20-frame groups
     ids=["uneven", "one-block", "one-row", "phase-edge"],
 )
-def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, pooled, dtype, bounds):
+def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, pooled, dtype, frames):
     if not pooled:
         monkeypatch.setattr(homodyne, "_share_pool", lambda: None)
     traj = _ramp_trajectory(96)
     det = DetectorModel(bandwidth=None)
-    want = _oracle_frames(traj, det, 0.7, 8, dtype, 0, 40)
+    want = _oracle_frames(traj, det, 0.7, 8, 0, frames.stop)
     fills = _record_fills(monkeypatch)
-    blocks = iter_frame_chunks(traj, det, 0.7, 40, 8, dtype, bounds)
+    blocks = iter_frame_chunks(traj, det, 0.7, 8, frames)
+    bounds = [(frames.start + lo, frames.start + hi) for lo, hi in block_bounds(len(frames))]
     for (lo, hi), block in zip(bounds, blocks, strict=True):
-        assert block.dtype == want.dtype
+        assert block.dtype == dtype
         assert block.tobytes() == want[lo:hi].tobytes()
     caller = threading.get_ident()
     threads = dict(fills)
     assert sorted(threads) == [lo for lo, _ in bounds]
-    assert threads.pop(0) == caller
+    assert threads.pop(frames.start) == caller
     if homodyne._share_pool() is None:
         assert set(threads.values()) <= {caller}
     else:
@@ -349,31 +354,32 @@ def test_ideal_prefetch_fault_surfaces_at_its_block(monkeypatch):
     failed = threading.Event()
     starts = []
     fill = homodyne._Synthesis.fill
+    # 24 frames: blocks of 2 or 3 frames
+    second = block_bounds(24)[1][0]
 
     def faulty(self, out, start):
         starts.append(start)
-        if start == 8:
+        if start == second:
             failed.set()
             raise RuntimeError("planted fault in block 1")
         fill(self, out, start)
 
     monkeypatch.setattr(homodyne._Synthesis, "fill", faulty)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
-    bounds = [(0, 8), (8, 16), (16, 24)]
-    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, 0, np.float64, bounds)
+    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 0, range(24))
 
     def consume():
         first = next(blocks)
         # block 1 has failed on the worker, yet block 0 came back whole
         assert failed.wait(30)
-        assert first.shape == (8, 32) and np.all(np.isfinite(first))
+        assert first.shape == (second, 32) and np.all(np.isfinite(first))
         with pytest.raises(RuntimeError, match="planted fault in block 1"):
             next(blocks)
         # the generator is finished: no further block is filled
         assert next(blocks, None) is None
 
     _consume_within_60_s(consume)
-    assert sorted(starts) == [0, 8]
+    assert sorted(starts) == [0, second]
 
 
 def test_closing_an_ideal_stream_waits_for_the_prefetched_fill(monkeypatch):
@@ -391,8 +397,8 @@ def test_closing_an_ideal_stream_waits_for_the_prefetched_fill(monkeypatch):
 
     monkeypatch.setattr(homodyne._Synthesis, "fill", slow)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
-    bounds = [(0, 8), (8, 16), (16, 24)]
-    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 24, 0, np.float64, bounds)
+    blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 0, range(24))
+    second = block_bounds(24)[1][0]
 
     def consume():
         next(blocks)
@@ -401,7 +407,7 @@ def test_closing_an_ideal_stream_waits_for_the_prefetched_fill(monkeypatch):
 
     _consume_within_60_s(consume)
     time.sleep(0.3)
-    assert events == ["filled 0", "filled 8", "closed"]
+    assert events == ["filled 0", f"filled {second}", "closed"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -429,11 +435,36 @@ def test_forked_child_makes_its_own_worker():
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def test_frame_chunks_reject_bad_bounds():
+def test_frame_chunks_reject_bad_bounds(monkeypatch):
+    def no_fill(self, out, start):
+        raise AssertionError(f"a block at frame {start} was filled")
+
+    # every range is checked before any block is filled
+    monkeypatch.setattr(homodyne._Synthesis, "fill", no_fill)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=16)
-    for bounds in ([(0, 0)], [(-1, 2)], [(5, 11)], [(3, 2)]):
-        with pytest.raises(ValueError, match="frame block"):
-            next(iter_frame_chunks(traj, DetectorModel(), 0.0, 10, 0, np.float64, bounds))
+    bad = {
+        "step-1 range": [range(0, 20, 2), range(-1, 20), range(2**32 - 20, 2**32 + 1), [(0, 10)]],
+        "at least 10 frames": [range(5, 5), range(3, 12)],
+    }
+    for message, ranges in bad.items():
+        for frames in ranges:
+            for bandwidth in (None, 200e6):
+                with pytest.raises(ValueError, match=message):
+                    next(iter_frame_chunks(traj, DetectorModel(bandwidth), 0.0, 0, frames))
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "serial"])
+@pytest.mark.parametrize("bandwidth", [None, 200e6], ids=["ideal", "200MHz"])
+def test_a_frame_range_streams_those_rows_of_the_whole_run(monkeypatch, bandwidth, pooled):
+    # a multi-phase run streams phase group j as range(j n, (j + 1) n)
+    if not pooled:
+        monkeypatch.setattr(homodyne, "_share_pool", lambda: None)
+    traj = _ramp_trajectory(96)
+    det = DetectorModel(bandwidth=bandwidth)
+    whole = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(61))))
+    for start in (20, 41, 51):
+        part = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(start, 61))))
+        assert part.tobytes() == whole[start:].tobytes(), start
 
 
 @pytest.mark.parametrize("dt", [2e-9, 1e-9 * (1.0 + 1e-9)])
@@ -444,7 +475,7 @@ def test_off_grid_trajectory_is_rejected_as_the_prediction_rejects_it(dt, bandwi
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=dt, n_samples=64)
     det = DetectorModel(bandwidth=bandwidth)
     with pytest.raises(ValueError) as synthesis:
-        next(iter_frame_chunks(traj, det, 0.0, 10, 0, np.float64, [(0, 10)]))
+        next(iter_frame_chunks(traj, det, 0.0, 0, range(10)))
     mode = make_mode("tf_mode", det.dt, t_c=32e-9, gamma=2.5e8, t_w=20e-9)
     with pytest.raises(ValueError) as prediction:
         duan_prediction_scan(traj, det, mode, mode, [0.0])
@@ -452,12 +483,12 @@ def test_off_grid_trajectory_is_rejected_as_the_prediction_rejects_it(dt, bandwi
     assert "detector grid" in str(synthesis.value)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 def test_ideal_detector_frames_keep_the_paired_draw_stream(dtype):
     # one row of draws per frame equals row 0 of the (2, n) draws that
     # the filtered detector takes, so ideal records stay unchanged
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=33)
-    frames = synthesize(traj, DetectorModel(bandwidth=None), 0.0, 4, seed=6, dtype=dtype)
+    frames = synthesize(traj, DetectorModel(bandwidth=None), 0.0, 4, seed=6)
     for k, row in enumerate(frames):
         ss = np.random.SeedSequence(entropy=6, spawn_key=(k,))
         want = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, 33), dtype=dtype)[0]
@@ -486,13 +517,14 @@ def test_substream_states_reject_what_seed_sequence_rejects():
 
 
 def test_schedules_beyond_the_spawn_key_range_are_rejected():
-    # a run's frame count is checked before any frame is allocated
+    # a run's frame range is checked before any frame is allocated
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=4)
     det = DetectorModel(bandwidth=None)
-    with pytest.raises(ValueError, match="n_frames"):
-        next(iter_frame_chunks(traj, det, 0.0, 2**32 + 1, 0, np.float64, [(0, 1)]))
-    # the last frame of the largest run keeps its own substream
-    (last,) = iter_frame_chunks(traj, det, 0.0, 2**32, 0, np.float64, [(2**32 - 1, 2**32)])
-    ss = np.random.SeedSequence(entropy=0, spawn_key=(2**32 - 1,))
-    want = np.random.Generator(np.random.PCG64(ss)).standard_normal(4)
-    assert last[0].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        next(iter_frame_chunks(traj, det, 0.0, 0, range(2**32 - 10, 2**32 + 1)))
+    # the last frames of the largest run keep their own substreams
+    frames = np.concatenate(list(iter_frame_chunks(traj, det, 0.0, 0, range(2**32 - 10, 2**32))))
+    for k, row in zip(range(2**32 - 10, 2**32), frames, strict=True):
+        ss = np.random.SeedSequence(entropy=0, spawn_key=(k,))
+        want = np.random.Generator(np.random.PCG64(ss)).standard_normal(4, dtype=np.float32)
+        assert row.tobytes() == want.tobytes(), k

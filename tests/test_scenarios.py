@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sqzsim
-from sqzsim import dsp, homodyne, opa, scenarios
+from sqzsim import dsp, homodyne, opa, scenarios, tomography
 from sqzsim.cli import ENV_OUTPUT_DIR, main
 from sqzsim.pump import Calibration
 from sqzsim.scenarios import (
@@ -638,10 +638,9 @@ def test_filtered_spectrum_set_memory_is_a_few_tiles():
     # sized to the block instead peaked at 55.7 MB
     traj = opa.constant_trajectory(0.3, 0.0, 0.1, 1e-9, 4096)
     det = homodyne.DetectorModel(bandwidth=200e6)
-    bounds = dsp.periodogram_bounds(2000)
     tracemalloc.start()
     try:
-        blocks = homodyne.iter_frame_chunks(traj, det, 0.0, 2000, 0, np.float32, bounds)
+        blocks = homodyne.iter_frame_chunks(traj, det, 0.0, 0, range(2000))
         dsp.periodogram_split_means(2000, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -691,6 +690,20 @@ def test_cli_plan_above_the_work_budget_exits_2_before_allocating(tmp_path, argv
     # rejected at planning, before any large array was allocated
     assert result["peak"] < 16 * 2**20, result
     assert not (tmp_path / "manifest.json").exists()
+
+
+def _no_prediction(*args, **kwargs):
+    raise AssertionError("the prediction scan ran before its work was budgeted")
+
+
+def test_cli_epr_prediction_scan_above_the_work_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # 180 001 lags over 201 064-sample records: the scan's filter scratch
+    # would hold about 7e10 elements, and a run under a 1.5 GB address
+    # space cap failed as internal MemoryError without the budget
+    monkeypatch.setattr(tomography, "duan_prediction_scan", _no_prediction)
+    settings = ["lead_s=1e-4", "tail_s=1e-4", "scan_halfwidth_s=9e-5"]
+    argv = ["epr", "--frames", "100", *(a for s in settings for a in ("--set", s))]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, "'scan_halfwidth_s'")
 
 
 def test_tm_squeezing_slot_parsing_errors(tmp_path):

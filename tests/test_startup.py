@@ -82,7 +82,6 @@ def test_a_cli_run_imports_no_module_once_started(tmp_path, argv):
 # a filtered synthesis run and a filtered prediction, in one interpreter
 _LIBRARY = """
 import json, sys
-import numpy as np
 from sqzsim.dsp import make_mode
 from sqzsim.homodyne import DetectorModel, iter_frame_chunks
 from sqzsim.opa import constant_trajectory
@@ -90,7 +89,7 @@ from sqzsim.tomography import duan_prediction_scan
 
 det = DetectorModel(bandwidth=200e6)
 traj = constant_trajectory(0.3, 0.0, 0.1, dt=det.dt, n_samples=256)
-for block in iter_frame_chunks(traj, det, 0.0, 40, 0, np.float32, [(0, 3), (3, 40)]):
+for block in iter_frame_chunks(traj, det, 0.0, 0, range(40)):
     assert block.shape[1] == 256
 mode = make_mode("tf_mode", det.dt, t_c=128e-9, gamma=2.5e7, t_w=100e-9)
 assert duan_prediction_scan(traj, det, mode, mode, [0.0, 1e-9]).shape == (2,)

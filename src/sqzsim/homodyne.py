@@ -12,6 +12,19 @@ anti-squeezing) visible in the spectrum rolls toward 0 dB above the
 detector cutoff, as a real detector shows after shot-noise
 normalization.
 
+Shortcut: with a constant variance V the record
+x = LP(sqrt(V) z0) + HP(z1) is a stationary Gaussian process.  The
+Butterworth pair shares its denominator A, so x is exactly b/A applied
+to one white row, with b the minimum-phase factor of
+V |B_lp|^2 + |B_hp|^2 (:func:`_spectral_factor`, in closed form).  A
+filtered set whose variance template is one constant V != 1 is drawn
+that way: one draw and one order-2 filter per sample instead of two of
+each.  Vacuum (V == 1 exactly, where b = A and the record is white) and
+every set whose variance varies keep the two-row synthesis, so the
+vacuum references keep their stream: some checks against vacuum still
+have fixed bounds that ignore the noise, and a redrawn vacuum stream
+fails them at their pinned seeds.
+
 Grid: every record starts at t = 0, sample k of a frame at t = k dt on
 the detector grid.  Nothing resamples: a trajectory must lie on that
 grid, which :meth:`DetectorModel.record_variance` checks.
@@ -26,7 +39,9 @@ split of each block it takes.
 Determinism: frame k of a run seeded with s draws from PCG64 seeded
 by NumPy's SeedSequence with entropy s and spawn key (k,), so reruns
 are bit-identical and frames are independent of chunking or evaluation
-order.  :func:`_substream_states` computes those PCG64 states for a
+order.  A filtered frame draws two float32 rows from it, or one (the
+first of the two) for a set of constant squeezing; an ideal frame
+draws one.  :func:`_substream_states` computes those PCG64 states for a
 whole block of frames in one vectorized pass, a port of NumPy's
 seeding that a test checks against NumPy itself; a run may therefore
 hold at most 2**32 frames, one 32-bit spawn-key word each.  Since no
@@ -40,9 +55,11 @@ filtered block of fewer than 4 rows, the fill is serial.
 Memory: a share draws, scales and filters its rows ``_TILE_ROWS`` at a
 time.  Each share of a stream owns one set of tile buffers (the draw
 row, the float64 raw and complement rows, and the filter's work, state
-and products), made by the thread that fills it on its first block and
-reused by every tile after.  So a filtered stream holds its yielded
-block and a few tiles, however many frames or rows a block has.
+and products; a set of constant squeezing draws a float32 tile of rows
+that goes straight into the filter), made by the thread that fills it
+on its first block and reused by every tile after.  So a filtered
+stream holds its yielded block and a few tiles, however many frames or
+rows a block has.
 
 The filtered detector runs on NumPy alone.  Its Butterworth pair is a
 port of SciPy's ``butter(2, ...)``, byte-equal to it.
@@ -273,6 +290,33 @@ class _BlockFilter:
         return out
 
 
+def _spectral_factor(v: float, b_lp: np.ndarray, b_hp: np.ndarray) -> np.ndarray:
+    """The minimum-phase numerator b of a record of constant variance ``v``.
+
+    The record x = LP(sqrt(v) z0) + HP(z1) of white z0, z1 has the
+    spectrum (v |B_lp|^2 + |B_hp|^2) / |A|^2: the Butterworth pair shares
+    its denominator A, and B_lp = g_l (1 + 1/z)^2, B_hp = g_h (1 - 1/z)^2.
+    So lfilter(b, A) of one white row is the same Gaussian process when
+    |b|^2 = v |B_lp|^2 + |B_hp|^2 on the unit circle.  There
+    1 + 1/z = 2 c e^{-iw/2} and 1 - 1/z = 2i s e^{-iw/2}, with c, s the
+    cosine and sine of w/2, so
+
+        b = p (1 + 1/z)^2 + q (1 - 1/z^2) + g_h (1 - 1/z)^2
+
+    has |b|^2 = 16 ((p c^2 - g_h s^2)^2 + q^2 c^2 s^2), which is
+    16 (v g_l^2 c^4 + g_h^2 s^4) for p = sqrt(v) g_l and q^2 = 2 p g_h.
+    With q > 0 the zeros are a conjugate pair (the discriminant is
+    -8 p g_h) whose product b[2] / b[0] lies in (0, 1): inside the unit
+    circle.  The closed form keeps its precision where the zeros crowd
+    z = 1 (a narrow detector, v << 1), which the roots of the degree-4
+    numerator lose.  At v = 1 it is A itself, up to rounding.
+    """
+    g_h = float(b_hp[0])
+    p = math.sqrt(v) * float(b_lp[0])
+    q = math.sqrt(2.0 * p * g_h)
+    return np.array([p + q + g_h, 2.0 * (p - g_h), p - q + g_h])
+
+
 def _chunk_response(b, a, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Outputs and end states of ``lfilter(b, a)`` over one m-sample chunk.
 
@@ -402,7 +446,8 @@ class _Synthesis:
         if not np.isfinite(lo):
             raise ValueError("LO phase must be finite")
         filters = det.filters()
-        self.std = np.sqrt(det.record_variance(traj, float(lo))).astype(np.float32)
+        var = det.record_variance(traj, float(lo))
+        self.std = np.sqrt(var).astype(np.float32)
         self.n_samples = traj.n_samples
         self.n_total = self.std.size
         self.n_burn = self.n_total - self.n_samples
@@ -410,9 +455,14 @@ class _Synthesis:
         if filters is None:
             self.kernel = None
         else:
-            # the raw draws through the low-pass, their complement through the high-pass
             b_lp, a_lp, b_hp, a_hp = filters
-            self.kernel = _BlockFilter([(b_lp, a_lp), (b_hp, a_hp)], self.n_total)
+            if var[0] != 1.0 and np.all(var == var[0]):
+                # constant squeezing: one draw row through its spectral factor
+                pairs = [(_spectral_factor(float(var[0]), b_lp, b_hp), a_lp)]
+            else:
+                # the raw draws through the low-pass, their complement through the high-pass
+                pairs = [(b_lp, a_lp), (b_hp, a_hp)]
+            self.kernel = _BlockFilter(pairs, self.n_total)
         # the tile buffers of the caller's share and of the worker's share
         self.tiles: list = [None, None]
 
@@ -460,23 +510,31 @@ class _Synthesis:
         that fills it, and reused by every later tile.
         """
         share = int(lo > 0)
+        one_row = self.kernel.n_channels == 1
         if self.tiles[share] is None:
             self.tiles[share] = (
-                np.empty((2, self.n_total), dtype=np.float32),
-                np.empty((2, _TILE_ROWS, self.n_total)),
+                np.empty((_TILE_ROWS if one_row else 2, self.n_total), dtype=np.float32),
+                None if one_row else np.empty((2, _TILE_ROWS, self.n_total)),
                 self.kernel.scratch(_TILE_ROWS),
             )
         z, rows, scratch = self.tiles[share]
         gens = self._substreams(start + lo, start + hi)
         for first in range(lo, hi, _TILE_ROWS):
             n = min(_TILE_ROWS, hi - first)
-            raw, comp = rows[:, :n]
-            for j, gen in zip(range(n), gens):
-                gen.standard_normal(dtype=np.float32, out=z)
-                # the product is taken in float32, then cast to float64
-                np.multiply(z[0], self.std, out=raw[j], dtype=np.float32)
-                comp[j] = z[1]
-            out[first : first + n] = self.kernel(raw, comp, scratch=scratch)[:, self.n_burn :]
+            if one_row:
+                # the kernel casts the float32 draws to float64 exactly
+                for row, gen in zip(z[:n], gens):
+                    gen.standard_normal(dtype=np.float32, out=row)
+                filtered = self.kernel(z[:n], scratch=scratch)
+            else:
+                raw, comp = rows[:, :n]
+                for j, gen in zip(range(n), gens):
+                    gen.standard_normal(dtype=np.float32, out=z)
+                    # the product is taken in float32, then cast to float64
+                    np.multiply(z[0], self.std, out=raw[j], dtype=np.float32)
+                    comp[j] = z[1]
+                filtered = self.kernel(raw, comp, scratch=scratch)
+            out[first : first + n] = filtered[:, self.n_burn :]
 
 
 @functools.cache

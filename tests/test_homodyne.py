@@ -92,18 +92,29 @@ def _oracle_frames(traj, det, lo, seed, start, stop):
 
     Frame k draws from PCG64 seeded by SeedSequence(seed, spawn_key=(k,)).
     An ideal detector scales its draws by the std template.  A filtered
-    one draws two rows over the burn-in and the record, scales the first
-    by the std template, low-passes it, high-passes the second (the
-    vacuum complement) and keeps the sum after the burn-in.
+    one whose variance template is one constant V != 1 draws one row
+    over the burn-in and the record, filters it by ``lfilter(b, a_lp)``
+    with b the spectral factor of V, and keeps it after the burn-in.
+    Any other filtered set (vacuum, or a varying template) draws two
+    rows, scales the first by the std template, low-passes it,
+    high-passes the second (the vacuum complement) and keeps the sum
+    after the burn-in.
     """
     var = np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, lo))
-    std = np.sqrt(det.burn_in(var)).astype(np.float32)
+    template = det.burn_in(var)
+    std = np.sqrt(template).astype(np.float32)
     n_burn = std.size - var.size
+    constant = template[0] != 1.0 and np.all(template == template[0])
     rows = []
     for k in range(start, stop):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
         if det.filters() is None:
             row = gen.standard_normal(var.size, dtype=np.float32) * std
+        elif constant:
+            b_lp, a_lp, b_hp, _ = det.filters()
+            b = homodyne._spectral_factor(float(template[0]), b_lp, b_hp)
+            z = gen.standard_normal(std.size, dtype=np.float32)
+            row = signal.lfilter(b, a_lp, z.astype(np.float64))[n_burn:].astype(np.float32)
         else:
             b_lp, a_lp, b_hp, a_hp = det.filters()
             z = gen.standard_normal((2, std.size), dtype=np.float32)
@@ -120,14 +131,26 @@ def _ramp_trajectory(n_samples):
     return SqueezerTrajectory(dt=1e-9, r=0.4 * t / n_samples, theta=0.01 * t, loss=0.1)
 
 
+def _trajectory(kind, n_samples):
+    """A constant trajectory (one draw row per filtered frame) or a ramp (two)."""
+    if kind == "ramp":
+        return _ramp_trajectory(n_samples)
+    return constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=n_samples)
+
+
 # one fill of every frame, uneven fills, and one fill per frame
 ORACLE_FILLS = [[(0, 53)], [(0, 3), (3, 17), (17, 53), (40, 41)], [(k, k + 1) for k in range(53)]]
 
 
 @pytest.mark.parametrize("dtype", [np.float32])
-@pytest.mark.parametrize("bandwidth", [None, 200e6], ids=["ideal", "200MHz"])
-def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
-    traj = _ramp_trajectory(96)
+@pytest.mark.parametrize(
+    ("bandwidth", "constant"),
+    [(None, False), (200e6, False), (200e6, True)],
+    # the ramp draws two rows per filtered frame, the constant set one
+    ids=["ideal", "200MHz", "200MHz-constant"],
+)
+def test_frame_chunks_equal_simulated_rows(dtype, bandwidth, constant):
+    traj = _trajectory("constant" if constant else "ramp", 96)
     det = DetectorModel(bandwidth=bandwidth)
     want = _oracle_frames(traj, det, 0.7, 8, 0, 53)
     whole = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(53))))
@@ -145,6 +168,17 @@ def test_frame_chunks_equal_simulated_rows(dtype, bandwidth):
             block = np.empty((hi - lo, 96), dtype=np.float32)
             synth.fill(block, lo)
             assert block.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+def test_filtered_vacuum_frames_keep_the_two_row_stream():
+    # vacuum (V == 1 exactly) draws the low-pass row and its high-pass complement
+    traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=96)
+    det = DetectorModel()
+    assert homodyne._Synthesis(traj, det, 0.0, 8).kernel.n_channels == 2
+    want = _oracle_frames(traj, det, 0.0, 8, 0, 23)
+    got = np.concatenate(list(iter_frame_chunks(traj, det, 0.0, 8, range(23))))
+    ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert np.all(np.abs(got - want) <= ulp)
 
 
 @pytest.mark.parametrize("sample_rate", [0.5e9, 1e9, 2e9, 1.0])
@@ -193,6 +227,58 @@ def test_block_filter_rows_do_not_depend_on_the_block(n_samples):
             assert block.tobytes() == alone[lo : lo + size].tobytes(), (size, lo)
 
 
+# the spectral factor over narrow to wide detectors and V from 0.01 to 100
+FACTOR_BANDWIDTHS = [2e6, 20e6, 200e6, 450e6]
+FACTOR_VARIANCES = [0.01, 0.1, 0.5, 0.999, 2.0, 10.0, 100.0]
+
+
+@pytest.mark.parametrize("bandwidth", FACTOR_BANDWIDTHS)
+def test_spectral_factor_reproduces_the_two_filter_spectrum(bandwidth):
+    b_lp, a_lp, b_hp, a_hp = DetectorModel(bandwidth=bandwidth).filters()
+    w = np.linspace(0.0, math.pi, 4097)
+    _, h_lp = signal.freqz(b_lp, a_lp, worN=w)
+    _, h_hp = signal.freqz(b_hp, a_hp, worN=w)
+    for v in FACTOR_VARIANCES:
+        b = homodyne._spectral_factor(v, b_lp, b_hp)
+        _, h = signal.freqz(b, a_lp, worN=w)
+        _, numerator = signal.freqz(b, [1.0], worN=w)
+        want = v * np.abs(h_lp) ** 2 + np.abs(h_hp) ** 2
+        # 1e-12 relative, or the float64 floor where it is larger: rounding
+        # b's three coefficients and their sum moves |b|^2 by up to
+        # 2 eps sum|b_k| / |b| relative, 1.1e-10 at DC for 2 MHz and
+        # V = 0.01, where |b(1)| = 1.6e-5 and sum|b_k| = 4
+        floor = 2.0 * np.finfo(float).eps * np.abs(b).sum() / np.abs(numerator)
+        tol = np.maximum(1e-12, floor) * want
+        assert np.all(np.abs(np.abs(h) ** 2 - want) <= tol), v
+
+
+@pytest.mark.parametrize("bandwidth", FACTOR_BANDWIDTHS)
+def test_spectral_factor_is_minimum_phase(bandwidth):
+    b_lp, a_lp, b_hp, _ = DetectorModel(bandwidth=bandwidth).filters()
+    for v in FACTOR_VARIANCES:
+        assert np.abs(np.roots(homodyne._spectral_factor(v, b_lp, b_hp))).max() < 1.0, v
+    # vacuum's factor is the denominator: its record would be white
+    assert np.abs(homodyne._spectral_factor(1.0, b_lp, b_hp) - a_lp).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bandwidth", FACTOR_BANDWIDTHS)
+def test_first_record_sample_of_a_constant_set_has_the_stationary_variance(bandwidth):
+    det = DetectorModel(bandwidth=bandwidth)
+    b_lp, a_lp, b_hp, a_hp = det.filters()
+    n_burn = det.burn_in(np.ones(1)).size - 1
+    # impulse responses 20 burn-ins long, decayed far below float64 rounding
+    impulse = np.zeros(20 * n_burn)
+    impulse[0] = 1.0
+    lp_energy = math.fsum(signal.lfilter(b_lp, a_lp, impulse) ** 2)
+    hp_energy = math.fsum(signal.lfilter(b_hp, a_hp, impulse) ** 2)
+    for v in FACTOR_VARIANCES:
+        h = signal.lfilter(homodyne._spectral_factor(v, b_lp, b_hp), a_lp, impulse)
+        # record sample 0 is sample n_burn of a zero-state filter of white draws
+        first = math.fsum(h[: n_burn + 1] ** 2)
+        stationary = v * lp_energy + hp_energy
+        assert abs(first - stationary) <= 1e-12 * stationary, v
+
+
 def _filled(traj, det, start, n_rows):
     """Frames [start, start + n_rows) of a run at LO phase 0.7, seed 8, in one fill."""
     rows = np.empty((n_rows, traj.n_samples), dtype=np.float32)
@@ -221,11 +307,18 @@ def _record_shares(monkeypatch):
     return shares
 
 
-@pytest.mark.parametrize("dtype", [np.float32])
+# the one-row and the two-row filtered synthesis; the constant case's id is "float32"
+TRAJECTORIES = [pytest.param(np.float32, "constant", id="float32"),
+                pytest.param(np.float32, "ramp", id="float32-ramp")]
+
+
+@pytest.mark.parametrize(("dtype", "kind"), TRAJECTORIES)
 @pytest.mark.parametrize("n_rows", [3, 4, 5, 7, 255, 257])
-def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
-    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=40)
+def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, kind, n_rows):
+    traj = _trajectory(kind, 40)
     det = DetectorModel()
+    n_rows_drawn = homodyne._Synthesis(traj, det, 0.7, 8).kernel.n_channels
+    assert n_rows_drawn == (1 if kind == "constant" else 2)
     mid = n_rows // 2
     n_frames = 3 + n_rows
     ref = _one_frame_blocks(traj, det, n_frames)
@@ -244,12 +337,12 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, n_rows):
         assert sorted(shares) == sorted(want)
 
 
-@pytest.mark.parametrize("dtype", [np.float32])
-def test_multi_tile_blocks_equal_one_frame_blocks(dtype):
+@pytest.mark.parametrize(("dtype", "kind"), TRAJECTORIES)
+def test_multi_tile_blocks_equal_one_frame_blocks(dtype, kind):
     # 6 tiles less 3 rows: each share, and the serial fill, spans at least
     # 3 tiles and ends in a partial one, on 4096-sample frames
     n_rows = 6 * homodyne._TILE_ROWS - 3
-    traj = constant_trajectory(0.3, 0.2, 0.1, dt=1e-9, n_samples=4096)
+    traj = _trajectory(kind, 4096)
     det = DetectorModel()
     ref = _one_frame_blocks(traj, det, n_rows + 2)
     block = _filled(traj, det, 2, n_rows)

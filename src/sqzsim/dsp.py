@@ -37,7 +37,7 @@ import functools
 import math
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft
@@ -185,45 +185,6 @@ class PureSqueezingEstimate:
     low_confidence: bool = False
 
 
-def _invert_levels(s_lin: float, a_lin: float) -> tuple[float, float, bool]:
-    """Solve S = (1-L) e^{-2r} + L, A = (1-L) e^{2r} + L for (r, L).
-
-    Eliminating L gives tanh(r) = (A + S - 2) / (A - S); the root is
-    found by bisection (the left side is strictly increasing in r).
-    """
-    product = s_lin * a_lin
-    if product < 1.0 - 1e-6:
-        raise ValueError(
-            "infeasible squeezing pair: S*A = "
-            f"{product:.6g} < 1 would require negative loss"
-        )
-    low_confidence = False
-    if product < 1.0:
-        # within noise of the pure-state boundary; report the L = 0 fit
-        r = 0.25 * math.log(a_lin / s_lin)
-        return r, 0.0, True
-    target = (a_lin + s_lin - 2.0) / (a_lin - s_lin)
-    if target >= 1.0:
-        raise ValueError("squeezing pair is inconsistent with 0 <= loss < 1")
-    lo, hi = 0.0, 1.0
-    while math.tanh(hi) < target:
-        hi *= 2.0
-        if hi > 1e3:
-            raise ValueError("failed to bracket the squeezing parameter")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if math.tanh(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    if r < 1e-9:
-        return 0.0, 0.0, True
-    loss = 1.0 - (a_lin - s_lin) / (2.0 * math.sinh(2.0 * r))
-    loss = min(max(loss, 0.0), 1.0 - 1e-15)
-    return r, loss, low_confidence
-
-
 def estimate_pure_squeezing_and_loss(
     s_db: float,
     a_db: float,
@@ -232,6 +193,10 @@ def estimate_pure_squeezing_and_loss(
 ) -> PureSqueezingEstimate:
     """Infer the lossless squeezing level and the optical loss.
 
+    The linear levels S = (1 - L)/x + L and A = (1 - L) x + L, with
+    x = e^{2r}, give (S - L)(A - L) = (1 - L)^2, so in closed form
+    L = (S A - 1)/(S + A - 2) and x = (A - 1)/(1 - S).
+
     Parameters
     ----------
     s_db, a_db : float
@@ -239,7 +204,7 @@ def estimate_pure_squeezing_and_loss(
         to shot noise (s_db negative, a_db positive).
     s_stderr_db, a_stderr_db : float, optional
         Standard errors of the inputs; when both are given the output
-        errors are propagated by central finite differences.
+        errors follow from the closed form by the delta method.
 
     Returns
     -------
@@ -247,7 +212,9 @@ def estimate_pure_squeezing_and_loss(
         ``pure_db`` is the squeezing level before loss (positive dB),
         ``loss`` the inferred end-to-end efficiency deficit.  Pairs
         statistically indistinguishable from vacuum come back with
-        ``low_confidence`` set instead of raising.
+        ``low_confidence`` set instead of raising: S A in [1 - 1e-6, 1),
+        within noise of the pure-state boundary, gets the L = 0 fit
+        x = sqrt(A/S), and r below 1e-9 the zero estimate.
     """
     s_lin = 10.0 ** (float(s_db) / 10.0)
     a_lin = 10.0 ** (float(a_db) / 10.0)
@@ -258,29 +225,36 @@ def estimate_pure_squeezing_and_loss(
             "inputs show no squeezing: need s_db < 0 < a_db, got "
             f"({s_db:+.4g}, {a_db:+.4g}) dB"
         )
-    r, loss, low_confidence = _invert_levels(s_lin, a_lin)
+    product = s_lin * a_lin
+    if product < 1.0 - 1e-6:
+        raise ValueError(
+            "infeasible squeezing pair: S*A = "
+            f"{product:.6g} < 1 would require negative loss"
+        )
+    if product < 1.0:
+        r, loss, low_confidence = 0.25 * math.log(a_lin / s_lin), 0.0, True
+    else:
+        r = 0.5 * math.log((a_lin - 1.0) / (1.0 - s_lin))
+        loss = (product - 1.0) / (s_lin + a_lin - 2.0)
+        low_confidence = r < 1e-9
+        if low_confidence:
+            r = loss = 0.0
     pure_db = 20.0 * r / math.log(10.0)
-    if pure_db < 0.01:
-        low_confidence = True
 
     pure_se = loss_se = None
     if s_stderr_db is not None and a_stderr_db is not None:
-        h = 1e-5
-
-        def solve(sd: float, ad: float) -> tuple[float, float]:
-            rr, ll, _ = _invert_levels(10.0 ** (sd / 10.0), 10.0 ** (ad / 10.0))
-            return 20.0 * rr / math.log(10.0), ll
-
-        dp_ds, dl_ds = [(x - y) / (2 * h) for x, y in zip(solve(s_db + h, a_db), solve(s_db - h, a_db))]
-        dp_da, dl_da = [(x - y) / (2 * h) for x, y in zip(solve(s_db, a_db + h), solve(s_db, a_db - h))]
-        pure_se = math.hypot(dp_ds * s_stderr_db, dp_da * a_stderr_db)
-        loss_se = math.hypot(dl_ds * s_stderr_db, dl_da * a_stderr_db)
+        # d(S, A)/d(s_db, a_db) = (S, A) ln(10) / 10
+        s_se, a_se = s_lin * s_stderr_db, a_lin * a_stderr_db
+        pure_se = math.hypot(s_se / (1.0 - s_lin), a_se / (a_lin - 1.0))
+        loss_se = (math.log(10.0) / 10.0) * math.hypot(
+            (a_lin - 1.0) ** 2 * s_se, (1.0 - s_lin) ** 2 * a_se
+        ) / (s_lin + a_lin - 2.0) ** 2
     return PureSqueezingEstimate(
         pure_db=pure_db,
         loss=loss,
         pure_db_stderr=pure_se,
         loss_stderr=loss_se,
-        low_confidence=low_confidence,
+        low_confidence=low_confidence or pure_db < 0.01,
     )
 
 
@@ -457,14 +431,14 @@ class TemporalMode:
     Normalized so sum(weights^2) * dt = 1; weights therefore carry
     units of 1/sqrt(s) and mode overlaps sum(w1 w2) * dt are
     dimensionless.  ``t0`` is the time of the first weight on the record
-    grid, which starts at t = 0.
+    grid, which starts at t = 0, and the mode's only position:
+    :meth:`shifted` moves it, and a caller that needs the center it
+    asked :func:`make_mode` for keeps that number itself.
     """
 
     dt: float
     t0: float
     weights: np.ndarray
-    family: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -509,13 +483,7 @@ class TemporalMode:
         return slice(idx0, idx0 + self.n_samples)
 
     def shifted(self, delta_t: float) -> "TemporalMode":
-        return TemporalMode(
-            dt=self.dt,
-            t0=self.t0 + delta_t,
-            weights=self.weights,
-            family=self.family,
-            params={**self.params, "t_c": self.params.get("t_c", 0.0) + delta_t},
-        )
+        return TemporalMode(dt=self.dt, t0=self.t0 + delta_t, weights=self.weights)
 
 
 def _normalize(w: np.ndarray, dt: float) -> np.ndarray:
@@ -579,21 +547,17 @@ def make_mode(
         raise ValueError("dt, t_w and gamma must all be > 0")
     if t_w < 4.0 * dt:
         raise ValueError("mode window must span at least 4 samples")
-    params = {"gamma": gamma, "t_w": t_w, "t_c": t_c}
 
     if family == "tf_mode":
         n_half = int(math.floor(t_w / (2.0 * dt)))
         tau = np.arange(-n_half, n_half + 1) * dt
         w = tau * _gaussian(gamma, tau)
-        return TemporalMode(
-            dt=dt, t0=t_c - n_half * dt, weights=_normalize(w, dt), family=family, params=params
-        )
+        return TemporalMode(dt=dt, t0=t_c - n_half * dt, weights=_normalize(w, dt))
 
     if family not in ("f1", "f2", "g1", "g2"):
         raise ValueError(f"unknown mode family {family!r}")
     if period is None or period <= 0.0:
         raise ValueError(f"family {family!r} requires a positive square-wave period")
-    params["period"] = period
     if gamma * period / math.pi >= 0.1:
         warnings.warn(
             "gamma * period / pi = "
@@ -617,9 +581,7 @@ def make_mode(
         w = envelope
     else:
         w = envelope * (1.0 - 2.0 * gate1)
-    return TemporalMode(
-        dt=dt, t0=t_c + tau[0], weights=_normalize(w, dt), family=family, params=params
-    )
+    return TemporalMode(dt=dt, t0=t_c + tau[0], weights=_normalize(w, dt))
 
 
 @dataclass(frozen=True)

@@ -53,11 +53,12 @@ while the caller reduces the current one.  On one CPU, or for a
 filtered block of fewer than 4 rows, the fill is serial.
 
 Memory: a share draws, scales and filters its rows ``_TILE_ROWS`` at a
-time.  Each share of a stream owns one set of tile buffers (the draw
-row, the float64 raw and complement rows, and the filter's work, state
-and products; a set of constant squeezing draws a float32 tile of rows
-that goes straight into the filter), made by the thread that fills it
-on its first block and reused by every tile after.  So a filtered
+time.  Each share of a stream owns one float32 draw tile, of shape
+``(_TILE_ROWS, channels, burn-in + samples)``, and the filter's work,
+state and products, made by the thread that fills it on its first block
+and reused by every tile after.  Each frame's draws fill its row of the
+tile; with two channels the raw draws are scaled in place, and the
+channels go straight into the filter.  So a filtered
 stream holds its yielded block and a few tiles, however many frames or
 rows a block has.
 
@@ -108,8 +109,11 @@ class DetectorModel:
     sample_rate: float = 1e9
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be > 0")
+        # a rate too small for a finite 1 / sample_rate is as unusable as 0
+        if not (0.0 < self.sample_rate < math.inf and self.dt < math.inf):
+            raise ValueError(
+                f"sample_rate must be finite and > 0 with a finite dt, got {self.sample_rate}"
+            )
         if self.bandwidth == math.inf:
             object.__setattr__(self, "bandwidth", None)
         if self.bandwidth is not None:
@@ -510,30 +514,23 @@ class _Synthesis:
         that fills it, and reused by every later tile.
         """
         share = int(lo > 0)
-        one_row = self.kernel.n_channels == 1
+        channels = self.kernel.n_channels
         if self.tiles[share] is None:
             self.tiles[share] = (
-                np.empty((_TILE_ROWS if one_row else 2, self.n_total), dtype=np.float32),
-                None if one_row else np.empty((2, _TILE_ROWS, self.n_total)),
+                np.empty((_TILE_ROWS, channels, self.n_total), dtype=np.float32),
                 self.kernel.scratch(_TILE_ROWS),
             )
-        z, rows, scratch = self.tiles[share]
+        draws, scratch = self.tiles[share]
         gens = self._substreams(start + lo, start + hi)
         for first in range(lo, hi, _TILE_ROWS):
             n = min(_TILE_ROWS, hi - first)
-            if one_row:
-                # the kernel casts the float32 draws to float64 exactly
-                for row, gen in zip(z[:n], gens):
-                    gen.standard_normal(dtype=np.float32, out=row)
-                filtered = self.kernel(z[:n], scratch=scratch)
-            else:
-                raw, comp = rows[:, :n]
-                for j, gen in zip(range(n), gens):
-                    gen.standard_normal(dtype=np.float32, out=z)
-                    # the product is taken in float32, then cast to float64
-                    np.multiply(z[0], self.std, out=raw[j], dtype=np.float32)
-                    comp[j] = z[1]
-                filtered = self.kernel(raw, comp, scratch=scratch)
+            for row, gen in zip(draws[:n], gens):
+                gen.standard_normal(dtype=np.float32, out=row)
+            if channels == 2:
+                # the raw draws scaled in float32; the kernel casts every
+                # float32 channel to float64 exactly
+                draws[:n, 0] *= self.std
+            filtered = self.kernel(*draws[:n].transpose(1, 0, 2), scratch=scratch)
             out[first : first + n] = filtered[:, self.n_burn :]
 
 

@@ -92,8 +92,8 @@ class SqueezerTrajectory:
     loss: float
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must satisfy 0 <= L < 1, got {self.loss}")
         r = np.asarray(self.r, dtype=float)

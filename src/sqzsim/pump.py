@@ -120,14 +120,10 @@ class Calibration:
     max_pump_power: float = 6.5
 
     def __post_init__(self) -> None:
-        if self.quad_coeff <= 0.0:
-            raise ValueError("quad_coeff must be > 0")
-        if self.linear_limit <= 0.0:
-            raise ValueError("linear_limit must be > 0")
-        if self.gain_coeff <= 0.0:
-            raise ValueError("gain_coeff must be > 0")
-        if self.max_pump_power <= 0.0:
-            raise ValueError("max_pump_power must be > 0")
+        for key in ("quad_coeff", "linear_limit", "gain_coeff", "max_pump_power"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
         if self.extended_lut is not None:
             lut = np.asarray(self.extended_lut, dtype=float)
             if lut.ndim != 2 or lut.shape[1] != 2 or lut.shape[0] < 2:
@@ -236,8 +232,10 @@ class ModulatorResponse:
     rise_time_10_90: float = 7e-9
 
     def __post_init__(self) -> None:
-        if self.rise_time_10_90 <= 0.0:
-            raise ValueError("rise_time_10_90 must be > 0")
+        if not 0.0 < self.rise_time_10_90 < math.inf:
+            raise ValueError(
+                f"rise_time_10_90 must be finite and > 0, got {self.rise_time_10_90}"
+            )
 
     @property
     def settling_time(self) -> float:
@@ -266,12 +264,17 @@ class PulseSlot:
     margin: float = 50e-9
 
     def __post_init__(self) -> None:
-        if self.squeezing_db < 0.0:
-            raise ValueError("slot squeezing_db must be >= 0 (quote levels as positive dB)")
+        if not 0.0 <= self.squeezing_db < math.inf:
+            raise ValueError(
+                "slot squeezing_db must be finite and >= 0 (quote levels as positive dB), "
+                f"got {self.squeezing_db}"
+            )
         if self.quadrature not in ("x_squeezed", "p_squeezed"):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.mode_width <= 0.0 or self.margin <= 0.0:
-            raise ValueError("mode_width and margin must be > 0")
+        for key in ("mode_width", "margin"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
 
     @property
     def period(self) -> float:
@@ -354,8 +357,8 @@ class PowerTrace:
     power_mw: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         power = np.asarray(self.power_mw, dtype=float)
         if power.ndim != 1 or power.size < 1:
             raise ValueError("power_mw must be a non-empty 1-D array")

@@ -891,6 +891,7 @@ def _plan_epr(cfg, params, cal):
             det.dt, n_total, lags,
         )
         margin = (4.0 - result.duan) / result.duan_stderr
+        best_t_c = t_c + result.offset
         checks = {
             "entangled": (result.entangled, f"duan = {result.duan:.4f}"),
             "separability_margin": (margin >= 5.0, f"(4 - duan)/SE = {margin:.1f}"),
@@ -900,8 +901,8 @@ def _plan_epr(cfg, params, cal):
                 f"(SE {result.duan_stderr:.4f})",
             ),
             "scan_near_predicted_center": (
-                abs(result.t_c - predicted_t_c) <= 3.0 * dt,
-                f"best center {(result.t_c - t_c) * 1e9:+.1f} ns vs "
+                abs(best_t_c - predicted_t_c) <= 3.0 * dt,
+                f"best center {(best_t_c - t_c) * 1e9:+.1f} ns vs "
                 f"predicted {(predicted_t_c - t_c) * 1e9:+.1f} ns",
             ),
         }
@@ -910,7 +911,7 @@ def _plan_epr(cfg, params, cal):
             "duan_stderr": result.duan_stderr,
             "effective_db": result.effective_db,
             "entangled": result.entangled,
-            "t_c_s": result.t_c,
+            "t_c_s": best_t_c,
             "nominal_t_c_s": t_c,
             "duan_predicted_nominal": predicted_nominal,
             "duan_predicted_best": predicted_best,

@@ -405,12 +405,17 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
 
 @dataclass(frozen=True)
 class EprResult:
-    """Duan inseparability test result for a two-mode extraction."""
+    """Duan inseparability test result for a two-mode extraction.
+
+    ``offset`` is the scan offset (s) of the best mode center from the
+    nominal one, which the caller knows; ``scan_offsets`` and
+    ``scan_duan`` hold the whole scan.
+    """
 
     duan: float
     duan_stderr: float
     effective_db: float
-    t_c: float
+    offset: float
     entangled: bool
     scan_offsets: np.ndarray
     scan_duan: np.ndarray
@@ -469,7 +474,7 @@ def stream_epr_analysis(
     block those of g1/s1 + g2/s2 (a :class:`sqzsim.dsp.ModeScan` per
     set), and :func:`sqzsim.dsp.split_moments` folds them into
     :func:`sqzsim.quantum.duan_from_moments`.  The result is taken at
-    the center that minimizes the Duan value.
+    the lag that minimizes the Duan value.
     """
     offsets = np.asarray(lags)
 
@@ -484,7 +489,6 @@ def stream_epr_analysis(
 
     best = int(np.argmin(scan.value))
     duan = float(scan.value[best])
-    t_c = float(g1.params.get("t_c", g1.t0) + offsets[best] * dt)
     # Both scales carry chi-squared noise from the finite vacuum set and
     # enter every variance multiplicatively, so their relative errors
     # (1 / sqrt(2 (n_vac - 1)) each, independent for orthogonal modes)
@@ -494,7 +498,7 @@ def stream_epr_analysis(
         duan=duan,
         duan_stderr=stderr,
         effective_db=effective_squeezing_db(duan),
-        t_c=t_c,
+        offset=float(offsets[best] * dt),
         entangled=bool(scan.entangled[best]),
         scan_offsets=offsets * dt,
         scan_duan=scan.value,

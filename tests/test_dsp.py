@@ -1,5 +1,6 @@
 """Spectral estimation, variance traces, temporal modes, mode projection."""
 
+import decimal
 import math
 import warnings
 
@@ -203,6 +204,58 @@ def test_loss_inversion_grid():
             )
             assert est.pure_db == pytest.approx(20.0 * r / math.log(10.0), abs=1e-6)
             assert est.loss == pytest.approx(loss, abs=1e-6)
+
+
+def _levels(r: float, loss: float) -> tuple[float, float]:
+    """The squeezed and antisqueezed levels (dB) of squeezing r after loss."""
+    s = (1.0 - loss) * math.exp(-2.0 * r) + loss
+    a = (1.0 - loss) * math.exp(2.0 * r) + loss
+    return 10.0 * math.log10(s), 10.0 * math.log10(a)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.312, 1.0])
+def test_loss_inversion_of_lossless_pairs_with_errors(r):
+    est = estimate_pure_squeezing_and_loss(*_levels(r, 0.0), 0.05, 0.05)
+    assert est.pure_db == pytest.approx(20.0 * r / math.log(10.0), abs=1e-13)
+    assert est.loss == pytest.approx(0.0, abs=1e-14)
+    assert 0.0 < est.pure_db_stderr < math.inf
+    assert 0.0 < est.loss_stderr < math.inf
+
+
+def test_loss_inversion_round_trips_the_grid_to_rounding():
+    for r in np.linspace(0.05, 1.0, 8):
+        for loss in np.linspace(0.0, 0.5, 6):
+            est = estimate_pure_squeezing_and_loss(*_levels(r, loss))
+            assert abs(est.pure_db - 20.0 * r / math.log(10.0)) <= 1e-13
+            assert abs(est.loss - loss) <= 1e-13
+
+
+def test_loss_inversion_errors_match_a_high_precision_delta_method():
+    # independent route: central differences of the closed form in
+    # 60-digit decimal arithmetic, whose step and rounding errors sit far
+    # below double precision
+    ctx = decimal.Context(prec=60)
+    ten, h = ctx.create_decimal(10), ctx.create_decimal("1e-25")
+
+    def estimate(s_db, a_db):
+        s, a = (ctx.power(ten, x / 10) for x in (s_db, a_db))
+        pure_db = 10 * ctx.log10((a - 1) / (1 - s))
+        return pure_db, (s * a - 1) / (s + a - 2)
+
+    def slope(s_db, a_db, ds, da):
+        up, down = estimate(s_db + ds, a_db + da), estimate(s_db - ds, a_db - da)
+        return [(u - d) / (2 * h) for u, d in zip(up, down)]
+
+    pairs = [(*_levels(r, loss), 0.07, 0.05) for r in (0.1, 0.5, 1.0) for loss in (0.05, 0.3)]
+    pairs.append((-2.085261037312479, 2.3920069631463345, 0.0722098099, 0.0698753719))
+    with decimal.localcontext(ctx):
+        for s_db, a_db, s_se, a_se in pairs:
+            est = estimate_pure_squeezing_and_loss(s_db, a_db, s_se, a_se)
+            s_db, a_db, s_se, a_se = map(ctx.create_decimal, (s_db, a_db, s_se, a_se))
+            d_s, d_a = slope(s_db, a_db, h, 0), slope(s_db, a_db, 0, h)
+            for got, ds, da in zip((est.pure_db_stderr, est.loss_stderr), d_s, d_a):
+                want = float((ds * ds * s_se**2 + da * da * a_se**2).sqrt())
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_loss_inversion_rejects_non_squeezed_input():

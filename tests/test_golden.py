@@ -15,10 +15,14 @@ float64 cast (each value moved by at most 5.9e-9 dB).  They were
 re-recorded a second time when the squeezed and antisqueezed sets moved
 to one draw per sample through their spectral factor, a declared change
 of their random stream (only ``vacuum_check_band_db`` kept its value).
+The two standard errors of the pure-squeezing estimate were re-recorded
+once more when the finite differences of a bisection gave way to the
+exact delta method of the closed-form inversion, which removed their
+noise (they moved by 3.5e-8 and 6.2e-8 relative; the estimates moved by
+at most 5.7e-12 and kept their pins).
 Refactors of the synthesis and analysis paths must reproduce every
 value.  Changes that only reorder floating-point sums move them by about
-1e-15 relative, far
-inside the 1e-9 tolerance.
+1e-15 relative, far inside the 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ SPECTRUM_SEED0_200 = {
     "antisqueezed_band_db": [2.3920069631463345, 0.06987537194084423],
     "vacuum_check_band_db": [0.039832434524379096, 0.07614123128725905],
     "high_band_db": [-0.024470910886833567, 0.023117320469776475],
-    "estimated_pure_db": [2.8477722450153946, 0.20236275275470608],
-    "estimated_loss": [0.2071489154331736, 0.055090040382261354],
+    "estimated_pure_db": [2.8477722450153946, 0.20236274558366066],
+    "estimated_loss": [0.2071489154331736, 0.05509003694742895],
 }
 
 # (detector_bandwidth_hz, pinned report entries); 0 is the ideal detector

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+from sqzsim.homodyne import DetectorModel
+from sqzsim.opa import SqueezerTrajectory
 from sqzsim.pump import (
     _FIRST_ORDER_RISE_PER_TAU,
     AwgProgram,
@@ -94,6 +96,30 @@ def test_calibration_validation():
 def test_calibration_from_dict_rejects_non_finite_coefficients_naming_the_key(cal, key, value):
     with pytest.raises(ValueError, match=f"{key} must hold finite numbers"):
         Calibration.from_dict(cal.to_dict() | {key: value})
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(lambda v: DetectorModel(bandwidth=None, sample_rate=v), "sample_rate",
+                     id="DetectorModel.sample_rate"),
+        pytest.param(
+            lambda v: SqueezerTrajectory(dt=v, r=np.zeros(4), theta=np.zeros(4), loss=0.0), "dt",
+            id="SqueezerTrajectory.dt",
+        ),
+        pytest.param(lambda v: PowerTrace(dt=v, power_mw=np.ones(4)), "dt", id="PowerTrace.dt"),
+        pytest.param(lambda v: ModulatorResponse(rise_time_10_90=v), "rise_time_10_90",
+                     id="ModulatorResponse.rise_time_10_90"),
+        *[pytest.param(lambda v, k=k: Calibration(**{k: v}), k, id=f"Calibration.{k}")
+          for k in ("quad_coeff", "linear_limit", "gain_coeff", "max_pump_power")],
+        *[pytest.param(lambda v, k=k: PulseSlot(**{k: v}), k, id=f"PulseSlot.{k}")
+          for k in ("mode_width", "margin", "squeezing_db")],
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_constructors_reject_non_finite_values_naming_the_field(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(value)
 
 
 def test_calibration_from_dict_rejects_a_non_finite_lookup_table():

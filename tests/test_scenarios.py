@@ -353,6 +353,9 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
         (["waveforms", "--set", "rise_time_s=1e300"], "rise_time_s"),
         (["tm_squeezing", "--set", "margin_s=1e300"], "margin_s"),
         (["epr", "--set", "segment_s=1e-200"], "segment_s"),
+        # a rate whose sample interval 1 / rate overflows to inf
+        (["tm_squeezing", "--set", "sample_rate_hz=1e-320", "--set", "detector_bandwidth_hz=0"],
+         "sample_rate_hz"),
     ],
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):

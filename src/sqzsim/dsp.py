@@ -6,6 +6,8 @@ reported quantities.  Standard errors follow one convention throughout
 the package: the data are split into 10 contiguous subsets by
 :func:`sqzsim.quantum.split_slices`, the statistic is evaluated per
 subset, and the error is the subset standard deviation over sqrt(10).
+Pure squeezing and loss invert the loss model in closed form, with
+errors from its exact gradient (:func:`estimate_pure_squeezing_and_loss`).
 
 Every analysis is a reduction over frame blocks as
 :func:`sqzsim.homodyne.iter_frame_chunks` yields them, cut by
@@ -204,7 +206,9 @@ def estimate_pure_squeezing_and_loss(
         to shot noise (s_db negative, a_db positive).
     s_stderr_db, a_stderr_db : float, optional
         Standard errors of the inputs; when both are given the output
-        errors follow from the closed form by the delta method.
+        errors follow from the closed form by the delta method.  They
+        raise for a pair of the noise band below with S + A <= 2, the
+        pole of the gradient of L.
 
     Returns
     -------
@@ -243,12 +247,15 @@ def estimate_pure_squeezing_and_loss(
 
     pure_se = loss_se = None
     if s_stderr_db is not None and a_stderr_db is not None:
+        excess = s_lin + a_lin - 2.0
+        if excess <= 0.0:
+            raise ValueError(f"infeasible squeezing pair: S + A - 2 = {excess:.3g} <= 0")
         # d(S, A)/d(s_db, a_db) = (S, A) ln(10) / 10
         s_se, a_se = s_lin * s_stderr_db, a_lin * a_stderr_db
         pure_se = math.hypot(s_se / (1.0 - s_lin), a_se / (a_lin - 1.0))
         loss_se = (math.log(10.0) / 10.0) * math.hypot(
             (a_lin - 1.0) ** 2 * s_se, (1.0 - s_lin) ** 2 * a_se
-        ) / (s_lin + a_lin - 2.0) ** 2
+        ) / excess**2
     return PureSqueezingEstimate(
         pure_db=pure_db,
         loss=loss,

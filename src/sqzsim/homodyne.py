@@ -58,9 +58,8 @@ time.  Each share of a stream owns one float32 draw tile, of shape
 state and products, made by the thread that fills it on its first block
 and reused by every tile after.  Each frame's draws fill its row of the
 tile; with two channels the raw draws are scaled in place, and the
-channels go straight into the filter.  So a filtered
-stream holds its yielded block and a few tiles, however many frames or
-rows a block has.
+channels go straight into the filter.  So a filtered stream holds its
+yielded block and a few tiles, however many frames or rows a block has.
 
 The filtered detector runs on NumPy alone.  Its Butterworth pair is a
 port of SciPy's ``butter(2, ...)``, byte-equal to it.

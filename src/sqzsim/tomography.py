@@ -407,9 +407,7 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
 class EprResult:
     """Duan inseparability test result for a two-mode extraction.
 
-    ``offset`` is the scan offset (s) of the best mode center from the
-    nominal one, which the caller knows; ``scan_offsets`` and
-    ``scan_duan`` hold the whole scan.
+    ``offset`` (s) is the best scan offset from the modes' nominal center.
     """
 
     duan: float

@@ -194,18 +194,6 @@ def test_loss_inversion_propagates_errors():
     assert est.loss_stderr is not None and est.loss_stderr > 0.0
 
 
-def test_loss_inversion_grid():
-    for r in np.linspace(0.05, 1.0, 5):
-        for loss in np.linspace(0.0, 0.5, 5):
-            s = (1.0 - loss) * math.exp(-2.0 * r) + loss
-            a = (1.0 - loss) * math.exp(2.0 * r) + loss
-            est = estimate_pure_squeezing_and_loss(
-                10.0 * math.log10(s), 10.0 * math.log10(a)
-            )
-            assert est.pure_db == pytest.approx(20.0 * r / math.log(10.0), abs=1e-6)
-            assert est.loss == pytest.approx(loss, abs=1e-6)
-
-
 def _levels(r: float, loss: float) -> tuple[float, float]:
     """The squeezed and antisqueezed levels (dB) of squeezing r after loss."""
     s = (1.0 - loss) * math.exp(-2.0 * r) + loss
@@ -222,7 +210,8 @@ def test_loss_inversion_of_lossless_pairs_with_errors(r):
     assert 0.0 < est.loss_stderr < math.inf
 
 
-def test_loss_inversion_round_trips_the_grid_to_rounding():
+def test_loss_inversion_grid():
+    # the closed form round-trips to rounding
     for r in np.linspace(0.05, 1.0, 8):
         for loss in np.linspace(0.0, 0.5, 6):
             est = estimate_pure_squeezing_and_loss(*_levels(r, loss))
@@ -281,6 +270,16 @@ def test_loss_inversion_vacuum_pair_is_low_confidence():
 def test_loss_inversion_rejects_infeasible_pair():
     with pytest.raises(ValueError, match="infeasible"):
         estimate_pure_squeezing_and_loss(-3.0, 1.0)
+
+
+def test_loss_inversion_errors_of_a_band_pair_at_the_loss_pole_are_infeasible():
+    # S = 1 - 2^-20 and A = 1 + 2^-20 exactly: S A is inside the noise
+    # band below 1 and S + A = 2, the pole of the loss gradient
+    s_db, a_db = 10.0 * math.log10(1.0 - 2.0**-20), 10.0 * math.log10(1.0 + 2.0**-20)
+    est = estimate_pure_squeezing_and_loss(s_db, a_db)
+    assert est.low_confidence and est.loss == 0.0
+    with pytest.raises(ValueError, match="infeasible"):
+        estimate_pure_squeezing_and_loss(s_db, a_db, 0.01, 0.01)
 
 
 def test_fir_taps_properties():

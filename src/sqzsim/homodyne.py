@@ -55,18 +55,23 @@ filtered block of fewer than 4 rows, the fill is serial.
 Memory: a share draws, scales and filters its rows ``_TILE_ROWS`` at a
 time.  Each share of a stream owns one float32 draw tile, of shape
 ``(_TILE_ROWS, channels, burn-in + samples)``, and the filter's work,
-state and products, made by the thread that fills it on its first block
-and reused by every tile after.  Each frame's draws fill its row of the
-tile; with two channels the raw draws are scaled in place, and the
-channels go straight into the filter.  So a filtered stream holds its
-yielded block and a few tiles, however many frames or rows a block has.
+products and carried states, made by the thread that fills it on its
+first block and reused by every tile after.  Each frame's draws fill its
+row of the tile; with two channels the raw draws are scaled in place,
+and the channels go straight into the filter.  So a filtered stream
+holds its yielded block and a few tiles, however many frames or rows a
+block has.
 
 The filtered detector runs on NumPy alone.  Its Butterworth pair is a
 port of SciPy's ``butter(2, ...)``, byte-equal to it.
 :class:`_BlockFilter` applies the pair as SciPy's ``lfilter`` would, by
-matrix products over chunks of each record (Burrus' block
-realization).  It differs from ``lfilter`` by rounding only: a test
-holds the difference within 1e-12 of the record rms for bandwidths
+matrix products over chunks of each record (Burrus' block realization).
+The chunks' start states are carried 16 chunks at a time, by products
+with powers of the state map that the recursion itself computes, so a
+call loops in Python once per group of chunks: on one thread of a 2-vCPU
+Xeon a 32-row tile of 4160 samples takes about 0.3 ms for one channel
+and 0.7 ms for two.  It differs from ``lfilter`` by rounding only: a
+test holds the difference within 1e-12 of the record rms for bandwidths
 from 2 MHz to 0.45 of the sample rate.  A frame's bits do not depend on
 the block or share it is filled in, since every frame gets the same
 matrix products however many rows share a call.  So no run imports
@@ -194,8 +199,16 @@ def _butter2(cutoff: float, sample_rate: float, highpass: bool) -> tuple[np.ndar
 
 
 # Samples per chunk of _BlockFilter: of 16, 24, 32, 48 and 64 the
-# fastest on 544- to 4160-sample records
+# fastest on 544- to 4160-sample records, with the start states carried
+# chunk by chunk and again with the grouped carry (one 32-row tile of
+# two channels on one thread of a 2-vCPU Xeon: 0.10, 0.21 and 0.74 ms
+# at 544, 1384 and 4160 samples)
 _CHUNK = 32
+
+# Chunks per group of _BlockFilter's state carry: its Python loop runs
+# once per group, 9 times on a 4160-sample record, and each group's
+# in-group product takes (_GROUP * 2 * channels)**2 multiply-adds per row
+_GROUP = 16
 
 
 class _BlockFilter:
@@ -209,43 +222,59 @@ class _BlockFilter:
     A chunk's outputs are its inputs times the m x m impulse-response
     matrix plus its start state times the state-to-output map, and the
     next chunk's start state is its inputs times the input-to-state map
-    plus its start state times the state-to-state map.
+    (its push) plus its start state times the state map T.
+
+    The start states are carried ``_GROUP`` chunks at a time.  One
+    product of the pushes with a block-lower-triangular matrix of the
+    powers T^0 .. T^(G-1) gives every state of a group from a zero group
+    start; a loop over the groups carries each group's entry state to
+    the next by T^G; and one more product adds each entry state times
+    T^1 .. T^G to its group.  The powers come from the recursion itself
+    over i m zero-input samples, not from products of T, whose rounding
+    grows with the power where T is ill-conditioned (a narrow detector).
 
     A work array holds, per row and chunk, the m inputs of each channel
-    and then the 2 start states of each channel.  The products run as
-    stacked matmuls over the ``(rows, chunks, width)`` work, the same
-    matrix products for every row, and the state is carried from chunk
-    to chunk by elementwise operations: a row's bits do not depend on
-    how many rows share the call.
+    and then the 2 start states of each channel.  Every product runs as
+    a stacked matmul with rows outermost, the same matrix products for
+    every row, so a row's bits do not depend on how many rows share the
+    call.
     """
 
     def __init__(self, filters, n_samples: int) -> None:
         m = self.m = _CHUNK
         p = self.n_channels = len(filters)
+        q = 2 * p
         self.n_chunks = -(-n_samples // m)
         self.pad = self.n_chunks * m - n_samples
+        # the states of chunks 1 .. n_chunks - 1, _GROUP to a group
+        self.n_groups = -(-(self.n_chunks - 1) // _GROUP)
         # the maps of each channel from its recursion over one chunk
-        self.to_output = np.zeros((p * m + 2 * p, m))
-        self.to_state = np.zeros((p * m, 2 * p))
-        # the next state (c, j) is step[0][c, j] z_0 + step[1][c, j] z_1 of channel c
-        step = np.empty((2, p, 2))
+        self.to_output = np.zeros((p * m + q, m))
+        self.to_state = np.zeros((p * m, q))
+        # powers[i] maps a start state to the state i chunks of zero input on
+        powers = np.zeros((_GROUP + 1, q, q))
         for c, (b, a) in enumerate(filters):
             impulse, state = _chunk_response(b, a, m)
             self.to_output[c * m : (c + 1) * m] = impulse[:, :m].T
             self.to_output[p * m + 2 * c : p * m + 2 * c + 2] = impulse[:, m:].T
             self.to_state[c * m : (c + 1) * m, 2 * c : 2 * c + 2] = state[:, :m].T
-            step[:, c] = state[:, m:].T
-        self.step = step[..., None]
-        # chunks per matrix product: OpenBLAS runs a product of more than
-        # 2**18 multiply-adds on several threads, which made 16384-sample
-        # frames 1.7 times slower to fill
-        self.span = max(1, 2**18 // self.to_output.size)
+            powers[:, 2 * c : 2 * c + 2, 2 * c : 2 * c + 2] = _state_powers(a, m, _GROUP)
+        # the pushes of a group's chunks j to the start states of its chunks t + 1 >= j + 1
+        in_group = np.zeros((_GROUP, q, _GROUP, q))
+        for j in range(_GROUP):
+            for t in range(j, _GROUP):
+                in_group[j, :, t] = powers[t - j]
+        self.in_group = in_group.reshape(_GROUP * q, _GROUP * q)
+        # a group's entry state to the start states of its chunks, and to the next entry
+        self.from_entry = powers[1:].transpose(1, 0, 2).reshape(q, _GROUP * q)
+        self.across = powers[_GROUP]
 
     def _shapes(self, n_rows: int) -> list[tuple[int, ...]]:
-        """The work, product, state and carried arrays of a call on ``n_rows`` rows."""
-        m, p, n_chunks = self.m, self.n_channels, self.n_chunks
-        return [(n_rows, n_chunks, p * m + 2 * p), (n_rows * n_chunks * max(2 * p, m),),
-                (n_chunks, p, 2, n_rows), (2, p, 2, n_rows)]
+        """The work, product, in-group state and entry state arrays of a call on ``n_rows`` rows."""
+        m, p, n_chunks, n_groups = self.m, self.n_channels, self.n_chunks, self.n_groups
+        group = _GROUP * 2 * p
+        return [(n_rows, n_chunks, p * m + 2 * p), (n_rows * max(n_chunks * m, n_groups * group),),
+                (n_rows, n_groups, group), (n_rows, n_groups, 2 * p)]
 
     def scratch(self, n_rows: int) -> np.ndarray:
         """A flat float64 buffer for calls on up to ``n_rows`` rows."""
@@ -258,38 +287,51 @@ class _BlockFilter:
         :meth:`scratch`, allocated for this call when None), so the same
         rows give the same layout in any buffer; the result is a view into it.
         """
-        m, p, n_chunks = self.m, self.n_channels, self.n_chunks
-        n_rows, width = rows[0].shape[0], p * m
+        m, p, n_chunks, n_groups = self.m, self.n_channels, self.n_chunks, self.n_groups
+        n_rows, width, q = rows[0].shape[0], p * m, 2 * p
         if scratch is None:
             scratch = self.scratch(n_rows)
-        shapes = self._shapes(n_rows)
-        sizes = [math.prod(shape) for shape in shapes]
-        parts = np.split(scratch[: sum(sizes)], np.cumsum(sizes)[:-1])
+        parts, lo = [], 0
+        for shape in self._shapes(n_rows):
+            parts.append(scratch[lo : lo + math.prod(shape)].reshape(shape))
+            lo += parts[-1].size
         # per row and chunk of work: each channel's m inputs, then its 2 start states
-        work, products, state, carried = map(np.reshape, parts, shapes)
+        work, products, in_group, entries = parts
         for c, x in enumerate(rows):
             inputs = work[..., c * m : (c + 1) * m]
             inputs[:, 0, : self.pad] = 0.0
             inputs[:, 0, self.pad :] = x[:, : m - self.pad]
             inputs[:, 1:] = x[:, m - self.pad :].reshape(n_rows, n_chunks - 1, m)
-        # every chunk's push into the next chunk's start state, then the
-        # start states chunk by chunk, with rows innermost
-        pushed = self._products(work[..., :width], self.to_state, products)[:, :-1]
-        state[0] = 0.0
-        state[1:] = pushed.reshape(n_rows, n_chunks - 1, p, 2).transpose(1, 2, 3, 0)
-        for k in range(1, n_chunks):
-            # both terms in one product: carried[i] is z_i times its step
-            np.multiply(state[k - 1].transpose(1, 0, 2)[:, :, None], self.step, out=carried)
-            state[k] += carried[0]
-            state[k] += carried[1]
-        work[..., width:] = state.reshape(n_chunks, 2 * p, n_rows).transpose(2, 0, 1)
-        return self._products(work, self.to_output, products).reshape(n_rows, -1)[:, self.pad :]
+        # the pushes of every chunk but the last, _GROUP chunks to a group,
+        # then every start state from a zero group start; the last group's
+        # tail is zeroed, since a NaN left there would reach every state
+        # of its group through the zeros of the in-group matrix
+        grouped = products[: in_group.size].reshape(n_rows, n_groups * _GROUP, q)
+        self._products(work[:, :-1, :width], self.to_state, grouped[:, : n_chunks - 1])
+        grouped[:, n_chunks - 1 :] = 0.0
+        self._products(grouped.reshape(in_group.shape), self.in_group, in_group)
+        # the entry states, carried from group to group, then added to their groups
+        entries[:, :1] = 0.0
+        for g in range(1, n_groups):
+            np.matmul(entries[:, g - 1 : g], self.across, out=entries[:, g : g + 1])
+            entries[:, g] += in_group[:, g - 1, -q:]
+        in_group += self._products(entries, self.from_entry, grouped.reshape(in_group.shape))
+        work[:, 0, width:] = 0.0
+        work[:, 1:, width:] = in_group.reshape(n_rows, n_groups * _GROUP, q)[:, : n_chunks - 1]
+        out = products[: n_rows * n_chunks * m].reshape(n_rows, n_chunks, m)
+        return self._products(work, self.to_output, out).reshape(n_rows, -1)[:, self.pad :]
 
-    def _products(self, x: np.ndarray, maps: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """``x @ maps`` for ``(rows, chunks, k)`` x, ``span`` chunks per product, into ``flat``."""
-        out = flat[: x.shape[0] * x.shape[1] * maps.shape[1]].reshape(x.shape[:2] + maps.shape[1:])
-        for lo in range(0, x.shape[1], self.span):
-            np.matmul(x[:, lo : lo + self.span], maps, out=out[:, lo : lo + self.span])
+    @staticmethod
+    def _products(x: np.ndarray, maps: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``x @ maps`` for ``(rows, chunks or groups, k)`` x into ``out``, a few per product.
+
+        OpenBLAS runs a product of more than 2**18 multiply-adds on
+        several threads, which made 16384-sample frames 1.7 times slower
+        to fill, so each product takes at most that many.
+        """
+        span = max(1, 2**18 // maps.size)
+        for lo in range(0, x.shape[1], span):
+            np.matmul(x[:, lo : lo + span], maps, out=out[:, lo : lo + span])
         return out
 
 
@@ -337,6 +379,25 @@ def _chunk_response(b, a, m: int) -> tuple[np.ndarray, np.ndarray]:
         y[n] = b0 * x[n] + z0
         z0, z1 = b1 * x[n] - a1 * y[n] + z1, b2 * x[n] - a2 * y[n]
     return y, np.stack([z0, z1])
+
+
+def _state_powers(a, m: int, n: int) -> np.ndarray:
+    """The state maps of ``lfilter(b, a)`` over 0, 1, ..., n chunks of m zero-input samples.
+
+    Entry ``[i, s, j]`` is end state z_j after i m samples of zero input
+    from the unit start state z_s, by the recursion itself, as
+    :func:`_chunk_response` runs it (``[1]`` equals its end states of
+    columns m and m + 1).
+    """
+    _, a1, a2 = (float(v) for v in a)
+    powers = np.empty((n + 1, 2, 2))
+    for s, (z0, z1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        powers[0, s] = z0, z1
+        for i in range(1, n + 1):
+            for _ in range(m):
+                z0, z1 = z1 - a1 * z0, -a2 * z0
+            powers[i, s] = z0, z1
+    return powers
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
@@ -413,8 +474,13 @@ def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]
 # buffers, 52.5, 59.1, 65.8 and 72.3 MB with tiles of 16, 32, 48 and 64
 # rows.  Wall time stayed within the runs' spread from 32 rows up
 # (medians 1.84 s block-sized, 1.78, 1.80 and 1.74 s); 16 rows took
-# 2.04 s, as the filter's chunk-by-chunk state loop costs the same per
-# call at any row count.
+# 2.04 s while the filter carried its start states chunk by chunk, a
+# cost per call at any row count.  The grouped carry cut that cost (a
+# 32-row tile of 4160 samples on one thread: 0.32 ms for one channel,
+# 0.71 ms for two), and 16 rows then ran as fast as 32 (benchmark
+# `spectrum_long`, 4 alternating runs each: medians 0.98 and 0.99 s,
+# peak RSS 55.1 and 60.2 MB); the tile stays at 32 until a change that
+# re-chooses it measures both on every workload.
 _TILE_ROWS = 32
 
 # Frames per block of a stream, at most; the reducers in dsp take a

@@ -506,11 +506,14 @@ def _plan_waveforms(cfg, params, cal):
     tail = 200e-9
     with _fed_by("duration_s", "sample_rate_hz"):
         n_total = int(round((lead + duration + tail) / dt))
-    # the FIR edges are trimmed from every frame, so the taps must fit in one
-    if taps < 3 or taps % 2 == 0 or taps - 1 >= n_total:
+    if taps < 3 or taps % 2 == 0:
+        raise UsageError(f"fir_taps must be an odd integer >= 3, got {taps}")
+    # the FIR edges are trimmed from every frame, so the taps must fit in
+    # one, whose length the duration and the sample rate set
+    if taps - 1 >= n_total:
         raise UsageError(
-            f"fir_taps must be an odd integer >= 3 with fir_taps - 1 below the "
-            f"{n_total}-sample frame, got {taps}"
+            f"bad value for 'fir_taps' or 'duration_s' or 'sample_rate_hz': fir_taps - 1 "
+            f"must lie below the {n_total}-sample frame, got {taps} taps"
         )
     _budget_stream(det, n_total, "duration_s", "sample_rate_hz")
     if not 0.0 < cutoff < 0.5 / dt:
@@ -674,7 +677,7 @@ def _plan_tm_squeezing(cfg, params, cal):
     quads = _list_param(params, "slot_quadratures", _quadrature)
     if len(dbs) != len(quads):
         raise UsageError("slot_dbs and slot_quadratures must have equal length")
-    with _fed_by("slot_dbs", "margin_s", "mode_width_s", "rise_time_s"):
+    with _fed_by("slot_dbs", "margin_s", "mode_width_s", "rise_time_s", "sample_rate_hz"):
         slots = tuple(
             PulseSlot(
                 squeezing_db=db,
@@ -709,7 +712,9 @@ def _plan_tm_squeezing(cfg, params, cal):
             for k, slot in enumerate(train.slots)
         ]
     n_samples = prog.samples_v.size
-    _budget_stream(det, n_samples, "slot_dbs", "margin_s", "mode_width_s", "rise_time_s")
+    _budget_stream(
+        det, n_samples, "slot_dbs", "margin_s", "mode_width_s", "rise_time_s", "sample_rate_hz"
+    )
     # every frame block is projected onto all slot modes at once, reduced
     # and dropped; no frame set is held whole
     scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], det.dt, n_samples)

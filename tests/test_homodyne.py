@@ -197,7 +197,10 @@ def test_butterworth_pair_is_scipy_butter_byte_for_byte(sample_rate):
 KERNEL_TOLERANCE = 1e-12
 
 
-@pytest.mark.parametrize("n_samples", [5, 544, 1384, 4160, 16384])
+# 512, 513 and 1025 samples are 16, 17 and 33 chunks: the carried start
+# states (every chunk's but the first) fill one group less one state,
+# exactly one group and exactly two groups
+@pytest.mark.parametrize("n_samples", [5, 512, 513, 544, 1025, 1384, 4160, 16384])
 @pytest.mark.parametrize("bandwidth", [2e6, 20e6, 200e6, 450e6])
 def test_block_filter_matches_lfilter(bandwidth, n_samples):
     b_lp, a_lp, b_hp, a_hp = DetectorModel(bandwidth=bandwidth).filters()
@@ -215,7 +218,7 @@ def test_block_filter_matches_lfilter(bandwidth, n_samples):
     assert np.abs(pair(x[0], x[1]) - want).max() <= tol
 
 
-@pytest.mark.parametrize("n_samples", [544, 4160])
+@pytest.mark.parametrize("n_samples", [513, 544, 4160])
 def test_block_filter_rows_do_not_depend_on_the_block(n_samples):
     b_lp, a_lp, b_hp, a_hp = DetectorModel().filters()
     kernel = homodyne._BlockFilter([(b_lp, a_lp), (b_hp, a_hp)], n_samples)

@@ -183,7 +183,7 @@ def test_duan_from_covariance_vacuum_is_four():
     assert _duan_from_covariance(np.eye(4)) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_duan_value_matches_covariance_route():
+def test_duan_from_moments_matches_covariance_route():
     rng = np.random.default_rng(7)
     n = 200000
     cov = _epr_covariance(R_271, LOSS)
@@ -196,7 +196,7 @@ def test_duan_value_matches_covariance_route():
     assert res.entangled[0]
 
 
-def test_duan_value_vacuum_sits_at_four():
+def test_duan_from_moments_vacuum_sits_at_four():
     rng = np.random.default_rng(11)
     q = rng.standard_normal((4, 50000, 1))
     res = _duan(*q)
@@ -257,7 +257,7 @@ DUAN_RTOL = 1e-12
 
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("n", [100, 1013, 4800])
-def test_duan_value_holds_the_tolerance_against_two_pass_var(n, offset):
+def test_duan_from_moments_holds_the_tolerance_against_two_pass_var(n, offset):
     # 4800 samples put two 256-sample blocks into every split; the offset
     # survives x1 - x2 and p1 + p2, where a one-pass sum of squares fails
     rng = np.random.default_rng(n)
@@ -276,7 +276,7 @@ def test_duan_value_holds_the_tolerance_against_two_pass_var(n, offset):
     np.testing.assert_allclose(res.stderr, stderr, rtol=DUAN_RTOL, atol=0.0)
 
 
-def test_duan_value_rejects_short_records():
+def test_duan_from_moments_rejects_short_records():
     x = np.zeros((99, 1))
     with pytest.raises(ValueError, match="at least 100 samples"):
         _duan(x, x, x, x)

@@ -356,6 +356,10 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
         # a rate whose sample interval 1 / rate overflows to inf
         (["tm_squeezing", "--set", "sample_rate_hz=1e-320", "--set", "detector_bandwidth_hz=0"],
          "sample_rate_hz"),
+        # a rate so low that a frame holds no sample: the FIR taps and the
+        # pulse slots fail first, but the rate is the cause
+        *[([s, "--frames", "100", "--set", "sample_rate_hz=1e-3", "--set",
+            "detector_bandwidth_hz=0"], "sample_rate_hz") for s in ("waveforms", "tm_squeezing")],
     ],
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):

@@ -63,19 +63,20 @@ holds its yielded block and a few tiles, however many frames or rows a
 block has.
 
 The filtered detector runs on NumPy alone.  Its Butterworth pair is a
-port of SciPy's ``butter(2, ...)``, byte-equal to it.
-:class:`_BlockFilter` applies the pair as SciPy's ``lfilter`` would, by
-matrix products over chunks of each record (Burrus' block realization).
-The chunks' start states are carried 16 chunks at a time, by products
-with powers of the state map that the recursion itself computes, so a
-call loops in Python once per group of chunks: on one thread of a 2-vCPU
-Xeon a 32-row tile of 4160 samples takes about 0.3 ms for one channel
-and 0.7 ms for two.  It differs from ``lfilter`` by rounding only: a
-test holds the difference within 1e-12 of the record rms for bandwidths
-from 2 MHz to 0.45 of the sample rate.  A frame's bits do not depend on
-the block or share it is filled in, since every frame gets the same
-matrix products however many rows share a call.  So no run imports
-SciPy, whose ``butter`` and ``lfilter`` serve the tests as oracles.
+port of SciPy's ``butter(2, ...)``, byte-equal to it, and shares one
+denominator A, the low-pass one (SciPy's high-pass one differs by
+rounding only).  :class:`_BlockFilter` runs a two-row record
+(B_lp z0' + B_hp z1) / A, or a one-row b z / A, through one state pair
+by matrix products over chunks of each record (Burrus' block
+realization), and carries the chunks' start states 16 chunks at a time
+by powers of the state map that the recursion itself computes.  It
+differs from SciPy's ``lfilter`` of each row, each with its own
+denominator, by rounding only: a test holds the difference within
+1e-12 of the record rms for bandwidths from 2 MHz to 0.45 of the sample
+rate.  A frame's bits do not depend on the block or share it is filled
+in, since every frame gets the same matrix products however many rows
+share a call.  So no run imports SciPy, whose ``butter`` and
+``lfilter`` serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -131,44 +132,37 @@ class DetectorModel:
     def dt(self) -> float:
         return 1.0 / self.sample_rate
 
-    def filters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """(b_lp, a_lp, b_hp, a_hp) or None for an ideal detector.
+    def filters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(b_lp, b_hp, a) or None for an ideal detector.
 
-        The 2nd-order Butterworth low/high-pass pair at the bandwidth is
-        power complementary, |H_lp|^2 + |H_hp|^2 = 1, which is what
-        makes the filtered vacuum exactly white.
+        The 2nd-order Butterworth low/high-pass pair at the bandwidth
+        shares the denominator a and is power complementary,
+        |B_lp|^2 + |B_hp|^2 = |A|^2, which makes the filtered vacuum white.
         """
         if self.bandwidth is None:
             return None
-        return (
-            *_butter2(self.bandwidth, self.sample_rate, highpass=False),
-            *_butter2(self.bandwidth, self.sample_rate, highpass=True),
-        )
-
-    def burn_in(self, values) -> np.ndarray:
-        """``values`` (along the last axis) preceded by the filter burn-in.
-
-        The simulator starts every frame this many samples early, with
-        the first variance held, so the detector filters forget their
-        zero initial state before the record begins; models of the
-        filtered record pad the same way.  An ideal detector has none.
-        """
-        values = np.asarray(values)
-        n = _settle_samples(self.filters())
-        return np.concatenate([np.repeat(values[..., :1], n, axis=-1), values], axis=-1)
+        b_lp, a = _butter2(self.bandwidth, self.sample_rate, highpass=False)
+        b_hp, _ = _butter2(self.bandwidth, self.sample_rate, highpass=True)
+        return b_lp, b_hp, a
 
     def record_variance(self, traj: SqueezerTrajectory, phi: float) -> np.ndarray:
-        """Variance of each sample of a ``traj`` frame at LO phase ``phi``, burn-in first."""
+        """Variance of each sample of a ``traj`` frame at LO phase ``phi``, burn-in first.
+
+        A frame starts :func:`_settle_samples` early, with the first
+        variance held, so the detector filter forgets its zero initial
+        state before the record begins.  An ideal detector has none.
+        """
         if abs(traj.dt - self.dt) > 1e-12 * self.dt:
             raise ValueError("trajectory must live on the detector grid")
-        return self.burn_in(variance_at_phase(traj.r, traj.theta, traj.loss, phi))
+        var = variance_at_phase(traj.r, traj.theta, traj.loss, phi)
+        return np.pad(var, (_settle_samples(self.filters()), 0), mode="edge")
 
 
 def _settle_samples(filters) -> int:
+    """Burn-in samples for ``filters``: the slowest pole decays by 1e-12, in 64 to 8192."""
     if filters is None:
         return 0
-    _, a_lp, _, _ = filters
-    poles = np.abs(np.roots(a_lp))
+    poles = np.abs(np.roots(filters[2]))
     top = float(poles.max()) if poles.size else 0.0
     if top <= 0.0 or top >= 1.0:
         return 64
@@ -200,102 +194,106 @@ def _butter2(cutoff: float, sample_rate: float, highpass: bool) -> tuple[np.ndar
 
 # Samples per chunk of _BlockFilter: of 16, 24, 32, 48 and 64 the
 # fastest on 544- to 4160-sample records, with the start states carried
-# chunk by chunk and again with the grouped carry (one 32-row tile of
-# two channels on one thread of a 2-vCPU Xeon: 0.10, 0.21 and 0.74 ms
-# at 544, 1384 and 4160 samples)
+# chunk by chunk and again by groups.  A 32-row tile of two channels on
+# one thread of a 2-vCPU Xeon takes 0.11, 0.24 and 0.84-1.11 ms at 544,
+# 1384 and 4160 samples
 _CHUNK = 32
 
 # Chunks per group of _BlockFilter's state carry: its Python loop runs
 # once per group, 9 times on a 4160-sample record, and each group's
-# in-group product takes (_GROUP * 2 * channels)**2 multiply-adds per row
+# in-group product takes (2 * _GROUP)**2 multiply-adds per row, whatever
+# the number of channels
 _GROUP = 16
 
 
 class _BlockFilter:
-    """Order-2 IIR filters run over rows from zero state by matrix products.
+    """Order-2 IIR filtering of rows of one or more inputs from zero state, by matrix products.
 
-    Row r of the output is the sum over channels c of ``lfilter(b_c, a_c,
-    x_c[r])``, the transposed direct-form-II recursion, up to rounding.
+    Row r of the output is y = (sum over c of B_c x_c[r]) / A: each
+    channel c has its own numerator B_c and all share the denominator A,
+    so one transposed direct-form-II state pair carries them all, and
+    ``lfilter(b_c, a, x_c[r])`` summed over c gives y up to rounding.
     The block realization (C. S. Burrus, IEEE Trans. Audio Electroacoust.
     20, 230 (1972)) cuts each row into chunks of m samples, after zero
     padding in front (zero input from a zero state stays exactly zero).
     A chunk's outputs are its inputs times the m x m impulse-response
-    matrix plus its start state times the state-to-output map, and the
-    next chunk's start state is its inputs times the input-to-state map
-    (its push) plus its start state times the state map T.
+    matrix of each channel plus its start state times the state-to-output
+    map, and the next chunk's start state is its inputs times the
+    input-to-state map (its push) plus its start state times the state
+    map T.
 
     The start states are carried ``_GROUP`` chunks at a time.  One
     product of the pushes with a block-lower-triangular matrix of the
     powers T^0 .. T^(G-1) gives every state of a group from a zero group
     start; a loop over the groups carries each group's entry state to
     the next by T^G; and one more product adds each entry state times
-    T^1 .. T^G to its group.  The powers come from the recursion itself
-    over i m zero-input samples, not from products of T, whose rounding
-    grows with the power where T is ill-conditioned (a narrow detector).
+    T^1 .. T^G to its group.  Every map, the powers included, is a slice
+    of one run of the recursion itself (:func:`_responses`), not a
+    product of T, whose rounding grows with the power where T is
+    ill-conditioned (a narrow detector).
 
     A work array holds, per row and chunk, the m inputs of each channel
-    and then the 2 start states of each channel.  Every product runs as
-    a stacked matmul with rows outermost, the same matrix products for
-    every row, so a row's bits do not depend on how many rows share the
-    call.
+    and then the 2 start states.  Every product runs as a stacked matmul
+    with rows outermost, the same matrix products for every row, so a
+    row's bits do not depend on how many rows share the call.
     """
 
-    def __init__(self, filters, n_samples: int) -> None:
+    def __init__(self, numerators, a, n_samples: int) -> None:
         m = self.m = _CHUNK
-        p = self.n_channels = len(filters)
-        q = 2 * p
+        p = self.n_channels = len(numerators)
         self.n_chunks = -(-n_samples // m)
         self.pad = self.n_chunks * m - n_samples
         # the states of chunks 1 .. n_chunks - 1, _GROUP to a group
         self.n_groups = -(-(self.n_chunks - 1) // _GROUP)
-        # the maps of each channel from its recursion over one chunk
-        self.to_output = np.zeros((p * m + q, m))
-        self.to_state = np.zeros((p * m, q))
+        y, z = _responses(numerators, a, _GROUP * m)
+        # an input at chunk sample j gives its impulse response from j on and
+        # leaves the state m - j samples after the impulse; every map is
+        # C-contiguous, as matmul's bits depend on the layout
+        self.to_output = np.zeros((p * m + 2, m))
+        for c in range(p):
+            for j in range(m):
+                self.to_output[c * m + j, j:] = y[: m - j, c]
+        self.to_output[p * m :] = y[:m, p:].T
+        self.to_state = np.ascontiguousarray(z[m:0:-1, :, :p].transpose(2, 0, 1)).reshape(p * m, 2)
         # powers[i] maps a start state to the state i chunks of zero input on
-        powers = np.zeros((_GROUP + 1, q, q))
-        for c, (b, a) in enumerate(filters):
-            impulse, state = _chunk_response(b, a, m)
-            self.to_output[c * m : (c + 1) * m] = impulse[:, :m].T
-            self.to_output[p * m + 2 * c : p * m + 2 * c + 2] = impulse[:, m:].T
-            self.to_state[c * m : (c + 1) * m, 2 * c : 2 * c + 2] = state[:, :m].T
-            powers[:, 2 * c : 2 * c + 2, 2 * c : 2 * c + 2] = _state_powers(a, m, _GROUP)
+        powers = np.ascontiguousarray(z[::m, :, p:].transpose(0, 2, 1))
         # the pushes of a group's chunks j to the start states of its chunks t + 1 >= j + 1
-        in_group = np.zeros((_GROUP, q, _GROUP, q))
+        in_group = np.zeros((_GROUP, 2, _GROUP, 2))
         for j in range(_GROUP):
             for t in range(j, _GROUP):
                 in_group[j, :, t] = powers[t - j]
-        self.in_group = in_group.reshape(_GROUP * q, _GROUP * q)
+        self.in_group = in_group.reshape(2 * _GROUP, 2 * _GROUP)
         # a group's entry state to the start states of its chunks, and to the next entry
-        self.from_entry = powers[1:].transpose(1, 0, 2).reshape(q, _GROUP * q)
+        self.from_entry = powers[1:].transpose(1, 0, 2).reshape(2, 2 * _GROUP)
         self.across = powers[_GROUP]
 
     def _shapes(self, n_rows: int) -> list[tuple[int, ...]]:
         """The work, product, in-group state and entry state arrays of a call on ``n_rows`` rows."""
         m, p, n_chunks, n_groups = self.m, self.n_channels, self.n_chunks, self.n_groups
-        group = _GROUP * 2 * p
-        return [(n_rows, n_chunks, p * m + 2 * p), (n_rows * max(n_chunks * m, n_groups * group),),
-                (n_rows, n_groups, group), (n_rows, n_groups, 2 * p)]
+        group = 2 * _GROUP
+        return [(n_rows, n_chunks, p * m + 2), (n_rows * max(n_chunks * m, n_groups * group),),
+                (n_rows, n_groups, group), (n_rows, n_groups, 2)]
 
     def scratch(self, n_rows: int) -> np.ndarray:
         """A flat float64 buffer for calls on up to ``n_rows`` rows."""
         return np.empty(sum(math.prod(shape) for shape in self._shapes(n_rows)))
 
     def __call__(self, *rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        """The sum over channels c of the filtered ``rows[c]``, each ``(n_rows, n_samples)``.
+        """y of the channels ``rows[c]``, each ``(n_rows, n_samples)``.
 
         Every array of the call is cut from the front of ``scratch`` (from
         :meth:`scratch`, allocated for this call when None), so the same
         rows give the same layout in any buffer; the result is a view into it.
         """
         m, p, n_chunks, n_groups = self.m, self.n_channels, self.n_chunks, self.n_groups
-        n_rows, width, q = rows[0].shape[0], p * m, 2 * p
+        n_rows, width = rows[0].shape[0], p * m
         if scratch is None:
             scratch = self.scratch(n_rows)
         parts, lo = [], 0
         for shape in self._shapes(n_rows):
             parts.append(scratch[lo : lo + math.prod(shape)].reshape(shape))
             lo += parts[-1].size
-        # per row and chunk of work: each channel's m inputs, then its 2 start states
+        # per row and chunk of work: each channel's m inputs, then the 2 start states
         work, products, in_group, entries = parts
         for c, x in enumerate(rows):
             inputs = work[..., c * m : (c + 1) * m]
@@ -306,7 +304,7 @@ class _BlockFilter:
         # then every start state from a zero group start; the last group's
         # tail is zeroed, since a NaN left there would reach every state
         # of its group through the zeros of the in-group matrix
-        grouped = products[: in_group.size].reshape(n_rows, n_groups * _GROUP, q)
+        grouped = products[: in_group.size].reshape(n_rows, n_groups * _GROUP, 2)
         self._products(work[:, :-1, :width], self.to_state, grouped[:, : n_chunks - 1])
         grouped[:, n_chunks - 1 :] = 0.0
         self._products(grouped.reshape(in_group.shape), self.in_group, in_group)
@@ -314,10 +312,10 @@ class _BlockFilter:
         entries[:, :1] = 0.0
         for g in range(1, n_groups):
             np.matmul(entries[:, g - 1 : g], self.across, out=entries[:, g : g + 1])
-            entries[:, g] += in_group[:, g - 1, -q:]
+            entries[:, g] += in_group[:, g - 1, -2:]
         in_group += self._products(entries, self.from_entry, grouped.reshape(in_group.shape))
         work[:, 0, width:] = 0.0
-        work[:, 1:, width:] = in_group.reshape(n_rows, n_groups * _GROUP, q)[:, : n_chunks - 1]
+        work[:, 1:, width:] = in_group.reshape(n_rows, n_groups * _GROUP, 2)[:, : n_chunks - 1]
         out = products[: n_rows * n_chunks * m].reshape(n_rows, n_chunks, m)
         return self._products(work, self.to_output, out).reshape(n_rows, -1)[:, self.pad :]
 
@@ -333,6 +331,31 @@ class _BlockFilter:
         for lo in range(0, x.shape[1], span):
             np.matmul(x[:, lo : lo + span], maps, out=out[:, lo : lo + span])
         return out
+
+
+def _responses(numerators, a, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs and states of ``lfilter(b_c, a)`` over n samples, by the recursion itself.
+
+    Column c < p (p numerators) starts from zero state with a unit
+    impulse at sample 0 through numerator c; columns p and p + 1 start
+    from the unit states z_0 and z_1 with zero input.  Returns the
+    ``(n, p + 2)`` outputs and the ``(n + 1, 2, p + 2)`` states, entry k
+    the state after k samples.
+    """
+    p = len(numerators)
+    b0, b1, b2 = np.zeros((3, p + 2))
+    b0[:p], b1[:p], b2[:p] = np.transpose(numerators)
+    _, a1, a2 = (float(v) for v in a)
+    x = np.zeros((n, p + 2))
+    x[0, :p] = 1.0
+    y = np.empty((n, p + 2))
+    z = np.empty((n + 1, 2, p + 2))
+    z[0] = np.eye(2, p + 2, p)
+    for k in range(n):
+        y[k] = b0 * x[k] + z[k, 0]
+        z[k + 1, 0] = b1 * x[k] - a1 * y[k] + z[k, 1]
+        z[k + 1, 1] = b2 * x[k] - a2 * y[k]
+    return y, z
 
 
 def _spectral_factor(v: float, b_lp: np.ndarray, b_hp: np.ndarray) -> np.ndarray:
@@ -360,44 +383,6 @@ def _spectral_factor(v: float, b_lp: np.ndarray, b_hp: np.ndarray) -> np.ndarray
     p = math.sqrt(v) * float(b_lp[0])
     q = math.sqrt(2.0 * p * g_h)
     return np.array([p + q + g_h, 2.0 * (p - g_h), p - q + g_h])
-
-
-def _chunk_response(b, a, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs and end states of ``lfilter(b, a)`` over one m-sample chunk.
-
-    Column j < m is the response to a unit impulse at sample j from zero
-    state; columns m and m + 1 start from the unit states z_0 and z_1
-    with zero input.  Returns the ``(m, m + 2)`` outputs and the
-    ``(2, m + 2)`` end states, by the recursion itself.
-    """
-    b0, b1, b2 = (float(v) for v in b)
-    _, a1, a2 = (float(v) for v in a)
-    x = np.eye(m, m + 2)
-    z0, z1 = np.eye(2, m + 2, m)
-    y = np.empty((m, m + 2))
-    for n in range(m):
-        y[n] = b0 * x[n] + z0
-        z0, z1 = b1 * x[n] - a1 * y[n] + z1, b2 * x[n] - a2 * y[n]
-    return y, np.stack([z0, z1])
-
-
-def _state_powers(a, m: int, n: int) -> np.ndarray:
-    """The state maps of ``lfilter(b, a)`` over 0, 1, ..., n chunks of m zero-input samples.
-
-    Entry ``[i, s, j]`` is end state z_j after i m samples of zero input
-    from the unit start state z_s, by the recursion itself, as
-    :func:`_chunk_response` runs it (``[1]`` equals its end states of
-    columns m and m + 1).
-    """
-    _, a1, a2 = (float(v) for v in a)
-    powers = np.empty((n + 1, 2, 2))
-    for s, (z0, z1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        powers[0, s] = z0, z1
-        for i in range(1, n + 1):
-            for _ in range(m):
-                z0, z1 = z1 - a1 * z0, -a2 * z0
-            powers[i, s] = z0, z1
-    return powers
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
@@ -475,17 +460,21 @@ def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]
 # rows.  Wall time stayed within the runs' spread from 32 rows up
 # (medians 1.84 s block-sized, 1.78, 1.80 and 1.74 s); 16 rows took
 # 2.04 s while the filter carried its start states chunk by chunk, a
-# cost per call at any row count.  The grouped carry cut that cost (a
-# 32-row tile of 4160 samples on one thread: 0.32 ms for one channel,
-# 0.71 ms for two), and 16 rows then ran as fast as 32 (benchmark
-# `spectrum_long`, 4 alternating runs each: medians 0.98 and 0.99 s,
-# peak RSS 55.1 and 60.2 MB); the tile stays at 32 until a change that
-# re-chooses it measures both on every workload.
+# cost per call at any row count.  The grouped carry cut that cost, and
+# 16 rows then ran as fast as 32 (benchmark `spectrum_long`, 4
+# alternating runs each: medians 0.98 and 0.99 s, peak RSS 55.1 and
+# 60.2 MB).  With one state pair for both channels a 32-row tile of
+# 4160 samples takes about 0.45 ms for one channel and 0.85-1.1 ms for
+# two on one thread; the tile stays at 32 until a change that re-chooses
+# it measures both sizes on every workload.
 _TILE_ROWS = 32
 
 # Frames per block of a stream, at most; the reducers in dsp take a
 # block _TILE_ROWS rows at a time
 _BLOCK_ROWS = 256
+
+# Frames a run may hold: frame k's substream takes k as one uint32 spawn-key word
+_MAX_FRAMES = 2**32
 
 
 def block_bounds(n_frames: int) -> list[tuple[int, int]]:
@@ -524,14 +513,14 @@ class _Synthesis:
         if filters is None:
             self.kernel = None
         else:
-            b_lp, a_lp, b_hp, a_hp = filters
+            b_lp, b_hp, a = filters
             if var[0] != 1.0 and np.all(var == var[0]):
                 # constant squeezing: one draw row through its spectral factor
-                pairs = [(_spectral_factor(float(var[0]), b_lp, b_hp), a_lp)]
+                numerators = [_spectral_factor(float(var[0]), b_lp, b_hp)]
             else:
                 # the raw draws through the low-pass, their complement through the high-pass
-                pairs = [(b_lp, a_lp), (b_hp, a_hp)]
-            self.kernel = _BlockFilter(pairs, self.n_total)
+                numerators = [b_lp, b_hp]
+            self.kernel = _BlockFilter(numerators, a, self.n_total)
         # the tile buffers of the caller's share and of the worker's share
         self.tiles: list = [None, None]
 
@@ -653,9 +642,8 @@ def iter_frame_chunks(
         the first block is filled; a fault in filling a block is raised
         by the ``next()`` that would return it.
     """
-    # frame k's substream takes k as one uint32 spawn-key word
     if not (isinstance(frames, range) and frames.step == 1
-            and 0 <= frames.start and frames.stop <= 2**32):
+            and 0 <= frames.start and frames.stop <= _MAX_FRAMES):
         raise ValueError(f"frames must be a step-1 range inside [0, 2**32), got {frames!r}")
     bounds = [(frames.start + a, frames.start + b) for a, b in block_bounds(len(frames))]
     synth = _Synthesis(traj, det, lo, seed)

@@ -49,23 +49,25 @@ def fit_gain_curve(points) -> GainFit:
 
     Parameters
     ----------
-    points : iterable of (power_mw, gain)
-        Parametric gain G = exp(2 r) at each pump power.  Powers must be
-        positive and distinct; gains must be positive.  A single point
-        determines the one-parameter fit exactly.
+    points : array_like, shape (n, 2)
+        Rows of (power_mw, gain): the parametric gain G = exp(2 r) at
+        each pump power.  Powers must be positive and distinct; gains
+        must be positive.  A single point determines the one-parameter
+        fit exactly.
 
     Returns
     -------
     GainFit
         With ``fit_residual`` the rms misfit in r.
     """
-    pts = np.asarray(list(points), dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be a non-empty sequence of (power_mw, gain) pairs")
+        raise ValueError("points must be a non-empty (n, 2) array of (power_mw, gain) rows")
     power, gain = pts[:, 0], pts[:, 1]
     if np.any(power <= 0.0):
         raise ValueError("pump powers must be > 0")
-    if len(set(power.tolist())) != power.size:
+    # sorted neighbours, not np.unique, which imports numpy.ma on first use
+    if np.any(np.diff(np.sort(power)) == 0.0):
         raise ValueError("pump powers must be distinct")
     if np.any(gain <= 0.0):
         raise ValueError("parametric gains must be > 0")

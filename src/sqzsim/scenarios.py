@@ -30,7 +30,9 @@ import numpy.random
 import sqzsim
 from sqzsim import dsp, opa, pump, quantum, tomography
 from sqzsim._csvfile import write_csv
-from sqzsim.homodyne import _BLOCK_ROWS, DetectorModel, _settle_samples, iter_frame_chunks
+from sqzsim.homodyne import (
+    _BLOCK_ROWS, _MAX_FRAMES, DetectorModel, _settle_samples, iter_frame_chunks,
+)
 from sqzsim.pump import AwgProgram, Calibration, ModulatorResponse, PulseSlot, PulseTrainSpec
 
 SCENARIOS = ("spectrum", "waveforms", "tm_squeezing", "epr", "calibrate")
@@ -266,12 +268,17 @@ def _detector(params: dict) -> DetectorModel:
         return DetectorModel(None if bw <= 0.0 else bw, float(params["sample_rate_hz"]))
 
 
-def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str) -> None:
-    """Reject a frame count below the scenario's minimum before any work."""
+def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str, n_phases: int = 1) -> None:
+    """Reject, before any work, a frame count below the scenario's minimum,
+    or ``n_phases`` times that many frames beyond the substreams of a seed."""
     if cfg.n_frames < minimum:
         raise UsageError(
             f"{cfg.scenario} needs n_frames >= {minimum}, {reason}, got {cfg.n_frames}"
         )
+    if n_phases * cfg.n_frames > _MAX_FRAMES:
+        keys = "'n_frames'" if n_phases == 1 else "'n_frames' or 'n_phases'"
+        raise UsageError(f"bad value for {keys}: {n_phases * cfg.n_frames} frames are above "
+                         f"the {_MAX_FRAMES} frame substreams of a seed")
 
 
 # The work budget: the most elements one array of a plan may hold, 2 GiB
@@ -696,7 +703,8 @@ def _plan_tm_squeezing(cfg, params, cal):
             f"accepts, got {n_phases}"
         )
     _require_frames(
-        cfg, tomography.MIN_GROUP_SAMPLES, "the sample minimum of each tomography phase group"
+        cfg, tomography.MIN_GROUP_SAMPLES, "the sample minimum of each tomography phase group",
+        n_phases,
     )
     table, _, traj = _pump_chain(prog, cal, resp, loss)
     centers = pump.slot_mode_centers(train)
@@ -946,6 +954,7 @@ def _plan_calibrate(cfg, params, cal):
     for key in ("n_gain_points", "n_voltage_points"):
         if params[key] < 1:
             raise UsageError(f"{key} must be >= 1, one point per fit at least, got {params[key]}")
+        _budget(2 * int(params[key]), "the (x, y) points of its fit", key)
     # the gains below take the square root of every power
     for key in ("power_min_mw", "power_max_mw"):
         if not float(params[key]) > 0.0:
@@ -954,7 +963,7 @@ def _plan_calibrate(cfg, params, cal):
                          int(params["n_gain_points"]))
     gains = np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))
     with _fed_by("power_min_mw", "power_max_mw", "n_gain_points"):
-        fit = opa.fit_gain_curve(list(zip(powers, gains)))
+        fit = opa.fit_gain_curve(np.column_stack([powers, gains]))
 
     voltages = np.linspace(0.01, cal.linear_limit, int(params["n_voltage_points"]))
     bench_power = cal.power_for_voltage(voltages)

@@ -553,9 +553,9 @@ def duan_prediction_scan(
         def components(w):  # (lp-weighted, hp-weighted)
             return w, np.zeros_like(w)
     else:
-        b_lp, a_lp, b_hp, a_hp = filters
-        lowpass = _BlockFilter([(b_lp, a_lp)], n_lead + n)
-        highpass = _BlockFilter([(b_hp, a_hp)], n_lead + n)
+        b_lp, b_hp, a = filters
+        lowpass = _BlockFilter([b_lp], a, n_lead + n)
+        highpass = _BlockFilter([b_hp], a, n_lead + n)
 
         def components(w):
             # W(k) = sum_j w_j h_{j-k}: run the causal filter backwards

@@ -1,16 +1,22 @@
 """Homodyne record synthesis: detector model, determinism, streamed blocks."""
 
+import json
 import math
 import os
+import platform
 import signal as os_signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal
 
+import sqzsim
 from sqzsim import homodyne
 from sqzsim.homodyne import DetectorModel, _substream_states, block_bounds, iter_frame_chunks
 from sqzsim.dsp import make_mode
@@ -22,10 +28,10 @@ from stack_slices import synthesize, vacuum
 
 def test_detector_filters_are_power_complementary():
     det = DetectorModel(bandwidth=200e6)
-    b_lp, a_lp, b_hp, a_hp = det.filters()
+    b_lp, b_hp, a = det.filters()
     w = np.linspace(0.0, math.pi, 2048)
-    _, h_lp = signal.freqz(b_lp, a_lp, worN=w)
-    _, h_hp = signal.freqz(b_hp, a_hp, worN=w)
+    _, h_lp = signal.freqz(b_lp, a, worN=w)
+    _, h_hp = signal.freqz(b_hp, a, worN=w)
     total = np.abs(h_lp) ** 2 + np.abs(h_hp) ** 2
     assert np.allclose(total, 1.0, atol=1e-9)
 
@@ -93,30 +99,31 @@ def _oracle_frames(traj, det, lo, seed, start, stop):
     Frame k draws from PCG64 seeded by SeedSequence(seed, spawn_key=(k,)).
     An ideal detector scales its draws by the std template.  A filtered
     one whose variance template is one constant V != 1 draws one row
-    over the burn-in and the record, filters it by ``lfilter(b, a_lp)``
+    over the burn-in and the record, filters it by ``lfilter(b, a)``
     with b the spectral factor of V, and keeps it after the burn-in.
     Any other filtered set (vacuum, or a varying template) draws two
     rows, scales the first by the std template, low-passes it,
     high-passes the second (the vacuum complement) and keeps the sum
-    after the burn-in.
+    after the burn-in; the two filters are SciPy's, each with its own
+    denominator.
     """
-    var = np.atleast_1d(variance_at_phase(traj.r, traj.theta, traj.loss, lo))
-    template = det.burn_in(var)
+    template = det.record_variance(traj, lo)
     std = np.sqrt(template).astype(np.float32)
-    n_burn = std.size - var.size
+    n_burn = std.size - traj.n_samples
     constant = template[0] != 1.0 and np.all(template == template[0])
     rows = []
     for k in range(start, stop):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
         if det.filters() is None:
-            row = gen.standard_normal(var.size, dtype=np.float32) * std
+            row = gen.standard_normal(std.size, dtype=np.float32) * std
         elif constant:
-            b_lp, a_lp, b_hp, _ = det.filters()
+            b_lp, b_hp, a = det.filters()
             b = homodyne._spectral_factor(float(template[0]), b_lp, b_hp)
             z = gen.standard_normal(std.size, dtype=np.float32)
-            row = signal.lfilter(b, a_lp, z.astype(np.float64))[n_burn:].astype(np.float32)
+            row = signal.lfilter(b, a, z.astype(np.float64))[n_burn:].astype(np.float32)
         else:
-            b_lp, a_lp, b_hp, a_hp = det.filters()
+            b_lp, a_lp = signal.butter(2, det.bandwidth, fs=det.sample_rate)
+            b_hp, a_hp = signal.butter(2, det.bandwidth, btype="high", fs=det.sample_rate)
             z = gen.standard_normal((2, std.size), dtype=np.float32)
             raw = (z[0] * std).astype(np.float64)
             total = signal.lfilter(b_lp, a_lp, raw) + signal.lfilter(b_hp, a_hp, z[1].astype(float))
@@ -186,11 +193,15 @@ def test_butterworth_pair_is_scipy_butter_byte_for_byte(sample_rate):
     rng = np.random.default_rng(11)
     for bandwidth in rng.uniform(0.0, sample_rate / 2.0, 200):
         det = DetectorModel(bandwidth=float(bandwidth), sample_rate=sample_rate)
-        b_lp, a_lp, b_hp, a_hp = det.filters()
-        for btype, got in (("low", (b_lp, a_lp)), ("high", (b_hp, a_hp))):
-            want = signal.butter(2, bandwidth, btype=btype, fs=sample_rate)
-            for g, w in zip(got, want, strict=True):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (bandwidth, btype)
+        b_lp, b_hp, a = det.filters()
+        want_lp = signal.butter(2, bandwidth, btype="low", fs=sample_rate)
+        want_hp = signal.butter(2, bandwidth, btype="high", fs=sample_rate)
+        # the shared denominator is the low-pass one
+        for g, w in ((b_lp, want_lp[0]), (a, want_lp[1]), (b_hp, want_hp[0])):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), bandwidth
+        # SciPy's high-pass denominator differs from it by rounding: at most
+        # 1 eps on these 800 bandwidths (2 eps at 20 MHz on 1 GS/s)
+        assert np.abs(want_hp[1] - a).max() <= np.finfo(float).eps, bandwidth
 
 
 # declared tolerance of the block kernel against lfilter, per unit record rms
@@ -203,25 +214,28 @@ KERNEL_TOLERANCE = 1e-12
 @pytest.mark.parametrize("n_samples", [5, 512, 513, 544, 1025, 1384, 4160, 16384])
 @pytest.mark.parametrize("bandwidth", [2e6, 20e6, 200e6, 450e6])
 def test_block_filter_matches_lfilter(bandwidth, n_samples):
-    b_lp, a_lp, b_hp, a_hp = DetectorModel(bandwidth=bandwidth).filters()
+    b_lp, b_hp, a = DetectorModel(bandwidth=bandwidth).filters()
+    # the oracles are SciPy's two filters, each with its own denominator
+    _, a_hp = signal.butter(2, bandwidth, btype="high", fs=1e9)
     x = np.random.default_rng(3).standard_normal((2, 6, n_samples))
     tol = KERNEL_TOLERANCE * float(np.sqrt(np.mean(x**2)))
-    for b, a in ((b_lp, a_lp), (b_hp, a_hp)):
-        kernel = homodyne._BlockFilter([(b, a)], n_samples)
+    for b, a_ref in ((b_lp, a), (b_hp, a_hp)):
+        kernel = homodyne._BlockFilter([b], a, n_samples)
         # forward, and backward as duan_prediction_scan runs it
-        assert np.abs(kernel(x[0]) - signal.lfilter(b, a, x[0], axis=1)).max() <= tol
+        assert np.abs(kernel(x[0]) - signal.lfilter(b, a_ref, x[0], axis=1)).max() <= tol
         backward = kernel(x[0][:, ::-1])[:, ::-1]
-        assert np.abs(backward - signal.lfilter(b, a, x[0][:, ::-1], axis=1)[:, ::-1]).max() <= tol
+        want = signal.lfilter(b, a_ref, x[0][:, ::-1], axis=1)[:, ::-1]
+        assert np.abs(backward - want).max() <= tol
     # the synthesis pair: one record low-passed, the other high-passed
-    pair = homodyne._BlockFilter([(b_lp, a_lp), (b_hp, a_hp)], n_samples)
-    want = signal.lfilter(b_lp, a_lp, x[0], axis=1) + signal.lfilter(b_hp, a_hp, x[1], axis=1)
+    pair = homodyne._BlockFilter([b_lp, b_hp], a, n_samples)
+    want = signal.lfilter(b_lp, a, x[0], axis=1) + signal.lfilter(b_hp, a_hp, x[1], axis=1)
     assert np.abs(pair(x[0], x[1]) - want).max() <= tol
 
 
 @pytest.mark.parametrize("n_samples", [513, 544, 4160])
 def test_block_filter_rows_do_not_depend_on_the_block(n_samples):
-    b_lp, a_lp, b_hp, a_hp = DetectorModel().filters()
-    kernel = homodyne._BlockFilter([(b_lp, a_lp), (b_hp, a_hp)], n_samples)
+    b_lp, b_hp, a = DetectorModel().filters()
+    kernel = homodyne._BlockFilter([b_lp, b_hp], a, n_samples)
     x = np.random.default_rng(4).standard_normal((2, 400, n_samples))
     alone = np.concatenate([kernel(x[0, k : k + 1], x[1, k : k + 1]) for k in range(400)])
     for size in (1, 5, 7, 256, 385):
@@ -237,13 +251,13 @@ FACTOR_VARIANCES = [0.01, 0.1, 0.5, 0.999, 2.0, 10.0, 100.0]
 
 @pytest.mark.parametrize("bandwidth", FACTOR_BANDWIDTHS)
 def test_spectral_factor_reproduces_the_two_filter_spectrum(bandwidth):
-    b_lp, a_lp, b_hp, a_hp = DetectorModel(bandwidth=bandwidth).filters()
+    b_lp, b_hp, a = DetectorModel(bandwidth=bandwidth).filters()
     w = np.linspace(0.0, math.pi, 4097)
-    _, h_lp = signal.freqz(b_lp, a_lp, worN=w)
-    _, h_hp = signal.freqz(b_hp, a_hp, worN=w)
+    _, h_lp = signal.freqz(b_lp, a, worN=w)
+    _, h_hp = signal.freqz(b_hp, a, worN=w)
     for v in FACTOR_VARIANCES:
         b = homodyne._spectral_factor(v, b_lp, b_hp)
-        _, h = signal.freqz(b, a_lp, worN=w)
+        _, h = signal.freqz(b, a, worN=w)
         _, numerator = signal.freqz(b, [1.0], worN=w)
         want = v * np.abs(h_lp) ** 2 + np.abs(h_hp) ** 2
         # 1e-12 relative, or the float64 floor where it is larger: rounding
@@ -257,25 +271,25 @@ def test_spectral_factor_reproduces_the_two_filter_spectrum(bandwidth):
 
 @pytest.mark.parametrize("bandwidth", FACTOR_BANDWIDTHS)
 def test_spectral_factor_is_minimum_phase(bandwidth):
-    b_lp, a_lp, b_hp, _ = DetectorModel(bandwidth=bandwidth).filters()
+    b_lp, b_hp, a = DetectorModel(bandwidth=bandwidth).filters()
     for v in FACTOR_VARIANCES:
         assert np.abs(np.roots(homodyne._spectral_factor(v, b_lp, b_hp))).max() < 1.0, v
     # vacuum's factor is the denominator: its record would be white
-    assert np.abs(homodyne._spectral_factor(1.0, b_lp, b_hp) - a_lp).max() <= 1e-14
+    assert np.abs(homodyne._spectral_factor(1.0, b_lp, b_hp) - a).max() <= 1e-14
 
 
 @pytest.mark.parametrize("bandwidth", FACTOR_BANDWIDTHS)
 def test_first_record_sample_of_a_constant_set_has_the_stationary_variance(bandwidth):
     det = DetectorModel(bandwidth=bandwidth)
-    b_lp, a_lp, b_hp, a_hp = det.filters()
-    n_burn = det.burn_in(np.ones(1)).size - 1
+    b_lp, b_hp, a = det.filters()
+    n_burn = homodyne._settle_samples(det.filters())
     # impulse responses 20 burn-ins long, decayed far below float64 rounding
     impulse = np.zeros(20 * n_burn)
     impulse[0] = 1.0
-    lp_energy = math.fsum(signal.lfilter(b_lp, a_lp, impulse) ** 2)
-    hp_energy = math.fsum(signal.lfilter(b_hp, a_hp, impulse) ** 2)
+    lp_energy = math.fsum(signal.lfilter(b_lp, a, impulse) ** 2)
+    hp_energy = math.fsum(signal.lfilter(b_hp, a, impulse) ** 2)
     for v in FACTOR_VARIANCES:
-        h = signal.lfilter(homodyne._spectral_factor(v, b_lp, b_hp), a_lp, impulse)
+        h = signal.lfilter(homodyne._spectral_factor(v, b_lp, b_hp), a, impulse)
         # record sample 0 is sample n_burn of a zero-state filter of white draws
         first = math.fsum(h[: n_burn + 1] ** 2)
         stationary = v * lp_energy + hp_energy
@@ -624,3 +638,54 @@ def test_schedules_beyond_the_spawn_key_range_are_rejected():
         ss = np.random.SeedSequence(entropy=0, spawn_key=(k,))
         want = np.random.Generator(np.random.PCG64(ss)).standard_normal(4, dtype=np.float32)
         assert row.tobytes() == want.tobytes(), k
+
+
+# prints the sha256 of the frames of a vacuum, a constant and a
+# time-varying set through each detector, and NumPy's CPU features
+_FRAME_HASHES = """
+import hashlib, json
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from sqzsim.homodyne import DetectorModel, iter_frame_chunks
+from sqzsim.opa import SqueezerTrajectory, constant_trajectory
+
+t = np.arange(544)
+sets = {
+    "vacuum": constant_trajectory(0.0, 0.0, 0.0, 1e-9, t.size),
+    "constant": constant_trajectory(0.3, 0.2, 0.1, 1e-9, t.size),
+    "ramp": SqueezerTrajectory(dt=1e-9, r=0.4 * t / t.size, theta=0.01 * t, loss=0.1),
+}
+hashes = {}
+for bandwidth in (None, 200e6, 2e6):
+    for name, traj in sets.items():
+        digest = hashlib.sha256()
+        for block in iter_frame_chunks(traj, DetectorModel(bandwidth), 0.7, 5, range(300)):
+            digest.update(block.tobytes())
+        hashes[f"{bandwidth}-{name}"] = digest.hexdigest()
+enabled = sorted(k for k, v in umath.__cpu_features__.items() if v)
+print(json.dumps({"hashes": hashes, "enabled": enabled, "baseline": list(umath.__cpu_baseline__)}))
+"""
+
+
+def _frame_hashes(**env_vars) -> dict:
+    env = dict(os.environ)
+    for key in ("NPY_ENABLE_CPU_FEATURES", "NPY_DISABLE_CPU_FEATURES"):
+        env.pop(key, None)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FRAME_HASHES], capture_output=True,
+                          text=True, env=env | env_vars, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="names x86 CPU features")
+def test_frames_do_not_depend_on_numpys_simd_dispatch():
+    # NumPy picks SIMD kernels at run time; the frames' bytes must not
+    # follow that pick.  Enabling the baseline alone (X86_V2 on NumPy 2.4;
+    # the names differ between releases) turns every dispatched kernel off
+    default = _frame_hashes()
+    baseline = _frame_hashes(NPY_ENABLE_CPU_FEATURES=",".join(default["baseline"]))
+    assert set(baseline["enabled"]) <= set(default["enabled"])
+    assert baseline["hashes"] == default["hashes"]

@@ -391,6 +391,49 @@ def test_cli_usage_error_stderr_is_one_json_document(tmp_path, argv, field):
     assert err["kind"] == "usage" and field in err["message"]
 
 
+# 2 GiB of address space: a run that built one Python object per block
+# of a frame count beyond the substreams, or per calibration point, ran
+# out of it and exited 1
+_ADDRESS_SPACE_CAP = 2 * 2**30
+
+
+def _capped_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        *[pytest.param([s, "--frames", str(2**32 + 1)], ["n_frames"], id=s)
+          for s in ("spectrum", "epr", "waveforms")],
+        # 12 phases of 2**29 frames are 1.5 * 2**32 frames
+        pytest.param(["tm_squeezing", "--frames", str(2**29)], ["n_frames", "n_phases"],
+                     id="tm_squeezing"),
+        # point counts whose arrays the work budget does not cover
+        *[pytest.param(["calibrate", "--set", f"{key}=200000000"], [key], id=key)
+          for key in ("n_gain_points", "n_voltage_points")],
+    ],
+)
+def test_cli_count_beyond_substreams_or_budget_exits_2_under_a_memory_cap(tmp_path, argv, fields):
+    env = dict(os.environ)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqzsim.cli", "run", *argv, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=_capped_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "usage" and all(f in err["message"] for f in fields)
+
+
 @pytest.mark.parametrize("key", ["quad_coeff_mw_per_v2", "gain_coeff_per_sqrt_mw"])
 def test_cli_non_finite_calibration_file_exits_2_naming_the_field(tmp_path, capsys, key):
     # Python's json writes and reads NaN unless told not to
@@ -637,6 +680,15 @@ def test_tm_squeezing_memory_stays_flat_in_the_frame_count(tmp_path):
         for n in (200, 1000)
     ]
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_calibrate_memory_is_a_few_arrays_per_gain_point(tmp_path):
+    # the fit takes the (n, 2) array of points: about 65 B per point at
+    # the peak; Python tuples of the points took about 240 B
+    n = 200_000
+    cfg = ScenarioConfig(scenario="calibrate", output_dir=str(tmp_path),
+                         overrides={"n_gain_points": n})
+    assert _traced_peak_bytes(cfg) <= 100 * n
 
 
 def test_filtered_spectrum_set_memory_is_a_few_tiles():

@@ -342,19 +342,21 @@ def _responses(numerators, a, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``(n, p + 2)`` outputs and the ``(n + 1, 2, p + 2)`` states, entry k
     the state after k samples.
     """
-    p = len(numerators)
-    b0, b1, b2 = np.zeros((3, p + 2))
-    b0[:p], b1[:p], b2[:p] = np.transpose(numerators)
     _, a1, a2 = (float(v) for v in a)
-    x = np.zeros((n, p + 2))
-    x[0, :p] = 1.0
-    y = np.empty((n, p + 2))
-    z = np.empty((n + 1, 2, p + 2))
-    z[0] = np.eye(2, p + 2, p)
-    for k in range(n):
-        y[k] = b0 * x[k] + z[k, 0]
-        z[k + 1, 0] = b1 * x[k] - a1 * y[k] + z[k, 1]
-        z[k + 1, 1] = b2 * x[k] - a2 * y[k]
+    # each column's numerator, first input and start state
+    starts = [(*(float(v) for v in b), 1.0, 0.0, 0.0) for b in numerators]
+    starts += [(0.0, 0.0, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)]
+    y, z = np.empty((n, len(starts))), np.empty((n + 1, 2, len(starts)))
+    # a column at a time in Python floats, which round as float64 does and
+    # step faster than NumPy operations on rows of p + 2
+    for c, (b0, b1, b2, x, z0, z1) in enumerate(starts):
+        outputs, states = [], [(z0, z1)]
+        for _ in range(n):
+            outputs.append(b0 * x + z0)
+            z0, z1 = b1 * x - a1 * outputs[-1] + z1, b2 * x - a2 * outputs[-1]
+            states.append((z0, z1))
+            x = 0.0
+        y[:, c], z[:, :, c] = outputs, states
     return y, z
 
 
@@ -457,16 +459,12 @@ def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]
 # Chosen on 2 vCPUs, `spectrum` at 2000 frames of 4096 samples, 12
 # alternating fresh runs per size: peak RSS 97.7 MB with block-sized
 # buffers, 52.5, 59.1, 65.8 and 72.3 MB with tiles of 16, 32, 48 and 64
-# rows.  Wall time stayed within the runs' spread from 32 rows up
-# (medians 1.84 s block-sized, 1.78, 1.80 and 1.74 s); 16 rows took
-# 2.04 s while the filter carried its start states chunk by chunk, a
-# cost per call at any row count.  The grouped carry cut that cost, and
-# 16 rows then ran as fast as 32 (benchmark `spectrum_long`, 4
-# alternating runs each: medians 0.98 and 0.99 s, peak RSS 55.1 and
-# 60.2 MB).  With one state pair for both channels a 32-row tile of
-# 4160 samples takes about 0.45 ms for one channel and 0.85-1.1 ms for
-# two on one thread; the tile stays at 32 until a change that re-chooses
-# it measures both sizes on every workload.
+# rows, and wall time within the runs' spread from 32 rows up.  Since
+# the grouped carry 16 rows run as fast as 32 (benchmark `spectrum_long`,
+# 4 alternating runs each: medians 0.98 and 0.99 s, peak RSS 55.1 and
+# 60.2 MB).  A 32-row tile of 4160 samples takes about 0.45 ms for one
+# channel and 0.85-1.1 ms for two on one thread; the tile stays at 32
+# until a change that re-chooses it measures both sizes on every workload.
 _TILE_ROWS = 32
 
 # Frames per block of a stream, at most; the reducers in dsp take a

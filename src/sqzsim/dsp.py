@@ -20,12 +20,15 @@ sample lag by direct dot products or slid over many lags with one FFT
 correlation per block.  The shot-noise unit of a mode is the square
 root of the variance of its quadrature over a vacuum reference.
 
-Each reduction takes a block ``homodyne._TILE_ROWS`` rows at a time
-through buffers of one tile, made once per call (once per stream for
+Each reduction takes a block a tile of rows at a time, through buffers
+of one tile, made once per call (once per stream for
 :func:`periodogram_split_means` and :func:`split_moments`), so a block
-of up to ``homodyne._BLOCK_ROWS`` frames needs no block-sized temporary.  A row's bytes do
-not depend on its tile, and sums over a block's rows add one row after
-another across tiles, as one sum over the whole block would.
+of up to ``homodyne._BLOCK_ROWS`` frames needs no block-sized temporary.
+A tile holds ``homodyne._tile_rows(n)`` rows of n samples, fewer rows
+for longer frames, as synthesis does.  A row's bytes do not depend on
+its tile, and sums over a block's rows add one row after another across
+tiles, as one sum over the whole block would.  A stream reducer drops
+each block before it asks for the next, so it holds one block at a time.
 
 Every transform is ``numpy.fft``, whose float64 transforms give the
 bytes of ``scipy.fft`` from NumPy 2.0 on; spectra of float32 records
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft
 
-from sqzsim.homodyne import _TILE_ROWS, block_bounds
+from sqzsim.homodyne import _block_walk, _tile_rows
 from sqzsim.quantum import N_SPLITS, split_slices, split_stderr
 
 __all__ = [
@@ -76,18 +79,17 @@ def _blocks_by_split(
     :func:`sqzsim.homodyne.block_bounds`, in order; a missing, mis-sized
     or surplus block raises.
     """
-    bounds = block_bounds(n_frames)
-    slices = split_slices(n_frames)
-    # the split each block lies in
-    split_of = np.searchsorted([sl.stop for sl in slices], [lo for lo, _ in bounds], side="right")
     blocks = iter(blocks)
-    for (lo, hi), s_idx in zip(bounds, split_of):
+    n_blocks = 0
+    for n_blocks, (s_idx, lo, hi) in enumerate(_block_walk(n_frames), 1):
         block = next(blocks, None)
         if block is None or block.shape[0] != hi - lo:
             raise ValueError(f"expected a block of frames [{lo}, {hi})")
-        yield int(s_idx), block
+        yield s_idx, block
+        # dropped before the next block is asked for, as the consumer drops it
+        del block
     if next(blocks, None) is not None:
-        raise ValueError(f"more blocks than the {len(bounds)} of block_bounds({n_frames})")
+        raise ValueError(f"more blocks than the {n_blocks} of block_bounds({n_frames})")
 
 
 def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -99,7 +101,7 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
     stack; only one block is held at a time.  Every block is cast to
     float64 before its rfft, whatever its dtype: NumPy's float32 rfft is
     slower than its float64 one.  A block goes through the cast, spectrum
-    and power buffers ``_TILE_ROWS`` rows at a time, buffers allocated
+    and power buffers a tile of rows at a time, buffers allocated
     once and reused by every tile, and its power rows are summed one after
     another, the order of a sum over the whole block.  Rectangular window;
     no per-bin normalization (it cancels in the signal-to-vacuum ratio).
@@ -109,14 +111,15 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
     for s_idx, block in _blocks_by_split(n_frames, blocks):
         if sums is None:
             n_bins = block.shape[1] // 2 + 1
-            records = np.empty((_TILE_ROWS, block.shape[1]))
-            spectra = np.empty((_TILE_ROWS, n_bins), dtype=complex)
+            tile = _tile_rows(block.shape[1])
+            records = np.empty((tile, block.shape[1]))
+            spectra = np.empty((tile, n_bins), dtype=complex)
             # row 0 is the running sum's, for _add_rows
-            powers = np.empty((_TILE_ROWS + 1, n_bins))
+            powers = np.empty((tile + 1, n_bins))
             block_sum = np.empty(n_bins)
             sums = np.zeros((N_SPLITS, n_bins))
-        for lo in range(0, block.shape[0], _TILE_ROWS):
-            rows = min(_TILE_ROWS, block.shape[0] - lo)
+        for lo in range(0, block.shape[0], tile):
+            rows = min(tile, block.shape[0] - lo)
             x, spec = records[:rows], spectra[:rows]
             np.copyto(x, block[lo : lo + rows])
             np.fft.rfft(x, axis=1, out=spec)
@@ -125,6 +128,7 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
             np.add(parts[:, 0::2], parts[:, 1::2], out=powers[1 : rows + 1])
             _add_rows(powers, rows, block_sum, lo == 0)
         sums[s_idx] += block_sum
+        del block
     return sums / counts[:, None]
 
 
@@ -308,8 +312,8 @@ def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     The float64 result has the shape of ``frames``, with the group delay
     of (len(h) - 1)/2 samples compensated.  These are the FFT calls of
-    ``fftconvolve(mode="same", axes=1)``, made ``_TILE_ROWS`` rows at a
-    time in buffers of one tile.  A row's bytes do not depend on the
+    ``fftconvolve(mode="same", axes=1)``, made a tile of rows at a time in
+    buffers of one tile.  A row's bytes do not depend on the
     other rows, so the blocks of a stream filter to the rows of the whole
     stack.
     """
@@ -318,12 +322,13 @@ def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
     kernel = np.fft.rfft(h, size)
     start = (h.size - 1) // 2
     out = np.empty(frames.shape)
+    tile = _tile_rows(size)
     # the zeros past sample n stay zero from tile to tile
-    padded = np.zeros((min(_TILE_ROWS, frames.shape[0]), size))
+    padded = np.zeros((min(tile, frames.shape[0]), size))
     spectrum = np.empty((padded.shape[0], size // 2 + 1), dtype=complex)
     filtered = np.empty(padded.shape)
-    for lo in range(0, frames.shape[0], _TILE_ROWS):
-        rows = min(_TILE_ROWS, frames.shape[0] - lo)
+    for lo in range(0, frames.shape[0], tile):
+        rows = min(tile, frames.shape[0] - lo)
         padded[:rows, :n] = frames[lo : lo + rows]
         np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
         spectrum[:rows] *= kernel
@@ -388,7 +393,7 @@ def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
     :func:`periodogram_split_means`; only one block is held at a time.
     Each block's mean and M2 are taken in two passes and merged into its
     split with the Chan update: the mean of the whole block first, then
-    the squared deviations ``_TILE_ROWS`` rows at a time.  Every split
+    the squared deviations a tile of rows at a time.  Every split
     needs two frames for its variance, so ``n_frames`` must be at least 20.
     """
     if n_frames < 2 * N_SPLITS:
@@ -401,17 +406,19 @@ def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
     for s_idx, block in _blocks_by_split(n_frames, blocks):
         x = np.asarray(block, dtype=float)
         if deviations is None:
+            tile = _tile_rows(x.shape[1])
             # row 0 is M2's, for _add_rows
-            deviations = np.empty((_TILE_ROWS + 1, x.shape[1]))
+            deviations = np.empty((tile + 1, x.shape[1]))
         mean = x.mean(axis=0)
         m2 = np.empty_like(mean)
-        for lo in range(0, x.shape[0], _TILE_ROWS):
-            rows = min(_TILE_ROWS, x.shape[0] - lo)
+        for lo in range(0, x.shape[0], tile):
+            rows = min(tile, x.shape[0] - lo)
             d = deviations[1 : rows + 1]
             np.square(np.subtract(x[lo : lo + rows], mean, out=d), out=d)
             _add_rows(deviations, rows, m2, lo == 0)
         part = (float(x.shape[0]), mean, m2)
         splits[s_idx] = part if splits[s_idx] is None else _chan_merge(splits[s_idx], part)
+        del block, x
     count, mean, m2 = zip(*splits)
     return SplitMoments(count=np.array(count), mean=np.stack(mean), m2=np.stack(m2))
 
@@ -729,10 +736,11 @@ class ModeScan:
             # c_einsum, not the BLAS matmul
             return np.einsum("ij,kj->ik", window, self.kernels, dtype=float)
         out = np.empty((block.shape[0], self.spectra.shape[0], self.lags.size))
-        # _TILE_ROWS frames at a time; the zeros past the window stay zero
-        padded = np.zeros((min(_TILE_ROWS, block.shape[0]), self.size))
-        for lo in range(0, block.shape[0], _TILE_ROWS):
-            rows = min(_TILE_ROWS, block.shape[0] - lo)
+        # a tile of frames at a time; the zeros past the window stay zero
+        tile = _tile_rows(self.size)
+        padded = np.zeros((min(tile, block.shape[0]), self.size))
+        for lo in range(0, block.shape[0], tile):
+            rows = min(tile, block.shape[0] - lo)
             padded[:rows, : window.shape[1]] = window[lo : lo + rows]
             spectrum = np.fft.rfft(padded[:rows], axis=1)
             for k, kernel_spectrum in enumerate(self.spectra):

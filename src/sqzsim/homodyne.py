@@ -52,15 +52,18 @@ the other.  An ideal-detector stream has the worker fill the next block
 while the caller reduces the current one.  On one CPU, or for a
 filtered block of fewer than 4 rows, the fill is serial.
 
-Memory: a share draws, scales and filters its rows ``_TILE_ROWS`` at a
-time.  Each share of a stream owns one float32 draw tile, of shape
-``(_TILE_ROWS, channels, burn-in + samples)``, and the filter's work,
+Memory: a share draws, scales and filters its rows a tile at a time,
+``_tile_rows(burn-in + samples)`` rows of about 2**16 samples in all.
+Each share of a stream owns one float32 draw tile, of shape
+``(rows, channels, burn-in + samples)``, and the filter's work,
 products and carried states, made by the thread that fills it on its
 first block and reused by every tile after.  Each frame's draws fill its
 row of the tile; with two channels the raw draws are scaled in place,
-and the channels go straight into the filter.  So a filtered stream
-holds its yielded block and a few tiles, however many frames or rows a
-block has.
+and the channels go straight into the filter.  The block layout is
+walked lazily, block by block.  So a filtered stream holds its yielded
+block and a few tiles, however many frames or rows a block has, and
+however many blocks a stream has; a consumer that drops each block
+before it asks for the next holds one block at a time.
 
 The filtered detector runs on NumPy alone.  Its Butterworth pair is a
 port of SciPy's ``butter(2, ...)``, byte-equal to it, and shares one
@@ -455,40 +458,63 @@ def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]
 
 
 # Rows per tile: the buffers of a filtered share and of the block
-# reductions in dsp hold this many rows, not a block of up to 256.
-# Chosen on 2 vCPUs, `spectrum` at 2000 frames of 4096 samples, 12
-# alternating fresh runs per size: peak RSS 97.7 MB with block-sized
-# buffers, 52.5, 59.1, 65.8 and 72.3 MB with tiles of 16, 32, 48 and 64
-# rows, and wall time within the runs' spread from 32 rows up.  Since
-# the grouped carry 16 rows run as fast as 32 (benchmark `spectrum_long`,
-# 4 alternating runs each: medians 0.98 and 0.99 s, peak RSS 55.1 and
-# 60.2 MB).  A 32-row tile of 4160 samples takes about 0.45 ms for one
-# channel and 0.85-1.1 ms for two on one thread; the tile stays at 32
-# until a change that re-chooses it measures both sizes on every workload.
+# reductions in dsp hold _tile_rows(n) rows of n samples, not a block of
+# up to 256 frames.  A tile holds about _TILE_SAMPLES samples and at most
+# _TILE_ROWS rows: 15 rows at the 4160 samples of a 4096-sample frame with
+# its burn-in, 32 rows from 2048 samples down.  Measured on 2 vCPUs:
+# - `spectrum`, 2000 frames of 4096 samples, 12 alternating runs per size:
+#   peak RSS 97.7 MB with block-sized buffers, 52.5, 59.1, 65.8 and
+#   72.3 MB with tiles of 16, 32, 48 and 64 rows.
+# - Since the grouped carry, a flat 16-row tile runs `spectrum_long` as
+#   fast as 32 rows (medians 0.98 and 0.99 s, peak RSS 55.1 and 60.2 MB),
+#   but made `epr_scan` slower in 4 of 4 benchmark rounds, 0.74-0.84 s
+#   against 0.64-0.73 s: on its 1384-sample frames the per-tile cost of a
+#   smaller tile does not pay.  So the row count follows the frame length.
+# - This rule, with every stream consumer holding one block at a time:
+#   `spectrum_long` peak RSS 61.4 -> 51.3 MB (medians, lower in 10 of 10
+#   benchmark pairs), wall and CPU time within the runs' spread.
+# A row's bits do not depend on its tile, so the tile never changes bytes.
 _TILE_ROWS = 32
+_TILE_SAMPLES = 2**16
+
+
+def _tile_rows(n_samples: int) -> int:
+    """Rows per tile of ``n_samples``-sample rows, 1 to ``_TILE_ROWS``."""
+    return min(_TILE_ROWS, max(1, _TILE_SAMPLES // n_samples))
+
 
 # Frames per block of a stream, at most; the reducers in dsp take a
-# block _TILE_ROWS rows at a time
+# block a tile at a time
 _BLOCK_ROWS = 256
 
 # Frames a run may hold: frame k's substream takes k as one uint32 spawn-key word
 _MAX_FRAMES = 2**32
 
 
-def block_bounds(n_frames: int) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` frame blocks of a stream of ``n_frames`` frames, in order.
+def _block_walk(n_frames: int) -> Iterator[tuple[int, int, int]]:
+    """The ``(split, start, stop)`` of each block of a stream of ``n_frames`` frames, in order.
 
     Each of the 10 splits of :func:`sqzsim.quantum.split_slices` is cut
     into blocks of at most ``_BLOCK_ROWS`` frames counted from the split
-    start, so no block crosses a split edge.
+    start, so no block crosses a split edge.  The count is checked on the
+    call; the blocks are walked lazily, so a stream of 2**32 frames starts
+    without a layout of 2**24 blocks.
     """
     if n_frames < N_SPLITS:
         raise ValueError(f"need at least {N_SPLITS} frames for error estimation")
-    return [
-        (lo, min(lo + _BLOCK_ROWS, sl.stop))
-        for sl in split_slices(n_frames)
+    return (
+        (s_idx, lo, min(lo + _BLOCK_ROWS, sl.stop))
+        for s_idx, sl in enumerate(split_slices(n_frames))
         for lo in range(sl.start, sl.stop, _BLOCK_ROWS)
-    ]
+    )
+
+
+def block_bounds(n_frames: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` frame blocks of a stream of ``n_frames`` frames, in order.
+
+    The list of :func:`_block_walk`, which every stream walks lazily.
+    """
+    return [(lo, hi) for _, lo, hi in _block_walk(n_frames)]
 
 
 class _Synthesis:
@@ -560,22 +586,23 @@ class _Synthesis:
                 worker.result()
 
     def _fill_filtered(self, out: np.ndarray, start: int, lo: int, hi: int) -> None:
-        """Rows [lo, hi) of the filtered block at ``start``, ``_TILE_ROWS`` rows at a time.
+        """Rows [lo, hi) of the filtered block at ``start``, a tile of rows at a time.
 
         The share's buffers are made on its first block, in the thread
         that fills it, and reused by every later tile.
         """
         share = int(lo > 0)
         channels = self.kernel.n_channels
+        tile = _tile_rows(self.n_total)
         if self.tiles[share] is None:
             self.tiles[share] = (
-                np.empty((_TILE_ROWS, channels, self.n_total), dtype=np.float32),
-                self.kernel.scratch(_TILE_ROWS),
+                np.empty((tile, channels, self.n_total), dtype=np.float32),
+                self.kernel.scratch(tile),
             )
         draws, scratch = self.tiles[share]
         gens = self._substreams(start + lo, start + hi)
-        for first in range(lo, hi, _TILE_ROWS):
-            n = min(_TILE_ROWS, hi - first)
+        for first in range(lo, hi, tile):
+            n = min(tile, hi - first)
             for row, gen in zip(draws[:n], gens):
                 gen.standard_normal(dtype=np.float32, out=row)
             if channels == 2:
@@ -643,7 +670,7 @@ def iter_frame_chunks(
     if not (isinstance(frames, range) and frames.step == 1
             and 0 <= frames.start and frames.stop <= _MAX_FRAMES):
         raise ValueError(f"frames must be a step-1 range inside [0, 2**32), got {frames!r}")
-    bounds = [(frames.start + a, frames.start + b) for a, b in block_bounds(len(frames))]
+    bounds = ((frames.start + a, frames.start + b) for _, a, b in _block_walk(len(frames)))
     synth = _Synthesis(traj, det, lo, seed)
 
     def block(start: int, stop: int) -> np.ndarray:
@@ -665,13 +692,15 @@ def iter_frame_chunks(
     # prefetching filtered blocks instead of splitting them
     # (`spectrum_long` 1.28-1.35 -> 1.65-1.80 s); and on top of the split
     # (wall time within noise, `epr_scan` peak RSS +4.6 %).
-    pending = pool.submit(block, *bounds[1])
+    first = next(bounds)
+    pending = pool.submit(block, *next(bounds))
     try:
-        yield block(*bounds[0])
-        for nxt in bounds[2:]:
+        yield block(*first)
+        for nxt in bounds:
             ready = pending.result()
             pending = pool.submit(block, *nxt)
             yield ready
+            del ready
         yield pending.result()
     finally:
         # a consumer that raises or closes early leaves no fill running

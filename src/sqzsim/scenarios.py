@@ -629,12 +629,15 @@ def _plan_waveforms(cfg, params, cal):
                 worst <= 0.01, f"worst relative deviation {worst * 100:.3f}%"
             )
 
+    def trimmed(block):
+        return dsp.fir_filter(block, h)[:, edge:-edge]
+
     def filtered_moments(tr, seed):
         # each frame block is filtered, trimmed of its FIR edges, reduced
-        # and dropped; no frame set is held whole
+        # and dropped, the raw block before the next is asked for; no
+        # frame set is held whole
         blocks = iter_frame_chunks(tr, det, 0.0, seed, range(cfg.n_frames))
-        trimmed = (dsp.fir_filter(block, h)[:, edge:-edge] for block in blocks)
-        return dsp.split_moments(cfg.n_frames, trimmed)
+        return dsp.split_moments(cfg.n_frames, map(trimmed, blocks))
 
     def acquire():
         vac = filtered_moments(vac_traj, seeds[-1])
@@ -873,8 +876,9 @@ def _plan_epr(cfg, params, cal):
     # nominal center, so the scan minimum must be compared against the
     # minimum of the prediction over the same offsets.
     scan_offsets = lags * det.dt
-    # the prediction filters a (lags, burn-in + samples) stack of mode
-    # weights in a block-filter scratch about twice its size
+    # the prediction filters the mode weights of every lag, a row of
+    # burn-in + samples each, a tile of lags at a time, so it holds a few
+    # tiles; the budget bounds its work by twice the elements of all rows
     row = n_total + _settle_samples(det.filters())
     _budget(
         2 * lags.size * row, "the prediction scan's filter scratch",

@@ -27,7 +27,7 @@ from sqzsim.dsp import (
     TemporalMode,
     split_moments,
 )
-from sqzsim.homodyne import DetectorModel, _BlockFilter, block_bounds
+from sqzsim.homodyne import DetectorModel, _BlockFilter, _tile_rows, block_bounds
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
@@ -538,7 +538,10 @@ def duan_prediction_scan(
     """:func:`duan_prediction` with both modes shifted by each offset (s).
 
     The detector filters are designed once and run backwards over the
-    whole (n_offsets, n) stack of mode weights.
+    mode weights of a tile of offsets at a time, ``_tile_rows`` rows of
+    burn-in + samples each, into one result.  Every step treats each
+    offset's row on its own, so the tile does not change the bits, and
+    the scan holds a few tiles of weights however many offsets it has.
     """
     # the record the simulator synthesizes, so the filters see its burn-in
     v_x, v_p = (det.record_variance(traj, phi) for phi in (0.0, math.pi / 2.0))
@@ -546,27 +549,35 @@ def duan_prediction_scan(
     n_lead = v_x.size - n
     filters = det.filters()
 
-    w1 = np.stack([_mode_on_grid(g1.shifted(off), det.dt, n, n_lead) for off in offsets])
-    w2 = np.stack([_mode_on_grid(g2.shifted(off), det.dt, n, n_lead) for off in offsets])
-
     if filters is None:
-        def components(w):  # (lp-weighted, hp-weighted)
-            return w, np.zeros_like(w)
+        def weighted_variance(w, v) -> np.ndarray:
+            return np.sum(v * w * w, axis=1)
     else:
         b_lp, b_hp, a = filters
         lowpass = _BlockFilter([b_lp], a, n_lead + n)
         highpass = _BlockFilter([b_hp], a, n_lead + n)
 
-        def components(w):
-            # W(k) = sum_j w_j h_{j-k}: run the causal filter backwards
-            return lowpass(w[:, ::-1])[:, ::-1], highpass(w[:, ::-1])[:, ::-1]
+        def weighted_variance(w, v) -> np.ndarray:
+            # W(k) = sum_j w_j h_{j-k}: run the causal filter backwards, the
+            # low-pass part summed and dropped before the high-pass one is made
+            lp = lowpass(w[:, ::-1])[:, ::-1]
+            total = np.sum(v * lp * lp, axis=1)
+            del lp
+            hp = highpass(w[:, ::-1])[:, ::-1]
+            return total + np.sum(hp * hp, axis=1)
 
-    def weighted_variance(w, v) -> np.ndarray:
-        lp, hp = components(w)
-        return np.sum(v * lp * lp, axis=1) + np.sum(hp * hp, axis=1)
+    def tile_scan(part) -> np.ndarray:
+        w1 = np.stack([_mode_on_grid(g1.shifted(off), det.dt, n, n_lead) for off in part])
+        w2 = np.stack([_mode_on_grid(g2.shifted(off), det.dt, n, n_lead) for off in part])
+        scale1 = np.sqrt(weighted_variance(w1, np.ones_like(v_x)))[:, None]
+        scale2 = np.sqrt(weighted_variance(w2, np.ones_like(v_x)))[:, None]
+        u_minus = w1 / scale1 - w2 / scale2
+        u_plus = w1 / scale1 + w2 / scale2
+        del w1, w2
+        return weighted_variance(u_minus, v_x) + weighted_variance(u_plus, v_p)
 
-    scale1 = np.sqrt(weighted_variance(w1, np.ones_like(v_x)))[:, None]
-    scale2 = np.sqrt(weighted_variance(w2, np.ones_like(v_x)))[:, None]
-    u_minus = w1 / scale1 - w2 / scale2
-    u_plus = w1 / scale1 + w2 / scale2
-    return weighted_variance(u_minus, v_x) + weighted_variance(u_plus, v_p)
+    scan = np.empty(len(offsets))
+    tile = _tile_rows(n_lead + n)
+    for lo in range(0, scan.size, tile):
+        scan[lo : lo + tile] = tile_scan(offsets[lo : lo + tile])
+    return scan

@@ -3,6 +3,7 @@
 import decimal
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_periodogram_is_scipy_rfft_of_the_float64_cast(n_samples, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_multi_tile_periodogram_blocks_equal_the_whole_stack_loop(dtype):
-    # 1000 frames: splits of 100 frames, each block 3 whole tiles and a partial one
+    # 1000 frames: splits of 100 frames, each block at least 3 whole tiles and a partial one
     frames = np.random.default_rng(9).standard_normal((1000, 4096)).astype(dtype)
     assert max(hi - lo for lo, hi in block_bounds(1000)) > 3 * homodyne._TILE_ROWS
     got = dsp.periodogram_split_means(1000, blocks(frames))
@@ -459,6 +460,42 @@ def test_split_moments_validation():
     with pytest.raises(ValueError, match="more blocks"):
         dsp.split_moments(24, blocks + blocks[:1])
     assert dsp.split_moments(24, blocks).count.sum() == 24
+
+
+def _one_at_a_time(arrays):
+    """Yield ``arrays`` in turn, asserting that each is dead before the next is asked for."""
+    arrays = iter(arrays)
+    held = None
+    while True:
+        if held is not None and held() is not None:
+            pytest.fail("a block is still held as the next is asked for")
+        array = next(arrays, None)
+        if array is None:
+            return
+        held = weakref.ref(array)
+        yield array
+        del array
+
+
+def _fresh_blocks(frames):
+    """A fresh copy of each block of ``frames``, one at a time."""
+    return _one_at_a_time(frames[lo:hi].copy() for lo, hi in block_bounds(len(frames)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stream_reducers_hold_one_block_at_a_time(dtype):
+    # 2600 frames: a split of 260 frames is a block of 256 and one of 4
+    frames, modes = _projection_pieces(2600, dtype=dtype)
+    got = dsp.periodogram_split_means(2600, _fresh_blocks(frames))
+    assert got.tobytes() == dsp.periodogram_split_means(2600, blocks(frames)).tobytes()
+    got = dsp.split_moments(2600, _fresh_blocks(frames))
+    want = dsp.split_moments(2600, blocks(frames))
+    assert got.m2.tobytes() == want.m2.tobytes()
+    # the scan drops each frame block, and the reducer each block of integrals
+    scan = dsp.ModeScan(modes, np.eye(len(modes)), np.arange(-6, 7), DT, 160)
+    got = dsp.split_moments(2600, _one_at_a_time(map(scan, _fresh_blocks(frames))))
+    want = dsp.split_moments(2600, map(scan, blocks(frames)))
+    assert got.m2.tobytes() == want.m2.tobytes()
 
 
 def test_mode_normalization_all_families():

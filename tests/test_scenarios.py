@@ -434,6 +434,35 @@ def test_cli_count_beyond_substreams_or_budget_exits_2_under_a_memory_cap(tmp_pa
     assert err["kind"] == "usage" and all(f in err["message"] for f in fields)
 
 
+# the first block of a 2**32-frame stream, taken through the split walk of
+# the reducers; a layout built whole, 2**24 tuples, ran out of the capped
+# address space after 7.5 s
+FIRST_BLOCK = """
+from sqzsim import dsp, homodyne, opa
+traj = opa.constant_trajectory(0.3, 0.0, 0.1, 1e-9, 480)
+frames = homodyne.iter_frame_chunks(traj, homodyne.DetectorModel(), 0.0, 0, range(2**32))
+split, block = next(dsp._blocks_by_split(2**32, frames))
+print(split, *block.shape)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_first_block_of_a_stream_of_2_32_frames_arrives_under_a_memory_cap():
+    env = dict(os.environ)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_BLOCK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=_capped_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "256", "480"]
+
+
 @pytest.mark.parametrize("key", ["quad_coeff_mw_per_v2", "gain_coeff_per_sqrt_mw"])
 def test_cli_non_finite_calibration_file_exits_2_naming_the_field(tmp_path, capsys, key):
     # Python's json writes and reads NaN unless told not to

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sqzsim import tomography
+from sqzsim import homodyne, tomography
 from sqzsim.dsp import ModeScan, make_mode
 from sqzsim.homodyne import DetectorModel
 from sqzsim.opa import SqueezerTrajectory
@@ -381,3 +382,29 @@ def test_duan_prediction_scan_equals_per_offset_loop(bandwidth):
     loop = [duan_prediction(traj, det, g1.shifted(off), g2.shifted(off)) for off in offsets]
     assert scan.shape == offsets.shape
     assert scan.tolist() == loop
+
+
+@pytest.mark.parametrize("bandwidth", [None, 200e6, 2e6])
+def test_duan_prediction_scan_over_several_offset_tiles_equals_per_offset_loop(bandwidth):
+    traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=20, bandwidth=bandwidth)
+    offsets = np.arange(-40, 41) * det.dt
+    row = homodyne._settle_samples(det.filters()) + traj.n_samples
+    assert offsets.size > 2 * homodyne._tile_rows(row)
+    scan = duan_prediction_scan(traj, det, g1, g2, offsets)
+    loop = [duan_prediction(traj, det, g1.shifted(off), g2.shifted(off)) for off in offsets]
+    assert scan.tolist() == loop
+
+
+def test_duan_prediction_scan_memory_is_a_few_offset_tiles():
+    # the epr_scan benchmark's geometry: 121 offsets over 1320-sample
+    # records at 200 MHz; the whole (offsets, burn-in + samples) stack
+    # peaked at 12.7 MB traced, tiles of 32 offsets at 2.0 MB
+    traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=20, bandwidth=200e6)
+    offsets = np.arange(-60, 61) * det.dt
+    tracemalloc.start()
+    try:
+        duan_prediction_scan(traj, det, g1, g2, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak

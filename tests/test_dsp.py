@@ -390,8 +390,13 @@ VARIANCE_RTOL = 1e-12
 STREAM_FRAME_COUNTS = [20, 37, 999, 4800]
 
 
-@pytest.mark.parametrize("n_samples", [64, 65])
-@pytest.mark.parametrize("n_frames", STREAM_FRAME_COUNTS)
+# 4096-sample frames put 15 rows in a tile instead of 32; 4800 of them
+# would hold about 0.6 GB of stacks and FFT buffers, so they stop at 999
+FIR_BLOCK_SHAPES = [(n, s) for n in STREAM_FRAME_COUNTS for s in (64, 65)]
+FIR_BLOCK_SHAPES += [(n, 4096) for n in (20, 37, 999)]
+
+
+@pytest.mark.parametrize("n_frames, n_samples", FIR_BLOCK_SHAPES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fir_filter_blocks_equal_fir_lowpass_rows(dtype, n_frames, n_samples):
     frames = np.random.default_rng(n_frames).standard_normal((n_frames, n_samples)).astype(dtype)
@@ -446,6 +451,21 @@ def test_split_moments_hold_the_tolerance_off_zero_mean(n_frames):
     var, per_split, _ = _two_pass(frames, frames)
     np.testing.assert_allclose(got.variance(), var, rtol=VARIANCE_RTOL, atol=0.0)
     np.testing.assert_allclose(got.split_variances(), per_split, rtol=VARIANCE_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("n_samples, n_frames", [(64, 700), (4160, 400)])
+def test_one_block_split_m2_is_the_whole_block_sum(n_samples, n_frames):
+    # splits of 70 and 40 frames, one block each, over 32- and 15-row
+    # tiles: the tiled squared deviations add in the order of one sum
+    # over the whole float64 block
+    assert all(sl.stop - sl.start <= homodyne._BLOCK_ROWS for sl in split_slices(n_frames))
+    frames = 3.0 + np.random.default_rng(n_samples).standard_normal((n_frames, n_samples))
+    frames = frames.astype(np.float32)
+    got = dsp.split_moments(n_frames, blocks(frames))
+    for s_idx, sl in enumerate(split_slices(n_frames)):
+        x = frames[sl].astype(np.float64)
+        want = np.sum(np.square(x - x.mean(0)), axis=0)
+        assert got.m2[s_idx].tobytes() == want.tobytes(), s_idx
 
 
 def test_split_moments_validation():
@@ -714,6 +734,29 @@ def test_mode_scan_matches_project_at_every_lag(lags, dtype):
         assert got.shape == (hi - lo, 2 * lags.size)
         scale = np.abs(want[lo:hi]).max(axis=0)
         assert np.all(np.abs(got - want[lo:hi]).max(axis=0) <= 1e-12 * scale), (lo, hi)
+
+
+def _long_scan_pieces():
+    """A wide scan over 3000-sample records, whose FFT tile does not divide 256 rows."""
+    frames = vacuum(DetectorModel(bandwidth=None), 3000, 264, seed=5)
+    modes = [make_mode("tf_mode", DT, t_c=t_c, gamma=2.5e8, t_w=30e-9) for t_c in (1400e-9, 1420e-9)]
+    return frames, dsp.ModeScan(modes, [[0.7, -1.3], [1.1, 0.2]], np.arange(-1200, 1201, 100), DT, 3000)
+
+
+def _short_scan_pieces():
+    frames, modes = _projection_pieces(264)
+    return frames, dsp.ModeScan(modes, np.eye(len(modes)), np.arange(-6, 7), DT, 160)
+
+
+@pytest.mark.parametrize("pieces", [_short_scan_pieces, _long_scan_pieces], ids=["short", "long"])
+def test_multi_lag_scan_rows_do_not_depend_on_the_block(pieces):
+    frames, scan = pieces()
+    tile = homodyne._tile_rows(scan.size)
+    # the long scan's 256-row block spans more than two tiles and ends in a partial one
+    assert pieces is _short_scan_pieces or (256 > 2 * tile and 256 % tile)
+    alone = np.concatenate([scan(frames[k : k + 1]) for k in range(len(frames))])
+    for lo, hi in [(0, 1), (1, 8), (8, 264)]:
+        assert scan(frames[lo:hi]).tobytes() == alone[lo:hi].tobytes(), (lo, hi)
 
 
 def test_mode_scan_validation():

@@ -21,14 +21,15 @@ correlation per block.  The shot-noise unit of a mode is the square
 root of the variance of its quadrature over a vacuum reference.
 
 Each reduction takes a block a tile of rows at a time, through buffers
-of one tile, made once per call (once per stream for
-:func:`periodogram_split_means` and :func:`split_moments`), so a block
-of up to ``homodyne._BLOCK_ROWS`` frames needs no block-sized temporary.
-A tile holds ``homodyne._tile_rows(n)`` rows of n samples, fewer rows
-for longer frames, as synthesis does.  A row's bytes do not depend on
-its tile, and sums over a block's rows add one row after another across
-tiles, as one sum over the whole block would.  A stream reducer drops
-each block before it asks for the next, so it holds one block at a time.
+of one tile that the call makes for itself, so a block of up to
+``homodyne._BLOCK_ROWS`` frames needs no block-sized temporary.  A tile
+holds ``homodyne._tile_rows(n)`` rows of n samples, fewer rows for
+longer frames, as synthesis does.  Two routines hold the tile loops:
+:func:`_sum_rows` sums a transform of a block's rows one row after
+another across tiles, as one sum over the whole block would, and
+:func:`_fft_rows` filters rows through FFT products.  A row's bytes do
+not depend on its tile.  A stream reducer drops each block before it
+asks for the next, so it holds one block at a time.
 
 Every transform is ``numpy.fft``, whose float64 transforms give the
 bytes of ``scipy.fft`` from NumPy 2.0 on; spectra of float32 records
@@ -100,48 +101,46 @@ def periodogram_split_means(n_frames: int, blocks: Iterable[np.ndarray]) -> np.n
     :func:`sqzsim.homodyne.iter_frame_chunks` or as slices of a frame
     stack; only one block is held at a time.  Every block is cast to
     float64 before its rfft, whatever its dtype: NumPy's float32 rfft is
-    slower than its float64 one.  A block goes through the cast, spectrum
-    and power buffers a tile of rows at a time, buffers allocated
-    once and reused by every tile, and its power rows are summed one after
-    another, the order of a sum over the whole block.  Rectangular window;
-    no per-bin normalization (it cancels in the signal-to-vacuum ratio).
+    slower than its float64 one.  A block's power rows are summed by
+    :func:`_sum_rows`, in the order of a sum over the whole block.
+    Rectangular window; no per-bin normalization (it cancels in the
+    signal-to-vacuum ratio).
     """
     counts = np.array([sl.stop - sl.start for sl in split_slices(n_frames)], dtype=float)
-    sums = None
+    sums = [0.0] * N_SPLITS
     for s_idx, block in _blocks_by_split(n_frames, blocks):
-        if sums is None:
-            n_bins = block.shape[1] // 2 + 1
-            tile = _tile_rows(block.shape[1])
-            records = np.empty((tile, block.shape[1]))
-            spectra = np.empty((tile, n_bins), dtype=complex)
-            # row 0 is the running sum's, for _add_rows
-            powers = np.empty((tile + 1, n_bins))
-            block_sum = np.empty(n_bins)
-            sums = np.zeros((N_SPLITS, n_bins))
-        for lo in range(0, block.shape[0], tile):
-            rows = min(tile, block.shape[0] - lo)
-            x, spec = records[:rows], spectra[:rows]
-            np.copyto(x, block[lo : lo + rows])
-            np.fft.rfft(x, axis=1, out=spec)
-            # re^2 + im^2: squared in place on the interleaved float64 view
-            parts = np.square(spec.view(np.float64), out=spec.view(np.float64))
-            np.add(parts[:, 0::2], parts[:, 1::2], out=powers[1 : rows + 1])
-            _add_rows(powers, rows, block_sum, lo == 0)
-        sums[s_idx] += block_sum
+        sums[s_idx] = sums[s_idx] + _sum_rows(block, _power, block.shape[1] // 2 + 1)
         del block
-    return sums / counts[:, None]
+    return np.stack(sums) / counts[:, None]
 
 
-def _add_rows(tile: np.ndarray, rows: int, total: np.ndarray, first: bool) -> None:
-    """Add rows ``1 .. rows`` of ``tile`` to ``total``, one row after another.
+def _power(x: np.ndarray, out: np.ndarray) -> None:
+    """|rfft|^2 of each row of ``x``, cast to float64, into ``out``."""
+    spectrum = np.fft.rfft(np.asarray(x, dtype=np.float64), axis=1)
+    # re^2 + im^2: squared in place on the interleaved float64 view
+    parts = np.square(spectrum.view(np.float64), out=spectrum.view(np.float64))
+    np.add(parts[:, 0::2], parts[:, 1::2], out=out)
 
-    Row 0 of ``tile`` carries ``total`` into the sum, or ``first`` starts
-    ``total`` at row 1, so the tiles of a block sum in the order, and to
-    the bits, of one sum over axis 0 of the whole block.
+
+def _sum_rows(x: np.ndarray, transform, width: int) -> np.ndarray:
+    """The sum over the rows of ``x`` of ``transform``, a tile of rows at a time.
+
+    ``transform(rows, out)`` writes ``width`` values for each row of a
+    tile into the rows of ``out``.  Row 0 of the tile buffer carries the
+    running sum into each tile after the first, so the tiles add one row
+    after another, in the order, and to the bits, of one sum over axis 0
+    of the whole block.
     """
-    if not first:
-        tile[0] = total
-    np.sum(tile[int(first) : rows + 1], axis=0, out=total)
+    tile = _tile_rows(x.shape[1])
+    buffer = np.empty((min(tile, x.shape[0]) + 1, width))
+    total = np.empty(width)
+    for lo in range(0, x.shape[0], tile):
+        rows = min(tile, x.shape[0] - lo)
+        transform(x[lo : lo + rows], buffer[1 : rows + 1])
+        if lo:
+            buffer[0] = total
+        np.sum(buffer[0 if lo else 1 : rows + 1], axis=0, out=total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -312,29 +311,35 @@ def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     The float64 result has the shape of ``frames``, with the group delay
     of (len(h) - 1)/2 samples compensated.  These are the FFT calls of
-    ``fftconvolve(mode="same", axes=1)``, made a tile of rows at a time in
-    buffers of one tile.  A row's bytes do not depend on the
-    other rows, so the blocks of a stream filter to the rows of the whole
-    stack.
+    ``fftconvolve(mode="same", axes=1)``, made by :func:`_fft_rows` a tile
+    of rows at a time.  A row's bytes do not depend on the other rows, so
+    the blocks of a stream filter to the rows of the whole stack.
     """
     n = frames.shape[1]
     size = _next_fast_len(n + h.size - 1)
-    kernel = np.fft.rfft(h, size)
     start = (h.size - 1) // 2
     out = np.empty(frames.shape)
-    tile = _tile_rows(size)
-    # the zeros past sample n stay zero from tile to tile
-    padded = np.zeros((min(tile, frames.shape[0]), size))
-    spectrum = np.empty((padded.shape[0], size // 2 + 1), dtype=complex)
-    filtered = np.empty(padded.shape)
-    for lo in range(0, frames.shape[0], tile):
-        rows = min(tile, frames.shape[0] - lo)
-        padded[:rows, :n] = frames[lo : lo + rows]
-        np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
-        spectrum[:rows] *= kernel
-        np.fft.irfft(spectrum[:rows], size, axis=1, out=filtered[:rows])
-        out[lo : lo + rows] = filtered[:rows, start : start + n]
+    _fft_rows(frames, np.fft.rfft(h, size)[None], size, slice(start, start + n), out[:, None])
     return out
+
+
+def _fft_rows(x: np.ndarray, spectra: np.ndarray, size: int, columns, out: np.ndarray) -> None:
+    """``irfft(rfft(row, size) * spectra[k], size)[columns]`` of each row of ``x``, into ``out[:, k]``.
+
+    The rows go a tile at a time through one zero-padded float64 tile and
+    its rfft, which a single kernel spectrum multiplies in place.  A row's
+    bytes do not depend on the other rows.
+    """
+    tile = _tile_rows(size)
+    # the zeros past the row stay zero from tile to tile
+    padded = np.zeros((min(tile, x.shape[0]), size))
+    for lo in range(0, x.shape[0], tile):
+        rows = min(tile, x.shape[0] - lo)
+        padded[:rows, : x.shape[1]] = x[lo : lo + rows]
+        spectrum = np.fft.rfft(padded[:rows], axis=1)
+        for k, kernel in enumerate(spectra):
+            product = np.multiply(spectrum, kernel, out=spectrum if len(spectra) == 1 else None)
+            out[lo : lo + rows, k] = np.fft.irfft(product, size, axis=1)[:, columns]
 
 
 @dataclass(frozen=True)
@@ -402,21 +407,14 @@ def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
             f"{N_SPLITS} split variances, got {n_frames}"
         )
     splits: list = [None] * N_SPLITS
-    deviations = None
     for s_idx, block in _blocks_by_split(n_frames, blocks):
         x = np.asarray(block, dtype=float)
-        if deviations is None:
-            tile = _tile_rows(x.shape[1])
-            # row 0 is M2's, for _add_rows
-            deviations = np.empty((tile + 1, x.shape[1]))
         mean = x.mean(axis=0)
-        m2 = np.empty_like(mean)
-        for lo in range(0, x.shape[0], tile):
-            rows = min(tile, x.shape[0] - lo)
-            d = deviations[1 : rows + 1]
-            np.square(np.subtract(x[lo : lo + rows], mean, out=d), out=d)
-            _add_rows(deviations, rows, m2, lo == 0)
-        part = (float(x.shape[0]), mean, m2)
+
+        def deviations(rows, out):
+            np.square(np.subtract(rows, mean, out=out), out=out)
+
+        part = (float(x.shape[0]), mean, _sum_rows(x, deviations, x.shape[1]))
         splits[s_idx] = part if splits[s_idx] is None else _chan_merge(splits[s_idx], part)
         del block, x
     count, mean, m2 = zip(*splits)
@@ -736,15 +734,5 @@ class ModeScan:
             # c_einsum, not the BLAS matmul
             return np.einsum("ij,kj->ik", window, self.kernels, dtype=float)
         out = np.empty((block.shape[0], self.spectra.shape[0], self.lags.size))
-        # a tile of frames at a time; the zeros past the window stay zero
-        tile = _tile_rows(self.size)
-        padded = np.zeros((min(tile, block.shape[0]), self.size))
-        for lo in range(0, block.shape[0], tile):
-            rows = min(tile, block.shape[0] - lo)
-            padded[:rows, : window.shape[1]] = window[lo : lo + rows]
-            spectrum = np.fft.rfft(padded[:rows], axis=1)
-            for k, kernel_spectrum in enumerate(self.spectra):
-                correlation = np.fft.irfft(spectrum * kernel_spectrum, self.size, axis=1)
-                out[lo : lo + rows, k] = correlation[:, self.lags]
+        _fft_rows(window, self.spectra, self.size, self.lags, out)
         return out.reshape(block.shape[0], -1)
-

@@ -54,16 +54,17 @@ filtered block of fewer than 4 rows, the fill is serial.
 
 Memory: a share draws, scales and filters its rows a tile at a time,
 ``_tile_rows(burn-in + samples)`` rows of about 2**16 samples in all.
-Each share of a stream owns one float32 draw tile, of shape
-``(rows, channels, burn-in + samples)``, and the filter's work,
-products and carried states, made by the thread that fills it on its
-first block and reused by every tile after.  Each frame's draws fill its
-row of the tile; with two channels the raw draws are scaled in place,
-and the channels go straight into the filter.  The block layout is
-walked lazily, block by block.  So a filtered stream holds its yielded
-block and a few tiles, however many frames or rows a block has, and
-however many blocks a stream has; a consumer that drops each block
-before it asks for the next holds one block at a time.
+Each fill of a share makes one float32 draw tile, of shape
+``(rows, channels, burn-in + samples)``, and each filter call makes its
+own work, products and carried states, so nothing outlives the call
+that fills it and the two shares of a block share only their rows of
+the block.  Each frame's draws fill its row of the tile; with two
+channels the raw draws are scaled in place, and the channels go
+straight into the filter.  The block layout is walked lazily, block by
+block.  So a filtered stream holds its yielded block and a few tiles,
+however many frames or rows a block has, and however many blocks a
+stream has; a consumer that drops each block before it asks for the
+next holds one block at a time.
 
 The filtered detector runs on NumPy alone.  Its Butterworth pair is a
 port of SciPy's ``butter(2, ...)``, byte-equal to it, and shares one
@@ -270,34 +271,12 @@ class _BlockFilter:
         self.from_entry = powers[1:].transpose(1, 0, 2).reshape(2, 2 * _GROUP)
         self.across = powers[_GROUP]
 
-    def _shapes(self, n_rows: int) -> list[tuple[int, ...]]:
-        """The work, product, in-group state and entry state arrays of a call on ``n_rows`` rows."""
-        m, p, n_chunks, n_groups = self.m, self.n_channels, self.n_chunks, self.n_groups
-        group = 2 * _GROUP
-        return [(n_rows, n_chunks, p * m + 2), (n_rows * max(n_chunks * m, n_groups * group),),
-                (n_rows, n_groups, group), (n_rows, n_groups, 2)]
-
-    def scratch(self, n_rows: int) -> np.ndarray:
-        """A flat float64 buffer for calls on up to ``n_rows`` rows."""
-        return np.empty(sum(math.prod(shape) for shape in self._shapes(n_rows)))
-
-    def __call__(self, *rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        """y of the channels ``rows[c]``, each ``(n_rows, n_samples)``.
-
-        Every array of the call is cut from the front of ``scratch`` (from
-        :meth:`scratch`, allocated for this call when None), so the same
-        rows give the same layout in any buffer; the result is a view into it.
-        """
+    def __call__(self, *rows: np.ndarray) -> np.ndarray:
+        """y of the channels ``rows[c]``, each ``(n_rows, n_samples)``."""
         m, p, n_chunks, n_groups = self.m, self.n_channels, self.n_chunks, self.n_groups
         n_rows, width = rows[0].shape[0], p * m
-        if scratch is None:
-            scratch = self.scratch(n_rows)
-        parts, lo = [], 0
-        for shape in self._shapes(n_rows):
-            parts.append(scratch[lo : lo + math.prod(shape)].reshape(shape))
-            lo += parts[-1].size
         # per row and chunk of work: each channel's m inputs, then the 2 start states
-        work, products, in_group, entries = parts
+        work = np.empty((n_rows, n_chunks, width + 2))
         for c, x in enumerate(rows):
             inputs = work[..., c * m : (c + 1) * m]
             inputs[:, 0, : self.pad] = 0.0
@@ -307,20 +286,22 @@ class _BlockFilter:
         # then every start state from a zero group start; the last group's
         # tail is zeroed, since a NaN left there would reach every state
         # of its group through the zeros of the in-group matrix
-        grouped = products[: in_group.size].reshape(n_rows, n_groups * _GROUP, 2)
+        grouped = np.empty((n_rows, n_groups * _GROUP, 2))
         self._products(work[:, :-1, :width], self.to_state, grouped[:, : n_chunks - 1])
         grouped[:, n_chunks - 1 :] = 0.0
-        self._products(grouped.reshape(in_group.shape), self.in_group, in_group)
+        grouped = grouped.reshape(n_rows, n_groups, 2 * _GROUP)
+        in_group = self._products(grouped, self.in_group, np.empty(grouped.shape))
         # the entry states, carried from group to group, then added to their groups
+        entries = np.empty((n_rows, n_groups, 2))
         entries[:, :1] = 0.0
         for g in range(1, n_groups):
             np.matmul(entries[:, g - 1 : g], self.across, out=entries[:, g : g + 1])
             entries[:, g] += in_group[:, g - 1, -2:]
-        in_group += self._products(entries, self.from_entry, grouped.reshape(in_group.shape))
+        in_group += self._products(entries, self.from_entry, grouped)
         work[:, 0, width:] = 0.0
         work[:, 1:, width:] = in_group.reshape(n_rows, n_groups * _GROUP, 2)[:, : n_chunks - 1]
-        out = products[: n_rows * n_chunks * m].reshape(n_rows, n_chunks, m)
-        return self._products(work, self.to_output, out).reshape(n_rows, -1)[:, self.pad :]
+        out = self._products(work, self.to_output, np.empty((n_rows, n_chunks, m)))
+        return out.reshape(n_rows, -1)[:, self.pad :]
 
     @staticmethod
     def _products(x: np.ndarray, maps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -545,8 +526,6 @@ class _Synthesis:
                 # the raw draws through the low-pass, their complement through the high-pass
                 numerators = [b_lp, b_hp]
             self.kernel = _BlockFilter(numerators, a, self.n_total)
-        # the tile buffers of the caller's share and of the worker's share
-        self.tiles: list = [None, None]
 
     def _substreams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
         """One generator, set in turn to the substream of each frame in [start, stop)."""
@@ -588,18 +567,12 @@ class _Synthesis:
     def _fill_filtered(self, out: np.ndarray, start: int, lo: int, hi: int) -> None:
         """Rows [lo, hi) of the filtered block at ``start``, a tile of rows at a time.
 
-        The share's buffers are made on its first block, in the thread
-        that fills it, and reused by every later tile.
+        The call draws every tile into one float32 tile of its own, so
+        the shares of a block share nothing but the rows of ``out``.
         """
-        share = int(lo > 0)
-        channels = self.kernel.n_channels
         tile = _tile_rows(self.n_total)
-        if self.tiles[share] is None:
-            self.tiles[share] = (
-                np.empty((tile, channels, self.n_total), dtype=np.float32),
-                self.kernel.scratch(tile),
-            )
-        draws, scratch = self.tiles[share]
+        channels = self.kernel.n_channels
+        draws = np.empty((min(tile, hi - lo), channels, self.n_total), dtype=np.float32)
         gens = self._substreams(start + lo, start + hi)
         for first in range(lo, hi, tile):
             n = min(tile, hi - first)
@@ -609,7 +582,7 @@ class _Synthesis:
                 # the raw draws scaled in float32; the kernel casts every
                 # float32 channel to float64 exactly
                 draws[:n, 0] *= self.std
-            filtered = self.kernel(*draws[:n].transpose(1, 0, 2), scratch=scratch)
+            filtered = self.kernel(*draws[:n].transpose(1, 0, 2))
             out[first : first + n] = filtered[:, self.n_burn :]
 
 

@@ -876,12 +876,12 @@ def _plan_epr(cfg, params, cal):
     # nominal center, so the scan minimum must be compared against the
     # minimum of the prediction over the same offsets.
     scan_offsets = lags * det.dt
-    # the prediction filters the mode weights of every lag, a row of
-    # burn-in + samples each, a tile of lags at a time, so it holds a few
-    # tiles; the budget bounds its work by twice the elements of all rows
+    # the prediction filters two mode-weight rows of burn-in + samples for
+    # every lag, a tile of lags at a time, so it holds a few tiles; the
+    # budget bounds its work by the elements of all those rows
     row = n_total + _settle_samples(det.filters())
     _budget(
-        2 * lags.size * row, "the prediction scan's filter scratch",
+        2 * lags.size * row, "the prediction scan's two mode-weight rows of every lag",
         "scan_halfwidth_s", "lead_s", "duration_s", "tail_s",
     )
     predicted_scan = tomography.duan_prediction_scan(traj, det, g1, g2, scan_offsets)

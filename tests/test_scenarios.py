@@ -785,9 +785,9 @@ def _no_prediction(*args, **kwargs):
 
 
 def test_cli_epr_prediction_scan_above_the_work_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # 180 001 lags over 201 064-sample records: the scan's filter scratch
-    # would hold about 7e10 elements, and a run under a 1.5 GB address
-    # space cap failed as internal MemoryError without the budget
+    # 180 001 lags over 201 064-sample records: the scan's two mode-weight
+    # rows of every lag come to about 7e10 elements, and a run under a
+    # 1.5 GB address space cap failed as internal MemoryError without the budget
     monkeypatch.setattr(tomography, "duan_prediction_scan", _no_prediction)
     settings = ["lead_s=1e-4", "tail_s=1e-4", "scan_halfwidth_s=9e-5"]
     argv = ["epr", "--frames", "100", *(a for s in settings for a in ("--set", s))]

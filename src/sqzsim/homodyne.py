@@ -46,18 +46,19 @@ whole block of frames in one vectorized pass, a port of NumPy's
 seeding that a test checks against NumPy itself; a run may therefore
 hold at most 2**32 frames, one 32-bit spawn-key word each.  Since no
 frame's bytes depend on another's, synthesis shares the work with one
-pooled worker thread.  A filtered-detector block is split into two
-contiguous shares of its rows, the caller filling one and the worker
-the other.  An ideal-detector stream has the worker fill the next block
-while the caller reduces the current one.  On one CPU, or for a
-filtered block of fewer than 4 rows, the fill is serial.
+pooled worker thread, on any number of CPUs.  :meth:`_Synthesis.fill`
+fills any range of frames on the calling thread, and
+:func:`iter_frame_chunks` alone shares a stream: the caller fills the
+first half of the rows of a filtered-detector block while the worker
+fills the second, and an ideal-detector stream has the worker fill the
+next block while the caller reduces the current one.
 
-Memory: a share draws, scales and filters its rows a tile at a time,
+Memory: a fill draws, scales and filters its rows a tile at a time,
 ``_tile_rows(burn-in + samples)`` rows of about 2**16 samples in all.
-Each fill of a share makes one float32 draw tile, of shape
+Each filtered fill makes one float32 draw tile, of shape
 ``(rows, channels, burn-in + samples)``, and each filter call makes its
 own work, products and carried states, so nothing outlives the call
-that fills it and the two shares of a block share only their rows of
+that fills it and the two halves of a block share only their rows of
 the block.  Each frame's draws fill its row of the tile; with two
 channels the raw draws are scaled in place, and the channels go
 straight into the filter.  The block layout is walked lazily, block by
@@ -77,7 +78,7 @@ by powers of the state map that the recursion itself computes.  It
 differs from SciPy's ``lfilter`` of each row, each with its own
 denominator, by rounding only: a test holds the difference within
 1e-12 of the record rms for bandwidths from 2 MHz to 0.45 of the sample
-rate.  A frame's bits do not depend on the block or share it is filled
+rate.  A frame's bits do not depend on the block or half it is filled
 in, since every frame gets the same matrix products however many rows
 share a call.  So no run imports SciPy, whose ``butter`` and
 ``lfilter`` serve the tests as oracles.
@@ -438,7 +439,7 @@ def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]
     return states
 
 
-# Rows per tile: the buffers of a filtered share and of the block
+# Rows per tile: the buffers of a filtered fill and of the block
 # reductions in dsp hold _tile_rows(n) rows of n samples, not a block of
 # up to 256 frames.  A tile holds about _TILE_SAMPLES samples and at most
 # _TILE_ROWS rows: 15 rows at the 4160 samples of a 4096-sample frame with
@@ -538,44 +539,24 @@ class _Synthesis:
             yield gen
 
     def fill(self, out: np.ndarray, start: int) -> None:
-        """Write frames [start, start + len(out)) into ``out``."""
-        stop = start + out.shape[0]
+        """Write frames [start, start + len(out)) into ``out``, on the calling thread.
+
+        A filtered fill draws every tile of rows into one float32 tile of
+        its own, so two fills of one block's rows share nothing but ``out``.
+        """
+        gens = self._substreams(start, start + out.shape[0])
         if self.kernel is None:
             # an ideal detector needs no vacuum complement: draw one row
             # per frame in place, then scale the rows by the std template
-            for row, gen in zip(out, self._substreams(start, stop)):
+            for row, gen in zip(out, gens):
                 gen.standard_normal(dtype=np.float32, out=row)
             out *= self.std
-        else:
-            n = stop - start
-            pool = _share_pool() if n >= 4 else None
-            if pool is None:
-                self._fill_filtered(out, start, 0, n)
-            else:
-                # every frame has its own substream and the filter treats
-                # each row on its own, so two shares of the rows give the
-                # bytes of one pass; the worker writes into out, so it is
-                # waited for before this returns or raises
-                mid = n // 2
-                worker = pool.submit(self._fill_filtered, out, start, mid, n)
-                try:
-                    self._fill_filtered(out, start, 0, mid)
-                finally:
-                    wait((worker,))
-                worker.result()
-
-    def _fill_filtered(self, out: np.ndarray, start: int, lo: int, hi: int) -> None:
-        """Rows [lo, hi) of the filtered block at ``start``, a tile of rows at a time.
-
-        The call draws every tile into one float32 tile of its own, so
-        the shares of a block share nothing but the rows of ``out``.
-        """
+            return
         tile = _tile_rows(self.n_total)
         channels = self.kernel.n_channels
-        draws = np.empty((min(tile, hi - lo), channels, self.n_total), dtype=np.float32)
-        gens = self._substreams(start + lo, start + hi)
-        for first in range(lo, hi, tile):
-            n = min(tile, hi - first)
+        draws = np.empty((min(tile, out.shape[0]), channels, self.n_total), dtype=np.float32)
+        for first in range(0, out.shape[0], tile):
+            n = min(tile, out.shape[0] - first)
             for row, gen in zip(draws[:n], gens):
                 gen.standard_normal(dtype=np.float32, out=row)
             if channels == 2:
@@ -587,23 +568,35 @@ class _Synthesis:
 
 
 @functools.cache
-def _share_pool() -> ThreadPoolExecutor | None:
-    """The worker that fills the second share of each filtered block
-    and the next block of an ideal-detector stream.
+def _share_pool() -> ThreadPoolExecutor:
+    """The worker that fills half of each filtered block and the next
+    block of an ideal-detector stream.
 
-    None when this process may run on one CPU only, so blocks are filled
-    serially.  Made on first use: importing the module starts no thread.
+    Made on first use: importing the module starts no thread.
     """
-    try:
-        n_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        n_cpus = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=1) if n_cpus > 1 else None
+    return ThreadPoolExecutor(max_workers=1)
 
 
 if hasattr(os, "register_at_fork"):
     # a forked child has no worker thread: it makes its own pool on first use
     os.register_at_fork(after_in_child=_share_pool.cache_clear)
+
+
+def _fill_halves(synth: _Synthesis, out: np.ndarray, start: int) -> None:
+    """Fill the block ``out`` of frames from ``start`` in two halves of its rows.
+
+    The pooled worker fills the second half while the caller fills the
+    first.  Every frame has its own substream and the filter treats each
+    row on its own, so the halves give the bytes of one fill.  The worker
+    writes into ``out``, so it is waited for before this returns or raises.
+    """
+    mid = out.shape[0] // 2
+    worker = _share_pool().submit(synth.fill, out[mid:], start + mid)
+    try:
+        synth.fill(out[:mid], start)
+    finally:
+        wait((worker,))
+    worker.result()
 
 
 def iter_frame_chunks(
@@ -648,23 +641,25 @@ def iter_frame_chunks(
 
     def block(start: int, stop: int) -> np.ndarray:
         out = np.empty((stop - start, synth.n_samples), dtype=np.float32)
-        synth.fill(out, start)
+        if synth.kernel is None:
+            synth.fill(out, start)
+        else:
+            _fill_halves(synth, out, start)
         return out
 
-    pool = _share_pool() if synth.kernel is None else None
-    if pool is None:
+    if synth.kernel is not None:
         for start, stop in bounds:
             yield block(start, stop)
         return
     # The pooled worker fills the next ideal block while the caller
-    # reduces this one; the ideal fill never submits to the pool, so the
-    # worker never waits on itself.  Measured on `waveforms_ideal` and
-    # `spectrum_long` (2 vCPUs) and rejected: splitting the ideal rows as
-    # the filtered fill does (no wall gain, CPU +15-24 %: the per-frame
-    # state setting holds the GIL and a 1300-sample draw is short);
-    # prefetching filtered blocks instead of splitting them
-    # (`spectrum_long` 1.28-1.35 -> 1.65-1.80 s); and on top of the split
-    # (wall time within noise, `epr_scan` peak RSS +4.6 %).
+    # reduces this one.  Measured on 2 vCPUs and rejected, each against
+    # this pair of schedules: splitting the ideal rows as a filtered
+    # block is split (`waveforms_ideal` 0.67-0.75 -> 1.01-1.19 s: the
+    # per-frame state setting holds the GIL and a 1300-sample draw is
+    # short), and prefetching filtered blocks instead of splitting them
+    # (`spectrum_long` 0.82-0.88 -> 0.98-1.12 s and 50.5 -> 57.0 MB,
+    # `epr_scan` 0.48-0.53 -> 0.63-0.71 s).
+    pool = _share_pool()
     first = next(bounds)
     pending = pool.submit(block, *next(bounds))
     try:

@@ -296,32 +296,61 @@ def test_first_record_sample_of_a_constant_set_has_the_stationary_variance(bandw
         assert abs(first - stationary) <= 1e-12 * stationary, v
 
 
-def _filled(traj, det, start, n_rows):
-    """Frames [start, start + n_rows) of a run at LO phase 0.7, seed 8, in one fill."""
+def _filled(traj, det, start, n_rows, halves=False):
+    """Frames [start, start + n_rows) of a run at LO phase 0.7, seed 8, in one block.
+
+    With ``halves`` the block is split as a filtered stream splits it,
+    the pooled worker filling the second half of the rows.
+    """
+    synth = homodyne._Synthesis(traj, det, 0.7, 8)
     rows = np.empty((n_rows, traj.n_samples), dtype=np.float32)
-    homodyne._Synthesis(traj, det, 0.7, 8).fill(rows, start)
+    if halves:
+        homodyne._fill_halves(synth, rows, start)
+    else:
+        synth.fill(rows, start)
     return rows
 
 
 def _one_frame_blocks(traj, det, n_frames):
-    """The frames of a run at LO phase 0.7, synthesized one frame per fill.
-
-    A one-frame fill is never split, so this is the serial reference.
-    """
+    """The frames of a run at LO phase 0.7, synthesized one frame per fill."""
     return np.concatenate([_filled(traj, det, k, 1) for k in range(n_frames)])
 
 
-def _record_shares(monkeypatch):
-    """Record the (start + lo, start + hi) frame range of every filled share."""
-    shares = []
-    fill = homodyne._Synthesis._fill_filtered
+def _record_fills(monkeypatch):
+    """Record the (start, rows, thread id) of every fill."""
+    fills = []
+    fill = homodyne._Synthesis.fill
 
-    def recorded(self, out, start, lo, hi):
-        shares.append((start + lo, start + hi))
-        fill(self, out, start, lo, hi)
+    def recorded(self, out, start):
+        fills.append((start, out.shape[0], threading.get_ident()))
+        fill(self, out, start)
 
-    monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", recorded)
-    return shares
+    monkeypatch.setattr(homodyne._Synthesis, "fill", recorded)
+    return fills
+
+
+def _worker_thread():
+    """The thread id of the pooled worker."""
+    return homodyne._share_pool().submit(threading.get_ident).result()
+
+
+@pytest.mark.parametrize(
+    ("bandwidth", "kind"),
+    [(200e6, "ramp"), (200e6, "constant"), (None, "ramp")],
+    ids=["200MHz", "200MHz-constant", "ideal"],
+)
+def test_fill_never_asks_for_the_pooled_worker(monkeypatch, bandwidth, kind):
+    # 300 frames, streamed in 30-row blocks, then filled in one call of
+    # 300 rows on this thread alone
+    traj = _trajectory(kind, 96)
+    det = DetectorModel(bandwidth=bandwidth)
+    streamed = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(300))))
+
+    def no_pool():
+        raise AssertionError("a fill asked for the pooled worker")
+
+    monkeypatch.setattr(homodyne, "_share_pool", no_pool)
+    assert _filled(traj, det, 0, 300).tobytes() == streamed.tobytes()
 
 
 # the one-row and the two-row filtered synthesis; the constant case's id is "float32"
@@ -341,30 +370,30 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, kind, n_rows):
     ref = _one_frame_blocks(traj, det, n_frames)
     assert ref.dtype == dtype
 
-    shares = _record_shares(monkeypatch)
+    caller, worker = threading.get_ident(), _worker_thread()
+    fills = _record_fills(monkeypatch)
     # the rows from the first frame, and the same count three frames later
-    first = _filled(traj, det, 0, n_rows)
-    block = _filled(traj, det, 3, n_rows)
+    first = _filled(traj, det, 0, n_rows, halves=True)
+    block = _filled(traj, det, 3, n_rows, halves=True)
     assert first.tobytes() == ref[:n_rows].tobytes()
     assert block.tobytes() == ref[3:].tobytes()
-    if n_rows < 4 or homodyne._share_pool() is None:
-        assert shares == [(0, n_rows), (3, 3 + n_rows)]
-    else:
-        want = [(0, mid), (mid, n_rows), (3, 3 + mid), (3 + mid, 3 + n_rows)]
-        assert sorted(shares) == sorted(want)
+    want = [(0, mid, caller), (mid, n_rows - mid, worker),
+            (3, mid, caller), (3 + mid, n_rows - mid, worker)]
+    assert sorted(fills) == sorted(want)
 
 
 @pytest.mark.parametrize(("dtype", "kind"), TRAJECTORIES)
 def test_multi_tile_blocks_equal_one_frame_blocks(dtype, kind):
-    # 6 tiles less 3 rows: each share, and the serial fill, spans at least
-    # 3 tiles and ends in a partial one, on 4096-sample frames
+    # 189 rows of 4096-sample frames, whose tiles hold 15 rows: the whole
+    # fill and each half span at least 6 tiles and end in a partial one
     n_rows = 6 * homodyne._TILE_ROWS - 3
     traj = _trajectory(kind, 4096)
     det = DetectorModel()
     ref = _one_frame_blocks(traj, det, n_rows + 2)
-    block = _filled(traj, det, 2, n_rows)
-    assert block.dtype == dtype
-    assert block.tobytes() == ref[2:].tobytes()
+    for halves in (False, True):
+        block = _filled(traj, det, 2, n_rows, halves)
+        assert block.dtype == dtype
+        assert block.tobytes() == ref[2:].tobytes(), halves
 
 
 def _consume_within_60_s(consume):
@@ -378,23 +407,22 @@ def _consume_within_60_s(consume):
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
-    if homodyne._share_pool() is None:
-        pytest.skip("one CPU: blocks are filled serially")
     events = []
-    fill = homodyne._Synthesis._fill_filtered
+    worker = _worker_thread()
+    fill = homodyne._Synthesis.fill
 
-    def faulty(self, out, start, lo, hi):
-        share = "worker" if lo > 0 else "caller"
+    def faulty(self, out, start):
+        share = "worker" if threading.get_ident() == worker else "caller"
         if share != failing:
             # the other share is slow, so a caller that did not wait for
             # the worker would raise while the worker still writes
             time.sleep(0.2)
-            fill(self, out, start, lo, hi)
+            fill(self, out, start)
             events.append(f"{share} done")
             return
         raise RuntimeError(f"planted fault in the {share} share")
 
-    monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", faulty)
+    monkeypatch.setattr(homodyne._Synthesis, "fill", faulty)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
     # 40 frames: blocks of 4 rows, each split in two shares
     blocks = iter_frame_chunks(traj, DetectorModel(), 0.0, 0, range(40))
@@ -412,32 +440,36 @@ def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
     assert events == [f"{healthy} done", "raised"]
 
 
-def _record_fills(monkeypatch):
-    """Record the (start, thread id) of every block fill."""
-    fills = []
-    fill = homodyne._Synthesis.fill
-
-    def recorded(self, out, start):
-        fills.append((start, threading.get_ident()))
-        fill(self, out, start)
-
-    monkeypatch.setattr(homodyne._Synthesis, "fill", recorded)
-    return fills
-
-
-@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "serial"])
-@pytest.mark.parametrize("dtype", [np.float32])
-@pytest.mark.parametrize(
+# uneven: splits of 4 and 5 frames; one-block: one full block per split;
+# one-row: one frame per block; phase-edge: phase group 1 of a streamed
+# run of 20-frame groups
+STREAM_RANGES = pytest.mark.parametrize(
     "frames",
     [range(43), range(2560), range(10), range(20, 40)],
-    # uneven: splits of 4 and 5 frames; one-block: one full block per
-    # split; one-row: one frame per block; phase-edge: phase group 1 of a
-    # streamed run of 20-frame groups
     ids=["uneven", "one-block", "one-row", "phase-edge"],
 )
-def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, pooled, dtype, frames):
-    if not pooled:
-        monkeypatch.setattr(homodyne, "_share_pool", lambda: None)
+
+
+@STREAM_RANGES
+def test_filtered_stream_splits_every_block_in_halves(monkeypatch, frames):
+    traj = _ramp_trajectory(96)
+    det = DetectorModel()
+    want = synthesize(traj, det, 0.7, frames.stop, seed=8)
+    caller, worker = threading.get_ident(), _worker_thread()
+    fills = _record_fills(monkeypatch)
+    blocks = iter_frame_chunks(traj, det, 0.7, 8, frames)
+    bounds = [(frames.start + lo, frames.start + hi) for lo, hi in block_bounds(len(frames))]
+    halves = []
+    for (lo, hi), block in zip(bounds, blocks, strict=True):
+        assert block.tobytes() == want[lo:hi].tobytes()
+        mid = (hi - lo) // 2
+        # a one-row block leaves the caller's half empty
+        halves += [(lo, mid, caller), (lo + mid, hi - lo - mid, worker)]
+    assert sorted(fills) == sorted(halves)
+
+
+@STREAM_RANGES
+def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, frames):
     traj = _ramp_trajectory(96)
     det = DetectorModel(bandwidth=None)
     want = _oracle_frames(traj, det, 0.7, 8, 0, frames.stop)
@@ -445,22 +477,17 @@ def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, pooled, dtype
     blocks = iter_frame_chunks(traj, det, 0.7, 8, frames)
     bounds = [(frames.start + lo, frames.start + hi) for lo, hi in block_bounds(len(frames))]
     for (lo, hi), block in zip(bounds, blocks, strict=True):
-        assert block.dtype == dtype
+        assert block.dtype == np.float32
         assert block.tobytes() == want[lo:hi].tobytes()
     caller = threading.get_ident()
-    threads = dict(fills)
+    threads = {start: thread for start, _, thread in fills}
     assert sorted(threads) == [lo for lo, _ in bounds]
     assert threads.pop(frames.start) == caller
-    if homodyne._share_pool() is None:
-        assert set(threads.values()) <= {caller}
-    else:
-        # every later block was filled on the pooled worker
-        assert caller not in threads.values()
+    # every later block was filled on the pooled worker
+    assert set(threads.values()) == {_worker_thread()}
 
 
 def test_ideal_prefetch_fault_surfaces_at_its_block(monkeypatch):
-    if homodyne._share_pool() is None:
-        pytest.skip("one CPU: blocks are filled serially")
     failed = threading.Event()
     starts = []
     fill = homodyne._Synthesis.fill
@@ -493,8 +520,6 @@ def test_ideal_prefetch_fault_surfaces_at_its_block(monkeypatch):
 
 
 def test_closing_an_ideal_stream_waits_for_the_prefetched_fill(monkeypatch):
-    if homodyne._share_pool() is None:
-        pytest.skip("one CPU: blocks are filled serially")
     events = []
     fill = homodyne._Synthesis.fill
 
@@ -525,12 +550,16 @@ def test_forked_child_makes_its_own_worker():
     # the parent's worker thread does not exist in a forked child, so a
     # child that reused the parent's pool would wait for it forever
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=64)
-    want = synthesize(traj, DetectorModel(), 0.0, 40, seed=1)
+
+    def stream():
+        return np.concatenate(list(iter_frame_chunks(traj, DetectorModel(), 0.0, 1, range(40))))
+
+    want = stream()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            got = synthesize(traj, DetectorModel(), 0.0, 40, seed=1)
+            got = stream()
             code = 0 if got.tobytes() == want.tobytes() else 1
         finally:
             # the child never returns into the test runner
@@ -563,12 +592,9 @@ def test_frame_chunks_reject_bad_bounds(monkeypatch):
                     next(iter_frame_chunks(traj, DetectorModel(bandwidth), 0.0, 0, frames))
 
 
-@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "serial"])
 @pytest.mark.parametrize("bandwidth", [None, 200e6], ids=["ideal", "200MHz"])
-def test_a_frame_range_streams_those_rows_of_the_whole_run(monkeypatch, bandwidth, pooled):
+def test_a_frame_range_streams_those_rows_of_the_whole_run(bandwidth):
     # a multi-phase run streams phase group j as range(j n, (j + 1) n)
-    if not pooled:
-        monkeypatch.setattr(homodyne, "_share_pool", lambda: None)
     traj = _ramp_trajectory(96)
     det = DetectorModel(bandwidth=bandwidth)
     whole = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(61))))

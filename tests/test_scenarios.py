@@ -497,30 +497,10 @@ def test_cli_value_error_after_planning_is_internal(tmp_path, capsys, monkeypatc
     assert [p.name for p in (tmp_path / argv[0]).iterdir()] == ["error.json"]
 
 
-def test_cli_reports_a_fault_in_the_worker_share_as_internal(tmp_path, capsys, monkeypatch):
-    if homodyne._share_pool() is None:
-        pytest.skip("one CPU: blocks are filled serially")
-    fill = homodyne._Synthesis._fill_filtered
-
-    def faulty(self, out, start, lo, hi):
-        if lo > 0:
-            raise RuntimeError("planted fault")
-        fill(self, out, start, lo, hi)
-
-    monkeypatch.setattr(homodyne._Synthesis, "_fill_filtered", faulty)
-    # 40 frames make blocks of 4, which are split
-    code = main(["run", "spectrum", "--out", str(tmp_path), "--frames", "40"])
-    err = json.loads(capsys.readouterr().err)
-    assert code == 1 and err["exit_code"] == 1
-    assert err["error"] == {"kind": "internal", "message": "RuntimeError: planted fault"}
-    assert [p.name for p in (tmp_path / "spectrum").iterdir()] == ["error.json"]
-
-
-def test_cli_reports_a_fault_in_the_prefetched_ideal_block_as_internal(
-    tmp_path, capsys, monkeypatch
+@pytest.mark.parametrize("bandwidth", ["2e8", "0"], ids=["200MHz", "ideal"])
+def test_cli_reports_a_fault_on_the_pooled_worker_as_internal(
+    tmp_path, capsys, monkeypatch, bandwidth
 ):
-    if homodyne._share_pool() is None:
-        pytest.skip("one CPU: blocks are filled serially")
     caller = threading.get_ident()
     fill = homodyne._Synthesis.fill
 
@@ -530,9 +510,10 @@ def test_cli_reports_a_fault_in_the_prefetched_ideal_block_as_internal(
         fill(self, out, start)
 
     monkeypatch.setattr(homodyne._Synthesis, "fill", faulty)
-    # an ideal detector: every block after a set's first is filled on the worker
+    # the worker fills half of each filtered block, and every ideal block
+    # after a set's first
     argv = ["run", "spectrum", "--out", str(tmp_path), "--frames", "40",
-            "--set", "detector_bandwidth_hz=0"]
+            "--set", f"detector_bandwidth_hz={bandwidth}"]
     code = main(argv)
     err = json.loads(capsys.readouterr().err)
     assert code == 1 and err["exit_code"] == 1

@@ -889,9 +889,8 @@ def _plan_epr(cfg, params, cal):
     predicted_best = float(predicted_scan[k_best])
     predicted_t_c = float(t_c + scan_offsets[k_best])
     predicted_nominal = float(predicted_scan[len(predicted_scan) // 2])
-    predicted_inst = tomography.duan_prediction(
-        traj, DetectorModel(bandwidth=None, sample_rate=det.sample_rate), g1, g2
-    )
+    ideal = DetectorModel(bandwidth=None, sample_rate=det.sample_rate)
+    predicted_inst = float(tomography.duan_prediction_scan(traj, ideal, g1, g2, [0.0])[0])
 
     seeds = _child_seeds(cfg.seed, 3)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)

@@ -47,7 +47,6 @@ __all__ = [
     "EprResult",
     "epr_scan_lags",
     "stream_epr_analysis",
-    "duan_prediction",
     "duan_prediction_scan",
 ]
 
@@ -510,24 +509,6 @@ def _mode_on_grid(mode: TemporalMode, dt: float, n: int, n_lead: int) -> np.ndar
     return w
 
 
-def duan_prediction(
-    traj: SqueezerTrajectory,
-    det: DetectorModel,
-    g1: TemporalMode,
-    g2: TemporalMode,
-) -> float:
-    """Deterministic counterpart of :func:`stream_epr_analysis` at fixed t_c.
-
-    Evaluates the exact variance of the mode-weighted quadratures for
-    the quasi-static record model, detector filtering included, with no
-    Monte-Carlo noise.  For an ideal detector this reduces to the
-    variance integrals 2 * sum(f1^2 V_x) dt + 2 * sum(f2^2 V_p) dt with
-    V_x, V_p the instantaneous trajectory variances.  This is the
-    one-offset case of :func:`duan_prediction_scan`.
-    """
-    return float(duan_prediction_scan(traj, det, g1, g2, [0.0])[0])
-
-
 def duan_prediction_scan(
     traj: SqueezerTrajectory,
     det: DetectorModel,
@@ -535,7 +516,14 @@ def duan_prediction_scan(
     g2: TemporalMode,
     offsets,
 ) -> np.ndarray:
-    """:func:`duan_prediction` with both modes shifted by each offset (s).
+    """Deterministic counterpart of :func:`stream_epr_analysis` at each t_c offset (s).
+
+    Both modes are shifted by each offset.  Evaluates the exact variance
+    of the mode-weighted quadratures for the quasi-static record model,
+    detector filtering included, with no Monte-Carlo noise.  For an ideal
+    detector this reduces to the variance integrals
+    2 * sum(f1^2 V_x) dt + 2 * sum(f2^2 V_p) dt with V_x, V_p the
+    instantaneous trajectory variances.
 
     The detector filters are designed once and run backwards over the
     mode weights of a tile of offsets at a time, ``_tile_rows`` rows of

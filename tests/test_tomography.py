@@ -15,7 +15,6 @@ from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import split_slices, squeezed_state, variance_at_phase
 from sqzsim.tomography import (
     TomographyInput,
-    duan_prediction,
     duan_prediction_scan,
     ellipse_angle_difference_deg,
     ml_gaussian_tomography,
@@ -281,7 +280,7 @@ def test_epr_analysis_matches_prediction():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=600, seed=5)
     result = _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth=5e-9)
     best = min(
-        duan_prediction(traj, det, g1.shifted(off), g2.shifted(off))
+        duan_prediction_scan(traj, det, g1.shifted(off), g2.shifted(off), [0.0])[0]
         for off in result.scan_offsets
     )
     assert abs(result.duan - best) <= 5.0 * result.duan_stderr
@@ -364,14 +363,15 @@ def test_duan_prediction_instantaneous_anchor():
     ideal = DetectorModel(bandwidth=None, sample_rate=det.sample_rate)
     r = 0.312
     s = variance_at_phase(r, 0.0, 0.183, 0.0)
-    pred = duan_prediction(traj, ideal, g1, g2)
+    pred = duan_prediction_scan(traj, ideal, g1, g2, [0.0])[0]
     assert pred == pytest.approx(4.0 * s, rel=1e-6)
 
 
 def test_duan_prediction_detector_filtering_degrades_value():
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(bandwidth=200e6)
     ideal = DetectorModel(bandwidth=None, sample_rate=det.sample_rate)
-    assert duan_prediction(traj, det, g1, g2) > duan_prediction(traj, ideal, g1, g2)
+    filtered, unfiltered = (duan_prediction_scan(traj, d, g1, g2, [0.0])[0] for d in (det, ideal))
+    assert filtered > unfiltered
 
 
 @pytest.mark.parametrize("bandwidth", [None, 200e6])
@@ -379,7 +379,8 @@ def test_duan_prediction_scan_equals_per_offset_loop(bandwidth):
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=100, bandwidth=bandwidth)
     offsets = np.arange(-6, 7) * det.dt
     scan = duan_prediction_scan(traj, det, g1, g2, offsets)
-    loop = [duan_prediction(traj, det, g1.shifted(off), g2.shifted(off)) for off in offsets]
+    loop = [duan_prediction_scan(traj, det, g1.shifted(off), g2.shifted(off), [0.0])[0]
+            for off in offsets]
     assert scan.shape == offsets.shape
     assert scan.tolist() == loop
 
@@ -391,7 +392,8 @@ def test_duan_prediction_scan_over_several_offset_tiles_equals_per_offset_loop(b
     row = homodyne._settle_samples(det.filters()) + traj.n_samples
     assert offsets.size > 2 * homodyne._tile_rows(row)
     scan = duan_prediction_scan(traj, det, g1, g2, offsets)
-    loop = [duan_prediction(traj, det, g1.shifted(off), g2.shifted(off)) for off in offsets]
+    loop = [duan_prediction_scan(traj, det, g1.shifted(off), g2.shifted(off), [0.0])[0]
+            for off in offsets]
     assert scan.tolist() == loop
 
 

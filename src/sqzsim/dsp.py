@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft
 
-from sqzsim.homodyne import _block_walk, _tile_rows
+from sqzsim.homodyne import _tile_rows, block_bounds
 from sqzsim.quantum import N_SPLITS, split_slices, split_stderr
 
 __all__ = [
@@ -82,7 +82,7 @@ def _blocks_by_split(
     """
     blocks = iter(blocks)
     n_blocks = 0
-    for n_blocks, (s_idx, lo, hi) in enumerate(_block_walk(n_frames), 1):
+    for n_blocks, (s_idx, lo, hi) in enumerate(block_bounds(n_frames), 1):
         block = next(blocks, None)
         if block is None or block.shape[0] != hi - lo:
             raise ValueError(f"expected a block of frames [{lo}, {hi})")
@@ -625,21 +625,21 @@ class ModeSpectrum:
         return wrong / total
 
 
-def mode_spectrum(mode: TemporalMode, n_fft: int | None = None) -> ModeSpectrum:
-    """Energy spectrum of a mode with sub-bin center and width estimates."""
-    n = mode.n_samples
-    if n_fft is None:
-        n_fft = 1 << max(12, int(math.ceil(math.log2(64 * n))))
-    elif n_fft < n:
-        raise ValueError("n_fft must be >= the number of mode samples")
+def mode_spectrum(mode: TemporalMode) -> ModeSpectrum:
+    """Energy spectrum of a mode with sub-bin center and width estimates.
+
+    The weights are zero-padded to a power of two of at least 4096
+    points and 64 times the mode length, so the bins resolve its lobe.
+    """
+    n_fft = 1 << max(12, int(math.ceil(math.log2(64 * mode.n_samples))))
     spec = np.fft.rfft(mode.weights, n_fft) * mode.dt
     df = 1.0 / (n_fft * mode.dt)
     density = spec.real**2 + spec.imag**2
     power = density * df
     # fold to one-sided so the energy sums to sum(w^2) dt = 1
     power[1:] *= 2.0
-    if n_fft % 2 == 0:
-        power[-1] *= 0.5
+    # n_fft is even: the last bin is the unpaired Nyquist one
+    power[-1] *= 0.5
     freqs = np.fft.rfftfreq(n_fft, d=mode.dt)
 
     # peak/width geometry uses the unfolded density: the one-sided

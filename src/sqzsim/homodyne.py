@@ -473,7 +473,7 @@ _BLOCK_ROWS = 256
 _MAX_FRAMES = 2**32
 
 
-def _block_walk(n_frames: int) -> Iterator[tuple[int, int, int]]:
+def block_bounds(n_frames: int) -> Iterator[tuple[int, int, int]]:
     """The ``(split, start, stop)`` of each block of a stream of ``n_frames`` frames, in order.
 
     Each of the 10 splits of :func:`sqzsim.quantum.split_slices` is cut
@@ -489,14 +489,6 @@ def _block_walk(n_frames: int) -> Iterator[tuple[int, int, int]]:
         for s_idx, sl in enumerate(split_slices(n_frames))
         for lo in range(sl.start, sl.stop, _BLOCK_ROWS)
     )
-
-
-def block_bounds(n_frames: int) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` frame blocks of a stream of ``n_frames`` frames, in order.
-
-    The list of :func:`_block_walk`, which every stream walks lazily.
-    """
-    return [(lo, hi) for _, lo, hi in _block_walk(n_frames)]
 
 
 class _Synthesis:
@@ -636,7 +628,7 @@ def iter_frame_chunks(
     if not (isinstance(frames, range) and frames.step == 1
             and 0 <= frames.start and frames.stop <= _MAX_FRAMES):
         raise ValueError(f"frames must be a step-1 range inside [0, 2**32), got {frames!r}")
-    bounds = ((frames.start + a, frames.start + b) for _, a, b in _block_walk(len(frames)))
+    bounds = ((frames.start + a, frames.start + b) for _, a, b in block_bounds(len(frames)))
     synth = _Synthesis(traj, det, lo, seed)
 
     def block(start: int, stop: int) -> np.ndarray:

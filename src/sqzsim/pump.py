@@ -34,8 +34,6 @@ __all__ = [
     "pump_phase_trace",
 ]
 
-DEFAULT_SAMPLE_RATE = 1e9
-
 # 10-90 rise of a one-pole step response is tau * ln 9
 _FIRST_ORDER_RISE_PER_TAU = math.log(9.0)
 
@@ -308,7 +306,7 @@ def compile_pulse_train(
     spec: PulseTrainSpec,
     cal: Calibration,
     resp: ModulatorResponse,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
+    sample_rate_hz: float,
 ) -> AwgProgram:
     """Compile a pulse-train spec into a piecewise-constant AWG program.
 

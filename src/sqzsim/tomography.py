@@ -21,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sqzsim.dsp import (
-    ModeScan,
-    SplitMoments,
-    TemporalMode,
-    split_moments,
-)
-from sqzsim.homodyne import DetectorModel, _BlockFilter, _tile_rows, block_bounds
+from sqzsim.dsp import ModeScan, SplitMoments, TemporalMode, split_moments
+from sqzsim.homodyne import DetectorModel, _BlockFilter, _tile_rows
 from sqzsim.opa import SqueezerTrajectory
 from sqzsim.quantum import (
     N_SPLITS,
@@ -100,26 +95,10 @@ class TomographyInput:
                 "for a well-conditioned covariance fit"
             )
 
-    @classmethod
-    def from_arrays(cls, phases, samples) -> "TomographyInput":
-        """Reduce one sample array per phase through :func:`sqzsim.dsp.split_moments`."""
-        if len(phases) != len(samples):
-            raise ValueError("phases and samples must pair up one-to-one")
-        moments = []
-        for s in samples:
-            s = np.asarray(s, dtype=float).ravel()
-            if s.size < MIN_GROUP_SAMPLES:
-                raise ValueError(
-                    f"each phase group needs >= {MIN_GROUP_SAMPLES} samples, got {s.size}"
-                )
-            blocks = (s[lo:hi, None] for lo, hi in block_bounds(s.size))
-            moments.append(split_moments(s.size, blocks))
-        return cls(phases=tuple(phases), moments=tuple(moments))
-
 
 @dataclass(frozen=True)
 class WignerEllipse:
-    """Constant-level contour of a Gaussian Wigner function.
+    """The contour of a Gaussian Wigner function at ``DEFAULT_CONTOUR_LEVEL`` x peak.
 
     ``semi_axes`` is (squeezed, anti-squeezed), i.e. sorted ascending;
     ``angle_deg`` is the orientation of the first (short) axis in
@@ -129,14 +108,13 @@ class WignerEllipse:
     center: tuple[float, float]
     semi_axes: tuple[float, float]
     angle_deg: float
-    level: float = DEFAULT_CONTOUR_LEVEL
 
     def to_dict(self) -> dict:
         return {
             "center": list(self.center),
             "semi_axes": list(self.semi_axes),
             "angle_deg": self.angle_deg,
-            "level": self.level,
+            "level": DEFAULT_CONTOUR_LEVEL,
         }
 
 
@@ -145,24 +123,19 @@ def ellipse_angle_difference_deg(a_deg: float, b_deg: float) -> float:
     return (a_deg - b_deg + 90.0) % 180.0 - 90.0
 
 
-def wigner_ellipse(state: GaussianState, level: float = DEFAULT_CONTOUR_LEVEL) -> WignerEllipse:
-    """Ellipse where the state's Wigner function equals ``level`` x peak.
+def wigner_ellipse(state: GaussianState) -> WignerEllipse:
+    """Ellipse where the state's Wigner function equals ``DEFAULT_CONTOUR_LEVEL`` x peak.
 
-    At the default level the contour is delta^T C^{-1} delta = 1 whose
-    semi-axes are the square roots of the covariance eigenvalues; other
-    levels rescale both axes by sqrt(-2 ln(level)).
+    That contour is delta^T C^{-1} delta = 1, whose semi-axes are the
+    square roots of the covariance eigenvalues.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     semi, angle = _axes_and_angle(state.cov)
     if semi[0] == 0.0:
         raise ValueError("covariance is not positive definite")
-    scale = math.sqrt(-2.0 * math.log(level))
     return WignerEllipse(
         center=(float(state.mean[0]), float(state.mean[1])),
-        semi_axes=(scale * semi[0], scale * semi[1]),
+        semi_axes=semi,
         angle_deg=angle,
-        level=level,
     )
 
 
@@ -338,16 +311,14 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
 
     Parameters
     ----------
-    data : TomographyInput, or sequence of (phase, samples) pairs
-        Pairs are reduced to split moments on entry.
+    data : TomographyInput
+        The split moments of the samples at each LO phase.
     project : bool
         When True, a fitted covariance below the det = 1 uncertainty
         bound is rescaled onto the boundary.  Off by default so that
         statistical undershoot stays visible (flagged via
         ``state.physical``).
     """
-    if not isinstance(data, TomographyInput):
-        data = TomographyInput.from_arrays([p for p, _ in data], [s for _, s in data])
     phases = np.array(data.phases)
     totals = [m.merged() for m in data.moments]
     counts = np.array([n for n, _, _ in totals])
@@ -445,7 +416,6 @@ def stream_epr_analysis(
     p_blocks: Iterable[np.ndarray],
     vac_blocks: Iterable[np.ndarray],
     n_frames: int,
-    n_vac: int,
     g1: TemporalMode,
     g2: TemporalMode,
     dt: float,
@@ -456,7 +426,7 @@ def stream_epr_analysis(
 
     ``x_blocks`` yields the ``n_frames`` frames of the x set (LO phase
     0), ``p_blocks`` those of the p set (LO phase pi/2) and
-    ``vac_blocks`` the ``n_vac`` frames of the vacuum reference, each in
+    ``vac_blocks`` the ``n_frames`` frames of the vacuum reference, each in
     the ranges of :func:`sqzsim.homodyne.block_bounds`, so only one
     block is held at a time.  Every record holds ``n_samples`` samples
     at interval ``dt`` from t = 0, the grid of :mod:`sqzsim.homodyne`,
@@ -479,7 +449,7 @@ def stream_epr_analysis(
         scan = ModeScan([g1, g2], coeffs, lags, dt, n_samples)
         return split_moments(n, map(scan, blocks))
 
-    s1, s2 = np.sqrt(moments(n_vac, vac_blocks, np.eye(2), [0]).variance())
+    s1, s2 = np.sqrt(moments(n_frames, vac_blocks, np.eye(2), [0]).variance())
     x = moments(n_frames, x_blocks, [[1.0 / s1, -1.0 / s2]], offsets)
     p = moments(n_frames, p_blocks, [[1.0 / s1, 1.0 / s2]], offsets)
     scan = duan_from_moments(x, p)
@@ -488,9 +458,9 @@ def stream_epr_analysis(
     duan = float(scan.value[best])
     # Both scales carry chi-squared noise from the finite vacuum set and
     # enter every variance multiplicatively, so their relative errors
-    # (1 / sqrt(2 (n_vac - 1)) each, independent for orthogonal modes)
-    # add a duan / sqrt(n_vac - 1) term the split scatter cannot see.
-    stderr = math.hypot(float(scan.stderr[best]), duan / math.sqrt(n_vac - 1))
+    # (1 / sqrt(2 (n_frames - 1)) each, independent for orthogonal modes)
+    # add a duan / sqrt(n_frames - 1) term the split scatter cannot see.
+    stderr = math.hypot(float(scan.stderr[best]), duan / math.sqrt(n_frames - 1))
     return EprResult(
         duan=duan,
         duan_stderr=stderr,

@@ -18,6 +18,7 @@ from sqzsim import dsp, pump, quantum, tomography
 from sqzsim.homodyne import DetectorModel, iter_frame_chunks
 from sqzsim.opa import constant_trajectory
 from sqzsim.scenarios import ScenarioConfig, run_scenario
+from stack_slices import sample_moments
 
 R_271 = quantum.r_from_pure_db(2.71)
 LOSS = 0.183
@@ -272,8 +273,9 @@ def test_acceptance_8_property_suites(tmp_path):
         for phi in phases:
             v = quantum.variance_at_phase(r, theta, loss, phi)
             mu = mean[0] * math.cos(phi) + mean[1] * math.sin(phi)
-            groups.append((phi, mu + math.sqrt(v) * rng.standard_normal(1500)))
-        result = tomography.ml_gaussian_tomography(groups, project=True)
+            groups.append(sample_moments(mu + math.sqrt(v) * rng.standard_normal(1500)))
+        data = tomography.TomographyInput(phases, groups)
+        result = tomography.ml_gaussian_tomography(data, project=True)
         want = quantum.squeezed_state(r, theta, loss).cov
         err = np.maximum(result.cov_stderr, 2e-3)
         worst_pull = max(worst_pull, float(np.max(np.abs(result.state.cov - want) / err)))

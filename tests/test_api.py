@@ -89,6 +89,23 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == []
 
 
+def test_every_unused_by_design_entry_names_an_export_the_package_does_not_use():
+    used = _names_the_package_uses()
+    names, members = set(), set()
+    for name in LAYERS:
+        module = importlib.import_module(f"sqzsim.{name}")
+        names.update(module.__all__)
+        for n in module.__all__:
+            obj = getattr(module, n)
+            if inspect.isclass(obj):
+                members.update(f"{n}.{m}" for m in _public_members(obj))
+    # an entry whose name is gone, or that the package now uses, hides nothing
+    assert sorted(UNUSED_BY_DESIGN - names) == []
+    assert sorted(UNUSED_BY_DESIGN & used) == []
+    assert sorted(UNUSED_MEMBERS_BY_DESIGN - members) == []
+    assert sorted(m for m in UNUSED_MEMBERS_BY_DESIGN if m.split(".")[1] in used) == []
+
+
 def _private_module_names() -> list[str]:
     """The module-level private functions, classes and constants of the package.
 

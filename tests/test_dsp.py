@@ -100,7 +100,7 @@ def test_streamed_split_means_equal_the_whole_stack_loop(n_frames):
     want = _split_means_loop(frames)
     blocks = iter_frame_chunks(traj, det, 0.0, 2, range(n_frames))
     assert dsp.periodogram_split_means(n_frames, blocks).tobytes() == want.tobytes()
-    sliced = (frames[lo:hi] for lo, hi in block_bounds(n_frames))
+    sliced = (frames[lo:hi] for _, lo, hi in block_bounds(n_frames))
     assert dsp.periodogram_split_means(n_frames, sliced).tobytes() == want.tobytes()
 
 
@@ -117,7 +117,7 @@ def test_periodogram_is_scipy_rfft_of_the_float64_cast(n_samples, dtype):
 def test_multi_tile_periodogram_blocks_equal_the_whole_stack_loop(dtype):
     # 1000 frames: splits of 100 frames, each block at least 3 whole tiles and a partial one
     frames = np.random.default_rng(9).standard_normal((1000, 4096)).astype(dtype)
-    assert max(hi - lo for lo, hi in block_bounds(1000)) > 3 * homodyne._TILE_ROWS
+    assert max(hi - lo for _, lo, hi in block_bounds(1000)) > 3 * homodyne._TILE_ROWS
     got = dsp.periodogram_split_means(1000, blocks(frames))
     assert got.tobytes() == _split_means_loop(frames).tobytes()
 
@@ -129,9 +129,10 @@ def test_next_fast_len_is_scipy_next_fast_len():
 
 
 def test_periodogram_blocks_stay_inside_splits():
-    bounds = block_bounds(3001)
-    assert bounds[0] == (0, 256) and bounds[1] == (256, 300) and bounds[-1] == (2956, 3001)
-    assert all(a[1] == b[0] for a, b in zip(bounds[:-1], bounds[1:]))
+    bounds = list(block_bounds(3001))
+    # (split, start, stop): the first split of 300 frames is cut at 256
+    assert bounds[:2] == [(0, 0, 256), (0, 256, 300)] and bounds[-1] == (9, 2956, 3001)
+    assert all(a[2] == b[1] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def test_streamed_spectrum_equals_average_spectrum():
@@ -162,7 +163,7 @@ def test_periodogram_reducer_validation():
     with pytest.raises(ValueError, match="block of frames"):
         dsp.periodogram_split_means(12, [frames[:1]] * 10 + [frames[:1]])
     with pytest.raises(ValueError, match="more blocks"):
-        blocks = [frames[lo:hi] for lo, hi in block_bounds(12)]
+        blocks = [frames[lo:hi] for _, lo, hi in block_bounds(12)]
         dsp.periodogram_split_means(12, blocks * 2)
 
 
@@ -405,7 +406,7 @@ def test_fir_filter_blocks_equal_fir_lowpass_rows(dtype, n_frames, n_samples):
     # the whole stack in one fftconvolve call gives the same bytes
     want = signal.fftconvolve(np.asarray(frames, float), h[None, :], mode="same", axes=1)
     assert whole.tobytes() == want.tobytes()
-    for lo, hi in block_bounds(n_frames):
+    for _, lo, hi in block_bounds(n_frames):
         block = dsp.fir_filter(frames[lo:hi], h)
         assert block.dtype == whole.dtype
         assert block.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
@@ -446,7 +447,7 @@ def test_split_moments_hold_the_tolerance_off_zero_mean(n_frames):
     # a large common offset is where a one-pass sum of squares would fail
     rng = np.random.default_rng(n_frames)
     frames = 1e3 + rng.standard_normal((n_frames, 16)) * np.linspace(0.5, 2.0, 16)
-    blocks = (frames[lo:hi] for lo, hi in block_bounds(n_frames))
+    blocks = (frames[lo:hi] for _, lo, hi in block_bounds(n_frames))
     got = dsp.split_moments(n_frames, blocks)
     var, per_split, _ = _two_pass(frames, frames)
     np.testing.assert_allclose(got.variance(), var, rtol=VARIANCE_RTOL, atol=0.0)
@@ -470,9 +471,9 @@ def test_one_block_split_m2_is_the_whole_block_sum(n_samples, n_frames):
 
 def test_split_moments_validation():
     frames = np.zeros((24, 8))
-    blocks = [frames[lo:hi] for lo, hi in block_bounds(24)]
+    blocks = [frames[lo:hi] for _, lo, hi in block_bounds(24)]
     with pytest.raises(ValueError, match="n_frames >= 20"):
-        dsp.split_moments(19, (frames[lo:hi] for lo, hi in block_bounds(19)))
+        dsp.split_moments(19, (frames[lo:hi] for _, lo, hi in block_bounds(19)))
     with pytest.raises(ValueError, match="block of frames"):
         dsp.split_moments(24, blocks[:-1])
     with pytest.raises(ValueError, match="block of frames"):
@@ -499,7 +500,7 @@ def _one_at_a_time(arrays):
 
 def _fresh_blocks(frames):
     """A fresh copy of each block of ``frames``, one at a time."""
-    return _one_at_a_time(frames[lo:hi].copy() for lo, hi in block_bounds(len(frames)))
+    return _one_at_a_time(frames[lo:hi].copy() for _, lo, hi in block_bounds(len(frames)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -458,7 +458,7 @@ def test_filtered_stream_splits_every_block_in_halves(monkeypatch, frames):
     caller, worker = threading.get_ident(), _worker_thread()
     fills = _record_fills(monkeypatch)
     blocks = iter_frame_chunks(traj, det, 0.7, 8, frames)
-    bounds = [(frames.start + lo, frames.start + hi) for lo, hi in block_bounds(len(frames))]
+    bounds = [(frames.start + lo, frames.start + hi) for _, lo, hi in block_bounds(len(frames))]
     halves = []
     for (lo, hi), block in zip(bounds, blocks, strict=True):
         assert block.tobytes() == want[lo:hi].tobytes()
@@ -475,7 +475,7 @@ def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, frames):
     want = _oracle_frames(traj, det, 0.7, 8, 0, frames.stop)
     fills = _record_fills(monkeypatch)
     blocks = iter_frame_chunks(traj, det, 0.7, 8, frames)
-    bounds = [(frames.start + lo, frames.start + hi) for lo, hi in block_bounds(len(frames))]
+    bounds = [(frames.start + lo, frames.start + hi) for _, lo, hi in block_bounds(len(frames))]
     for (lo, hi), block in zip(bounds, blocks, strict=True):
         assert block.dtype == np.float32
         assert block.tobytes() == want[lo:hi].tobytes()
@@ -492,7 +492,7 @@ def test_ideal_prefetch_fault_surfaces_at_its_block(monkeypatch):
     starts = []
     fill = homodyne._Synthesis.fill
     # 24 frames: blocks of 2 or 3 frames
-    second = block_bounds(24)[1][0]
+    second = list(block_bounds(24))[1][1]
 
     def faulty(self, out, start):
         starts.append(start)
@@ -533,7 +533,7 @@ def test_closing_an_ideal_stream_waits_for_the_prefetched_fill(monkeypatch):
     monkeypatch.setattr(homodyne._Synthesis, "fill", slow)
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=32)
     blocks = iter_frame_chunks(traj, DetectorModel(bandwidth=None), 0.0, 0, range(24))
-    second = block_bounds(24)[1][0]
+    second = list(block_bounds(24))[1][1]
 
     def consume():
         next(blocks)

@@ -177,7 +177,7 @@ def test_compile_pulse_train_levels_and_signs(cal, resp):
             PulseSlot(2.71, "p_squeezed"),
         )
     )
-    prog = compile_pulse_train(spec, cal, resp)
+    prog = compile_pulse_train(spec, cal, resp, sample_rate_hz=1e9)
     assert prog.samples_v.size == 240
     v = cal.voltage_for_power((0.3120002801006932 / cal.gain_coeff) ** 2)
     assert np.allclose(prog.samples_v[:80], v, atol=1e-12)
@@ -188,13 +188,13 @@ def test_compile_pulse_train_levels_and_signs(cal, resp):
 def test_compile_rejects_overdriven_slot(cal, resp):
     spec = PulseTrainSpec(slots=(PulseSlot(4.0),))
     with pytest.raises(ValueError, match="mW"):
-        compile_pulse_train(spec, cal, resp)
+        compile_pulse_train(spec, cal, resp, sample_rate_hz=1e9)
 
 
 def test_compile_rejects_short_margin(cal, resp):
     spec = PulseTrainSpec(slots=(PulseSlot(1.0, margin=10e-9),))
     with pytest.raises(ValueError, match="settling"):
-        compile_pulse_train(spec, cal, resp)
+        compile_pulse_train(spec, cal, resp, sample_rate_hz=1e9)
 
 
 def _step_trace(dt=1e-9, n=400, level=6.5, at=100):

@@ -24,8 +24,8 @@ from sqzsim.quantum import (
     vacuum_state,
     variance_at_phase,
 )
-from sqzsim.tomography import ml_gaussian_tomography
-from stack_slices import blocks
+from sqzsim.tomography import TomographyInput, ml_gaussian_tomography
+from stack_slices import blocks, sample_moments
 
 R_271 = 0.3120002801006932  # r for a 2.71 dB lossless squeezing level
 LOSS = 0.183
@@ -233,8 +233,11 @@ def test_split_errors_share_one_subset_convention():
 
     phases = [0.0, math.pi / 4.0, math.pi / 2.0]
     samples = [rng.standard_normal(n) * s for s in (0.7, 1.0, 1.4)]
-    res = ml_gaussian_tomography(list(zip(phases, samples)))
-    fits = [ml_gaussian_tomography([(p, s[sl]) for p, s in zip(phases, samples)]) for sl in slices]
+    res = ml_gaussian_tomography(TomographyInput(phases, [sample_moments(s) for s in samples]))
+    fits = [
+        ml_gaussian_tomography(TomographyInput(phases, [sample_moments(s[sl]) for s in samples]))
+        for sl in slices
+    ]
     want_mean = split_stderr([fit.state.mean for fit in fits])
     want_cov = split_stderr([fit.state.cov for fit in fits])
     np.testing.assert_allclose(res.mean_stderr, want_mean, rtol=1e-12, atol=0.0)

@@ -360,6 +360,9 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
         # pulse slots fail first, but the rate is the cause
         *[([s, "--frames", "100", "--set", "sample_rate_hz=1e-3", "--set",
             "detector_bandwidth_hz=0"], "sample_rate_hz") for s in ("waveforms", "tm_squeezing")],
+        # 0 is the ideal detector; a negative bandwidth is no detector at all
+        *[([s, "--set", "detector_bandwidth_hz=-1"], "detector_bandwidth_hz")
+          for s in ("spectrum", "waveforms", "tm_squeezing", "epr")],
     ],
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):

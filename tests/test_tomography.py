@@ -21,7 +21,7 @@ from sqzsim.tomography import (
     stream_epr_analysis,
     wigner_ellipse,
 )
-from stack_slices import blocks, synthesize, vacuum
+from stack_slices import blocks, sample_moments, synthesize, vacuum
 
 
 def test_wigner_ellipse_of_vacuum_is_unit_circle():
@@ -41,17 +41,6 @@ def test_wigner_ellipse_axes_and_angle():
     assert ell.angle_deg == pytest.approx(math.degrees(0.3), abs=1e-9)
 
 
-def test_wigner_ellipse_level_rescales_axes():
-    state = squeezed_state(0.4, 0.0)
-    base = wigner_ellipse(state)
-    tight = wigner_ellipse(state, level=math.exp(-2.0))
-    # contour at level exp(-2) sits at 2 sigma
-    assert tight.semi_axes[0] == pytest.approx(2.0 * math.exp(-0.4), abs=1e-12)
-    assert base.semi_axes[0] == pytest.approx(math.exp(-0.4), abs=1e-12)
-    with pytest.raises(ValueError):
-        wigner_ellipse(state, level=1.5)
-
-
 def test_ellipse_angle_difference_wraps():
     assert ellipse_angle_difference_deg(89.0, -89.0) == pytest.approx(-2.0)
     assert ellipse_angle_difference_deg(-89.0, 89.0) == pytest.approx(2.0)
@@ -66,8 +55,8 @@ def _synthetic_input(r, theta, loss, mean=(0.0, 0.0), n_per_phase=4000, n_phases
     for phi in phases:
         v = variance_at_phase(r, theta, loss, phi)
         mu = mean[0] * math.cos(phi) + mean[1] * math.sin(phi)
-        groups.append((phi, mu + math.sqrt(v) * rng.standard_normal(n_per_phase)))
-    return TomographyInput.from_arrays([p for p, _ in groups], [s for _, s in groups])
+        groups.append(sample_moments(mu + math.sqrt(v) * rng.standard_normal(n_per_phase)))
+    return TomographyInput(phases, groups)
 
 
 def test_tomography_round_trip():
@@ -83,22 +72,15 @@ def test_tomography_round_trip():
     assert abs(ellipse_angle_difference_deg(result.ellipse.angle_deg, math.degrees(theta))) < 5.0
 
 
-def test_tomography_accepts_phase_sample_pairs():
-    data = [(k * math.pi / 6.0, np.random.default_rng(k).standard_normal(500)) for k in range(6)]
-    result = ml_gaussian_tomography(data)
-    assert result.state.cov.shape == (2, 2)
-    assert len(result.phases) == 6
-
-
 def test_tomography_projection_restores_physicality():
     # samples drawn below the vacuum floor in every quadrature
     rng = np.random.default_rng(1)
     phases = [k * math.pi / 8.0 for k in range(8)]
-    samples = [0.9 * rng.standard_normal(3000) for _ in phases]
-    free = ml_gaussian_tomography(TomographyInput.from_arrays(phases, samples))
+    data = TomographyInput(phases, [sample_moments(0.9 * rng.standard_normal(3000)) for _ in phases])
+    free = ml_gaussian_tomography(data)
     assert not free.state.physical
     assert not free.projected
-    fixed = ml_gaussian_tomography(TomographyInput.from_arrays(phases, samples), project=True)
+    fixed = ml_gaussian_tomography(data, project=True)
     assert fixed.projected
     assert fixed.state.physical
     assert np.linalg.det(fixed.state.cov) == pytest.approx(1.0, abs=1e-9)
@@ -121,24 +103,27 @@ def test_tomography_result_serializes():
 
 def test_tomography_input_validation():
     rng = np.random.default_rng(0)
-    s = rng.standard_normal(200)
+    s = sample_moments(rng.standard_normal(200))
     with pytest.raises(ValueError, match="distinct"):
-        TomographyInput.from_arrays([0.0, math.pi, 0.1], [s, s, s])
+        TomographyInput([0.0, math.pi, 0.1], [s, s, s])
     with pytest.raises(ValueError, match="span"):
-        TomographyInput.from_arrays([0.0, 0.2, 0.4], [s, s, s])
+        TomographyInput([0.0, 0.2, 0.4], [s, s, s])
     with pytest.raises(ValueError, match="one-to-one"):
-        TomographyInput.from_arrays([0.0, 1.0], [s])
-    with pytest.raises(ValueError, match="samples"):
-        TomographyInput.from_arrays([0.0, 1.0, 2.0], [s, s, np.ones(3)])
+        TomographyInput([0.0, 1.0], [s])
+    # 50 samples: enough for the 10 split variances, too few for a phase group
+    few = sample_moments(rng.standard_normal(50))
+    with pytest.raises(ValueError, match=">= 100 samples, got 50"):
+        TomographyInput([0.0, 1.0, 2.0], [s, s, few])
+    bad = sample_moments(np.append(rng.standard_normal(200), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
-        TomographyInput.from_arrays([0.0, 1.0, 2.0], [s, s, np.append(s, np.nan)])
+        TomographyInput([0.0, 1.0, 2.0], [s, s, bad])
 
 
 def test_tomography_input_holds_the_split_moments_of_each_phase():
     rng = np.random.default_rng(2)
     phases = [0.0, 0.6, 1.2, 1.8]
     samples = [rng.standard_normal(n) for n in (100, 257, 999, 1000)]
-    data = TomographyInput.from_arrays(phases, samples)
+    data = TomographyInput(phases, [sample_moments(x) for x in samples])
     assert data.phases == tuple(phases)
     for m, x in zip(data.moments, samples):
         assert m.mean.shape == (10, 1)
@@ -149,9 +134,6 @@ def test_tomography_input_holds_the_split_moments_of_each_phase():
         assert m2[0] / n == pytest.approx(x.var(), rel=1e-12)
         for k, sl in enumerate(split_slices(x.size)):
             assert m.m2[k, 0] / m.count[k] == pytest.approx(x[sl].var(), rel=1e-12)
-    # the pairs route and the moments route are one fit
-    pairs = ml_gaussian_tomography(list(zip(phases, samples)))
-    assert ml_gaussian_tomography(data).state.cov.tolist() == pairs.state.cov.tolist()
 
 
 def _group_moments(seed, n_per_phase=1000, n_phases=12):
@@ -258,7 +240,7 @@ def _epr_analysis(fs_x, fs_p, g1, g2, ref, scan_halfwidth):
     x_blocks, p_blocks, vac_blocks = (blocks(frames) for frames in (fs_x, fs_p, ref))
     lags = tomography.epr_scan_lags(g1, g2, g1.dt, fs_x.shape[1], scan_halfwidth)
     return stream_epr_analysis(
-        x_blocks, p_blocks, vac_blocks, len(fs_x), len(ref), g1, g2,
+        x_blocks, p_blocks, vac_blocks, len(fs_x), g1, g2,
         g1.dt, fs_x.shape[1], lags,
     )
 

@@ -149,19 +149,18 @@ def _trajectory(kind, n_samples):
 ORACLE_FILLS = [[(0, 53)], [(0, 3), (3, 17), (17, 53), (40, 41)], [(k, k + 1) for k in range(53)]]
 
 
-@pytest.mark.parametrize("dtype", [np.float32])
 @pytest.mark.parametrize(
     ("bandwidth", "constant"),
     [(None, False), (200e6, False), (200e6, True)],
     # the ramp draws two rows per filtered frame, the constant set one
     ids=["ideal", "200MHz", "200MHz-constant"],
 )
-def test_frame_chunks_equal_simulated_rows(dtype, bandwidth, constant):
+def test_frame_chunks_equal_simulated_rows(bandwidth, constant):
     traj = _trajectory("constant" if constant else "ramp", 96)
     det = DetectorModel(bandwidth=bandwidth)
     want = _oracle_frames(traj, det, 0.7, 8, 0, 53)
     whole = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(53))))
-    assert whole.dtype == want.dtype == dtype
+    assert whole.dtype == want.dtype == np.float32
     if bandwidth is None:
         assert whole.tobytes() == want.tobytes()
     else:
@@ -353,14 +352,13 @@ def test_fill_never_asks_for_the_pooled_worker(monkeypatch, bandwidth, kind):
     assert _filled(traj, det, 0, 300).tobytes() == streamed.tobytes()
 
 
-# the one-row and the two-row filtered synthesis; the constant case's id is "float32"
-TRAJECTORIES = [pytest.param(np.float32, "constant", id="float32"),
-                pytest.param(np.float32, "ramp", id="float32-ramp")]
+# the one-row and the two-row filtered synthesis
+KINDS = ["constant", "ramp"]
 
 
-@pytest.mark.parametrize(("dtype", "kind"), TRAJECTORIES)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n_rows", [3, 4, 5, 7, 255, 257])
-def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, kind, n_rows):
+def test_split_blocks_equal_one_frame_blocks(monkeypatch, kind, n_rows):
     traj = _trajectory(kind, 40)
     det = DetectorModel()
     n_rows_drawn = homodyne._Synthesis(traj, det, 0.7, 8).kernel.n_channels
@@ -368,7 +366,7 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, kind, n_rows):
     mid = n_rows // 2
     n_frames = 3 + n_rows
     ref = _one_frame_blocks(traj, det, n_frames)
-    assert ref.dtype == dtype
+    assert ref.dtype == np.float32
 
     caller, worker = threading.get_ident(), _worker_thread()
     fills = _record_fills(monkeypatch)
@@ -382,8 +380,8 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, dtype, kind, n_rows):
     assert sorted(fills) == sorted(want)
 
 
-@pytest.mark.parametrize(("dtype", "kind"), TRAJECTORIES)
-def test_multi_tile_blocks_equal_one_frame_blocks(dtype, kind):
+@pytest.mark.parametrize("kind", KINDS)
+def test_multi_tile_blocks_equal_one_frame_blocks(kind):
     # 189 rows of 4096-sample frames, whose tiles hold 15 rows: the whole
     # fill and each half span at least 6 tiles and end in a partial one
     n_rows = 6 * homodyne._TILE_ROWS - 3
@@ -392,7 +390,7 @@ def test_multi_tile_blocks_equal_one_frame_blocks(dtype, kind):
     ref = _one_frame_blocks(traj, det, n_rows + 2)
     for halves in (False, True):
         block = _filled(traj, det, 2, n_rows, halves)
-        assert block.dtype == dtype
+        assert block.dtype == np.float32
         assert block.tobytes() == ref[2:].tobytes(), halves
 
 
@@ -619,15 +617,14 @@ def test_off_grid_trajectory_is_rejected_as_the_prediction_rejects_it(dt, bandwi
     assert "detector grid" in str(synthesis.value)
 
 
-@pytest.mark.parametrize("dtype", [np.float32])
-def test_ideal_detector_frames_keep_the_paired_draw_stream(dtype):
+def test_ideal_detector_frames_keep_the_paired_draw_stream():
     # one row of draws per frame equals row 0 of the (2, n) draws that
     # the filtered detector takes, so ideal records stay unchanged
     traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=33)
     frames = synthesize(traj, DetectorModel(bandwidth=None), 0.0, 4, seed=6)
     for k, row in enumerate(frames):
         ss = np.random.SeedSequence(entropy=6, spawn_key=(k,))
-        want = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, 33), dtype=dtype)[0]
+        want = np.random.Generator(np.random.PCG64(ss)).standard_normal((2, 33), dtype=np.float32)[0]
         assert row.tobytes() == want.tobytes()
 
 

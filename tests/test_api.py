@@ -99,7 +99,7 @@ def test_every_unused_by_design_entry_names_an_export_the_package_does_not_use()
             obj = getattr(module, n)
             if inspect.isclass(obj):
                 members.update(f"{n}.{m}" for m in _public_members(obj))
-    # an entry whose name is gone, or that the package now uses, hides nothing
+    # a stale entry would outlive its name, or hide a use the package now makes
     assert sorted(UNUSED_BY_DESIGN - names) == []
     assert sorted(UNUSED_BY_DESIGN & used) == []
     assert sorted(UNUSED_MEMBERS_BY_DESIGN - members) == []

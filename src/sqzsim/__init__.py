@@ -17,17 +17,10 @@ All simulations are deterministic for a given seed.
 """
 
 from sqzsim.quantum import (
-    HBAR,
-    VACUUM_VARIANCE,
     GaussianState,
-    SqueezeParams,
-    apply_loss,
     db_from_variance,
     effective_squeezing_db,
-    pure_db_from_r,
     r_from_pure_db,
-    squeezed_state,
-    vacuum_state,
     variance_at_phase,
 )
 

@@ -66,8 +66,6 @@ __all__ = [
     "variance_ratio",
     "TemporalMode",
     "make_mode",
-    "ModeSpectrum",
-    "mode_spectrum",
     "ModeScan",
 ]
 
@@ -470,14 +468,6 @@ class TemporalMode:
     def n_samples(self) -> int:
         return self.weights.size
 
-    def overlap(self, other: "TemporalMode") -> float:
-        """Inner product sum(w1 w2) dt; modes must share their grid."""
-        if abs(self.dt - other.dt) > 1e-12 * self.dt or self.n_samples != other.n_samples:
-            raise ValueError("modes must share the same grid to take an overlap")
-        if abs(self.t0 - other.t0) > 1e-6 * self.dt:
-            raise ValueError("modes must share the same time origin to take an overlap")
-        return float(np.dot(self.weights, other.weights) * self.dt)
-
     def indices(self, dt: float, n_samples: int) -> slice:
         """The one placement of the mode: its samples on a record of ``n_samples`` at ``dt``."""
         offset = self.t0 / dt
@@ -594,92 +584,6 @@ def make_mode(
     else:
         w = envelope * (1.0 - 2.0 * gate1)
     return TemporalMode(dt=dt, t0=t_c + tau[0], weights=_normalize(w, dt))
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """One-sided energy spectrum of a temporal mode.
-
-    ``power`` integrates to 1 over the uniform bins ``freqs``; the
-    center frequency is the dominant-lobe location and ``hwhm`` the
-    half-width at half maximum of the amplitude spectrum, the usual
-    linewidth convention for such modes.
-    """
-
-    freqs: np.ndarray
-    power: np.ndarray
-    center_freq: float
-    hwhm: float
-
-    def out_of_band_fraction(self, f_cut: float) -> float:
-        """Energy fraction on the wrong side of f_cut for this mode.
-
-        Below f_cut if the mode is centered above it, above f_cut
-        otherwise.
-        """
-        total = float(np.sum(self.power))
-        if self.center_freq <= f_cut:
-            wrong = float(np.sum(self.power[self.freqs > f_cut]))
-        else:
-            wrong = float(np.sum(self.power[self.freqs < f_cut]))
-        return wrong / total
-
-
-def mode_spectrum(mode: TemporalMode) -> ModeSpectrum:
-    """Energy spectrum of a mode with sub-bin center and width estimates.
-
-    The weights are zero-padded to a power of two of at least 4096
-    points and 64 times the mode length, so the bins resolve its lobe.
-    """
-    n_fft = 1 << max(12, int(math.ceil(math.log2(64 * mode.n_samples))))
-    spec = np.fft.rfft(mode.weights, n_fft) * mode.dt
-    df = 1.0 / (n_fft * mode.dt)
-    density = spec.real**2 + spec.imag**2
-    power = density * df
-    # fold to one-sided so the energy sums to sum(w^2) dt = 1
-    power[1:] *= 2.0
-    # n_fft is even: the last bin is the unpaired Nyquist one
-    power[-1] *= 0.5
-    freqs = np.fft.rfftfreq(n_fft, d=mode.dt)
-
-    # peak/width geometry uses the unfolded density: the one-sided
-    # factor 2 would push a DC-centered peak to the first interior bin
-    amplitude = np.sqrt(density)
-    peak = int(np.argmax(density))
-    if peak == 0:
-        center = 0.0
-    else:
-        mask = density >= 0.5 * density[peak]
-        lo = peak
-        while lo > 0 and mask[lo - 1]:
-            lo -= 1
-        hi = peak
-        while hi < density.size - 1 and mask[hi + 1]:
-            hi += 1
-        lobe = slice(lo, hi + 1)
-        center = float(np.sum(freqs[lobe] * density[lobe]) / np.sum(density[lobe]))
-
-    half = 0.5 * amplitude[peak]
-
-    def cross(start: int, step: int) -> float | None:
-        k = start
-        while 0 <= k + step < amplitude.size:
-            if amplitude[k + step] < half:
-                a0, a1 = amplitude[k], amplitude[k + step]
-                frac = (a0 - half) / (a0 - a1)
-                return freqs[k] + step * frac * df
-            k += step
-        return None
-
-    right = cross(peak, +1)
-    left = cross(peak, -1) if peak > 0 else None
-    if right is None:
-        hwhm = math.nan
-    elif left is None:
-        hwhm = right - freqs[peak] if peak > 0 else right
-    else:
-        hwhm = 0.5 * (right - left)
-    return ModeSpectrum(freqs=freqs, power=power, center_freq=center, hwhm=float(hwhm))
 
 
 class ModeScan:

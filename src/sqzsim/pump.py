@@ -278,6 +278,10 @@ class PulseSlot:
     def period(self) -> float:
         return self.margin + self.mode_width
 
+    def n_samples(self, sample_rate_hz: float) -> int:
+        """Samples of the slot in a program at ``sample_rate_hz``."""
+        return int(round(self.period * sample_rate_hz))
+
 
 @dataclass(frozen=True)
 class PulseTrainSpec:
@@ -340,7 +344,7 @@ def compile_pulse_train(
             volts = cal.voltage_for_power(power)
             if slot.quadrature == "p_squeezed":
                 volts = -volts
-        n = int(round(slot.period * sample_rate_hz))
+        n = slot.n_samples(sample_rate_hz)
         if n < 1:
             raise ValueError(f"slot {k}: period shorter than one sample at {sample_rate_hz:g} Hz")
         chunks.append(np.full(n, volts))

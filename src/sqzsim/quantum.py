@@ -22,9 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HBAR = 2.0
-VACUUM_VARIANCE = 1.0
-
 # Eigenvalue tolerance used by every physicality check in the package.
 # Estimated covariances that fail by more than this are reported with
 # physical=False rather than silently adjusted.
@@ -38,45 +35,19 @@ N_SPLITS = 10
 DUAN_MIN_SAMPLES = 100
 
 __all__ = [
-    "HBAR",
-    "VACUUM_VARIANCE",
     "PD_TOLERANCE",
     "N_SPLITS",
     "DUAN_MIN_SAMPLES",
     "split_slices",
     "split_stderr",
-    "SqueezeParams",
     "GaussianState",
     "variance_at_phase",
     "db_from_variance",
     "r_from_pure_db",
-    "pure_db_from_r",
-    "apply_loss",
-    "squeezed_state",
-    "vacuum_state",
     "DuanResult",
     "duan_from_moments",
     "effective_squeezing_db",
 ]
-
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Squeezing parameter r, squeezing angle theta (radians), and loss L."""
-
-    r: float
-    theta: float = 0.0
-    loss: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeezing parameter r must be finite and >= 0, got {self.r}")
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError(f"loss must satisfy 0 <= L < 1, got {self.loss}")
-        if not np.isfinite(self.theta):
-            raise ValueError("squeezing angle must be finite")
-        # fold the angle into [0, pi); variances are pi-periodic in theta
-        object.__setattr__(self, "theta", float(self.theta) % math.pi)
 
 
 def split_slices(n: int) -> list[slice]:
@@ -142,13 +113,6 @@ def r_from_pure_db(db: float) -> float:
     return math.log(10.0 ** (db / 10.0)) / 2.0
 
 
-def pure_db_from_r(r: float) -> float:
-    """Lossless squeezing level in dB for squeezing parameter r."""
-    if r < 0.0:
-        raise ValueError("squeezing parameter r must be >= 0")
-    return 20.0 * r / math.log(10.0)
-
-
 # the symplectic form of one mode in (x, p) order
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -204,36 +168,6 @@ class GaussianState:
         object.__setattr__(self, "physical", physical)
         self.mean.setflags(write=False)
         self.cov.setflags(write=False)
-
-
-def vacuum_state() -> GaussianState:
-    """The vacuum: zero mean, identity covariance."""
-    return GaussianState(np.zeros(2), np.eye(2))
-
-
-def squeezed_state(r: float, theta: float = 0.0, loss: float = 0.0) -> GaussianState:
-    """Zero-mean squeezed state with optional loss applied."""
-    p = SqueezeParams(r=r, theta=theta, loss=loss)
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    rot = np.array([[c, -s], [s, c]])
-    cov = rot @ np.diag([math.exp(-2.0 * p.r), math.exp(2.0 * p.r)]) @ rot.T
-    state = GaussianState(np.zeros(2), cov)
-    if p.loss > 0.0:
-        state = apply_loss(state, p.loss)
-    return state
-
-
-def apply_loss(state: GaussianState, loss: float) -> GaussianState:
-    """Pure-loss channel: cov -> (1-L) cov + L I, mean -> sqrt(1-L) mean.
-
-    Models a beam splitter of transmission (1-L) with vacuum in the
-    open port.
-    """
-    if not 0.0 <= loss < 1.0:
-        raise ValueError(f"loss must satisfy 0 <= L < 1, got {loss}")
-    cov = (1.0 - loss) * state.cov + loss * np.eye(2)
-    mean = math.sqrt(1.0 - loss) * state.mean
-    return GaussianState(mean, cov)
 
 
 @dataclass(frozen=True)

@@ -690,7 +690,8 @@ def _plan_tm_squeezing(cfg, params, cal):
     quads = _list_param(params, "slot_quadratures", _quadrature)
     if len(dbs) != len(quads):
         raise UsageError("slot_dbs and slot_quadratures must have equal length")
-    with _fed_by("slot_dbs", "margin_s", "mode_width_s", "rise_time_s", "sample_rate_hz"):
+    keys = ("slot_dbs", "margin_s", "mode_width_s", "rise_time_s", "sample_rate_hz")
+    with _fed_by(*keys):
         slots = tuple(
             PulseSlot(
                 squeezing_db=db,
@@ -701,7 +702,10 @@ def _plan_tm_squeezing(cfg, params, cal):
             for db, q in zip(dbs, quads)
         )
         train = PulseTrainSpec(slots=slots)
+        # the program's length, budgeted before the program or a mode is built
+        _budget_stream(det, sum(slot.n_samples(1.0 / dt) for slot in train.slots), *keys)
         prog = pump.compile_pulse_train(train, cal, resp, sample_rate_hz=1.0 / dt)
+    n_samples = prog.samples_v.size
     n_phases = int(params["n_phases"])
     if n_phases < 3:
         raise UsageError(
@@ -725,10 +729,6 @@ def _plan_tm_squeezing(cfg, params, cal):
             )
             for k, slot in enumerate(train.slots)
         ]
-    n_samples = prog.samples_v.size
-    _budget_stream(
-        det, n_samples, "slot_dbs", "margin_s", "mode_width_s", "rise_time_s", "sample_rate_hz"
-    )
     # every frame block is projected onto all slot modes at once, reduced
     # and dropped; no frame set is held whole
     scan = dsp.ModeScan(modes, np.eye(len(modes)), [0], det.dt, n_samples)
@@ -856,6 +856,12 @@ def _plan_epr(cfg, params, cal):
     # Gate flips sit between samples, so the mode center lives on the
     # half-sample grid aligned with the drive sign flips.
     t_c = lead + 0.5 * duration - 0.5 * dt
+    # a mode more than a sample wider than the budgeted record cannot lie
+    # on it, and its weights would be built before any placement check
+    width = float(params["mode_width_s"])
+    if width > (n_total + 1) * dt:
+        raise UsageError(f"bad value for 'mode_width_s': {width:g} s is wider than the "
+                         f"{n_total * dt:g} s record window")
     with warnings.catch_warnings(record=True) as caught, _fed_by(
         "mode_gamma_hz", "mode_width_s", "bin_period_s"
     ):
@@ -866,7 +872,7 @@ def _plan_epr(cfg, params, cal):
                 dt,
                 t_c=t_c,
                 gamma=float(params["mode_gamma_hz"]),
-                t_w=float(params["mode_width_s"]),
+                t_w=width,
                 period=float(params["bin_period_s"]),
             )
             for family in ("g1", "g2")

@@ -12,26 +12,6 @@ import sqzsim
 
 LAYERS = ["quantum", "pump", "opa", "homodyne", "dsp", "tomography"]
 
-# Public names the package itself need not use: the hbar = 2 convention
-# constants, and the closed-form states and mode spectrum that tests use
-# as oracles for the simulated chain.
-UNUSED_BY_DESIGN = {
-    "HBAR",
-    "VACUUM_VARIANCE",
-    "squeezed_state",
-    "vacuum_state",
-    "pure_db_from_r",
-    "mode_spectrum",
-}
-
-# Public methods of exported classes the package need not use: the mode
-# overlap and out-of-band fraction that acceptance 7 checks geometry with.
-UNUSED_MEMBERS_BY_DESIGN = {
-    "TemporalMode.overlap",
-    "ModeSpectrum.out_of_band_fraction",
-}
-
-
 @pytest.mark.parametrize("name", LAYERS)
 def test_all_names_resolve_once(name):
     module = importlib.import_module(f"sqzsim.{name}")
@@ -77,33 +57,12 @@ def test_every_public_name_is_used_by_the_package():
     for name in LAYERS:
         module = importlib.import_module(f"sqzsim.{name}")
         for n in module.__all__:
-            if n not in used and n not in UNUSED_BY_DESIGN:
+            if n not in used:
                 unused.append(f"{name}.{n}")
             obj = getattr(module, n)
             if inspect.isclass(obj):
-                unused += [
-                    f"{name}.{n}.{m}"
-                    for m in _public_members(obj)
-                    if m not in used and f"{n}.{m}" not in UNUSED_MEMBERS_BY_DESIGN
-                ]
+                unused += [f"{name}.{n}.{m}" for m in _public_members(obj) if m not in used]
     assert unused == []
-
-
-def test_every_unused_by_design_entry_names_an_export_the_package_does_not_use():
-    used = _names_the_package_uses()
-    names, members = set(), set()
-    for name in LAYERS:
-        module = importlib.import_module(f"sqzsim.{name}")
-        names.update(module.__all__)
-        for n in module.__all__:
-            obj = getattr(module, n)
-            if inspect.isclass(obj):
-                members.update(f"{n}.{m}" for m in _public_members(obj))
-    # a stale entry would outlive its name, or hide a use the package now makes
-    assert sorted(UNUSED_BY_DESIGN - names) == []
-    assert sorted(UNUSED_BY_DESIGN & used) == []
-    assert sorted(UNUSED_MEMBERS_BY_DESIGN - members) == []
-    assert sorted(m for m in UNUSED_MEMBERS_BY_DESIGN if m.split(".")[1] in used) == []
 
 
 def _private_module_names() -> list[str]:

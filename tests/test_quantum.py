@@ -12,19 +12,15 @@ from sqzsim.quantum import (
     DuanResult,
     GaussianState,
     N_SPLITS,
-    SqueezeParams,
-    apply_loss,
     db_from_variance,
     duan_from_moments,
     effective_squeezing_db,
-    pure_db_from_r,
     r_from_pure_db,
     split_slices,
-    squeezed_state,
-    vacuum_state,
     variance_at_phase,
 )
 from sqzsim.tomography import TomographyInput, ml_gaussian_tomography
+from oracles import SqueezeParams, apply_loss, pure_db_from_r, squeezed_state, vacuum_state
 from stack_slices import blocks, sample_moments
 
 R_271 = 0.3120002801006932  # r for a 2.71 dB lossless squeezing level

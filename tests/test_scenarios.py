@@ -418,6 +418,14 @@ def _capped_address_space():
         # point counts whose arrays the work budget does not cover
         *[pytest.param(["calibrate", "--set", f"{key}=200000000"], [key], id=key)
           for key in ("n_gain_points", "n_voltage_points")],
+        # a program of 3e9 or 5e8 samples, and a mode of 5e8 samples on a
+        # 1360-sample record, each built before the budget or placement
+        # rejected it: internal MemoryError
+        *[pytest.param([s, "--frames", "100", "--set", f"{key}={value}"], [key],
+                       id=f"{s}-{key}={value}")
+          for s, key, value in (("tm_squeezing", "mode_width_s", 3),
+                                ("tm_squeezing", "margin_s", 0.5),
+                                ("epr", "mode_width_s", 0.5))],
     ],
 )
 def test_cli_count_beyond_substreams_or_budget_exits_2_under_a_memory_cap(tmp_path, argv, fields):
@@ -464,6 +472,51 @@ def test_first_block_of_a_stream_of_2_32_frames_arrives_under_a_memory_cap():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "256", "480"]
+
+
+# plans each scenario alone, at its fewest frames, with every key of
+# SCENARIO_DEFAULTS (every pair of keys when the first argument is 2) set
+# to each of the remaining arguments, and prints each (scenario, keys,
+# values) whose plan neither returned nor raised a UsageError naming a key
+PLAN_SWEEP = """
+import itertools, sys
+from sqzsim import quantum, tomography
+from sqzsim.pump import Calibration
+from sqzsim.scenarios import _PLANS, SCENARIO_DEFAULTS, ScenarioConfig, UsageError, resolve_params
+fewest = {"spectrum": quantum.N_SPLITS, "waveforms": 2 * quantum.N_SPLITS,
+          "tm_squeezing": tomography.MIN_GROUP_SAMPLES, "epr": quantum.DUAN_MIN_SAMPLES,
+          "calibrate": 1}
+size, values = int(sys.argv[1]), sys.argv[2:]
+for name, defaults in SCENARIO_DEFAULTS.items():
+    cfg = ScenarioConfig(scenario=name, n_frames=fewest[name])
+    for keys in itertools.combinations(defaults, size):
+        for chosen in itertools.product(values, repeat=size):
+            try:
+                _PLANS[name](cfg, resolve_params(name, dict(zip(keys, chosen))), Calibration())
+            except Exception as exc:
+                if not (isinstance(exc, UsageError) and any(key in str(exc) for key in defaults)):
+                    print(name, keys, chosen, f"{type(exc).__name__}: {exc}"[:200])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_plan_sweep_of_extreme_values_plans_or_names_a_key_under_a_memory_cap():
+    # one key at a time by default; SQZSIM_PLAN_SWEEP=pairs sets every pair
+    # of a scenario's keys, sixteen times the plans
+    size = {"": 1, "pairs": 2}[os.environ.get("SQZSIM_PLAN_SWEEP", "")]
+    env = dict(os.environ)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PLAN_SWEEP, str(size), "1e-300", "0.5", "3", "1e300"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+        preexec_fn=_capped_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == []
 
 
 @pytest.mark.parametrize("key", ["quad_coeff_mw_per_v2", "gain_coeff_per_sqrt_mw"])

@@ -12,7 +12,7 @@ from sqzsim import homodyne, tomography
 from sqzsim.dsp import ModeScan, make_mode
 from sqzsim.homodyne import DetectorModel
 from sqzsim.opa import SqueezerTrajectory
-from sqzsim.quantum import split_slices, squeezed_state, variance_at_phase
+from sqzsim.quantum import split_slices, variance_at_phase
 from sqzsim.tomography import (
     TomographyInput,
     duan_prediction_scan,
@@ -21,12 +21,11 @@ from sqzsim.tomography import (
     stream_epr_analysis,
     wigner_ellipse,
 )
+from oracles import squeezed_state, vacuum_state
 from stack_slices import blocks, sample_moments, synthesize, vacuum
 
 
 def test_wigner_ellipse_of_vacuum_is_unit_circle():
-    from sqzsim.quantum import vacuum_state
-
     ell = wigner_ellipse(vacuum_state())
     assert ell.semi_axes == pytest.approx((1.0, 1.0), abs=1e-12)
     assert ell.angle_deg == 0.0

@@ -303,7 +303,7 @@ def test_fir_taps_are_scipy_firwin_byte_for_byte(taps, cutoff, dt):
     assert h.tobytes() == signal.firwin(taps, cutoff, fs=1.0 / dt).tobytes()
 
 
-def test_fir_lowpass_compensates_group_delay():
+def test_fir_filter_compensates_group_delay():
     n = 2048
     t = np.arange(n) * 1e-9
     bump = np.exp(-0.5 * ((t - 1000e-9) / 40e-9) ** 2)
@@ -312,7 +312,7 @@ def test_fir_lowpass_compensates_group_delay():
     assert out[0].max() == pytest.approx(bump.max(), rel=1e-3)
 
 
-def test_fir_lowpass_suppresses_out_of_band_tone():
+def test_fir_filter_suppresses_out_of_band_tone():
     n = 4096
     t = np.arange(n) * 1e-9
     tone = np.cos(2.0 * math.pi * 300e6 * t)
@@ -327,7 +327,7 @@ def test_fir_lowpass_suppresses_out_of_band_tone():
      (5, 100, 255, 100e6), (9, 640, 101, 50e6), (3, 17, 3, 300e6)],
 )
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fir_lowpass_equals_fftconvolve_bytes(n_frames, n_samples, taps, cutoff, dtype):
+def test_fir_filter_equals_fftconvolve_bytes(n_frames, n_samples, taps, cutoff, dtype):
     frames = np.random.default_rng(n_samples).standard_normal((n_frames, n_samples)).astype(dtype)
     h = fir_taps(1e-9, taps=taps, cutoff=cutoff)
     want = signal.fftconvolve(np.asarray(frames, float), h[None, :], mode="same", axes=1)
@@ -399,7 +399,7 @@ FIR_BLOCK_SHAPES += [(n, 4096) for n in (20, 37, 999)]
 
 @pytest.mark.parametrize("n_frames, n_samples", FIR_BLOCK_SHAPES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fir_filter_blocks_equal_fir_lowpass_rows(dtype, n_frames, n_samples):
+def test_fir_filter_blocks_equal_whole_stack_rows(dtype, n_frames, n_samples):
     frames = np.random.default_rng(n_frames).standard_normal((n_frames, n_samples)).astype(dtype)
     h = fir_taps(1e-9, taps=31, cutoff=100e6)
     whole = dsp.fir_filter(frames, h)

@@ -419,7 +419,7 @@ def _capped_address_space():
         *[pytest.param(["calibrate", "--set", f"{key}=200000000"], [key], id=key)
           for key in ("n_gain_points", "n_voltage_points")],
         # a program of 3e9 or 5e8 samples, and a mode of 5e8 samples on a
-        # 1360-sample record, each built before the budget or placement
+        # 1320-sample record, each built before the budget or placement
         # rejected it: internal MemoryError
         *[pytest.param([s, "--frames", "100", "--set", f"{key}={value}"], [key],
                        id=f"{s}-{key}={value}")
@@ -502,7 +502,7 @@ for name, defaults in SCENARIO_DEFAULTS.items():
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 def test_plan_sweep_of_extreme_values_plans_or_names_a_key_under_a_memory_cap():
     # one key at a time by default; SQZSIM_PLAN_SWEEP=pairs sets every pair
-    # of a scenario's keys, sixteen times the plans
+    # of a scenario's keys, 3616 plans instead of 188
     size = {"": 1, "pairs": 2}[os.environ.get("SQZSIM_PLAN_SWEEP", "")]
     env = dict(os.environ)
     src = str(Path(sqzsim.__file__).parents[1])

@@ -655,7 +655,7 @@ def _direct(frames, mode):
     return block @ (mode.weights * mode.dt)
 
 
-def test_project_matches_per_mode_extraction():
+def test_mode_scan_matches_per_mode_dot_products():
     frames, modes = _projection_pieces(300)
     q = _quadratures(frames, modes)
     assert q.shape == (300, len(modes))
@@ -668,7 +668,7 @@ def test_project_matches_per_mode_extraction():
     assert np.max(np.abs(disjoint - q[:, [0, 3]])) <= 1e-12 * scale
 
 
-def test_project_chunks_do_not_change_the_result():
+def test_mode_scan_blocks_do_not_change_the_result():
     frames, modes = _projection_pieces(53, dtype=np.float64)
     whole = _quadratures(frames, modes)
     # blocks of 7 frames, 53 = 7 * 7 + 4: each frame's integrals are its
@@ -679,7 +679,7 @@ def test_project_chunks_do_not_change_the_result():
     assert np.max(np.abs(chunked - direct)) <= 1e-12 * np.abs(direct).max()
 
 
-def test_project_single_frame():
+def test_mode_scan_single_frame():
     frames, modes = _projection_pieces(1)
     q = _quadratures(frames, modes)
     assert q.shape == (1, len(modes))
@@ -687,7 +687,7 @@ def test_project_single_frame():
         assert q[0, j] == pytest.approx(float(_direct(frames, mode)[0]), rel=1e-12)
 
 
-def test_project_rejects_bad_modes():
+def test_mode_scan_rejects_bad_modes():
     frames, modes = _projection_pieces(5)
     outside = make_mode("tf_mode", DT, t_c=300e-9, gamma=2.5e8, t_w=30e-9)
     with pytest.raises(ValueError, match="record window"):
@@ -718,7 +718,7 @@ SCAN_LAGS = [np.arange(-6, 7), np.arange(-6, 6), np.arange(-12, 13, 4), np.array
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lags", SCAN_LAGS, ids=["odd", "even", "step4", "one"])
-def test_mode_scan_matches_project_at_every_lag(lags, dtype):
+def test_mode_scan_matches_direct_dot_products_at_every_lag(lags, dtype):
     frames, modes = _projection_pieces(264, dtype=dtype)
     modes = [modes[0], modes[1], modes[3]]  # overlapping and disjoint supports
     coeffs = np.array([[0.7, -1.3, 0.4], [1.1, 0.2, -0.9]])

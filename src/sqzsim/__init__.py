@@ -16,12 +16,4 @@ The package covers the full chain of such an experiment:
 All simulations are deterministic for a given seed.
 """
 
-from sqzsim.quantum import (
-    GaussianState,
-    db_from_variance,
-    effective_squeezing_db,
-    r_from_pure_db,
-    variance_at_phase,
-)
-
 __version__ = "0.1.0"

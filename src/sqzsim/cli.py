@@ -32,12 +32,14 @@ message; a ``ValueError`` raised after planning is one), 2 usage error
 calibration, a parameter the plan rejects, infeasible program), which
 leaves no artifact.  Failures print a structured error JSON to stderr
 and, when the output directory is known, write it to ``error.json``
-there.
+there.  Once it knows that directory, every run removes the
+``error.json`` an earlier run left in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -125,6 +127,10 @@ def main(argv: list[str] | None = None) -> int:
             or "sqzsim_out"
         )
         outdir = Path(base) / args.scenario
+        # an earlier failed run's error would outlive this run's outcome; a
+        # directory that cannot lose it cannot take this run's files either
+        with contextlib.suppress(OSError):
+            (outdir / "error.json").unlink()
         overrides = dict(file_cfg.get("params", {}))
         overrides.update(_parse_set(args.set))
         cfg = scenarios.ScenarioConfig(

@@ -11,9 +11,12 @@ errors from its exact gradient (:func:`estimate_pure_squeezing_and_loss`).
 
 Every analysis is a reduction over frame blocks as
 :func:`sqzsim.homodyne.iter_frame_chunks` yields them, cut by
-:func:`sqzsim.homodyne.block_bounds`, so no run holds its frame stack.  Spectra come from :func:`periodogram_split_means`;
-variances and the moments of mode quadratures from
-:func:`split_moments`; :func:`fir_filter` filters a block.  Temporal-mode
+:func:`sqzsim.homodyne.block_bounds`, so no run holds its frame stack.
+Spectra come from :func:`periodogram_split_means`; variances and the
+moments of mode quadratures from :func:`split_moments`, and
+:func:`variance_ratio` scales a variance trace to shot noise, one
+value per column, whose times the caller keeps.  :func:`fir_filter`
+keeps the samples of a block that every FIR tap covers.  Temporal-mode
 quadratures come from :class:`ModeScan`, the one projection path: it
 integrates each frame of a block against combinations of modes, at one
 sample lag by direct dot products or slid over many lags with one FFT
@@ -305,19 +308,22 @@ def _next_fast_len(n: int) -> int:
 
 
 def fir_filter(frames: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Every row of ``frames`` convolved with the odd-length taps ``h``.
+    """The valid part of every row of ``frames`` convolved with the taps ``h``.
 
-    The float64 result has the shape of ``frames``, with the group delay
-    of (len(h) - 1)/2 samples compensated.  These are the FFT calls of
-    ``fftconvolve(mode="same", axes=1)``, made by :func:`_fft_rows` a tile
-    of rows at a time.  A row's bytes do not depend on the other rows, so
-    the blocks of a stream filter to the rows of the whole stack.
+    Each float64 row holds the n - len(h) + 1 outputs that every tap
+    covers, so for odd-length linear-phase taps its sample j is centred
+    on sample j + (len(h) - 1)/2 of the frame; a frame shorter than the
+    taps raises.  These are the FFT calls of ``fftconvolve(mode="valid",
+    axes=1)``, made by :func:`_fft_rows` a tile of rows at a time.  A
+    row's bytes do not depend on the other rows, so the blocks of a
+    stream filter to the rows of the whole stack.
     """
     n = frames.shape[1]
+    if n < h.size:
+        raise ValueError(f"{n}-sample frames are shorter than the {h.size} taps")
     size = _next_fast_len(n + h.size - 1)
-    start = (h.size - 1) // 2
-    out = np.empty(frames.shape)
-    _fft_rows(frames, np.fft.rfft(h, size)[None], size, slice(start, start + n), out[:, None])
+    out = np.empty((frames.shape[0], n - h.size + 1))
+    _fft_rows(frames, np.fft.rfft(h, size)[None], size, slice(h.size - 1, n), out[:, None])
     return out
 
 
@@ -344,7 +350,6 @@ def _fft_rows(x: np.ndarray, spectra: np.ndarray, size: int, columns, out: np.nd
 class VarianceTrace:
     """Per-time-sample variance across frames, in shot-noise units."""
 
-    times: np.ndarray
     variance: np.ndarray
     stderr: np.ndarray
 
@@ -419,7 +424,7 @@ def split_moments(n_frames: int, blocks: Iterable[np.ndarray]) -> SplitMoments:
     return SplitMoments(count=np.array(count), mean=np.stack(mean), m2=np.stack(m2))
 
 
-def variance_ratio(sig: SplitMoments, vac: SplitMoments, times: np.ndarray) -> VarianceTrace:
+def variance_ratio(sig: SplitMoments, vac: SplitMoments) -> VarianceTrace:
     """Variance trace in shot-noise units from two sets of split moments.
 
     ``sig`` and ``vac`` come from :func:`split_moments` of a signal run
@@ -431,7 +436,7 @@ def variance_ratio(sig: SplitMoments, vac: SplitMoments, times: np.ndarray) -> V
     if shot <= 0.0:
         raise ValueError("vacuum reference has zero variance")
     stderr = split_stderr(sig.split_variances() / shot)
-    return VarianceTrace(times=times, variance=sig.variance() / shot, stderr=stderr)
+    return VarianceTrace(variance=sig.variance() / shot, stderr=stderr)
 
 
 @dataclass(frozen=True)
@@ -501,11 +506,6 @@ def _gaussian(gamma: float, tau: np.ndarray) -> np.ndarray:
         return np.exp(-((gamma * tau) ** 2))
 
 
-def _square_wave_first_half(tau: np.ndarray, period: float) -> np.ndarray:
-    """1 where tau falls in [n T, n T + T/2), else 0."""
-    return (np.floor(2.0 * tau / period).astype(np.int64) % 2 == 0).astype(float)
-
-
 def make_mode(
     family: str,
     dt: float,
@@ -521,16 +521,16 @@ def make_mode(
     family : str
         "tf_mode": w(tau) proportional to tau exp(-gamma^2 tau^2), the
         odd mode matched to a single squeezed pulse.
-        "f1" / "f2": Gaussian envelope gated by complementary halves of
-        a square wave of ``period``; f1 covers [n T, n T + T/2).
-        "g1" / "g2": sum and difference modes (f1 + f2)/sqrt(2) and
-        (-f1 + f2)/sqrt(2); g1 is the bare envelope, g2 oscillates at
-        1/period.
+        "g1" / "g2": sum and difference modes of a Gaussian envelope
+        gated by the complementary halves of a square wave of
+        ``period``, [n T, n T + T/2) and the rest; g1 is the bare
+        envelope, g2 the envelope times -1 on the first halves and +1
+        on the second, so it oscillates at 1/period.
     dt : float
         Sample interval of the records the mode will be applied to.
     t_c : float
         Mode center time.  tf_mode samples on grid offsets that are
-        integer multiples of dt from t_c; the f/g families sample at
+        integer multiples of dt from t_c; the g families sample at
         half-sample offsets so the square-wave gating is exactly
         mirror-symmetric about t_c.
     gamma : float
@@ -538,12 +538,12 @@ def make_mode(
     t_w : float
         Total window width; weights are zero outside |tau| <= t_w / 2.
     period : float, optional
-        Square-wave period T, required for f1/f2/g1/g2.
+        Square-wave period T, required for g1/g2.
 
     Notes
     -----
-    The f/g construction separates cleanly in frequency only when
-    gamma * T / pi is small; a UserWarning is emitted at >= 0.1.
+    The g modes separate cleanly in frequency only when gamma * T / pi
+    is small; a UserWarning is emitted at >= 0.1.
     """
     if dt <= 0.0 or t_w <= 0.0 or gamma <= 0.0:
         raise ValueError("dt, t_w and gamma must all be > 0")
@@ -556,7 +556,7 @@ def make_mode(
         w = tau * _gaussian(gamma, tau)
         return TemporalMode(dt=dt, t0=t_c - n_half * dt, weights=_normalize(w, dt))
 
-    if family not in ("f1", "f2", "g1", "g2"):
+    if family not in ("g1", "g2"):
         raise ValueError(f"unknown mode family {family!r}")
     if period is None or period <= 0.0:
         raise ValueError(f"family {family!r} requires a positive square-wave period")
@@ -573,16 +573,11 @@ def make_mode(
         n_w += 1
     # half-sample offsets: every +tau sample has an exact -tau mirror
     tau = (np.arange(n_w) - 0.5 * n_w + 0.5) * dt
-    envelope = _gaussian(gamma, tau)
-    gate1 = _square_wave_first_half(tau, period)
-    if family == "f1":
-        w = envelope * gate1
-    elif family == "f2":
-        w = envelope * (1.0 - gate1)
-    elif family == "g1":
-        w = envelope
-    else:
-        w = envelope * (1.0 - 2.0 * gate1)
+    w = _gaussian(gamma, tau)
+    if family == "g2":
+        # 1 where tau falls in [n T, n T + T/2), else 0
+        first_half = (np.floor(2.0 * tau / period).astype(np.int64) % 2 == 0).astype(float)
+        w = w * (1.0 - 2.0 * first_half)
     return TemporalMode(dt=dt, t0=t_c + tau[0], weights=_normalize(w, dt))
 
 

@@ -111,8 +111,8 @@ __all__ = [
 class DetectorModel:
     """Homodyne detector: sampling grid and bandwidth.
 
-    ``bandwidth=None`` (or +inf) models an ideal (infinite-bandwidth)
-    detector; a NaN bandwidth is rejected.
+    ``bandwidth=None`` models an ideal (infinite-bandwidth) detector; a
+    NaN or infinite bandwidth is rejected.
     """
 
     bandwidth: float | None = 200e6
@@ -124,8 +124,6 @@ class DetectorModel:
             raise ValueError(
                 f"sample_rate must be finite and > 0 with a finite dt, got {self.sample_rate}"
             )
-        if self.bandwidth == math.inf:
-            object.__setattr__(self, "bandwidth", None)
         if self.bandwidth is not None:
             if not 0.0 < self.bandwidth < self.sample_rate / 2.0:
                 raise ValueError(

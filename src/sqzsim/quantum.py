@@ -13,6 +13,9 @@ Conventions used throughout the package:
 
   after an optical loss L.  By this convention theta is the phase of
   minimum noise.
+* Two independent vacua give a Duan value of 4.
+  :func:`duan_from_moments` returns each column's value and standard
+  error; the caller that picks a column draws the entanglement verdict.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "variance_at_phase",
     "db_from_variance",
     "r_from_pure_db",
-    "DuanResult",
     "duan_from_moments",
     "effective_squeezing_db",
 ]
@@ -170,36 +172,24 @@ class GaussianState:
         self.cov.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class DuanResult:
-    """Duan inseparability value with its standard error.
-
-    Fields are arrays, one entry per column of mode pairs.
-    """
-
-    value: np.ndarray
-    stderr: np.ndarray
-    entangled: np.ndarray
-
-
-def duan_from_moments(x, p) -> DuanResult:
+def duan_from_moments(x, p) -> tuple[np.ndarray, np.ndarray]:
     """Duan criterion Var(x1 - x2) + Var(p1 + p2) from split moments.
 
     ``x`` holds the :class:`sqzsim.dsp.SplitMoments` of ``x1 - x2`` and
     ``p`` those of ``p1 + p2``, one column per pair of modes, over at
     least :data:`DUAN_MIN_SAMPLES` samples each.  In hbar = 2 units two
     independent vacua give 4, and any value below 4 witnesses
-    entanglement of the two modes.  The value adds the whole-run
-    variances; the standard error is the scatter of the summed split
-    variances over sqrt(N_SPLITS).
+    entanglement of the two modes.  Returns ``(value, stderr)``, one
+    entry per column: the value adds the whole-run variances, and the
+    standard error is the scatter of the summed split variances over
+    sqrt(N_SPLITS).
     """
     n = int(x.count.sum())
     if n < DUAN_MIN_SAMPLES:
         raise ValueError(f"need at least {DUAN_MIN_SAMPLES} samples, got {n}")
     value = x.variance() + p.variance()
     per_split = x.split_variances() + p.split_variances()
-    stderr = split_stderr(per_split)
-    return DuanResult(value=value, stderr=stderr, entangled=value < 4.0)
+    return value, split_stderr(per_split)
 
 
 def effective_squeezing_db(duan: float) -> float:

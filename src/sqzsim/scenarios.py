@@ -15,6 +15,7 @@ or x / p / vacuum) for the others.  ``calibrate`` uses no frames.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -372,6 +373,13 @@ def _plan_spectrum(cfg, params, cal):
             f"n_samples={n_samples} puts no spectrum bin in [{lo:g}, {hi:g}] Hz; its bins lie "
             f"{2.0 * nyquist / n_samples:g} Hz apart"
         )
+    # the roll-off check averages the band above twice the detector
+    # bandwidth, when that band is wide and holds a spectrum bin
+    high_band = None
+    if det.bandwidth is not None and 2.0 * det.bandwidth < 0.95 * nyquist:
+        high_lo, high_hi = 2.0 * det.bandwidth, 0.98 * nyquist
+        if np.any((freqs >= high_lo) & (freqs <= high_hi)):
+            high_band = (high_lo, high_hi)
     # each set's spectrum is taken against the vacuum reference
     sets = {
         "squeezed_spectrum": (traj, 0.0, seeds[0]),
@@ -402,10 +410,8 @@ def _plan_spectrum(cfg, params, cal):
             infeasible = f"measured pair {s_db:+.4f} / {a_db:+.4f} dB: {exc}"
 
         checks = {}
-        if det.bandwidth is not None and 2.0 * det.bandwidth < 0.95 * nyquist:
-            h_db, h_se = dsp.band_average(
-                specs["squeezed_spectrum"], 2.0 * det.bandwidth, 0.98 * nyquist
-            )
+        if high_band is not None:
+            h_db, h_se = dsp.band_average(specs["squeezed_spectrum"], *high_band)
             checks["rolloff_to_shot_noise"] = (
                 abs(h_db) <= 0.3, f"band above 2x detector bandwidth averages {h_db:+.3f} dB"
             )
@@ -518,8 +524,9 @@ def _plan_waveforms(cfg, params, cal):
         n_total = int(round((lead + duration + tail) / dt))
     if taps < 3 or taps % 2 == 0:
         raise UsageError(f"fir_taps must be an odd integer >= 3, got {taps}")
-    # the FIR edges are trimmed from every frame, so the taps must fit in
-    # one, whose length the duration and the sample rate set
+    # the valid FIR output drops (taps - 1)/2 samples at each end of
+    # every frame, so the taps must fit in one, whose length the duration
+    # and the sample rate set
     if taps - 1 >= n_total:
         raise UsageError(
             f"bad value for 'fir_taps' or 'duration_s' or 'sample_rate_hz': fir_taps - 1 "
@@ -581,6 +588,8 @@ def _plan_waveforms(cfg, params, cal):
     h = dsp.fir_taps(dt, taps=taps, cutoff=cutoff)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
     n_kept = n_total - 2 * edge
+    # the trace keeps the samples every FIR tap covers
+    times = edge * det.dt + np.arange(n_kept) * det.dt
 
     # every pump chain, and the checks that read the pump alone, before any frame
     pump_files = {}
@@ -602,12 +611,10 @@ def _plan_waveforms(cfg, params, cal):
                 f"measured {rise * 1e9:.2f} ns vs {resp.rise_time_10_90 * 1e9:.2f} ns target",
             )
             continue
-        # the trace keeps the samples the FIR edge trim leaves
-        times = edge * det.dt + np.arange(n_kept) * det.dt
         expected = quantum.variance_at_phase(
             traj.r[edge : edge + n_kept], traj.theta[edge : edge + n_kept], loss, 0.0
         )
-        traced[name] = (traj, seeds[k], times, expected)
+        traced[name] = (traj, seeds[k], expected)
         if name == "gaussians":
             peak_measured, oracle = [], []
             for c, w in zip(centers, fwhms):
@@ -632,31 +639,28 @@ def _plan_waveforms(cfg, params, cal):
                 worst <= 0.01, f"worst relative deviation {worst * 100:.3f}%"
             )
 
-    def trimmed(block):
-        return dsp.fir_filter(block, h)[:, edge:-edge]
-
     def filtered_moments(tr, seed):
-        # each frame block is filtered, trimmed of its FIR edges, reduced
-        # and dropped, the raw block before the next is asked for; no
-        # frame set is held whole
+        # each frame block is filtered to the samples every tap covers,
+        # reduced and dropped, the raw block before the next is asked
+        # for; no frame set is held whole
         blocks = iter_frame_chunks(tr, det, 0.0, seed, range(cfg.n_frames))
-        return dsp.split_moments(cfg.n_frames, map(trimmed, blocks))
+        return dsp.split_moments(cfg.n_frames, map(functools.partial(dsp.fir_filter, h=h), blocks))
 
     def acquire():
         vac = filtered_moments(vac_traj, seeds[-1])
         files = dict(pump_files)
         report = dict(pump_report)
         checks = {}
-        for name, (traj, seed, times, expected) in traced.items():
-            vt = dsp.variance_ratio(filtered_moments(traj, seed), vac, times)
-            columns = {"time_s": vt.times, "variance": vt.variance, "stderr": vt.stderr}
+        for name, (traj, seed, expected) in traced.items():
+            vt = dsp.variance_ratio(filtered_moments(traj, seed), vac)
+            columns = {"time_s": times, "variance": vt.variance, "stderr": vt.stderr}
             files[f"{name}_variance"] = (
                 f"{name}_variance.csv", columns | {"quasi_static_variance": expected}
             )
             if name == "square":
                 for label, target in (("squeezed", s_closed), ("antisqueezed", a_closed)):
                     lo_t, hi_t = plateaus[label]
-                    sel = (vt.times >= lo_t) & (vt.times < hi_t)
+                    sel = (times >= lo_t) & (times < hi_t)
                     mean = float(vt.variance[sel].mean())
                     checks[f"square_plateau_{label}"] = (
                         abs(mean / target - 1.0) <= 0.02,
@@ -664,7 +668,7 @@ def _plan_waveforms(cfg, params, cal):
                     )
                     report[f"square_plateau_{label}"] = [mean, target]
             if name == "sine":
-                sel = (vt.times >= sine_window[0]) & (vt.times < sine_window[1])
+                sel = (times >= sine_window[0]) & (times < sine_window[1])
                 vmin, vmax = float(vt.variance[sel].min()), float(vt.variance[sel].max())
                 checks["sine_variance_modulates"] = (
                     vmin < 0.9 and vmax > 1.1, f"variance swings {vmin:.3f} .. {vmax:.3f}"

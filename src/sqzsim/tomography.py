@@ -377,7 +377,9 @@ def ml_gaussian_tomography(data, project: bool = False) -> TomographyResult:
 class EprResult:
     """Duan inseparability test result for a two-mode extraction.
 
-    ``offset`` (s) is the best scan offset from the modes' nominal center.
+    ``offset`` (s) is the best scan offset from the modes' nominal center,
+    and ``entangled`` the point comparison duan < 4 there; significance
+    is the caller's to judge.
     """
 
     duan: float
@@ -452,23 +454,23 @@ def stream_epr_analysis(
     s1, s2 = np.sqrt(moments(n_frames, vac_blocks, np.eye(2), [0]).variance())
     x = moments(n_frames, x_blocks, [[1.0 / s1, -1.0 / s2]], offsets)
     p = moments(n_frames, p_blocks, [[1.0 / s1, 1.0 / s2]], offsets)
-    scan = duan_from_moments(x, p)
+    value, value_stderr = duan_from_moments(x, p)
 
-    best = int(np.argmin(scan.value))
-    duan = float(scan.value[best])
+    best = int(np.argmin(value))
+    duan = float(value[best])
     # Both scales carry chi-squared noise from the finite vacuum set and
     # enter every variance multiplicatively, so their relative errors
     # (1 / sqrt(2 (n_frames - 1)) each, independent for orthogonal modes)
     # add a duan / sqrt(n_frames - 1) term the split scatter cannot see.
-    stderr = math.hypot(float(scan.stderr[best]), duan / math.sqrt(n_frames - 1))
+    stderr = math.hypot(float(value_stderr[best]), duan / math.sqrt(n_frames - 1))
     return EprResult(
         duan=duan,
         duan_stderr=stderr,
         effective_db=effective_squeezing_db(duan),
         offset=float(offsets[best] * dt),
-        entangled=bool(scan.entangled[best]),
+        entangled=duan < 4.0,
         scan_offsets=offsets * dt,
-        scan_duan=scan.value,
+        scan_duan=value,
     )
 
 

@@ -17,10 +17,6 @@ import numpy as np
 from sqzsim.dsp import TemporalMode
 from sqzsim.quantum import GaussianState
 
-HBAR = 2.0
-VACUUM_VARIANCE = 1.0
-
-
 @dataclass(frozen=True)
 class SqueezeParams:
     """Squeezing parameter r, squeezing angle theta (radians), and loss L."""

@@ -180,6 +180,15 @@ def test_cli_calibrate_run(tmp_path, capsys):
     assert man["seed"] == 2
 
 
+def test_cli_run_removes_the_error_json_of_an_earlier_run(tmp_path, capsys):
+    outdir = tmp_path / "calibrate"
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--set", "n_gain_points=0"]) == 2
+    assert [p.name for p in outdir.iterdir()] == ["error.json"]
+    assert main(["run", "calibrate", "--out", str(tmp_path)]) == 0
+    assert not (outdir / "error.json").exists()
+    assert json.loads((outdir / "manifest.json").read_text())["all_passed"] is True
+
+
 def test_cli_unknown_scenario_exits_2(tmp_path, capsys):
     code = main(["run", "quantum_teleport", "--out", str(tmp_path)])
     captured = capsys.readouterr()
@@ -299,6 +308,21 @@ def test_cli_spectrum_rejects_bad_bands_before_synthesis(tmp_path, capsys, setti
     for setting in settings:
         argv += ["--set", setting]
     _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+def test_cli_spectrum_skips_a_rolloff_band_without_bins(tmp_path, capsys):
+    # 8-sample frames put bins at 0, 125, 250, 375 and 500 MHz, none inside
+    # the [400, 490] MHz band above twice the 200 MHz detector bandwidth
+    argv = ["run", "spectrum", "--out", str(tmp_path), "--frames", "10", "--set", "n_samples=8",
+            "--set", "band_lo_hz=0", "--set", "band_hi_hz=1e8"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    # noise alone may fail a check at 10 frames, but nothing may fault
+    assert code == 0 or json.loads(err)["error"]["kind"] == "invariant"
+    outdir = tmp_path / "spectrum"
+    assert json.loads((outdir / "spectrum_report.json").read_text())["high_band_db"] is None
+    checks = json.loads((outdir / "manifest.json").read_text())["invariant_checks"]
+    assert "rolloff_to_shot_noise" not in [c["name"] for c in checks]
 
 
 @pytest.mark.parametrize(

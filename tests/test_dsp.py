@@ -342,7 +342,7 @@ def test_fir_filter_rejects_frames_shorter_than_the_taps():
         dsp.fir_filter(np.zeros((5, 254)), fir_taps(1e-9))
 
 
-def _variance_trace(sig, ref, dt=1e-9):
+def _variance_trace(sig, ref):
     """The streamed variance trace over slices of two whole stacks."""
     moments = [dsp.split_moments(len(frames), blocks(frames)) for frames in (sig, ref)]
     return dsp.variance_ratio(*moments)

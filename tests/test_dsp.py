@@ -348,7 +348,7 @@ def _variance_trace(sig, ref):
     return dsp.variance_ratio(*moments)
 
 
-def test_pointwise_variance_of_vacuum_is_flat_unity():
+def test_variance_ratio_of_vacuum_is_flat_unity():
     det = DetectorModel()
     sig = vacuum(det, 300, 2000, seed=6)
     ref = vacuum(det, 300, 2000, seed=7)
@@ -358,7 +358,7 @@ def test_pointwise_variance_of_vacuum_is_flat_unity():
 
 
 @pytest.mark.parametrize("n_frames", [13, 19])
-def test_pointwise_variance_needs_two_frames_per_split(n_frames):
+def test_split_moments_need_two_frames_per_split(n_frames):
     det = DetectorModel()
     sig = vacuum(det, 40, n_frames, seed=3)
     ref = vacuum(det, 40, 20, seed=4)
@@ -366,7 +366,7 @@ def test_pointwise_variance_needs_two_frames_per_split(n_frames):
         _variance_trace(sig, ref)
 
 
-def test_pointwise_variance_stderr_is_finite_at_twenty_frames():
+def test_variance_ratio_stderr_is_finite_at_twenty_frames():
     det = DetectorModel()
     sig = vacuum(det, 40, 20, seed=3)
     ref = vacuum(det, 40, 20, seed=4)

@@ -27,13 +27,15 @@ any frame is synthesized.  It then acquires and reduces every frame set,
 and only then writes its files.  Exit codes: 0 all checks passed, 1 a
 run-time consistency check failed (error kind ``invariant``) or an
 internal fault (kind ``internal``, the exception class leading the
-message; a ``ValueError`` raised after planning is one), 2 usage error
-(kind ``usage``: unknown scenario or key, unreadable config or
-calibration, a parameter the plan rejects, infeasible program), which
-leaves no artifact.  Failures print a structured error JSON to stderr
-and, when the output directory is known, write it to ``error.json``
-there.  Once it knows that directory, every run removes the
-``error.json`` an earlier run left in it.
+message; a ``ValueError`` that no check names a key for is one), 2
+usage error (kind ``usage``: unknown scenario or key, unreadable config
+or calibration, a parameter the plan rejects naming its keys,
+infeasible program), which writes no artifact.  Failures print a
+structured error JSON to stderr and, when the output directory is
+known, write it to ``error.json`` there.  Once it knows that directory,
+every run removes the ``error.json`` and ``manifest.json`` an earlier
+run left in it, so the directory never states an outcome this run did
+not have.
 """
 
 from __future__ import annotations
@@ -127,10 +129,12 @@ def main(argv: list[str] | None = None) -> int:
             or "sqzsim_out"
         )
         outdir = Path(base) / args.scenario
-        # an earlier failed run's error would outlive this run's outcome; a
-        # directory that cannot lose it cannot take this run's files either
-        with contextlib.suppress(OSError):
-            (outdir / "error.json").unlink()
+        # an earlier run's error or manifest would outlive this run's
+        # outcome; a directory that cannot lose them cannot take this
+        # run's files either
+        for name in ("error.json", "manifest.json"):
+            with contextlib.suppress(OSError):
+                (outdir / name).unlink()
         overrides = dict(file_cfg.get("params", {}))
         overrides.update(_parse_set(args.set))
         cfg = scenarios.ScenarioConfig(

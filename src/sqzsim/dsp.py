@@ -279,10 +279,12 @@ def fir_taps(dt: float, taps: int = 255, cutoff: float = 100e6) -> np.ndarray:
     SciPy's by up to 4e-17.
     """
     if taps < 3 or taps % 2 == 0:
-        raise ValueError("taps must be an odd integer >= 3")
+        raise ValueError(f"taps must be an odd integer >= 3, got {taps}")
     nyquist = 0.5 / dt
     if not 0.0 < cutoff < nyquist:
-        raise ValueError(f"cutoff must be inside (0, {nyquist:g}) Hz")
+        raise ValueError(
+            f"cutoff must lie inside (0, {nyquist:g}) Hz, below Nyquist, got {cutoff:g}"
+        )
     # 0.5 / dt is firwin's 0.5 * (1 / dt) exactly: halving commutes with rounding
     right = cutoff / nyquist
     m = np.arange(taps, dtype=np.float64) - 0.5 * (taps - 1)

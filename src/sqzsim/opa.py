@@ -1,10 +1,10 @@
 """Parametric amplifier model: pump power to squeezing parameter.
 
 The amplifier is treated as instantaneous: at every sample the
-squeezing parameter follows the pump power through r = c sqrt(P), and
-the squeezing angle is half the pump phase.  All dynamics slower than
-that (modulator response, detection bandwidth) are modeled elsewhere in
-the chain.
+squeezing parameter follows the pump power through the calibration's
+gain law r = g sqrt(P), and the squeezing angle is half the pump
+phase.  All dynamics slower than that (modulator response, detection
+bandwidth) are modeled elsewhere in the chain.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sqzsim.pump import PowerTrace
+from sqzsim.pump import Calibration, PowerTrace
 
 __all__ = [
-    "GainFit",
     "fit_gain_curve",
     "SqueezerTrajectory",
     "trajectory_from_pump",
@@ -25,27 +24,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GainFit:
-    """Single-parameter fit r(P) = gain_coeff * sqrt(P)."""
-
-    gain_coeff: float
-    fit_residual: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.gain_coeff) or self.gain_coeff <= 0.0:
-            raise ValueError("gain_coeff must be finite and > 0")
-
-    def r_of_power(self, power_mw) -> np.ndarray | float:
-        p = np.asarray(power_mw, dtype=float)
-        if np.any(p < 0.0):
-            raise ValueError("pump power must be >= 0")
-        r = self.gain_coeff * np.sqrt(p)
-        return float(r) if r.ndim == 0 else r
-
-
-def fit_gain_curve(points) -> GainFit:
-    """Least-squares fit of measured parametric gain versus pump power.
+def fit_gain_curve(points) -> tuple[float, float]:
+    """Least-squares fit of the gain law r = gain_coeff sqrt(P) to measured gains.
 
     Parameters
     ----------
@@ -57,8 +37,8 @@ def fit_gain_curve(points) -> GainFit:
 
     Returns
     -------
-    GainFit
-        With ``fit_residual`` the rms misfit in r.
+    (gain_coeff, residual)
+        The fitted coefficient, finite and > 0, and the rms misfit in r.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
@@ -76,8 +56,10 @@ def fit_gain_curve(points) -> GainFit:
     coeff = float(np.dot(root_p, r) / np.dot(root_p, root_p))
     if coeff <= 0.0:
         raise ValueError("fit is degenerate: measured gains show no squeezing")
+    if not math.isfinite(coeff):
+        raise ValueError(f"fit gives a non-finite gain coefficient, {coeff}")
     residual = float(np.sqrt(np.mean((r - coeff * root_p) ** 2)))
-    return GainFit(gain_coeff=coeff, fit_residual=residual)
+    return coeff, residual
 
 
 @dataclass(frozen=True)
@@ -118,27 +100,24 @@ class SqueezerTrajectory:
     def n_samples(self) -> int:
         return self.r.size
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.r.size) * self.dt
-
 
 def trajectory_from_pump(
     power: PowerTrace,
     pump_phase: np.ndarray,
-    fit: GainFit,
+    cal: Calibration,
     loss: float,
 ) -> SqueezerTrajectory:
     """Map a pump power trace and pump phase to a squeezing trajectory.
 
-    The squeezing angle is half the pump phase, so flipping the drive
-    sign (pump phase 0 -> pi) rotates the squeezed quadrature by 90
-    degrees.
+    The squeezing parameter follows the calibration's gain law
+    :meth:`~sqzsim.pump.Calibration.r_of_power`.  The squeezing angle is
+    half the pump phase, so flipping the drive sign (pump phase 0 -> pi)
+    rotates the squeezed quadrature by 90 degrees.
     """
     phase = np.asarray(pump_phase, dtype=float)
     if phase.shape != power.power_mw.shape:
         raise ValueError("pump_phase must match the power trace sample for sample")
-    r = fit.r_of_power(power.power_mw)
+    r = cal.r_of_power(power.power_mw)
     return SqueezerTrajectory(dt=power.dt, r=r, theta=0.5 * phase, loss=loss)
 
 

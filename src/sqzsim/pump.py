@@ -103,7 +103,8 @@ class Calibration:
         Optional (|voltage|, power_mw) pairs extending the calibration
         beyond the linear limit, both columns strictly increasing.
     gain_coeff : float
-        Squeezing parameter per sqrt(pump power), r = gain_coeff sqrt(P).
+        Squeezing parameter per sqrt(pump power), the gain law
+        r = gain_coeff sqrt(P) of :meth:`r_of_power`.
     max_pump_power : float
         Largest pump power (mW) the source sustains.
 
@@ -183,6 +184,14 @@ class Calibration:
         if power_mw > lut[-1, 1]:
             raise ValueError(f"{power_mw:.4g} mW exceeds the lookup table range")
         return float(np.interp(power_mw, lut[:, 1], lut[:, 0]))
+
+    def r_of_power(self, power_mw) -> np.ndarray | float:
+        """Squeezing parameter at pump power(s), the gain law r = gain_coeff sqrt(P)."""
+        p = np.asarray(power_mw, dtype=float)
+        if np.any(p < 0.0):
+            raise ValueError("pump power must be >= 0")
+        r = self.gain_coeff * np.sqrt(p)
+        return float(r) if r.ndim == 0 else r
 
     def to_dict(self) -> dict:
         """The calibration as JSON-ready data with unit-suffixed keys."""

@@ -317,7 +317,7 @@ def _pump_chain(prog: AwgProgram, cal: Calibration, resp: ModulatorResponse, los
     with _fed_by("rise_time_s", "sample_rate_hz", "loss"):
         shaped = pump.apply_modulator_response(ideal, resp)
         phase = pump.pump_phase_trace(prog)
-        traj = opa.trajectory_from_pump(shaped, phase, opa.GainFit(cal.gain_coeff), loss)
+        traj = opa.trajectory_from_pump(shaped, phase, cal, loss)
     table = {
         "time_s": prog.times,
         "drive_v": prog.samples_v,
@@ -341,16 +341,16 @@ def _plan_spectrum(cfg, params, cal):
     _require_frames(
         cfg, quantum.N_SPLITS, f"one for each of the {quantum.N_SPLITS} error-estimate splits"
     )
-    dt = 1.0 / _positive(params, "sample_rate_hz")
+    det = _detector(params)
+    dt = det.dt
     n_samples = int(params["n_samples"])
     loss = float(params["loss"])
-    det = _detector(params)
     _budget_stream(det, n_samples, "n_samples")
     power = float(params["pump_power_mw"])
     if not 0.0 < power <= cal.max_pump_power * (1.0 + 1e-9):
         raise UsageError(f"bad value for 'pump_power_mw': {power:g} mW is outside "
                          f"(0, {cal.max_pump_power:g}] mW, what the source sustains")
-    r = float(opa.GainFit(cal.gain_coeff).r_of_power(power))
+    r = cal.r_of_power(power)
     seeds = _child_seeds(cfg.seed, 4)
 
     with _fed_by("loss", "n_samples"):
@@ -500,18 +500,17 @@ def _plan_waveforms(cfg, params, cal):
     _require_frames(
         cfg, 2 * quantum.N_SPLITS, f"two for each of the {quantum.N_SPLITS} split variances"
     )
-    dt = 1.0 / _positive(params, "sample_rate_hz")
+    det = _detector(params)
+    dt = det.dt
     # the checks read the square's first half period as the squeezed one
     # and judge the Gaussian peaks relative to a nonzero power
     amp = _positive(params, "amplitude_v")
     loss = float(params["loss"])
     duration = _positive(params, "duration_s")
     taps = int(params["fir_taps"])
-    cutoff = float(params["fir_cutoff_hz"])
     fwhms = [w * 1e-9 for w in _list_param(params, "gauss_fwhms_ns", _width)]
     with _fed_by("rise_time_s"):
         resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
-    det = _detector(params)
     for w in fwhms:
         # the fine grid's full convolution is the oracle's largest array
         with _fed_by("gauss_fwhms_ns", "rise_time_s"):
@@ -522,21 +521,18 @@ def _plan_waveforms(cfg, params, cal):
     tail = 200e-9
     with _fed_by("duration_s", "sample_rate_hz"):
         n_total = int(round((lead + duration + tail) / dt))
-    if taps < 3 or taps % 2 == 0:
-        raise UsageError(f"fir_taps must be an odd integer >= 3, got {taps}")
     # the valid FIR output drops (taps - 1)/2 samples at each end of
     # every frame, so the taps must fit in one, whose length the duration
-    # and the sample rate set
+    # and the sample rate set; with the frame budgeted, that bounds the
+    # taps before they are built
     if taps - 1 >= n_total:
         raise UsageError(
             f"bad value for 'fir_taps' or 'duration_s' or 'sample_rate_hz': fir_taps - 1 "
             f"must lie below the {n_total}-sample frame, got {taps} taps"
         )
     _budget_stream(det, n_total, "duration_s", "sample_rate_hz")
-    if not 0.0 < cutoff < 0.5 / dt:
-        raise UsageError(
-            f"fir_cutoff_hz must lie inside (0, {0.5 / dt:g}) Hz, below Nyquist, got {cutoff:g}"
-        )
+    with _fed_by("fir_taps", "fir_cutoff_hz", "sample_rate_hz"):
+        h = dsp.fir_taps(dt, taps=taps, cutoff=float(params["fir_cutoff_hz"]))
     half = float(params["square_half_period_s"])
     # the settled plateaus and the sine's inner span, where the checks read
     # the trace; the FIR edge trim must leave each of them whole
@@ -560,7 +556,7 @@ def _plan_waveforms(cfg, params, cal):
                 f"check window [{lo_t * 1e9:g}, {hi_t * 1e9:g}) ns"
             )
     with _fed_by("amplitude_v", "loss"):
-        r_top = float(opa.GainFit(cal.gain_coeff).r_of_power(cal.power_for_voltage(amp)))
+        r_top = cal.r_of_power(cal.power_for_voltage(amp))
         s_closed = float(quantum.variance_at_phase(r_top, 0.0, loss, 0.0))
     a_closed = float(quantum.variance_at_phase(r_top, math.pi / 2.0, loss, 0.0))
     t = np.arange(n_total) * dt
@@ -585,7 +581,6 @@ def _plan_waveforms(cfg, params, cal):
     programs["step"][t >= lead + float(params["step_time_s"])] = amp
 
     seeds = _child_seeds(cfg.seed, len(programs) + 1)
-    h = dsp.fir_taps(dt, taps=taps, cutoff=cutoff)
     vac_traj = opa.constant_trajectory(0.0, 0.0, 0.0, det.dt, n_total)
     n_kept = n_total - 2 * edge
     # the trace keeps the samples every FIR tap covers
@@ -685,9 +680,9 @@ def _plan_waveforms(cfg, params, cal):
 
 
 def _plan_tm_squeezing(cfg, params, cal):
-    dt = 1.0 / _positive(params, "sample_rate_hz")
-    loss = float(params["loss"])
     det = _detector(params)
+    dt = det.dt
+    loss = float(params["loss"])
     with _fed_by("rise_time_s"):
         resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     dbs = _list_param(params, "slot_dbs", _number)
@@ -827,10 +822,10 @@ def _plan_tm_squeezing(cfg, params, cal):
 
 def _plan_epr(cfg, params, cal):
     _require_frames(cfg, quantum.DUAN_MIN_SAMPLES, "the sample minimum of the Duan statistic")
-    dt = 1.0 / _positive(params, "sample_rate_hz")
+    det = _detector(params)
+    dt = det.dt
     amp = float(params["amplitude_v"])
     loss = float(params["loss"])
-    det = _detector(params)
     with _fed_by("rise_time_s"):
         resp = ModulatorResponse(rise_time_10_90=float(params["rise_time_s"]))
     lead = float(params["lead_s"])
@@ -971,32 +966,38 @@ def _plan_calibrate(cfg, params, cal):
         if params[key] < 1:
             raise UsageError(f"{key} must be >= 1, one point per fit at least, got {params[key]}")
         _budget(2 * int(params[key]), "the (x, y) points of its fit", key)
-    # the gains below take the square root of every power
+    # the gains below take the square root of every power, and the gain
+    # exp(2 r) at either end of the powers must be a finite float
     for key in ("power_min_mw", "power_max_mw"):
-        if not float(params[key]) > 0.0:
+        power = float(params[key])
+        if not power > 0.0:
             raise UsageError(f"{key} must be > 0, got {params[key]}")
+        r = cal.r_of_power(power)
+        if 2.0 * r > math.log(np.finfo(float).max):
+            raise UsageError(f"bad value for {key!r}: {power:g} mW gives r = {r:g}, whose "
+                             "parametric gain exp(2 r) overflows a float")
     powers = np.linspace(float(params["power_min_mw"]), float(params["power_max_mw"]),
                          int(params["n_gain_points"]))
-    gains = np.exp(2.0 * cal.gain_coeff * np.sqrt(powers))
+    gains = np.exp(2.0 * cal.r_of_power(powers))
     with _fed_by("power_min_mw", "power_max_mw", "n_gain_points"):
-        fit = opa.fit_gain_curve(np.column_stack([powers, gains]))
+        gain_coeff, residual = opa.fit_gain_curve(np.column_stack([powers, gains]))
 
     voltages = np.linspace(0.01, cal.linear_limit, int(params["n_voltage_points"]))
     bench_power = cal.power_for_voltage(voltages)
     v2 = voltages**2
     quad_fit = float(np.dot(bench_power, v2) / np.dot(v2, v2))
 
-    gain_err = abs(fit.gain_coeff / cal.gain_coeff - 1.0)
+    gain_err = abs(gain_coeff / cal.gain_coeff - 1.0)
     quad_err = abs(quad_fit / cal.quad_coeff - 1.0)
     checks = {
         "gain_fit_round_trip": (gain_err <= 1e-9, f"relative error {gain_err:.2e}"),
         "quad_fit_round_trip": (quad_err <= 1e-9, f"relative error {quad_err:.2e}"),
-        "gain_fit_residual": (fit.fit_residual <= 1e-9, f"residual {fit.fit_residual:.2e}"),
+        "gain_fit_residual": (residual <= 1e-9, f"residual {residual:.2e}"),
     }
     fitted = Calibration(
         quad_coeff=quad_fit,
         linear_limit=cal.linear_limit,
-        gain_coeff=fit.gain_coeff,
+        gain_coeff=gain_coeff,
         max_pump_power=cal.max_pump_power,
         extended_lut=cal.extended_lut,
     )
@@ -1053,11 +1054,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     """Plan one scenario, acquire its frame sets, then write its artifacts and manifest.
 
     Planning checks every parameter before any frame is synthesized: a
-    configuration problem raises :class:`UsageError` (exit code 2 at
-    the CLI) and writes no artifact.  Any exception after planning is a
-    fault of the program, a ``ValueError`` included.  Files are written
-    only once every frame set is reduced.  Returns the manifest contents
-    and the exit code: 0 when all consistency checks passed, 1 otherwise.
+    configuration problem raises :class:`UsageError` naming its keys
+    (exit code 2 at the CLI) and writes no artifact.  Any other
+    exception, in planning or after it, is a fault of the program, a
+    ``ValueError`` included.  Files are written only once every frame
+    set is reduced.  Returns the manifest contents and the exit code: 0
+    when all consistency checks passed, 1 otherwise.
     """
     params = resolve_params(cfg.scenario, cfg.overrides)
     cal = load_calibration(cfg.calibration_path) if cfg.calibration_path else Calibration()
@@ -1068,14 +1070,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     except OSError as exc:
         raise UsageError(f"cannot create output directory {outdir}: {exc}") from exc
 
-    try:
-        acquire = _PLANS[cfg.scenario](cfg, params, cal)
-    except UsageError:
-        raise
-    except ValueError as exc:
-        # infeasible programs and inconsistent parameter combinations
-        # surface as ValueError from the modules; they are usage errors
-        raise UsageError(str(exc)) from exc
+    acquire = _PLANS[cfg.scenario](cfg, params, cal)
     files, results = acquire()
 
     checks = [

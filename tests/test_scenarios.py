@@ -189,6 +189,15 @@ def test_cli_run_removes_the_error_json_of_an_earlier_run(tmp_path, capsys):
     assert json.loads((outdir / "manifest.json").read_text())["all_passed"] is True
 
 
+def test_cli_run_removes_the_manifest_of_an_earlier_run(tmp_path, capsys):
+    # a failed run must not leave an earlier success's manifest beside its error
+    outdir = tmp_path / "calibrate"
+    assert main(["run", "calibrate", "--out", str(tmp_path)]) == 0
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--set", "n_gain_points=0"]) == 2
+    assert (outdir / "error.json").exists()
+    assert not (outdir / "manifest.json").exists()
+
+
 def test_cli_unknown_scenario_exits_2(tmp_path, capsys):
     code = main(["run", "quantum_teleport", "--out", str(tmp_path)])
     captured = capsys.readouterr()
@@ -387,6 +396,8 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
         # 0 is the ideal detector; a negative bandwidth is no detector at all
         *[([s, "--set", "detector_bandwidth_hz=-1"], "detector_bandwidth_hz")
           for s in ("spectrum", "waveforms", "tm_squeezing", "epr")],
+        # a gain exp(2 r) that overflows, above about 8.4e6 mW at the default gain
+        (["calibrate", "--set", "power_max_mw=1e7"], "'power_max_mw'"),
     ],
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):
@@ -399,6 +410,7 @@ def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, f
         (["calibrate", "--set", "power_min_mw=-1"], "power_min_mw"),
         (["calibrate", "--set", "power_max_mw=-1"], "power_max_mw"),
         (["tm_squeezing", "--frames", "100", "--set", "mode_gamma_hz=1e300"], "mode_gamma_hz"),
+        (["calibrate", "--set", "power_max_mw=1e7"], "'power_max_mw'"),
     ],
 )
 def test_cli_usage_error_stderr_is_one_json_document(tmp_path, argv, field):
@@ -526,13 +538,13 @@ for name, defaults in SCENARIO_DEFAULTS.items():
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 def test_plan_sweep_of_extreme_values_plans_or_names_a_key_under_a_memory_cap():
     # one key at a time by default; SQZSIM_PLAN_SWEEP=pairs sets every pair
-    # of a scenario's keys, 3616 plans instead of 188
+    # of a scenario's keys, 8136 plans instead of 282
     size = {"": 1, "pairs": 2}[os.environ.get("SQZSIM_PLAN_SWEEP", "")]
     env = dict(os.environ)
     src = str(Path(sqzsim.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", PLAN_SWEEP, str(size), "1e-300", "0.5", "3", "1e300"],
+        [sys.executable, "-c", PLAN_SWEEP, str(size), "-1", "0", "1e-300", "0.5", "3", "1e300"],
         capture_output=True,
         text=True,
         env=env,
@@ -575,6 +587,19 @@ def test_cli_value_error_after_planning_is_internal(tmp_path, capsys, monkeypatc
     assert err["error"] == {"kind": "internal", "message": "ValueError: planted fault"}
     # nothing is written before every set is reduced
     assert [p.name for p in (tmp_path / argv[0]).iterdir()] == ["error.json"]
+
+
+def test_cli_value_error_inside_a_plan_is_internal(tmp_path, capsys, monkeypatch):
+    # planning names the keys of every check it calls; an unnamed error is a fault
+    def faulty(*args, **kwargs):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(scenarios.pump, "slot_mode_centers", faulty)
+    code = main(["run", "tm_squeezing", "--frames", "100", "--out", str(tmp_path)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1 and err["exit_code"] == 1
+    assert err["error"] == {"kind": "internal", "message": "ValueError: planted fault"}
+    assert [p.name for p in (tmp_path / "tm_squeezing").iterdir()] == ["error.json"]
 
 
 @pytest.mark.parametrize("bandwidth", ["2e8", "0"], ids=["200MHz", "ideal"])

@@ -135,7 +135,7 @@ def test_periodogram_blocks_stay_inside_splits():
     assert all(a[2] == b[1] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
-def test_streamed_spectrum_equals_average_spectrum():
+def test_streamed_spectrum_equals_whole_stack_spectrum():
     det = DetectorModel()
     traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=128)
     vac_traj = constant_trajectory(0.0, 0.0, 0.0, dt=1e-9, n_samples=128)
@@ -611,7 +611,7 @@ def _vacuum_scales(det, modes, n_samples, n_frames, seed):
     return np.sqrt(dsp.split_moments(n_frames, map(scan, ref_blocks)).variance())
 
 
-def test_quadrature_extraction_is_linear():
+def test_mode_scan_is_linear():
     rng = np.random.default_rng(0)
     f1 = rng.standard_normal(200)
     f2 = rng.standard_normal(200)
@@ -620,7 +620,7 @@ def test_quadrature_extraction_is_linear():
     assert qc == pytest.approx(2.0 * qa + 3.0 * qb, rel=1e-12)
 
 
-def test_vacuum_scale_normalizes_to_shot_noise():
+def test_shot_noise_unit_normalizes_vacuum_to_unity():
     det = DetectorModel(bandwidth=None)
     mode = make_mode("tf_mode", DT, t_c=200e-9, gamma=2.5e8, t_w=30e-9)
     (scale,) = _vacuum_scales(det, [mode], 400, 3000, seed=8)
@@ -630,7 +630,7 @@ def test_vacuum_scale_normalizes_to_shot_noise():
     assert abs(v - 1.0) <= 5.0 * math.sqrt(4.0 / (q.size - 1))
 
 
-def test_extraction_rejects_misaligned_modes():
+def test_mode_scan_rejects_misaligned_modes():
     frames = vacuum(DetectorModel(), 100, 5, seed=0)
     outside = make_mode("tf_mode", DT, t_c=300e-9, gamma=2.5e8, t_w=30e-9)
     with pytest.raises(ValueError, match="record"):
@@ -701,7 +701,7 @@ def test_mode_scan_rejects_bad_modes():
         _quadratures(frames, [])
 
 
-def test_vacuum_scales_match_single_mode_scale():
+def test_shot_noise_units_match_single_mode_units():
     det = DetectorModel(bandwidth=None)
     _, modes = _projection_pieces(1)
     scales = _vacuum_scales(det, modes, 160, 400, seed=6)

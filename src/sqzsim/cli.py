@@ -34,8 +34,11 @@ infeasible program), which writes no artifact.  Failures print a
 structured error JSON to stderr and, when the output directory is
 known, write it to ``error.json`` there.  Once it knows that directory,
 every run removes the ``error.json`` and ``manifest.json`` an earlier
-run left in it, so the directory never states an outcome this run did
-not have.
+run left in it, and every file that manifest lists under ``outputs``,
+so the directory never states an outcome this run did not have nor
+holds a file this run did not write.  The earlier manifest is outside
+input: only plain file names, with no path separator and no ``..``,
+are removed, and a manifest that cannot be parsed lists nothing.
 """
 
 from __future__ import annotations
@@ -98,6 +101,15 @@ def _emit_error(kind: str, message: str, exit_code: int, outdir: Path | None) ->
             pass
 
 
+def _earlier_outputs(outdir: Path) -> list[str]:
+    """The plain file names the ``manifest.json`` in ``outdir`` lists under ``outputs``."""
+    try:
+        names = json.loads((outdir / "manifest.json").read_text())["outputs"].values()
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        return []
+    return [n for n in names if isinstance(n, str) and n and ".." not in n and Path(n).name == n]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sqzsim",
@@ -129,11 +141,11 @@ def main(argv: list[str] | None = None) -> int:
             or "sqzsim_out"
         )
         outdir = Path(base) / args.scenario
-        # an earlier run's error or manifest would outlive this run's
-        # outcome; a directory that cannot lose them cannot take this
-        # run's files either
-        for name in ("error.json", "manifest.json"):
-            with contextlib.suppress(OSError):
+        # an earlier run's error, outputs or manifest would outlive this
+        # run's outcome; a directory that cannot lose them cannot take
+        # this run's files either
+        for name in ("error.json", *_earlier_outputs(outdir), "manifest.json"):
+            with contextlib.suppress(OSError, ValueError):
                 (outdir / name).unlink()
         overrides = dict(file_cfg.get("params", {}))
         overrides.update(_parse_set(args.set))

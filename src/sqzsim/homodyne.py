@@ -45,13 +45,14 @@ draws one.  :func:`_substream_states` computes those PCG64 states for a
 whole block of frames in one vectorized pass, a port of NumPy's
 seeding that a test checks against NumPy itself; a run may therefore
 hold at most 2**32 frames, one 32-bit spawn-key word each.  Since no
-frame's bytes depend on another's, synthesis shares the work with one
-pooled worker thread, on any number of CPUs.  :meth:`_Synthesis.fill`
+frame's bytes depend on another's, each stream shares the work with a
+worker thread of its own, on any number of CPUs.  :meth:`_Synthesis.fill`
 fills any range of frames on the calling thread, and
 :func:`iter_frame_chunks` alone shares a stream: the caller fills the
 first half of the rows of a filtered-detector block while the worker
 fills the second, and an ideal-detector stream has the worker fill the
-next block while the caller reduces the current one.
+next block while the caller reduces the current one.  The worker ends
+with its stream, once any fill it runs is done.
 
 Memory: a fill draws, scales and filters its rows a tile at a time,
 ``_tile_rows(burn-in + samples)`` rows of about 2**16 samples in all.
@@ -86,12 +87,10 @@ share a call.  So no run imports SciPy, whose ``butter`` and
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,29 +147,29 @@ class DetectorModel:
         b_hp, _ = _butter2(self.bandwidth, self.sample_rate, highpass=True)
         return b_lp, b_hp, a
 
+    @property
+    def n_burn(self) -> int:
+        """Burn-in samples, 0 if ideal: the slowest pole decays by 1e-12, in 64 to 8192."""
+        filters = self.filters()
+        if filters is None:
+            return 0
+        poles = np.abs(np.roots(filters[2]))
+        top = float(poles.max()) if poles.size else 0.0
+        if top <= 0.0 or top >= 1.0:
+            return 64
+        n = int(math.ceil(math.log(1e-12) / math.log(top)))
+        return int(min(max(n, 64), 8192))
+
     def record_variance(self, traj: SqueezerTrajectory, phi: float) -> np.ndarray:
         """Variance of each sample of a ``traj`` frame at LO phase ``phi``, burn-in first.
 
-        A frame starts :func:`_settle_samples` early, with the first
-        variance held, so the detector filter forgets its zero initial
-        state before the record begins.  An ideal detector has none.
+        A frame starts :attr:`n_burn` samples early, the first variance
+        held, so the filter forgets its zero state before the record.
         """
         if abs(traj.dt - self.dt) > 1e-12 * self.dt:
             raise ValueError("trajectory must live on the detector grid")
         var = variance_at_phase(traj.r, traj.theta, traj.loss, phi)
-        return np.pad(var, (_settle_samples(self.filters()), 0), mode="edge")
-
-
-def _settle_samples(filters) -> int:
-    """Burn-in samples for ``filters``: the slowest pole decays by 1e-12, in 64 to 8192."""
-    if filters is None:
-        return 0
-    poles = np.abs(np.roots(filters[2]))
-    top = float(poles.max()) if poles.size else 0.0
-    if top <= 0.0 or top >= 1.0:
-        return 64
-    n = int(math.ceil(math.log(1e-12) / math.log(top)))
-    return int(min(max(n, 64), 8192))
+        return np.pad(var, (self.n_burn, 0), mode="edge")
 
 
 def _butter2(cutoff: float, sample_rate: float, highpass: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -557,35 +556,18 @@ class _Synthesis:
             out[first : first + n] = filtered[:, self.n_burn :]
 
 
-@functools.cache
-def _share_pool() -> ThreadPoolExecutor:
-    """The worker that fills half of each filtered block and the next
-    block of an ideal-detector stream.
-
-    Made on first use: importing the module starts no thread.
-    """
-    return ThreadPoolExecutor(max_workers=1)
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has no worker thread: it makes its own pool on first use
-    os.register_at_fork(after_in_child=_share_pool.cache_clear)
-
-
-def _fill_halves(synth: _Synthesis, out: np.ndarray, start: int) -> None:
+def _fill_halves(pool: ThreadPoolExecutor, synth: _Synthesis, out: np.ndarray, start: int) -> None:
     """Fill the block ``out`` of frames from ``start`` in two halves of its rows.
 
-    The pooled worker fills the second half while the caller fills the
-    first.  Every frame has its own substream and the filter treats each
-    row on its own, so the halves give the bytes of one fill.  The worker
-    writes into ``out``, so it is waited for before this returns or raises.
+    The worker of ``pool`` fills the second half while the caller fills
+    the first.  Every frame has its own substream and the filter treats
+    each row on its own, so the halves give the bytes of one fill.  The
+    worker writes into ``out``, so the pool's exit waits for it whatever
+    the caller's half raises.
     """
     mid = out.shape[0] // 2
-    worker = _share_pool().submit(synth.fill, out[mid:], start + mid)
-    try:
-        synth.fill(out[:mid], start)
-    finally:
-        wait((worker,))
+    worker = pool.submit(synth.fill, out[mid:], start + mid)
+    synth.fill(out[:mid], start)
     worker.result()
 
 
@@ -634,25 +616,26 @@ def iter_frame_chunks(
         if synth.kernel is None:
             synth.fill(out, start)
         else:
-            _fill_halves(synth, out, start)
+            _fill_halves(pool, synth, out, start)
         return out
 
-    if synth.kernel is not None:
-        for start, stop in bounds:
-            yield block(start, stop)
-        return
-    # The pooled worker fills the next ideal block while the caller
-    # reduces this one.  Measured on 2 vCPUs and rejected, each against
-    # this pair of schedules: splitting the ideal rows as a filtered
-    # block is split (`waveforms_ideal` 0.67-0.75 -> 1.01-1.19 s: the
-    # per-frame state setting holds the GIL and a 1300-sample draw is
-    # short), and prefetching filtered blocks instead of splitting them
-    # (`spectrum_long` 0.82-0.88 -> 0.98-1.12 s and 50.5 -> 57.0 MB,
-    # `epr_scan` 0.48-0.53 -> 0.63-0.71 s).
-    pool = _share_pool()
-    first = next(bounds)
-    pending = pool.submit(block, *next(bounds))
-    try:
+    # the stream's own worker; the pool's exit waits for any fill still
+    # running, so a consumer that raises or closes early leaves none
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if synth.kernel is not None:
+            for start, stop in bounds:
+                yield block(start, stop)
+            return
+        # The worker fills the next ideal block while the caller
+        # reduces this one.  Measured on 2 vCPUs and rejected, each against
+        # this pair of schedules: splitting the ideal rows as a filtered
+        # block is split (`waveforms_ideal` 0.67-0.75 -> 1.01-1.19 s: the
+        # per-frame state setting holds the GIL and a 1300-sample draw is
+        # short), and prefetching filtered blocks instead of splitting them
+        # (`spectrum_long` 0.82-0.88 -> 0.98-1.12 s and 50.5 -> 57.0 MB,
+        # `epr_scan` 0.48-0.53 -> 0.63-0.71 s).
+        first = next(bounds)
+        pending = pool.submit(block, *next(bounds))
         yield block(*first)
         for nxt in bounds:
             ready = pending.result()
@@ -660,6 +643,3 @@ def iter_frame_chunks(
             yield ready
             del ready
         yield pending.result()
-    finally:
-        # a consumer that raises or closes early leaves no fill running
-        wait((pending,))

@@ -30,9 +30,7 @@ import numpy.random
 
 import sqzsim
 from sqzsim import dsp, opa, pump, quantum, tomography
-from sqzsim.homodyne import (
-    _BLOCK_ROWS, _MAX_FRAMES, DetectorModel, _settle_samples, iter_frame_chunks,
-)
+from sqzsim.homodyne import _BLOCK_ROWS, _MAX_FRAMES, DetectorModel, iter_frame_chunks
 from sqzsim.pump import AwgProgram, Calibration, ModulatorResponse, PulseSlot, PulseTrainSpec
 
 SCENARIOS = ("spectrum", "waveforms", "tm_squeezing", "epr", "calibrate")
@@ -268,8 +266,13 @@ def _detector(params: dict) -> DetectorModel:
     if bw < 0.0:
         raise UsageError(f"bad value for 'detector_bandwidth_hz': {bw:g} is negative; "
                          "0 means an ideal detector")
+    # the rate alone can fail the ideal detector; the bandwidth fails against the rate
+    with _fed_by("sample_rate_hz"):
+        ideal = DetectorModel(None, float(params["sample_rate_hz"]))
+    if bw == 0.0:
+        return ideal
     with _fed_by("detector_bandwidth_hz", "sample_rate_hz"):
-        return DetectorModel(None if bw == 0.0 else bw, float(params["sample_rate_hz"]))
+        return DetectorModel(bw, ideal.sample_rate)
 
 
 def _require_frames(cfg: ScenarioConfig, minimum: int, reason: str, n_phases: int = 1) -> None:
@@ -307,7 +310,7 @@ def _budget_stream(det: DetectorModel, n_samples: int, *keys: str) -> None:
     reductions, FFT rows included, hold fewer elements.  Memory is flat in the frame
     count, so the count is not budgeted.
     """
-    row = n_samples + _settle_samples(det.filters())
+    row = n_samples + det.n_burn
     _budget(_BLOCK_ROWS * row, f"a block of {_BLOCK_ROWS} frames", *keys)
 
 
@@ -887,7 +890,7 @@ def _plan_epr(cfg, params, cal):
     # the prediction filters two mode-weight rows of burn-in + samples for
     # every lag, a tile of lags at a time, so it holds a few tiles; the
     # budget bounds its work by the elements of all those rows
-    row = n_total + _settle_samples(det.filters())
+    row = n_total + det.n_burn
     _budget(
         2 * lags.size * row, "the prediction scan's two mode-weight rows of every lag",
         "scan_halfwidth_s", "lead_s", "duration_s", "tail_s",

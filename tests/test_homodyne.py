@@ -279,7 +279,7 @@ def test_spectral_factor_is_minimum_phase(bandwidth):
 def test_first_record_sample_of_a_constant_set_has_the_stationary_variance(bandwidth):
     det = DetectorModel(bandwidth=bandwidth)
     b_lp, b_hp, a = det.filters()
-    n_burn = homodyne._settle_samples(det.filters())
+    n_burn = det.n_burn
     # impulse responses 20 burn-ins long, decayed far below float64 rounding
     impulse = np.zeros(20 * n_burn)
     impulse[0] = 1.0
@@ -297,12 +297,13 @@ def _filled(traj, det, start, n_rows, halves=False):
     """Frames [start, start + n_rows) of a run at LO phase 0.7, seed 8, in one block.
 
     With ``halves`` the block is split as a filtered stream splits it,
-    the pooled worker filling the second half of the rows.
+    a worker of its own filling the second half of the rows.
     """
     synth = homodyne._Synthesis(traj, det, 0.7, 8)
     rows = np.empty((n_rows, traj.n_samples), dtype=np.float32)
     if halves:
-        homodyne._fill_halves(synth, rows, start)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            homodyne._fill_halves(pool, synth, rows, start)
     else:
         synth.fill(rows, start)
     return rows
@@ -314,21 +315,30 @@ def _one_frame_blocks(traj, det, n_frames):
 
 
 def _record_fills(monkeypatch):
-    """Record the (start, rows, thread id) of every fill."""
+    """Record the (start, rows, thread) of every fill."""
     fills = []
     fill = homodyne._Synthesis.fill
 
     def recorded(self, out, start):
-        fills.append((start, out.shape[0], threading.get_ident()))
+        fills.append((start, out.shape[0], threading.current_thread()))
         fill(self, out, start)
 
     monkeypatch.setattr(homodyne._Synthesis, "fill", recorded)
     return fills
 
 
-def _worker_thread():
-    """The thread id of the pooled worker."""
-    return homodyne._share_pool().submit(threading.get_ident).result()
+def _named(fills):
+    """``fills`` sorted, with each thread named.
+
+    This thread is "caller" and every other thread "worker i", numbered
+    in the order of its first fill, so the workers of two streams get
+    two names.  ``fills`` holds the threads themselves, so a later
+    thread that reuses an ended one's id is not mistaken for it.
+    """
+    names = {threading.current_thread(): "caller"}
+    for *_, thread in fills:
+        names.setdefault(thread, f"worker {len(names) - 1}")
+    return sorted((start, rows, names[thread]) for start, rows, thread in fills)
 
 
 @pytest.mark.parametrize(
@@ -343,10 +353,10 @@ def test_fill_never_asks_for_the_pooled_worker(monkeypatch, bandwidth, kind):
     det = DetectorModel(bandwidth=bandwidth)
     streamed = np.concatenate(list(iter_frame_chunks(traj, det, 0.7, 8, range(300))))
 
-    def no_pool():
-        raise AssertionError("a fill asked for the pooled worker")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fill started a worker")
 
-    monkeypatch.setattr(homodyne, "_share_pool", no_pool)
+    monkeypatch.setattr(homodyne, "ThreadPoolExecutor", no_pool)
     assert _filled(traj, det, 0, 300).tobytes() == streamed.tobytes()
 
 
@@ -366,16 +376,16 @@ def test_split_blocks_equal_one_frame_blocks(monkeypatch, kind, n_rows):
     ref = _one_frame_blocks(traj, det, n_frames)
     assert ref.dtype == np.float32
 
-    caller, worker = threading.get_ident(), _worker_thread()
     fills = _record_fills(monkeypatch)
     # the rows from the first frame, and the same count three frames later
     first = _filled(traj, det, 0, n_rows, halves=True)
     block = _filled(traj, det, 3, n_rows, halves=True)
     assert first.tobytes() == ref[:n_rows].tobytes()
     assert block.tobytes() == ref[3:].tobytes()
-    want = [(0, mid, caller), (mid, n_rows - mid, worker),
-            (3, mid, caller), (3 + mid, n_rows - mid, worker)]
-    assert sorted(fills) == sorted(want)
+    # each split block has a worker of its own
+    want = [(0, mid, "caller"), (mid, n_rows - mid, "worker 0"),
+            (3, mid, "caller"), (3 + mid, n_rows - mid, "worker 1")]
+    assert _named(fills) == sorted(want)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -404,11 +414,12 @@ def _consume_within_60_s(consume):
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
     events = []
-    worker = _worker_thread()
+    consumer = []
     fill = homodyne._Synthesis.fill
 
     def faulty(self, out, start):
-        share = "worker" if threading.get_ident() == worker else "caller"
+        # the caller's share runs on the thread that consumes the stream
+        share = "caller" if threading.current_thread() in consumer else "worker"
         if share != failing:
             # the other share is slow, so a caller that did not wait for
             # the worker would raise while the worker still writes
@@ -424,6 +435,7 @@ def test_share_fault_surfaces_after_both_shares_end(monkeypatch, failing):
     blocks = iter_frame_chunks(traj, DetectorModel(), 0.0, 0, range(40))
 
     def consume():
+        consumer.append(threading.current_thread())
         with pytest.raises(RuntimeError, match=f"planted fault in the {failing} share"):
             next(blocks)
         events.append("raised")
@@ -451,7 +463,6 @@ def test_filtered_stream_splits_every_block_in_halves(monkeypatch, frames):
     traj = _ramp_trajectory(96)
     det = DetectorModel()
     want = synthesize(traj, det, 0.7, frames.stop, seed=8)
-    caller, worker = threading.get_ident(), _worker_thread()
     fills = _record_fills(monkeypatch)
     blocks = iter_frame_chunks(traj, det, 0.7, 8, frames)
     bounds = [(frames.start + lo, frames.start + hi) for _, lo, hi in block_bounds(len(frames))]
@@ -459,9 +470,10 @@ def test_filtered_stream_splits_every_block_in_halves(monkeypatch, frames):
     for (lo, hi), block in zip(bounds, blocks, strict=True):
         assert block.tobytes() == want[lo:hi].tobytes()
         mid = (hi - lo) // 2
-        # a one-row block leaves the caller's half empty
-        halves += [(lo, mid, caller), (lo + mid, hi - lo - mid, worker)]
-    assert sorted(fills) == sorted(halves)
+        # a one-row block leaves the caller's half empty; the stream's
+        # one worker fills every second half
+        halves += [(lo, mid, "caller"), (lo + mid, hi - lo - mid, "worker 0")]
+    assert _named(fills) == sorted(halves)
 
 
 @STREAM_RANGES
@@ -475,12 +487,11 @@ def test_ideal_prefetched_blocks_equal_simulated_rows(monkeypatch, frames):
     for (lo, hi), block in zip(bounds, blocks, strict=True):
         assert block.dtype == np.float32
         assert block.tobytes() == want[lo:hi].tobytes()
-    caller = threading.get_ident()
-    threads = {start: thread for start, _, thread in fills}
+    threads = {start: name for start, _, name in _named(fills)}
     assert sorted(threads) == [lo for lo, _ in bounds]
-    assert threads.pop(frames.start) == caller
-    # every later block was filled on the pooled worker
-    assert set(threads.values()) == {_worker_thread()}
+    assert threads.pop(frames.start) == "caller"
+    # every later block was filled on the stream's one worker
+    assert set(threads.values()) == {"worker 0"}
 
 
 def test_ideal_prefetch_fault_surfaces_at_its_block(monkeypatch):
@@ -568,6 +579,55 @@ def test_forked_child_makes_its_own_worker():
         os.waitpid(pid, 0)
         pytest.fail("the forked child did not finish within 60 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+# streams one stream of the case named by argv[1] and prints the names
+# of the threads alive after it and not before, and before it and not after
+_THREADS_AROUND_A_STREAM = """
+import json, sys, threading
+from sqzsim import homodyne
+from sqzsim.homodyne import DetectorModel, iter_frame_chunks
+from sqzsim.opa import constant_trajectory
+
+case = sys.argv[1]
+fill = homodyne._Synthesis.fill
+
+def faulty(self, out, start):
+    if start > 0:
+        raise RuntimeError("planted fault")
+    fill(self, out, start)
+
+if case.endswith("fault"):
+    homodyne._Synthesis.fill = faulty
+traj = constant_trajectory(0.3, 0.0, 0.1, dt=1e-9, n_samples=64)
+det = DetectorModel(bandwidth=None if case.startswith("ideal") else 200e6)
+before = set(threading.enumerate())
+blocks = iter_frame_chunks(traj, det, 0.0, 1, range(40))
+if case == "ideal-closed":
+    next(blocks)
+    blocks.close()
+else:
+    try:
+        for block in blocks:
+            pass
+    except RuntimeError:
+        assert case.endswith("fault")
+after = set(threading.enumerate())
+print(json.dumps([sorted(t.name for t in after - before), sorted(t.name for t in before - after)]))
+"""
+
+
+@pytest.mark.parametrize("case", ["filtered", "ideal", "ideal-closed", "filtered-fault", "ideal-fault"])
+def test_no_thread_outlives_a_stream(case):
+    # a fresh interpreter, so that no thread an earlier stream left
+    # alive hides one that this stream leaves
+    env = dict(os.environ)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AROUND_A_STREAM, case],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
 
 
 def test_frame_chunks_reject_bad_bounds(monkeypatch):

@@ -198,6 +198,46 @@ def test_cli_run_removes_the_manifest_of_an_earlier_run(tmp_path, capsys):
     assert not (outdir / "manifest.json").exists()
 
 
+def test_cli_failed_run_removes_the_outputs_of_an_earlier_run(tmp_path, capsys):
+    # a later calibration_path must not load the earlier run's fit
+    outdir = tmp_path / "calibrate"
+    assert main(["run", "calibrate", "--out", str(tmp_path)]) == 0
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--set", "n_gain_points=0"]) == 2
+    assert [p.name for p in outdir.iterdir()] == ["error.json"]
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        # plain names go; a name with a separator or "..", and any
+        # name outside the directory, stay
+        {"data": "stale.csv", "up": "../keep.csv", "abs": "ABS", "sub": "sub/keep.csv", "dir": "sub",
+         "dots": "..", "cur": ".", "empty": "", "number": 7, "nul": "a\x00b"},
+        # a manifest that cannot be parsed lists nothing
+        ["stale.csv"],
+        "stale.csv",
+        None,
+        "{not json",
+    ],
+)
+def test_cli_run_removes_only_plain_names_of_an_earlier_manifest(tmp_path, capsys, outputs):
+    outdir = tmp_path / "calibrate"
+    (outdir / "sub").mkdir(parents=True)
+    kept = [tmp_path / "keep.csv", outdir / "sub" / "keep.csv", tmp_path / "abs.csv"]
+    for path in [outdir / "stale.csv", *kept]:
+        path.write_text("earlier\n")
+    if isinstance(outputs, dict):
+        outputs["abs"] = str(tmp_path / "abs.csv")
+        text = json.dumps({"outputs": outputs})
+    else:
+        text = outputs if outputs == "{not json" else json.dumps({"outputs": outputs})
+    (outdir / "manifest.json").write_text(text)
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--set", "n_gain_points=0"]) == 2
+    assert all(path.read_text() == "earlier\n" for path in kept)
+    assert (outdir / "stale.csv").exists() == (not isinstance(outputs, dict))
+    assert not (outdir / "manifest.json").exists()
+
+
 def test_cli_unknown_scenario_exits_2(tmp_path, capsys):
     code = main(["run", "quantum_teleport", "--out", str(tmp_path)])
     captured = capsys.readouterr()
@@ -402,6 +442,14 @@ def test_cli_bad_list_entry_exits_2_naming_the_key(tmp_path, capsys, argv, field
 )
 def test_cli_unusable_parameter_exits_2_naming_the_key(tmp_path, capsys, argv, field):
     _assert_preflight_usage_error(tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize("rate", ["0", "1e-320"])
+@pytest.mark.parametrize("scenario", ["spectrum", "waveforms", "tm_squeezing", "epr"])
+def test_cli_unusable_sample_rate_names_the_rate_alone(tmp_path, capsys, scenario, rate):
+    # the default bandwidth did not make the rate unusable
+    argv = [scenario, "--set", f"sample_rate_hz={rate}"]
+    _assert_preflight_usage_error(tmp_path, capsys, argv, "bad value for 'sample_rate_hz': ")
 
 
 @pytest.mark.parametrize(

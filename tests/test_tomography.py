@@ -370,7 +370,7 @@ def test_duan_prediction_scan_equals_per_offset_loop(bandwidth):
 def test_duan_prediction_scan_over_several_offset_tiles_equals_per_offset_loop(bandwidth):
     traj, det, fs_x, fs_p, ref, g1, g2 = _epr_pieces(n_frames=20, bandwidth=bandwidth)
     offsets = np.arange(-40, 41) * det.dt
-    row = homodyne._settle_samples(det.filters()) + traj.n_samples
+    row = det.n_burn + traj.n_samples
     assert offsets.size > 2 * homodyne._tile_rows(row)
     scan = duan_prediction_scan(traj, det, g1, g2, offsets)
     loop = [duan_prediction_scan(traj, det, g1.shifted(off), g2.shifted(off), [0.0])[0]

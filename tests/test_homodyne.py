@@ -346,7 +346,7 @@ def _named(fills):
     [(200e6, "ramp"), (200e6, "constant"), (None, "ramp")],
     ids=["200MHz", "200MHz-constant", "ideal"],
 )
-def test_fill_never_asks_for_the_pooled_worker(monkeypatch, bandwidth, kind):
+def test_fill_starts_no_worker_thread(monkeypatch, bandwidth, kind):
     # 300 frames, streamed in 30-row blocks, then filled in one call of
     # 300 rows on this thread alone
     traj = _trajectory(kind, 96)

@@ -651,7 +651,7 @@ def test_cli_value_error_inside_a_plan_is_internal(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("bandwidth", ["2e8", "0"], ids=["200MHz", "ideal"])
-def test_cli_reports_a_fault_on_the_pooled_worker_as_internal(
+def test_cli_reports_a_fault_on_the_stream_worker_as_internal(
     tmp_path, capsys, monkeypatch, bandwidth
 ):
     caller = threading.get_ident()

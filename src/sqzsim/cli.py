@@ -30,15 +30,34 @@ internal fault (kind ``internal``, the exception class leading the
 message; a ``ValueError`` that no check names a key for is one), 2
 usage error (kind ``usage``: unknown scenario or key, unreadable config
 or calibration, a parameter the plan rejects naming its keys,
-infeasible program), which writes no artifact.  Failures print a
-structured error JSON to stderr and, when the output directory is
-known, write it to ``error.json`` there.  Once it knows that directory,
-every run removes the ``error.json`` and ``manifest.json`` an earlier
-run left in it, and every file that manifest lists under ``outputs``,
-so the directory never states an outcome this run did not have nor
-holds a file this run did not write.  The earlier manifest is outside
-input: only plain file names, with no path separator and no ``..``,
-are removed, and a manifest that cannot be parsed lists nothing.
+infeasible program), which writes no artifact, 130 interrupted (kind
+``interrupted``).  Failures print one structured error JSON to stderr
+and, when the output directory is known, write it to ``error.json``
+there.
+
+A run replaces ``<base>/<scenario>`` whole, so the directory holds one
+run's files.  The run writes them, its ``error.json`` included, into a
+fresh directory inside a private ``<base>/.<scenario>-*`` one.  Once the
+run has ended, it renames the earlier ``<base>/<scenario>`` into that
+private directory, renames its own directory in, and removes the
+private one with the earlier set.  A run that fails leaves its
+``error.json`` alone, never a file from a write that failed part-way.
+An interrupted run (exit 130, no traceback) leaves the earlier set as it
+was.  Between the two renames ``<base>/<scenario>`` is absent; a run
+killed there leaves the earlier set whole as
+``<base>/.<scenario>-*/old``.  A killed run may leave one
+``.<scenario>-*`` directory, which no later run deletes.  Of two runs
+into one directory at once, the one that renames its set in last stays;
+one that finds the other's set renamed in between its own two renames
+leaves that set and, unless it failed already, exits 1 (kind
+``internal``).
+
+A run never deletes what sqzsim did not write.  If ``<base>/<scenario>``
+is not a directory, or holds an entry that is not a regular file named
+``error.json``, ``manifest.json`` or listed under ``outputs`` in that
+manifest, the run is a usage error naming the entry, before any work,
+and touches nothing.  The earlier manifest is outside input: one that
+cannot be parsed lists nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +66,9 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from sqzsim import scenarios
@@ -89,25 +110,53 @@ def _parse_set(items: list[str]) -> dict:
     return overrides
 
 
-def _emit_error(kind: str, message: str, exit_code: int, outdir: Path | None) -> None:
+def _error_json(kind: str, message: str, exit_code: int) -> str:
     payload = {"error": {"kind": kind, "message": message}, "exit_code": exit_code}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    sys.stderr.write(text)
-    if outdir is not None:
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "error.json").write_text(text)
-        except OSError:
-            pass
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _earlier_outputs(outdir: Path) -> list[str]:
-    """The plain file names the ``manifest.json`` in ``outdir`` lists under ``outputs``."""
+def _refuse_foreign_entries(outdir: Path) -> None:
+    """Raise a usage error naming what in ``outdir`` no sqzsim run wrote (see above).
+
+    Entries and manifest are read through one open directory; a set that a
+    concurrent run swaps out meanwhile is no longer this run's to replace.
+    """
     try:
-        names = json.loads((outdir / "manifest.json").read_text())["outputs"].values()
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
-        return []
-    return [n for n in names if isinstance(n, str) and n and ".." not in n and Path(n).name == n]
+        fd = os.open(outdir, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise scenarios.UsageError(
+            f"{outdir} is not a directory sqzsim wrote ({exc.strerror}); a run replaces it whole"
+        ) from exc
+    try:
+        with os.scandir(fd) as entries:
+            regular = {e.name: e.is_file(follow_symlinks=False) for e in entries}
+        names = {"error.json", "manifest.json"}
+        if regular.get("manifest.json"):
+            with contextlib.suppress(OSError, ValueError, LookupError, TypeError, AttributeError):
+                with open(os.open("manifest.json", os.O_RDONLY, dir_fd=fd), "rb") as fh:
+                    listed = json.load(fh)["outputs"].values()
+                names.update(n for n in listed if isinstance(n, str))
+        foreign = sorted(n for n, is_file in regular.items() if not is_file or n not in names)
+        try:
+            still_there = os.path.samestat(os.fstat(fd), os.lstat(outdir))
+        except FileNotFoundError:
+            still_there = False
+        if foreign and still_there:
+            raise scenarios.UsageError(
+                f"{outdir / foreign[0]} was not written by sqzsim; a run replaces {outdir} "
+                "whole, so move it away first"
+            )
+    finally:
+        os.close(fd)
+
+
+def _swap_in(newdir: Path, outdir: Path) -> None:
+    """Rename the earlier ``outdir`` to ``old`` beside ``newdir``, then ``newdir`` to ``outdir``."""
+    with contextlib.suppress(FileNotFoundError):
+        outdir.rename(newdir.with_name("old"))
+    newdir.rename(outdir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,49 +181,80 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     outdir: Path | None = None
+    workdir: Path | None = None
     try:
-        file_cfg = _load_config(args.config) if args.config else {}
-        base = (
-            args.out
-            or file_cfg.get("output_dir")
-            or os.environ.get(ENV_OUTPUT_DIR)
-            or "sqzsim_out"
-        )
-        outdir = Path(base) / args.scenario
-        # an earlier run's error, outputs or manifest would outlive this
-        # run's outcome; a directory that cannot lose them cannot take
-        # this run's files either
-        for name in ("error.json", *_earlier_outputs(outdir), "manifest.json"):
-            with contextlib.suppress(OSError, ValueError):
-                (outdir / name).unlink()
-        overrides = dict(file_cfg.get("params", {}))
-        overrides.update(_parse_set(args.set))
-        cfg = scenarios.ScenarioConfig(
-            scenario=args.scenario,
-            seed=args.seed if args.seed is not None else file_cfg.get("seed", 0),
-            n_frames=args.frames if args.frames is not None else file_cfg.get("n_frames", 5000),
-            calibration_path=file_cfg.get("calibration_path"),
-            output_dir=str(outdir),
-            overrides=overrides,
-        )
-        run = scenarios.run_scenario(cfg)
-    except scenarios.UsageError as exc:
-        _emit_error("usage", str(exc), 2, outdir)
-        return 2
-    except Exception as exc:
-        # a fault of the program, not of its input
-        _emit_error("internal", f"{type(exc).__name__}: {exc}", 1, outdir)
-        return 1
+        run, error = None, None
+        try:
+            file_cfg = _load_config(args.config) if args.config else {}
+            base = (
+                args.out
+                or file_cfg.get("output_dir")
+                or os.environ.get(ENV_OUTPUT_DIR)
+                or "sqzsim_out"
+            )
+            # only a plain name is an entry of the base a run may replace;
+            # any other names no scenario, which ScenarioConfig reports
+            if os.sep not in args.scenario and args.scenario not in ("", ".", ".."):
+                outdir = Path(base) / args.scenario
+                _refuse_foreign_entries(outdir)
+                try:
+                    Path(base).mkdir(parents=True, exist_ok=True)
+                    workdir = Path(tempfile.mkdtemp(dir=base, prefix=f".{args.scenario}-"))
+                except OSError as exc:
+                    raise scenarios.UsageError(
+                        f"cannot create output directory {outdir}: {exc}"
+                    ) from exc
+            overrides = dict(file_cfg.get("params", {}))
+            overrides.update(_parse_set(args.set))
+            cfg = scenarios.ScenarioConfig(
+                scenario=args.scenario,
+                seed=args.seed if args.seed is not None else file_cfg.get("seed", 0),
+                n_frames=args.frames if args.frames is not None else file_cfg.get("n_frames", 5000),
+                calibration_path=file_cfg.get("calibration_path"),
+                # mkdtemp makes its directory private; the run's own gets the umask
+                output_dir=str(workdir / "run") if workdir else ".",
+                overrides=overrides,
+            )
+            run = scenarios.run_scenario(cfg)
+            failed = [c["name"] for c in run.manifest["invariant_checks"] if not c["passed"]]
+            if failed:
+                error = ("invariant", f"checks failed: {', '.join(failed)}", 1)
+        except scenarios.UsageError as exc:
+            error = ("usage", str(exc), 2)
+        except Exception as exc:
+            # a fault of the program, not of its input
+            error = ("internal", f"{type(exc).__name__}: {exc}", 1)
 
-    for check in run.manifest["invariant_checks"]:
-        status = "pass" if check["passed"] else "FAIL"
-        print(f"[{status}] {check['name']}: {check['detail']}")
-    n_out = len(run.manifest["outputs"])
-    print(f"{cfg.scenario}: wrote {n_out} files to {run.output_dir}")
-    if run.exit_code != 0:
-        failed = [c["name"] for c in run.manifest["invariant_checks"] if not c["passed"]]
-        _emit_error("invariant", f"checks failed: {', '.join(failed)}", 1, run.output_dir)
-    return run.exit_code
+        if workdir is not None:
+            # a run that raised swaps in its error.json alone
+            newdir = run.output_dir if run is not None else workdir / "failed"
+            try:
+                if error:
+                    newdir.mkdir(exist_ok=True)
+                    (newdir / "error.json").write_text(_error_json(*error))
+                _swap_in(newdir, outdir)
+            except OSError as exc:
+                run, error = None, error or ("internal", f"{type(exc).__name__}: {exc}", 1)
+    except KeyboardInterrupt:
+        sys.stderr.write(_error_json("interrupted", "KeyboardInterrupt", 130))
+        return 130
+    finally:
+        if workdir is not None:
+            # a swap cut short between its two renames put the earlier set back
+            if not os.path.lexists(outdir):
+                with contextlib.suppress(OSError):
+                    (workdir / "old").rename(outdir)
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    if run is not None:
+        for check in run.manifest["invariant_checks"]:
+            status = "pass" if check["passed"] else "FAIL"
+            print(f"[{status}] {check['name']}: {check['detail']}")
+        print(f"{args.scenario}: wrote {len(run.manifest['outputs'])} files to {outdir}")
+    if error:
+        sys.stderr.write(_error_json(*error))
+        return error[2]
+    return 0
 
 
 if __name__ == "__main__":

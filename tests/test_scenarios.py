@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -209,8 +210,8 @@ def test_cli_failed_run_removes_the_outputs_of_an_earlier_run(tmp_path, capsys):
 @pytest.mark.parametrize(
     "outputs",
     [
-        # plain names go; a name with a separator or "..", and any
-        # name outside the directory, stay
+        # the plain name "stale.csv" lets the run replace the directory;
+        # no other name reaches outside it
         {"data": "stale.csv", "up": "../keep.csv", "abs": "ABS", "sub": "sub/keep.csv", "dir": "sub",
          "dots": "..", "cur": ".", "empty": "", "number": 7, "nul": "a\x00b"},
         # a manifest that cannot be parsed lists nothing
@@ -222,8 +223,8 @@ def test_cli_failed_run_removes_the_outputs_of_an_earlier_run(tmp_path, capsys):
 )
 def test_cli_run_removes_only_plain_names_of_an_earlier_manifest(tmp_path, capsys, outputs):
     outdir = tmp_path / "calibrate"
-    (outdir / "sub").mkdir(parents=True)
-    kept = [tmp_path / "keep.csv", outdir / "sub" / "keep.csv", tmp_path / "abs.csv"]
+    outdir.mkdir()
+    kept = [tmp_path / "keep.csv", tmp_path / "abs.csv"]
     for path in [outdir / "stale.csv", *kept]:
         path.write_text("earlier\n")
     if isinstance(outputs, dict):
@@ -235,7 +236,271 @@ def test_cli_run_removes_only_plain_names_of_an_earlier_manifest(tmp_path, capsy
     assert main(["run", "calibrate", "--out", str(tmp_path), "--set", "n_gain_points=0"]) == 2
     assert all(path.read_text() == "earlier\n" for path in kept)
     assert (outdir / "stale.csv").exists() == (not isinstance(outputs, dict))
-    assert not (outdir / "manifest.json").exists()
+    if isinstance(outputs, dict):
+        assert sorted(p.name for p in outdir.iterdir()) == ["error.json"]
+    else:
+        # an unlisted file makes the run refuse, naming it, and touch nothing
+        assert str(outdir / "stale.csv") in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert (outdir / "manifest.json").read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abs.csv", "calibrate", "keep.csv"]
+
+
+def _tree(root: Path) -> dict:
+    """Every entry under ``root``: a regular file's bytes, a link's target, else its file type."""
+    tree = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = Path(dirpath, name)
+            if path.is_symlink():
+                tree[str(path)] = ("link", os.readlink(path))
+            elif path.is_file():
+                tree[str(path)] = path.read_bytes()
+            else:
+                tree[str(path)] = stat.S_IFMT(path.lstat().st_mode)
+    return tree
+
+
+def _earlier_entry(kind, base, outdir):
+    """Plant ``kind`` at ``outdir``, or in it beside a manifest; return the entry to refuse."""
+    if kind == "file":
+        outdir.write_text("not sqzsim's\n")
+        return outdir
+    if kind == "link":
+        (base / "elsewhere").mkdir()
+        (base / "elsewhere" / "data.csv").write_text("not sqzsim's\n")
+        outdir.symlink_to(base / "elsewhere")
+        return outdir
+    outdir.mkdir()
+    (outdir / "manifest.json").write_text(json.dumps({"outputs": {"fit": "calibration.json"}}))
+    entry = outdir / {"unlisted": "notes.txt", "dir": "calibration.json",
+                      "linked": "calibration.json", "fifo": "manifest.json"}[kind]
+    if kind == "unlisted":
+        entry.write_text("not sqzsim's\n")
+    elif kind == "dir":
+        entry.mkdir()
+        (entry / "data.csv").write_text("not sqzsim's\n")
+    elif kind == "linked":
+        (base / "data.csv").write_text("not sqzsim's\n")
+        entry.symlink_to(base / "data.csv")
+    else:
+        entry.unlink()
+        os.mkfifo(entry)
+    return entry
+
+
+@pytest.mark.parametrize("kind", ["file", "link", "unlisted", "dir", "linked", "fifo"])
+def test_cli_run_refuses_to_replace_what_sqzsim_did_not_write(tmp_path, capsys, kind):
+    outdir = tmp_path / "calibrate"
+    entry = _earlier_entry(kind, tmp_path, outdir)
+    before = _tree(tmp_path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "run_scenario", _no_synthesis)
+        code = main(["run", "calibrate", "--out", str(tmp_path)])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert err["kind"] == "usage" and str(entry) in err["message"]
+    # refused before any work, and nothing was touched or made
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("name", ["../calibrate", "..", ".", ""])
+def test_cli_scenario_that_is_no_plain_name_touches_nothing(tmp_path, capsys, name):
+    # "../calibrate" would name the set beside the base
+    assert main(["run", "calibrate", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    assert main(["run", name, "--out", str(tmp_path / "base")]) == 2
+    assert "unknown scenario" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert _tree(tmp_path) == before
+
+
+def test_cli_run_checks_no_set_that_another_run_swapped_out_meanwhile(
+    tmp_path, capsys, monkeypatch
+):
+    outdir, other = tmp_path / "calibrate", tmp_path / "other"
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0
+    assert main(["run", "calibrate", "--out", str(other), "--seed", "2"]) == 0
+    scandir, swaps = os.scandir, []
+
+    def swapped_while_listed(fd):
+        # another run swaps its set in and starts deleting the one being checked
+        if not swaps:
+            swaps.append(outdir.rename(tmp_path / "aside"))
+            (other / "calibrate").rename(outdir)
+            (tmp_path / "aside" / "manifest.json").unlink()
+        return scandir(fd)
+
+    monkeypatch.setattr(os, "scandir", swapped_while_listed)
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "3"]) == 0
+    assert json.loads((outdir / "manifest.json").read_text())["seed"] == 3
+
+
+def _sqzsim_env() -> dict:
+    """The environment of a child process that imports this source tree's sqzsim."""
+    env = dict(os.environ)
+    src = str(Path(sqzsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+# runs sqzsim.cli.main on argv[2:], sending itself the signal named by
+# argv[1] as the third artifact write starts
+PLANTED_SIGNAL = """
+import os, signal, sys
+from sqzsim import cli, scenarios
+write, paths = scenarios._write_artifact, []
+def planted(path, content, meta):
+    paths.append(path)
+    if len(paths) == 3:
+        os.kill(os.getpid(), getattr(signal, sys.argv[1]))
+    write(path, content, meta)
+scenarios._write_artifact = planted
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _signalled_run(tmp_path, signame, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", PLANTED_SIGNAL, signame, "run", *argv, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_sqzsim_env(),
+        timeout=120,
+    )
+
+
+def _dot_dirs(base: Path, scenario: str) -> list[Path]:
+    return [p for p in base.iterdir() if p.name.startswith(f".{scenario}-")]
+
+
+def test_cli_run_killed_mid_write_leaves_the_earlier_run(tmp_path, capsys):
+    outdir = tmp_path / "calibrate"
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0
+    before = _tree(outdir)
+    proc = _signalled_run(tmp_path, "SIGKILL", "calibrate", "--seed", "2")
+    assert proc.returncode == -9
+    assert _tree(outdir) == before
+    # the killed run's files stay in its own directory
+    assert len(_dot_dirs(tmp_path, "calibrate")) == 1
+
+
+def test_cli_run_interrupted_mid_write_exits_130_and_leaves_the_earlier_run(tmp_path, capsys):
+    outdir = tmp_path / "calibrate"
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0
+    before = _tree(outdir)
+    proc = _signalled_run(tmp_path, "SIGINT", "calibrate", "--seed", "2")
+    assert proc.returncode == 130, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["exit_code"] == 130 and err["error"]["kind"] == "interrupted"
+    assert _tree(outdir) == before
+    assert _dot_dirs(tmp_path, "calibrate") == []
+
+
+def test_cli_run_whose_third_write_fails_leaves_only_error_json(tmp_path, capsys, monkeypatch):
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0
+    write, paths = scenarios._write_artifact, []
+
+    def failing(path, content, meta):
+        paths.append(path)
+        if len(paths) == 3:
+            raise OSError("planted fault")
+        write(path, content, meta)
+
+    monkeypatch.setattr(scenarios, "_write_artifact", failing)
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "2"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"kind": "internal", "message": "OSError: planted fault"}
+    assert [p.name for p in (tmp_path / "calibrate").iterdir()] == ["error.json"]
+    assert _dot_dirs(tmp_path, "calibrate") == []
+
+
+def _assert_one_run(outdir: Path) -> None:
+    """Every file in ``outdir`` is one the manifest lists, stamped with its fingerprint."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(manifest["outputs"].values())
+    for path in outdir.iterdir():
+        if path.suffix == ".csv":
+            stamps = [line for line in path.read_text().splitlines()
+                      if line.startswith("# config_sha256=")]
+            assert stamps == [f"# config_sha256={manifest['config_sha256']}"], path
+        else:
+            assert json.loads(path.read_text())["config_sha256"] == manifest["config_sha256"]
+
+
+def test_cli_run_after_a_killed_run_holds_only_its_own_files(tmp_path, capsys):
+    proc = _signalled_run(tmp_path, "SIGKILL", "calibrate", "--seed", "2")
+    assert proc.returncode == -9
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0
+    _assert_one_run(tmp_path / "calibrate")
+    assert json.loads((tmp_path / "calibrate" / "manifest.json").read_text())["seed"] == 1
+
+
+def _before_the_rename_in(monkeypatch, action):
+    """Call ``action(outdir)`` just before the CLI renames its run's directory to ``outdir``."""
+    rename = Path.rename
+
+    def patched(self, target):
+        if self.parent.name.startswith(".calibrate-") and self.name in ("run", "failed"):
+            action(target)
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", patched)
+
+
+def test_cli_run_interrupted_between_the_renames_puts_the_earlier_run_back(
+    tmp_path, capsys, monkeypatch
+):
+    outdir = tmp_path / "calibrate"
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "1"]) == 0
+    before = _tree(outdir)
+
+    def interrupt(target):
+        assert not target.exists()
+        raise KeyboardInterrupt
+
+    _before_the_rename_in(monkeypatch, interrupt)
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "2"]) == 130
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "interrupted"
+    assert _tree(outdir) == before
+    assert _dot_dirs(tmp_path, "calibrate") == []
+
+
+def test_cli_run_beaten_to_the_swap_leaves_the_other_run_whole(tmp_path, capsys, monkeypatch):
+    # another run's whole set lands between this run's two renames
+    other = tmp_path / "other"
+    assert main(["run", "calibrate", "--out", str(other), "--seed", "2"]) == 0
+    capsys.readouterr()
+    _before_the_rename_in(monkeypatch, (other / "calibrate").rename)
+    assert main(["run", "calibrate", "--out", str(tmp_path), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["kind"] == "internal"
+    assert "wrote" not in captured.out
+    _assert_one_run(tmp_path / "calibrate")
+    assert json.loads((tmp_path / "calibrate" / "manifest.json").read_text())["seed"] == 2
+    assert _dot_dirs(tmp_path, "calibrate") == []
+
+
+def test_cli_concurrent_runs_leave_one_whole_run(tmp_path):
+    # 20000 gain points (25 ms of work, not 5) give the two runs more time to overlap
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "sqzsim.cli", "run", "calibrate", "--seed", str(seed),
+             "--set", "n_gain_points=20000", "--out", str(tmp_path)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_sqzsim_env(),
+        )
+        for seed in (1, 2)
+    ]
+    for proc, (_, stderr) in [(p, p.communicate(timeout=120)) for p in procs]:
+        # the run that finds the other's set swapped in first reports a fault
+        assert proc.returncode == 0 or (
+            proc.returncode == 1 and json.loads(stderr)["error"]["kind"] == "internal"
+        ), stderr
+    assert _dot_dirs(tmp_path, "calibrate") == []
+    _assert_one_run(tmp_path / "calibrate")
 
 
 def test_cli_unknown_scenario_exits_2(tmp_path, capsys):
@@ -463,14 +728,11 @@ def test_cli_unusable_sample_rate_names_the_rate_alone(tmp_path, capsys, scenari
 )
 def test_cli_usage_error_stderr_is_one_json_document(tmp_path, argv, field):
     # a fresh interpreter, so a NumPy warning would reach stderr as printed text
-    env = dict(os.environ)
-    src = str(Path(sqzsim.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "sqzsim.cli", "run", *argv, "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_sqzsim_env(),
         timeout=120,
     )
     assert proc.returncode == 2
@@ -513,14 +775,11 @@ def _capped_address_space():
     ],
 )
 def test_cli_count_beyond_substreams_or_budget_exits_2_under_a_memory_cap(tmp_path, argv, fields):
-    env = dict(os.environ)
-    src = str(Path(sqzsim.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "sqzsim.cli", "run", *argv, "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_sqzsim_env(),
         timeout=120,
         preexec_fn=_capped_address_space,
     )
@@ -543,14 +802,11 @@ print(split, *block.shape)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 def test_first_block_of_a_stream_of_2_32_frames_arrives_under_a_memory_cap():
-    env = dict(os.environ)
-    src = str(Path(sqzsim.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", FIRST_BLOCK],
         capture_output=True,
         text=True,
-        env=env,
+        env=_sqzsim_env(),
         timeout=120,
         preexec_fn=_capped_address_space,
     )
@@ -588,14 +844,11 @@ def test_plan_sweep_of_extreme_values_plans_or_names_a_key_under_a_memory_cap():
     # one key at a time by default; SQZSIM_PLAN_SWEEP=pairs sets every pair
     # of a scenario's keys, 8136 plans instead of 282
     size = {"": 1, "pairs": 2}[os.environ.get("SQZSIM_PLAN_SWEEP", "")]
-    env = dict(os.environ)
-    src = str(Path(sqzsim.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", PLAN_SWEEP, str(size), "-1", "0", "1e-300", "0.5", "3", "1e300"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_sqzsim_env(),
         timeout=600,
         preexec_fn=_capped_address_space,
     )
@@ -894,14 +1147,11 @@ print(json.dumps({"exit_code": code, "peak": tracemalloc.get_traced_memory()[1]}
 def test_cli_plan_above_the_work_budget_exits_2_before_allocating(tmp_path, argv, field):
     # without the budget the capped child fails as internal MemoryError and
     # never takes the machine's memory
-    env = dict(os.environ)
-    src = str(Path(sqzsim.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", CAPPED_RUN, "run", *argv, "--frames", "20", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_sqzsim_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
